@@ -1,14 +1,16 @@
 """Command-line front end: one subcommand per library surface.
 
-Inputs are JSON documents, inline or ``@path``.  Every stochastic
-subcommand requires an explicit ``--seed`` and its result envelope
-carries (estimate, standard error, n_samples, seed).  Output is a JSON
-envelope; ``--out csv`` emits tabular traces for the few subcommands
-that produce them.
+Inputs are strict RFC 8259 JSON documents, inline or ``@path``.  Every
+stochastic mode requires an explicit non-negative ``--seed`` and its
+result envelope carries (estimate, standard error, n_samples, seed).
+Output is a strict JSON envelope; ``--out csv`` emits tabular traces for
+the few subcommands that produce them.  ``SUBCOMMANDS`` declares each
+subcommand's options, so a flag a subcommand would ignore is rejected.
 
 Exit codes: 0 success, 2 input error (schema violations name the
 offending key), 3 numeric failure (a tolerance that could not be
-reached).  A failing selftest exits 1 naming the first failed criterion.
+reached, or a result that is not finite).  A failing selftest exits 1
+naming the first failed criterion.
 
 Payload determinism contract: the ``payload`` object is serialized
 canonically (sorted keys, no volatile fields), so identical invocations
@@ -23,6 +25,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from typing import Any
@@ -33,7 +36,14 @@ from . import bohr, gaussian, jsonio, kernels, measure_core, selftest, support, 
 from .errors import InputError, NumericError
 from .sequences import FiniteSequence
 
-__all__ = ["main", "build_envelope", "run_payload"]
+__all__ = ["main", "build_envelope", "SUBCOMMANDS"]
+
+
+def _reject_constant(token: str) -> None:
+    raise ValueError(f"{token} is not RFC 8259 JSON; write infinite interval ends as \"inf\"")
+
+
+_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _load_json_arg(raw: str, what: str) -> Any:
@@ -45,8 +55,8 @@ def _load_json_arg(raw: str, what: str) -> Any:
         except OSError as exc:
             raise InputError(f"{what}: cannot read {raw[1:]}: {exc}") from None
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return _STRICT_JSON.decode(text)
+    except ValueError as exc:
         raise InputError(f"{what}: invalid JSON ({exc})") from None
 
 
@@ -54,7 +64,7 @@ def _parse_vectors(raw: str) -> tuple[list[FiniteSequence], Any]:
     """Comma-separated basis tokens like ``e1,e1,e2`` or a JSON array."""
     if raw.lstrip().startswith("["):
         doc = _load_json_arg(raw, "vectors")
-        vecs = [jsonio.decode_finite_sequence(d, f"vectors[{i}]") for i, d in enumerate(doc)]
+        vecs = [jsonio.decode("finite_sequence", d, f"vectors[{i}]") for i, d in enumerate(doc)]
         return vecs, doc
     vecs = []
     for i, token in enumerate(raw.split(",")):
@@ -67,12 +77,6 @@ def _parse_vectors(raw: str) -> tuple[list[FiniteSequence], Any]:
             raise InputError(f"vectors[{i}]: expected a basis token like e1, got {token!r}") from None
         vecs.append(FiniteSequence.basis(index))
     return vecs, raw
-
-
-def _check_tol(value: float | None) -> float | None:
-    if value is not None and value <= 0:
-        raise InputError(f"tolerance override must be positive, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +99,7 @@ def _payload_chi(args) -> tuple[dict, Any, list[str]]:
     cov_doc = _load_json_arg(args.cov, "--cov")
     xi_doc = _load_json_arg(args.xi, "--xi")
     cov = jsonio.decode_decay(cov_doc, "cov")
-    xi = jsonio.decode_finite_sequence(xi_doc, "xi")
+    xi = jsonio.decode("finite_sequence", xi_doc, "xi")
     return (
         {"chi": gaussian.chi(xi, cov), "inner": gaussian.inner(xi, xi, cov)},
         {"cov": cov_doc, "xi": xi_doc},
@@ -134,10 +138,8 @@ def _payload_rn_density(args) -> tuple[dict, Any, list[str]]:
     shift_doc = _load_json_arg(args.shift, "--shift")
     x_doc = _load_json_arg(args.x, "--x")
     cov = jsonio.decode_decay(cov_doc, "cov")
-    shift = jsonio.decode_finite_sequence(shift_doc, "shift")
-    if not isinstance(x_doc, list):
-        raise InputError("--x: expected a JSON array of coordinates")
-    x = np.asarray([float(v) for v in x_doc])
+    shift = jsonio.decode("finite_sequence", shift_doc, "shift")
+    x = np.asarray(jsonio.decode("numbers", x_doc, "x"))
     value = transform.rn_density(x, shift, cov)
     return (
         {"density": float(value), "truncation": len(x_doc)},
@@ -214,9 +216,7 @@ def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
         )
     if args.fourier is not None:
         m, x = args.fourier
-        res = kernels.kernel_fourier_quadrature(
-            m, x, p_cutoff=args.cutoff, tol=args.tol if args.tol else 1e-6
-        )
+        res = kernels.kernel_fourier_quadrature(m, x, p_cutoff=args.cutoff, tol=args.tol)
         return (
             jsonio.encode_value(res),
             {"fourier": {"m": m, "x": x, "cutoff": args.cutoff}},
@@ -225,7 +225,7 @@ def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
     if args.spec is None:
         raise InputError("kernel needs --spec for --at, --bilinear, --regularity")
     spec_doc = _load_json_arg(args.spec, "--spec")
-    spec = jsonio.decode_kernel(spec_doc, "spec")
+    spec = jsonio.decode("kernel", spec_doc, "spec")
     if args.at is not None:
         return (
             {"value": kernels.kernel_eval(spec, args.at), "x": args.at},
@@ -235,8 +235,8 @@ def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
     if args.bilinear is not None:
         f_doc = _load_json_arg(args.bilinear[0], "--bilinear f")
         g_doc = _load_json_arg(args.bilinear[1], "--bilinear g")
-        f = jsonio.decode_grid_function(f_doc, "f")
-        g = jsonio.decode_grid_function(g_doc, "g")
+        f = jsonio.decode("grid_function", f_doc, "f")
+        g = jsonio.decode("grid_function", g_doc, "g")
         return (
             {"value": kernels.covariance_bilinear(spec, f, g)},
             {"spec": spec_doc, "f": f_doc, "g": g_doc},
@@ -315,12 +315,12 @@ def _integrand_from_catalog(name: str, n_axes: int):
 
 def _payload_product(args) -> tuple[dict, Any, list[str]]:
     spec_doc = _load_json_arg(args.spec, "--spec")
-    spec = jsonio.decode_measure_spec(spec_doc, "rule")
+    spec = jsonio.decode("measure_rule", spec_doc, "rule")
     if (args.cylinder is None) == (args.tail is None and args.prefix is None):
         raise InputError("product needs either --cylinder or a --prefix/--tail pair")
     if args.cylinder is not None:
         cyl_doc = _load_json_arg(args.cylinder, "--cylinder")
-        cyl = jsonio.decode_cylinder(cyl_doc, "cylinder")
+        cyl = jsonio.decode("cylinder", cyl_doc, "cylinder")
         return (
             {"probability": measure_core.cylinder_measure(spec, cyl)},
             {"rule": spec_doc, "cylinder": cyl_doc},
@@ -329,8 +329,8 @@ def _payload_product(args) -> tuple[dict, Any, list[str]]:
     prefix_doc = _load_json_arg(args.prefix, "--prefix") if args.prefix else {"base": []}
     tail_doc = _load_json_arg(args.tail, "--tail") if args.tail else {"full": {}}
     constraints = measure_core.TailConstraints(
-        prefix=jsonio.decode_cylinder(prefix_doc, "prefix"),
-        tail=jsonio.decode_tail_rule(tail_doc, "tail"),
+        prefix=jsonio.decode("cylinder", prefix_doc, "prefix"),
+        tail=jsonio.decode("tail_rule", tail_doc, "tail"),
     )
     report = measure_core.countable_product_measure(spec, constraints, n_max=args.n_max)
     return (
@@ -342,35 +342,14 @@ def _payload_product(args) -> tuple[dict, Any, list[str]]:
 
 def _payload_consistency(args) -> tuple[dict, Any, list[str]]:
     doc = _load_json_arg(args.marginals, "--marginals")
-    tables = jsonio.decode_marginal_tables(doc, "marginals")
-    res = measure_core.consistency_check(tables, tol=args.tol if args.tol else 1e-12)
+    tables = jsonio.decode("marginal_tables", doc, "marginals")
+    res = measure_core.consistency_check(tables, tol=args.tol)
     return jsonio.encode_value(res), {"marginals": doc}, ["chain marginalization"]
-
-
-_BUILDERS = {
-    "sample": _payload_sample,
-    "chi": _payload_chi,
-    "moment": _payload_moment,
-    "rn-density": _payload_rn_density,
-    "shift-admissible": _payload_shift_admissible,
-    "equivalence": _payload_equivalence,
-    "support": _payload_support,
-    "hs-check": _payload_hs_check,
-    "kernel": _payload_kernel,
-    "bohr": _payload_bohr,
-    "product": _payload_product,
-    "consistency": _payload_consistency,
-}
-
-
-def run_payload(args) -> tuple[dict, Any, list[str]]:
-    """Dispatch to exactly one module operation; returns (payload, inputs, notes)."""
-    return _BUILDERS[args.subcommand](args)
 
 
 def build_envelope(args) -> dict:
     start = time.perf_counter()
-    payload, inputs, provenance = run_payload(args)
+    payload, inputs, provenance = SUBCOMMANDS[args.subcommand][1](args)
     digest = hashlib.sha256(
         json.dumps(inputs, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -387,7 +366,12 @@ def build_envelope(args) -> dict:
 def _emit(envelope: dict, out_format: str) -> str:
     if out_format == "json":
         # canonical payload bytes: sorted keys, stable separators
-        return json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+        try:
+            return json.dumps(envelope, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        except ValueError:
+            raise NumericError(
+                f"{envelope['subcommand']} result is not finite", payload=envelope["payload"]
+            ) from None
     payload = envelope["payload"]
     rows = _tabulate(payload)
     if rows is None:
@@ -414,11 +398,104 @@ def _tabulate(payload: dict) -> list[list] | None:
     return None
 
 
-def _add_common(parser: argparse.ArgumentParser, seed_required: bool) -> None:
-    parser.add_argument("--seed", type=int, required=seed_required, default=None,
-                        help="64-bit seed (required for stochastic subcommands)")
-    parser.add_argument("--out", choices=("json", "csv"), default="json")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+_SEED = {"type": _seed, "help": "non-negative 64-bit seed"}
+
+# name -> (help, payload builder, options as (flag, add_argument keywords)).
+# Every subcommand also takes --out; selftest prints a report, not a payload.
+SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, dict], ...]]] = {
+    "sample": ("draw a truncated gaussian sample", _payload_sample, (
+        ("--cov", {"required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--seed", {**_SEED, "required": True}),
+    )),
+    "chi": ("characteristic function at a test vector", _payload_chi, (
+        ("--cov", {"required": True}),
+        ("--xi", {"required": True}),
+    )),
+    "moment": ("gaussian moment by the pairing rule", _payload_moment, (
+        ("--cov", {"required": True}),
+        ("--vectors", {"required": True,
+                       "help": "basis tokens e1,e2,... or a JSON array of sequences"}),
+        ("--mc-samples", {"type": int}),
+        ("--seed", {**_SEED, "help": "seed of --mc-samples"}),
+    )),
+    "rn-density": ("shift density at a point", _payload_rn_density, (
+        ("--cov", {"required": True}),
+        ("--shift", {"required": True}),
+        ("--x", {"required": True, "help": "JSON array of truncated coordinates"}),
+    )),
+    "shift-admissible": ("is a shift admissible for a covariance", _payload_shift_admissible, (
+        ("--cov", {"required": True}),
+        ("--shift", {"required": True}),
+    )),
+    "equivalence": ("equivalent / singular classification", _payload_equivalence, (
+        ("--cov-a", {"required": True}),
+        ("--cov-b", {"required": True}),
+    )),
+    "support": ("weighted-subspace support verdict", _payload_support, (
+        ("--cov", {"required": True}),
+        ("--weights", {"required": True}),
+        ("--mc", {"type": int, "nargs": 2, "metavar": ("N_COORDS", "N_SAMPLES"),
+                  "help": "add the tail-growth oracle (needs --seed)"}),
+        ("--seed", {**_SEED, "help": "seed of --mc"}),
+    )),
+    "hs-check": ("hilbert-schmidt check for a diagonal operator", _payload_hs_check, (
+        ("--weights", {"required": True}),
+    )),
+    "kernel": ("covariance kernel operations", _payload_kernel, (
+        ("--spec", {}),
+        ("--at", {"type": float}),
+        ("--bilinear", {"nargs": 2, "metavar": ("F", "G")}),
+        ("--regularity", {"action": "store_true"}),
+        ("--fourier", {"type": float, "nargs": 2, "metavar": ("M", "X")}),
+        ("--cutoff", {"type": float, "default": 1e7}),
+        ("--tol", {"type": _positive, "default": 1e-6, "help": "error budget of --fourier"}),
+    )),
+    "bohr": ("torus family: independence, sampling, integrals", _payload_bohr, (
+        ("--freqs", {"required": True, "help": "comma-separated frequencies"}),
+        ("--check-independence", {"type": int, "metavar": "BOUND"}),
+        ("--integral", {"metavar": "EXPR_ID"}),
+        ("--quad-points", {"type": int, "default": 16}),
+        ("--mc", {"type": int, "metavar": "N_SAMPLES"}),
+        ("--sample", {"action": "store_true"}),
+        ("--seed", {**_SEED, "help": "seed of --sample and --mc"}),
+    )),
+    "product": ("cylinder or countable product probability", _payload_product, (
+        ("--spec", {"required": True}),
+        ("--cylinder", {}),
+        ("--prefix", {}),
+        ("--tail", {}),
+        ("--n-max", {"type": int}),
+    )),
+    "consistency": ("marginal self-consistency check", _payload_consistency, (
+        ("--marginals", {"required": True}),
+        ("--tol", {"type": _positive, "default": 1e-12, "help": "agreement tolerance"}),
+    )),
+    "selftest": ("run the release-gate criteria", None, (
+        ("--level", {"choices": ("quick", "full"), "default": "quick"}),
+        ("--seed", {**_SEED, "default": selftest.DEFAULT_SEED}),
+    )),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -427,91 +504,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Desk-scale measure theory on sequence spaces.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("sample", help="draw a truncated gaussian sample")
-    p.add_argument("--cov", required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p, seed_required=True)
-
-    p = sub.add_parser("chi", help="characteristic function at a test vector")
-    p.add_argument("--cov", required=True)
-    p.add_argument("--xi", required=True)
-    _add_common(p, seed_required=False)
-
-    p = sub.add_parser("moment", help="gaussian moment by the pairing rule")
-    p.add_argument("--cov", required=True)
-    p.add_argument("--vectors", required=True,
-                   help="basis tokens e1,e2,... or a JSON array of sequences")
-    p.add_argument("--mc-samples", type=int, default=None)
-    _add_common(p, seed_required=False)
-
-    p = sub.add_parser("rn-density", help="shift density at a point")
-    p.add_argument("--cov", required=True)
-    p.add_argument("--shift", required=True)
-    p.add_argument("--x", required=True, help="JSON array of truncated coordinates")
-    _add_common(p, seed_required=False)
-
-    p = sub.add_parser("shift-admissible", help="is a shift admissible for a covariance")
-    p.add_argument("--cov", required=True)
-    p.add_argument("--shift", required=True)
-    _add_common(p, seed_required=False)
-
-    p = sub.add_parser("equivalence", help="equivalent / singular classification")
-    p.add_argument("--cov-a", required=True)
-    p.add_argument("--cov-b", required=True)
-    _add_common(p, seed_required=False)
-
-    p = sub.add_parser("support", help="weighted-subspace support verdict")
-    p.add_argument("--cov", required=True)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--mc", type=int, nargs=2, metavar=("N_COORDS", "N_SAMPLES"),
-                   default=None, help="add the tail-growth oracle (needs --seed)")
-    _add_common(p, seed_required=False)
-
-    p = sub.add_parser("hs-check", help="hilbert-schmidt check for a diagonal operator")
-    p.add_argument("--weights", required=True)
-    _add_common(p, seed_required=False)
-
-    p = sub.add_parser("kernel", help="covariance kernel operations")
-    p.add_argument("--spec", default=None)
-    p.add_argument("--at", type=float, default=None)
-    p.add_argument("--bilinear", nargs=2, metavar=("F", "G"), default=None)
-    p.add_argument("--regularity", action="store_true")
-    p.add_argument("--fourier", type=float, nargs=2, metavar=("M", "X"), default=None)
-    p.add_argument("--cutoff", type=float, default=1e7)
-    _add_common(p, seed_required=False)
-
-    p = sub.add_parser("bohr", help="torus family: independence, sampling, integrals")
-    p.add_argument("--freqs", required=True, help="comma-separated frequencies")
-    p.add_argument("--check-independence", type=int, default=None, metavar="BOUND")
-    p.add_argument("--integral", default=None, metavar="EXPR_ID")
-    p.add_argument("--quad-points", type=int, default=16)
-    p.add_argument("--mc", type=int, default=None, metavar="N_SAMPLES")
-    p.add_argument("--sample", action="store_true")
-    _add_common(p, seed_required=False)
-
-    p = sub.add_parser("product", help="cylinder or countable product probability")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--cylinder", default=None)
-    p.add_argument("--prefix", default=None)
-    p.add_argument("--tail", default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    _add_common(p, seed_required=False)
-
-    p = sub.add_parser("consistency", help="marginal self-consistency check")
-    p.add_argument("--marginals", required=True)
-    _add_common(p, seed_required=False)
-
-    p = sub.add_parser("selftest", help="run the release-gate criteria")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-    _add_common(p, seed_required=False)
-
+    for name, (help_text, _, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--out", choices=("json", "csv"), default="json")
     return parser
 
 
 def _run_selftest(args) -> int:
-    seed = args.seed if args.seed is not None else selftest.DEFAULT_SEED
-    results = selftest.run_selftest(args.level, seed)
+    results = selftest.run_selftest(args.level, args.seed)
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.criterion}: {res.detail}")
     failed = [r for r in results if not r.passed]
@@ -529,7 +531,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _check_tol(args.tol)
         if args.subcommand == "selftest":
             return _run_selftest(args)
         envelope = build_envelope(args)

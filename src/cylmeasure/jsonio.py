@@ -1,349 +1,282 @@
 """JSON schemas for every exchangeable object, with strict decoding.
 
 One interchange format: JSON documents with a single-key tagged-union
-convention for variants, e.g.
+convention for variants.  ``SCHEMA`` is the reference for every kind:
 
-    covariance       {"constant": {"rho": 1.0}}
+    decay            {"constant": {"rho": 1.0}}
                      {"power": {"c": 1.0, "p": 2.0}}
                      {"geometric": {"c": 1.0, "q": 0.5}}
                      {"constant_plus_power": {"base": 1.0, "c": 1.0, "p": 1.0}}
-                     {"prefixed": {"prefix": [2.0, 0.5], "tail": {...}}}
+                     {"prefixed": {"prefix": [2.0, 0.5], "tail": decay}}
                      {"tabulated": {"values": [1.0, 0.9, 0.8]}}
     component        {"gaussian": {"rho": 1.0}} | {"uniform": {"a": 0, "b": 1}}
                      | {"point_mass": {"c": 0.0}}
-    measure rule     {"identical": component}
+    measure_rule     {"identical": component}
                      | {"indexed": {"map": {"1": component}, "default": component}}
-    cylinder set     {"base": [{"index": 1, "boxes": [[0.0, 0.5]]}]}
-    finite sequence  {"entries": [[1, 1.0], [4, -2.0]]}
-    shift            finite sequence document or covariance document
+    cylinder         {"base": [{"index": 1, "boxes": [[0.0, 0.5]]}]}
+    finite_sequence  {"entries": [[1, 1.0], [4, -2.0]]}
     kernel           {"white_noise": {"sigma": 1.0}} | {"massive_free_1d": {"m": 1.0}}
                      | {"tabulated": {"grid": [...], "values": [...]}}
-    grid function    {"x0": -5.0, "dx": 0.1, "count": 101, "values": [...]}
-    tail rule        {"full": {}} | {"constant_factor": {"f": 0.5}}
+    grid_function    {"x0": -5.0, "dx": 0.1, "count": 101, "values": [...]}
+    tail_rule        {"full": {}} | {"constant_factor": {"f": 0.5}}
                      | {"one_minus_geometric": {"c": 1.0, "q": 0.5}}
                      | {"tabulated": {"factors": [...]}}
+    marginal_tables  [{"indices": [1, 2],
+                       "cells": [{"boxes": [[[0.0, 0.5]], [["-inf", "inf"]]], "p": 0.5}]}]
+    numbers          [1.0, -2.5]
 
-Interval ends may be the strings "inf" / "-inf".  Unknown keys are
-rejected, and every error names the offending path.
+A shift (``decode_shift``) is a finite_sequence or a decay document.
+Numbers are finite; an infinite interval end is spelled as the string
+"inf" / "-inf".  Unknown keys are rejected, and every error names the
+offending path.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, NamedTuple
 
-from . import bohr, kernels, measure_core, sequences, support, transform
+from . import kernels, measure_core, sequences, transform
 from .errors import InputError
 
-__all__ = [
-    "decode_decay",
-    "decode_component",
-    "decode_measure_spec",
-    "decode_cylinder",
-    "decode_finite_sequence",
-    "decode_shift",
-    "decode_shift_family",
-    "decode_kernel",
-    "decode_grid_function",
-    "decode_tail_rule",
-    "decode_marginal_tables",
-    "encode_value",
-]
+__all__ = ["SCHEMA", "decode", "decode_decay", "decode_shift", "encode_value"]
 
 
-def _fail(path: str, message: str) -> InputError:
-    return InputError(f"{path}: {message}")
+class _Fault(Exception):
+    """A schema violation at ``where``, the path below the decoded root.
+
+    Each level of the walk prepends its own step as the fault passes up,
+    so a path string is built only for a rejected document.
+    """
+
+    def __init__(self, message: str, where: str = "") -> None:
+        super().__init__(message)
+        self.where = where
+
+    def under(self, step: str) -> "_Fault":
+        self.where = step + self.where
+        return self
 
 
-def _as_obj(doc: Any, path: str) -> dict:
-    if not isinstance(doc, dict):
-        raise _fail(path, f"expected an object, got {type(doc).__name__}")
-    return doc
+class _Object(NamedTuple):
+    """A JSON object with exactly the keys of ``fields``, read into ``build(*values)``."""
+
+    build: Any
+    fields: tuple[tuple[str, Any], ...]
+    keys: frozenset
 
 
-def _one_key(doc: Any, path: str, options: tuple[str, ...]) -> tuple[str, Any]:
-    obj = _as_obj(doc, path)
-    if len(obj) != 1:
-        raise _fail(path, f"expected exactly one of {list(options)}, got keys {list(obj)}")
-    key, value = next(iter(obj.items()))
-    if key not in options:
-        raise _fail(f"{path}.{key}", f"unknown variant; expected one of {list(options)}")
-    return key, value
+class _List(NamedTuple):
+    """A JSON array of any length whose items are all read as ``item``, as a tuple."""
+
+    item: Any
 
 
-def _fields(doc: Any, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    obj = _as_obj(doc, path)
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise _fail(f"{path}.{sorted(unknown)[0]}", "unknown key")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise _fail(f"{path}.{missing[0]}", "missing required key")
-    return obj
+class _Tuple(NamedTuple):
+    """A JSON array of exactly one item per shape in ``items``, read into ``build(*values)``."""
+
+    build: Any
+    items: tuple
 
 
-def _number(value: Any, path: str, allow_inf: bool = False) -> float:
-    if isinstance(value, str):
-        if allow_inf and value in ("inf", "-inf"):
-            return math.inf if value == "inf" else -math.inf
-        raise _fail(path, f"expected a number, got string {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, f"expected a number, got {type(value).__name__}")
-    value = float(value)
-    if not allow_inf and not math.isfinite(value):
-        raise _fail(path, "must be finite")
-    return value
+def _object(build, **fields) -> _Object:
+    return _Object(build, tuple(fields.items()), frozenset(fields))
 
 
-def _natural(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise _fail(path, f"expected a natural >= 1, got {value!r}")
-    return value
-
-
-def _number_list(value: Any, path: str) -> list[float]:
-    if not isinstance(value, list):
-        raise _fail(path, f"expected an array, got {type(value).__name__}")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-
-def _wrap(path: str, fn, *args):
-    try:
-        return fn(*args)
-    except InputError as exc:
-        msg = str(exc)
-        raise InputError(msg if msg.startswith(path) else f"{path}: {msg}") from None
+def _pack(*values):
+    return values
 
 
 # ---------------------------------------------------------------------------
-# decoders
-
-_DECAY_VARIANTS = (
-    "constant",
-    "power",
-    "geometric",
-    "constant_plus_power",
-    "prefixed",
-    "tabulated",
-)
+# leaf readers
 
 
-def decode_decay(doc: Any, path: str = "cov") -> sequences.DecaySeq:
-    key, body = _one_key(doc, path, _DECAY_VARIANTS)
-    sub = f"{path}.{key}"
-    if key == "constant":
-        obj = _fields(body, sub, ("rho",))
-        return _wrap(sub, sequences.Constant, _number(obj["rho"], f"{sub}.rho"))
-    if key == "power":
-        obj = _fields(body, sub, ("c", "p"))
-        return _wrap(
-            sub, sequences.PowerDecay, _number(obj["c"], f"{sub}.c"), _number(obj["p"], f"{sub}.p")
-        )
-    if key == "geometric":
-        obj = _fields(body, sub, ("c", "q"))
-        return _wrap(
-            sub, sequences.Geometric, _number(obj["c"], f"{sub}.c"), _number(obj["q"], f"{sub}.q")
-        )
-    if key == "constant_plus_power":
-        obj = _fields(body, sub, ("base", "c", "p"))
-        return _wrap(
-            sub,
-            sequences.ConstantPlusPower,
-            _number(obj["base"], f"{sub}.base"),
-            _number(obj["c"], f"{sub}.c"),
-            _number(obj["p"], f"{sub}.p"),
-        )
-    if key == "prefixed":
-        obj = _fields(body, sub, ("prefix", "tail"))
-        tail = decode_decay(obj["tail"], f"{sub}.tail")
-        return _wrap(
-            sub, sequences.Prefixed, tuple(_number_list(obj["prefix"], f"{sub}.prefix")), tail
-        )
-    obj = _fields(body, sub, ("values",))
-    return _wrap(sub, sequences.Tabulated, tuple(_number_list(obj["values"], f"{sub}.values")))
+def _number(value: Any, allow_inf: bool = False) -> float:
+    if isinstance(value, str):
+        if allow_inf and value in ("inf", "-inf"):
+            return math.inf if value == "inf" else -math.inf
+        raise _Fault(f"expected a number, got string {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _Fault(f"expected a number, got {type(value).__name__}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise _Fault("must be finite")
+    return value
 
 
-def decode_component(doc: Any, path: str = "component") -> measure_core.Component1D:
-    key, body = _one_key(doc, path, ("gaussian", "uniform", "point_mass"))
-    sub = f"{path}.{key}"
-    if key == "gaussian":
-        obj = _fields(body, sub, ("rho",))
-        return _wrap(sub, measure_core.Gaussian1D, _number(obj["rho"], f"{sub}.rho"))
-    if key == "uniform":
-        obj = _fields(body, sub, ("a", "b"))
-        return _wrap(
-            sub, measure_core.Uniform1D, _number(obj["a"], f"{sub}.a"), _number(obj["b"], f"{sub}.b")
-        )
-    obj = _fields(body, sub, ("c",))
-    return _wrap(sub, measure_core.PointMass1D, _number(obj["c"], f"{sub}.c"))
+def _interval_end(value: Any) -> float:
+    return _number(value, allow_inf=True)
 
 
-def decode_measure_spec(doc: Any, path: str = "rule") -> measure_core.ProductMeasureSpec:
-    key, body = _one_key(doc, path, ("identical", "indexed"))
-    sub = f"{path}.{key}"
-    if key == "identical":
-        return measure_core.ProductMeasureSpec.identical(decode_component(body, sub))
-    obj = _fields(body, sub, ("map", "default"))
+def _natural(value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise _Fault(f"expected a natural >= 1, got {value!r}")
+    return value
+
+
+def _identical(doc: Any) -> measure_core.ProductMeasureSpec:
+    return measure_core.ProductMeasureSpec.identical(_read("component", doc))
+
+
+def _index_map(doc: Any) -> dict[int, measure_core.Component1D]:
+    if not isinstance(doc, dict):
+        raise _Fault(f"expected an object, got {type(doc).__name__}")
     mapping = {}
-    entries = _as_obj(obj["map"], f"{sub}.map")
-    for raw_index, comp_doc in entries.items():
+    for raw_index, comp_doc in doc.items():
         try:
             index = int(raw_index)
         except ValueError:
-            raise _fail(f"{sub}.map.{raw_index}", "index keys must be integers") from None
-        if index < 1:
-            raise _fail(f"{sub}.map.{raw_index}", "index must be >= 1")
-        mapping[index] = decode_component(comp_doc, f"{sub}.map.{raw_index}")
-    default = decode_component(obj["default"], f"{sub}.default")
-    return measure_core.ProductMeasureSpec.indexed(mapping, default)
+            raise _Fault("index keys must be integers", f".{raw_index}") from None
+        try:
+            mapping[_natural(index)] = _read("component", comp_doc)
+        except _Fault as fault:
+            raise fault.under(f".{raw_index}")
+    return mapping
 
 
-def _decode_box(doc: Any, path: str) -> tuple[measure_core.Interval, ...]:
-    if not isinstance(doc, list):
-        raise _fail(path, "expected an array of [lo, hi] pairs")
-    out = []
-    for i, pair in enumerate(doc):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise _fail(f"{path}[{i}]", "expected a [lo, hi] pair")
-        lo = _number(pair[0], f"{path}[{i}][0]", allow_inf=True)
-        hi = _number(pair[1], f"{path}[{i}][1]", allow_inf=True)
-        out.append(_wrap(f"{path}[{i}]", measure_core.Interval, lo, hi))
-    return tuple(out)
+def _cell(boxes: tuple, p: float) -> tuple:
+    return tuple(measure_core.normalize_box(box) for box in boxes), p
 
 
-def decode_cylinder(doc: Any, path: str = "cylinder") -> measure_core.CylinderSet:
-    obj = _fields(doc, path, ("base",))
-    if not isinstance(obj["base"], list):
-        raise _fail(f"{path}.base", "expected an array")
-    base = []
-    for i, entry in enumerate(obj["base"]):
-        sub = f"{path}.base[{i}]"
-        fields = _fields(entry, sub, ("index", "boxes"))
-        index = _natural(fields["index"], f"{sub}.index")
-        base.append((index, _decode_box(fields["boxes"], f"{sub}.boxes")))
-    return _wrap(path, measure_core.CylinderSet, tuple(base))
+def _marginal_table(indices: tuple[int, ...], cells: tuple) -> measure_core.MarginalTable:
+    if not indices:
+        raise _Fault("expected a nonempty array of naturals", ".indices")
+    for j, (boxes, _) in enumerate(cells):
+        if len(boxes) != len(indices):
+            raise _Fault(f"expected {len(indices)} boxes (one per index)", f".cells[{j}].boxes")
+    return measure_core.MarginalTable(indices, cells)
 
 
-def decode_finite_sequence(doc: Any, path: str = "sequence") -> sequences.FiniteSequence:
-    obj = _fields(doc, path, ("entries",))
-    if not isinstance(obj["entries"], list):
-        raise _fail(f"{path}.entries", "expected an array of [index, value] pairs")
-    pairs = []
-    for i, pair in enumerate(obj["entries"]):
-        sub = f"{path}.entries[{i}]"
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise _fail(sub, "expected an [index, value] pair")
-        pairs.append((_natural(pair[0], f"{sub}[0]"), _number(pair[1], f"{sub}[1]")))
-    return _wrap(path, sequences.FiniteSequence, tuple(pairs))
+# ---------------------------------------------------------------------------
+# the schema: kind -> shape.  A shape is a dict of tagged variants, an
+# _Object, a _List, a _Tuple, the name of another kind, or a leaf reader.
+
+_NUMBERS = _List(_number)
+_BOX = _List(_Tuple(measure_core.Interval, (_interval_end, _interval_end)))
+
+SCHEMA: dict[str, Any] = {
+    "decay": {
+        "constant": _object(sequences.Constant, rho=_number),
+        "power": _object(sequences.PowerDecay, c=_number, p=_number),
+        "geometric": _object(sequences.Geometric, c=_number, q=_number),
+        "constant_plus_power": _object(
+            sequences.ConstantPlusPower, base=_number, c=_number, p=_number
+        ),
+        "prefixed": _object(sequences.Prefixed, prefix=_NUMBERS, tail="decay"),
+        "tabulated": _object(sequences.Tabulated, values=_NUMBERS),
+    },
+    "component": {
+        "gaussian": _object(measure_core.Gaussian1D, rho=_number),
+        "uniform": _object(measure_core.Uniform1D, a=_number, b=_number),
+        "point_mass": _object(measure_core.PointMass1D, c=_number),
+    },
+    "measure_rule": {
+        "identical": _identical,
+        "indexed": _object(
+            measure_core.ProductMeasureSpec.indexed, map=_index_map, default="component"
+        ),
+    },
+    "cylinder": _object(
+        measure_core.CylinderSet, base=_List(_object(_pack, index=_natural, boxes=_BOX))
+    ),
+    "finite_sequence": _object(
+        sequences.FiniteSequence, entries=_List(_Tuple(_pack, (_natural, _number)))
+    ),
+    "kernel": {
+        "white_noise": _object(kernels.WhiteNoise, sigma=_number),
+        "massive_free_1d": _object(kernels.MassiveFree1D, m=_number),
+        "tabulated": _object(kernels.TabulatedKernel, grid=_NUMBERS, values=_NUMBERS),
+    },
+    "grid_function": _object(
+        kernels.GridFunction, x0=_number, dx=_number, count=_natural, values=_NUMBERS
+    ),
+    "tail_rule": {
+        "full": _object(measure_core.FullTail),
+        "constant_factor": _object(measure_core.ConstantFactorTail, f=_number),
+        "one_minus_geometric": _object(measure_core.OneMinusGeometricTail, c=_number, q=_number),
+        "tabulated": _object(measure_core.TabulatedTail, factors=_NUMBERS),
+    },
+    "marginal_tables": _List(
+        _object(
+            _marginal_table,
+            indices=_List(_natural),
+            cells=_List(_object(_cell, boxes=_List(_BOX), p=_number)),
+        )
+    ),
+    "numbers": _NUMBERS,
+}
+
+
+def _build(build, values: list) -> Any:
+    try:
+        return build(*values)
+    except InputError as exc:
+        raise _Fault(str(exc)) from None
+
+
+def _read(shape: Any, doc: Any) -> Any:
+    """Read ``doc`` as ``shape``: the one decoder behind every kind."""
+    if type(shape) is str:
+        shape = SCHEMA[shape]
+    form = type(shape)
+    if (form is dict or form is _Object) and not isinstance(doc, dict):
+        raise _Fault(f"expected an object, got {type(doc).__name__}")
+    if form is dict:
+        if len(doc) != 1:
+            raise _Fault(f"expected exactly one of {list(shape)}, got keys {list(doc)}")
+        ((tag, body),) = doc.items()
+        variant = shape.get(tag)
+        if variant is None:
+            raise _Fault(f"unknown variant; expected one of {list(shape)}", f".{tag}")
+        try:
+            return _read(variant, body)
+        except _Fault as fault:
+            raise fault.under(f".{tag}")
+    if form is _Object:
+        if doc.keys() != shape.keys:
+            unknown = sorted(doc.keys() - shape.keys)
+            if unknown:
+                raise _Fault("unknown key", f".{unknown[0]}")
+            missing = next(key for key, _ in shape.fields if key not in doc)
+            raise _Fault("missing required key", f".{missing}")
+        values = []
+        try:
+            for key, field in shape.fields:
+                values.append(_read(field, doc[key]))
+        except _Fault as fault:
+            raise fault.under(f".{key}")
+        return _build(shape.build, values)
+    if form is _List or form is _Tuple:
+        if not isinstance(doc, list):
+            raise _Fault(f"expected an array, got {type(doc).__name__}")
+        items = shape.items if form is _Tuple else (shape.item,) * len(doc)
+        if len(doc) != len(items):
+            raise _Fault(f"expected an array of {len(items)} items, got {len(doc)}")
+        values = []
+        try:
+            for i, item in enumerate(items):
+                values.append(_read(item, doc[i]))
+        except _Fault as fault:
+            raise fault.under(f"[{i}]")
+        return tuple(values) if form is _List else _build(shape.build, values)
+    return shape(doc)
+
+
+def decode(kind: str, doc: Any, path: str) -> Any:
+    """Read ``doc`` as the ``SCHEMA`` kind ``kind``; errors name ``path`` and below."""
+    try:
+        return _read(kind, doc)
+    except _Fault as fault:
+        raise InputError(f"{path}{fault.where}: {fault}") from None
+
+
+def decode_decay(doc: Any, path: str = "cov") -> sequences.DecaySeq:
+    return decode("decay", doc, path)
 
 
 def decode_shift(doc: Any, path: str = "shift") -> transform.ShiftSpec:
-    obj = _as_obj(doc, path)
-    if "entries" in obj:
-        return decode_finite_sequence(doc, path)
-    return decode_decay(doc, path)
-
-
-def decode_shift_family(doc: Any, path: str = "family") -> transform.ShiftFamily:
-    key, body = _one_key(doc, path, ("empty", "finitely_supported", "weighted_l2"))
-    sub = f"{path}.{key}"
-    if key == "empty":
-        _fields(body, sub, ())
-        return transform.EmptyFamily()
-    if key == "finitely_supported":
-        _fields(body, sub, ())
-        return transform.FinitelySupportedFamily()
-    obj = _fields(body, sub, ("cov",))
-    return transform.WeightedL2Family(decode_decay(obj["cov"], f"{sub}.cov"))
-
-
-def decode_kernel(doc: Any, path: str = "kernel") -> kernels.KernelSpec:
-    key, body = _one_key(doc, path, ("white_noise", "massive_free_1d", "tabulated"))
-    sub = f"{path}.{key}"
-    if key == "white_noise":
-        obj = _fields(body, sub, ("sigma",))
-        return _wrap(sub, kernels.WhiteNoise, _number(obj["sigma"], f"{sub}.sigma"))
-    if key == "massive_free_1d":
-        obj = _fields(body, sub, ("m",))
-        return _wrap(sub, kernels.MassiveFree1D, _number(obj["m"], f"{sub}.m"))
-    obj = _fields(body, sub, ("grid", "values"))
-    return _wrap(
-        sub,
-        kernels.TabulatedKernel,
-        tuple(_number_list(obj["grid"], f"{sub}.grid")),
-        tuple(_number_list(obj["values"], f"{sub}.values")),
-    )
-
-
-def decode_grid_function(doc: Any, path: str = "grid_function") -> kernels.GridFunction:
-    obj = _fields(doc, path, ("x0", "dx", "count", "values"))
-    count = _natural(obj["count"], f"{path}.count")
-    return _wrap(
-        path,
-        kernels.GridFunction,
-        _number(obj["x0"], f"{path}.x0"),
-        _number(obj["dx"], f"{path}.dx"),
-        count,
-        tuple(_number_list(obj["values"], f"{path}.values")),
-    )
-
-
-def decode_tail_rule(doc: Any, path: str = "tail") -> measure_core.TailRule:
-    key, body = _one_key(
-        doc, path, ("full", "constant_factor", "one_minus_geometric", "tabulated")
-    )
-    sub = f"{path}.{key}"
-    if key == "full":
-        _fields(body, sub, ())
-        return measure_core.FullTail()
-    if key == "constant_factor":
-        obj = _fields(body, sub, ("f",))
-        return _wrap(sub, measure_core.ConstantFactorTail, _number(obj["f"], f"{sub}.f"))
-    if key == "one_minus_geometric":
-        obj = _fields(body, sub, ("c", "q"))
-        return _wrap(
-            sub,
-            measure_core.OneMinusGeometricTail,
-            _number(obj["c"], f"{sub}.c"),
-            _number(obj["q"], f"{sub}.q"),
-        )
-    obj = _fields(body, sub, ("factors",))
-    return _wrap(
-        sub, measure_core.TabulatedTail, tuple(_number_list(obj["factors"], f"{sub}.factors"))
-    )
-
-
-def decode_marginal_tables(doc: Any, path: str = "marginals") -> list[measure_core.MarginalTable]:
-    if not isinstance(doc, list):
-        raise _fail(path, "expected an array of tables")
-    tables = []
-    for i, entry in enumerate(doc):
-        sub = f"{path}[{i}]"
-        obj = _fields(entry, sub, ("indices", "cells"))
-        if not isinstance(obj["indices"], list) or not obj["indices"]:
-            raise _fail(f"{sub}.indices", "expected a nonempty array of naturals")
-        indices = tuple(
-            _natural(v, f"{sub}.indices[{j}]") for j, v in enumerate(obj["indices"])
-        )
-        if not isinstance(obj["cells"], list):
-            raise _fail(f"{sub}.cells", "expected an array")
-        cells = []
-        for j, cell in enumerate(obj["cells"]):
-            csub = f"{sub}.cells[{j}]"
-            cfields = _fields(cell, csub, ("boxes", "p"))
-            if not isinstance(cfields["boxes"], list) or len(cfields["boxes"]) != len(indices):
-                raise _fail(f"{csub}.boxes", f"expected {len(indices)} boxes (one per index)")
-            boxes = tuple(
-                measure_core.normalize_box(_decode_box(b, f"{csub}.boxes[{kk}]"))
-                for kk, b in enumerate(cfields["boxes"])
-            )
-            cells.append((boxes, _number(cfields["p"], f"{csub}.p")))
-        tables.append(_wrap(sub, measure_core.MarginalTable, indices, tuple(cells)))
-    return tables
-
-
-def decode_frequency_set(doc: Any, path: str = "freqs") -> bohr.FrequencySet:
-    return _wrap(path, bohr.FrequencySet, tuple(_number_list(doc, path)))
+    kind = "finite_sequence" if isinstance(doc, dict) and "entries" in doc else "decay"
+    return decode(kind, doc, path)
 
 
 # ---------------------------------------------------------------------------

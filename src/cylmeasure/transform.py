@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError
 from .gaussian import CovarianceSeq
 from .sequences import (
     DecaySeq,
@@ -135,6 +135,8 @@ def _ratio_bounds(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> tuple[float, fl
     # geometric tails under/overflow at deep indices; the scan is evidence,
     # the verdict itself is symbolic
     finite = ratios[np.isfinite(ratios)]
+    if finite.size == 0:
+        raise NumericError("every scanned variance ratio over- or underflows", scan=scan)
     return float(finite.min()), float(finite.max())
 
 

@@ -1,13 +1,20 @@
 import json
 import math
+import re
 
 import pytest
 
-from cylmeasure import jsonio
+from cylmeasure import cli, jsonio, kernels, measure_core
 from cylmeasure.cli import main
 from cylmeasure.errors import InputError
 from cylmeasure.measure_core import Interval
-from cylmeasure.sequences import ConstantPlusPower, Geometric, Prefixed
+from cylmeasure.sequences import (
+    ConstantPlusPower,
+    FiniteSequence,
+    Geometric,
+    PowerDecay,
+    Prefixed,
+)
 
 CONST1 = '{"constant": {"rho": 1.0}}'
 CONST2 = '{"constant": {"rho": 2.0}}'
@@ -19,10 +26,118 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
 def run_envelope(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=_reject_constant)
+
+
+UNIFORM = '{"identical": {"uniform": {"a": 0, "b": 1}}}'
+MARGINALS = json.dumps([{"indices": [1], "cells": [{"boxes": [[[0.0, "inf"]]], "p": 1.0}]}])
+
+# kind -> (valid document, decoded object, [(bad document, path named by the error)]):
+# an unknown tag (or a wrong item for untagged kinds), an unknown key, a missing key
+SCHEMA_CASES = {
+    "decay": (
+        {"prefixed": {"prefix": [2.0], "tail": {"power": {"c": 1, "p": 2}}}},
+        Prefixed((2.0,), PowerDecay(1.0, 2.0)),
+        [
+            ({"prefixed": {"prefix": [], "tail": {"powr": {}}}}, "doc.prefixed.tail.powr"),
+            ({"power": {"c": 1.0, "p": 2.0, "q": 1}}, "doc.power.q"),
+            ({"prefixed": {"prefix": [1.0], "tail": {"power": {"c": 1}}}},
+             "doc.prefixed.tail.power.p"),
+        ],
+    ),
+    "component": (
+        {"uniform": {"a": 0, "b": 2}},
+        measure_core.Uniform1D(0.0, 2.0),
+        [
+            ({"normal": {"rho": 1}}, "doc.normal"),
+            ({"gaussian": {"rho": 1, "mu": 0}}, "doc.gaussian.mu"),
+            ({"point_mass": {}}, "doc.point_mass.c"),
+        ],
+    ),
+    "measure_rule": (
+        {"indexed": {"map": {"3": {"point_mass": {"c": 0.5}}},
+                     "default": {"gaussian": {"rho": 1}}}},
+        measure_core.ProductMeasureSpec(
+            measure_core.Gaussian1D(1.0), ((3, measure_core.PointMass1D(0.5)),)
+        ),
+        [
+            ({"indexed": {"map": {"2": {"cauchy": {}}}, "default": {"gaussian": {"rho": 1}}}},
+             "doc.indexed.map.2.cauchy"),
+            ({"identical": {"gaussian": {"rho": 1, "x": 0}}}, "doc.identical.gaussian.x"),
+            ({"indexed": {"map": {}}}, "doc.indexed.default"),
+        ],
+    ),
+    "cylinder": (
+        {"base": [{"index": 2, "boxes": [["-inf", 0], [1, 2]]}]},
+        measure_core.CylinderSet(((2, (Interval(-math.inf, 0.0), Interval(1.0, 2.0))),)),
+        [
+            ({"base": [{"index": 1, "boxes": [[0, 1, 2]]}]}, "doc.base[0].boxes[0]"),
+            ({"base": [{"index": 1, "boxes": [], "weight": 1}]}, "doc.base[0].weight"),
+            ({"base": [{"boxes": []}]}, "doc.base[0].index"),
+        ],
+    ),
+    "finite_sequence": (
+        {"entries": [[1, 1.0], [4, -2.0]]},
+        FiniteSequence(((1, 1.0), (4, -2.0))),
+        [
+            ({"entries": [[1, 1.0], [0, 2.0]]}, "doc.entries[1][0]"),
+            ({"entries": [], "length": 3}, "doc.length"),
+            ({}, "doc.entries"),
+        ],
+    ),
+    "kernel": (
+        {"tabulated": {"grid": [0, 1], "values": [1, 0.5]}},
+        kernels.TabulatedKernel((0.0, 1.0), (1.0, 0.5)),
+        [
+            ({"brownian": {}}, "doc.brownian"),
+            ({"massive_free_1d": {"m": 1, "d": 1}}, "doc.massive_free_1d.d"),
+            ({"white_noise": {}}, "doc.white_noise.sigma"),
+        ],
+    ),
+    "grid_function": (
+        {"x0": 0, "dx": 0.5, "count": 2, "values": [1, 2]},
+        kernels.GridFunction(0.0, 0.5, 2, (1.0, 2.0)),
+        [
+            ({"x0": 0, "dx": 0.5, "count": 2, "values": [1, "2"]}, "doc.values[1]"),
+            ({"x0": 0, "dx": 0.5, "count": 2, "values": [1, 2], "y0": 1}, "doc.y0"),
+            ({"x0": 0, "count": 2, "values": [1, 2]}, "doc.dx"),
+        ],
+    ),
+    "tail_rule": (
+        {"one_minus_geometric": {"c": 1.0, "q": 0.5}},
+        measure_core.OneMinusGeometricTail(1.0, 0.5),
+        [
+            ({"empty": {}}, "doc.empty"),
+            ({"full": {"f": 1}}, "doc.full.f"),
+            ({"tabulated": {}}, "doc.tabulated.factors"),
+        ],
+    ),
+    "marginal_tables": (
+        json.loads(MARGINALS),
+        (measure_core.MarginalTable((1,), ((((Interval(0.0, math.inf),),), 1.0),)),),
+        [
+            ([{"indices": [1, 2], "cells": [{"boxes": [[]], "p": 1}]}], "doc[0].cells[0].boxes"),
+            ([{"indices": [1], "cells": [{"boxes": [[]], "p": 1, "q": 0}]}], "doc[0].cells[0].q"),
+            ([{"indices": [1]}], "doc[0].cells"),
+        ],
+    ),
+    "numbers": (
+        [1, -2.5],
+        (1.0, -2.5),
+        [
+            ([1, None], "doc[1]"),
+            ({"values": [1]}, "doc"),
+            ([1, [2]], "doc[1]"),
+        ],
+    ),
+}
 
 
 class TestJsonDecoding:
@@ -53,24 +168,32 @@ class TestJsonDecoding:
             jsonio.decode_decay({"power": {"c": 1.0}})
 
     def test_interval_infinities_as_strings(self):
-        cyl = jsonio.decode_cylinder(
-            {"base": [{"index": 3, "boxes": [["-inf", 0.0]]}]}
+        cyl = jsonio.decode(
+            "cylinder", {"base": [{"index": 3, "boxes": [["-inf", 0.0]]}]}, "cylinder"
         )
         assert cyl.base[0][1][0] == Interval(-math.inf, 0.0)
 
     def test_bad_infinity_string_rejected(self):
         with pytest.raises(InputError, match="expected a number"):
-            jsonio.decode_cylinder(
-                {"base": [{"index": 1, "boxes": [["infinity", 0.0]]}]}
+            jsonio.decode(
+                "cylinder", {"base": [{"index": 1, "boxes": [["infinity", 0.0]]}]}, "cylinder"
             )
 
     def test_spec_example_document(self):
-        rule = jsonio.decode_measure_spec({"identical": {"gaussian": {"rho": 1.0}}})
-        cyl = jsonio.decode_cylinder(
-            {"base": [{"index": 1, "boxes": [[0.0, 0.5]]}]}
+        rule = jsonio.decode("measure_rule", {"identical": {"gaussian": {"rho": 1.0}}}, "rule")
+        cyl = jsonio.decode(
+            "cylinder", {"base": [{"index": 1, "boxes": [[0.0, 0.5]]}]}, "cylinder"
         )
         assert rule.component(7).rho == 1.0
         assert cyl.indices == (1,)
+
+    @pytest.mark.parametrize("kind", sorted(jsonio.SCHEMA))
+    def test_schema_kind_decodes_and_names_paths(self, kind):
+        doc, expected, bad_docs = SCHEMA_CASES[kind]
+        assert jsonio.decode(kind, doc, "doc") == expected
+        for bad, path in bad_docs:
+            with pytest.raises(InputError, match=f"^{re.escape(path)}: "):
+                jsonio.decode(kind, bad, "doc")
 
     def test_encode_handles_infinities_and_complex(self):
         assert jsonio.encode_value(math.inf) == "inf"
@@ -313,3 +436,78 @@ class TestCliContracts:
             capsys, "chi", "--cov", f"@{path}", "--xi", '{"entries": []}'
         )
         assert env["payload"]["chi"] == 1.0
+
+
+class TestCliHardening:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rn-density", "--cov", CONST1, "--shift", '{"entries":[[1,40.0]]}', "--x", "[40.0]"),
+            ("chi", "--cov", '{"constant":{"rho":1e300}}', "--xi", '{"entries":[[1,1e10]]}'),
+            ("moment", "--cov", '{"constant":{"rho":1e300}}', "--vectors", "e1,e1,e1,e1"),
+            ("equivalence", "--cov-a", '{"constant":{"rho":1e-300}}',
+             "--cov-b", '{"constant":{"rho":1e300}}'),
+        ],
+        ids=["rn-density", "chi", "moment", "equivalence"],
+    )
+    def test_non_finite_result_exits_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "numeric failure" in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("rn-density", "--cov", CONST1, "--shift", '{"entries":[[1,1.0]]}', "--x", "[NaN]"),
+             "--x"),
+            (("product", "--spec", UNIFORM,
+              "--cylinder", '{"base":[{"index":1,"boxes":[[-Infinity,0.5]]}]}'), "--cylinder"),
+        ],
+        ids=["nan", "-infinity"],
+    )
+    def test_non_standard_json_tokens_exit_2(self, capsys, argv, option):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"input error: {option}: invalid JSON" in err
+
+    def test_overflowing_interval_end_names_its_path(self, capsys):
+        code, _, err = run_cli(
+            capsys, "product", "--spec", UNIFORM,
+            "--cylinder", '{"base":[{"index":1,"boxes":[[-1e400,0.5]]}]}',
+        )
+        assert code == 2
+        assert "cylinder.base[0].boxes[0][0]: must be finite" in err
+
+    def test_non_numeric_coordinate_names_its_index(self, capsys):
+        code, _, err = run_cli(
+            capsys, "rn-density", "--cov", CONST1, "--shift", '{"entries":[[1,1.0]]}',
+            "--x", '["a"]',
+        )
+        assert code == 2
+        assert "x[0]" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--cov", CONST1, "--n", "4", "--seed", "-1"),
+            ("shift-admissible", "--cov", CONST1, "--shift", CONST1, "--tol", "1e-3"),
+            ("hs-check", "--weights", CONST1, "--seed", "1"),
+            ("consistency", "--marginals", MARGINALS, "--tol", "-1"),
+            ("kernel", "--fourier", "1.0", "0.0", "--tol", "0"),
+        ],
+        ids=["negative-seed", "tol-on-shift-admissible", "seed-on-hs-check",
+             "negative-tol", "zero-tol"],
+    )
+    def test_rejected_options_exit_2(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
+    def test_seed_and_tol_declared_only_where_read(self):
+        def takes(flag):
+            return {name for name, (_, _, options) in cli.SUBCOMMANDS.items()
+                    if any(f == flag for f, _ in options)}
+
+        assert takes("--seed") == {"sample", "moment", "support", "bohr", "selftest"}
+        assert takes("--tol") == {"kernel", "consistency"}
