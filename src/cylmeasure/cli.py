@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -403,16 +404,23 @@ def _seed(text: str) -> int:
         value = int(text)
     except ValueError:
         value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"expected a non-negative 64-bit integer, got {text!r}")
     return value
 
 
-def _positive(text: str) -> float:
+def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
     return value
@@ -464,11 +472,11 @@ SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, dict], ...]]] = {
     )),
     "kernel": ("covariance kernel operations", _payload_kernel, (
         ("--spec", {}),
-        ("--at", {"type": float}),
+        ("--at", {"type": _finite}),
         ("--bilinear", {"nargs": 2, "metavar": ("F", "G")}),
         ("--regularity", {"action": "store_true"}),
-        ("--fourier", {"type": float, "nargs": 2, "metavar": ("M", "X")}),
-        ("--cutoff", {"type": float, "default": 1e7}),
+        ("--fourier", {"type": _finite, "nargs": 2, "metavar": ("M", "X")}),
+        ("--cutoff", {"type": _finite, "default": 1e7}),
         ("--tol", {"type": _positive, "default": 1e-6, "help": "error budget of --fourier"}),
     )),
     "bohr": ("torus family: independence, sampling, integrals", _payload_bohr, (
@@ -498,7 +506,9 @@ SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, dict], ...]]] = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of ``SUBCOMMANDS``, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="cylmeasure",
         description="Desk-scale measure theory on sequence spaces.",

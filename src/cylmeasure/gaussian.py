@@ -37,6 +37,7 @@ __all__ = [
     "wick_moment",
     "positive_type_gram",
     "PAIRING_CAP",
+    "MAX_SAMPLE_COORDS",
 ]
 
 # A covariance is any positive decay class; the alias names the role.
@@ -44,6 +45,9 @@ CovarianceSeq = DecaySeq
 
 # (2n-1)!! grows too fast beyond this to enumerate or sum pairings
 PAIRING_CAP = 20
+
+# one sample of this many coordinates is already about 22 MB of JSON
+MAX_SAMPLE_COORDS = 10**6
 
 Pairing = tuple[tuple[int, int], ...]
 
@@ -87,6 +91,10 @@ def sample(cov: CovarianceSeq, n_coords: int, seed: int) -> GaussianSample:
     """One truncated sample, reproducible from (seed, n_coords, cov)."""
     if n_coords < 1:
         raise InputError(f"need a truncation >= 1, got {n_coords}")
+    if n_coords > MAX_SAMPLE_COORDS:
+        raise InputError(
+            f"truncation {n_coords} exceeds the budget of {MAX_SAMPLE_COORDS} coordinates"
+        )
     rng = np.random.default_rng(seed)
     values = draw_coordinates(cov, n_coords, 1, rng)[0]
     return GaussianSample(truncation=n_coords, values=values, seed=seed, cov=cov)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InputError, NumericError
 
@@ -172,6 +171,10 @@ def kernel_fourier_quadrature(
             f"tail bound {tail:.3e} above tolerance {tol:.3e}; raise p_cutoff",
             achieved=tail,
         )
+    # imported here, not at module top: scipy.integrate takes about half a
+    # second to load and no other path of the package needs it
+    from scipy.integrate import quad
+
     xs = abs(x)
     edges = [0.0]
     edge = 1.0

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import bohr, gaussian, jsonio, kernels, measure_core, support, transform
 from .seeding import derive_seed
@@ -315,6 +314,8 @@ def criterion_support(seed: int, full: bool) -> CheckResult:
 
 def criterion_kernel_oracle(seed: int, full: bool) -> CheckResult:
     """7. Closed-form kernel against its Fourier quadrature and mass 1/m^2."""
+    from scipy.integrate import quad  # slow to import; see kernel_fourier_quadrature
+
     failures: list[str] = []
     notes: list[str] = []
     xs = np.linspace(-5.0, 5.0, 101)

@@ -45,6 +45,7 @@ __all__ = [
     "hilbert_schmidt_check",
     "weighted_support_check",
     "mc_tail_growth",
+    "MAX_MC_DRAWS",
     "nuclear_embedding_check",
 ]
 
@@ -138,6 +139,10 @@ class TailGrowthReport:
 _N_CHECKPOINTS = 16
 _GROWTH_RATIO = 1.5  # mean S_N / mean S_{N/2} above this counts as growing
 
+# coordinates x samples of one mc_tail_growth call; the chunking bounds its
+# memory, not its time (the full budget runs about 15 s on two vCPUs)
+MAX_MC_DRAWS = 10**9
+
 
 def mc_tail_growth(
     cov: CovarianceSeq,
@@ -160,6 +165,11 @@ def mc_tail_growth(
         raise InputError(f"need n_coords >= 100, got {n_coords}")
     if n_samples < 100:
         raise InputError(f"need n_samples >= 100, got {n_samples}")
+    if n_coords * n_samples > MAX_MC_DRAWS:
+        raise InputError(
+            f"{n_coords} coordinates x {n_samples} samples exceed "
+            f"the budget of {MAX_MC_DRAWS} draws"
+        )
     require_positive(cov, "covariance")
     require_positive(a, "weight sequence")
     rng = np.random.default_rng(seed)

@@ -82,7 +82,9 @@ def rn_density(
     weights = y_vals / rho
     quad = float(np.dot(y_vals, weights))
     exponent = x[..., idx] @ weights - 0.5 * quad
-    out = np.exp(exponent)
+    # an overflow is left as inf for the caller to reject (the CLI exits 3)
+    with np.errstate(over="ignore"):
+        out = np.exp(exponent)
     return out if x.ndim == 2 else float(out)
 
 

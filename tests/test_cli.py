@@ -491,18 +491,66 @@ class TestCliHardening:
         "argv",
         [
             ("sample", "--cov", CONST1, "--n", "4", "--seed", "-1"),
+            ("sample", "--cov", CONST1, "--n", "4", "--seed", str(2**64)),
             ("shift-admissible", "--cov", CONST1, "--shift", CONST1, "--tol", "1e-3"),
             ("hs-check", "--weights", CONST1, "--seed", "1"),
             ("consistency", "--marginals", MARGINALS, "--tol", "-1"),
             ("kernel", "--fourier", "1.0", "0.0", "--tol", "0"),
         ],
-        ids=["negative-seed", "tol-on-shift-admissible", "seed-on-hs-check",
-             "negative-tol", "zero-tol"],
+        ids=["negative-seed", "seed-above-64-bits", "tol-on-shift-admissible",
+             "seed-on-hs-check", "negative-tol", "zero-tol"],
     )
     def test_rejected_options_exit_2(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("kernel", "--spec", '{"massive_free_1d":{"m":1}}', "--at", "nan"), "--at"),
+            (("kernel", "--fourier", "1", "inf"), "--fourier"),
+            (("kernel", "--fourier", "1", "0.5", "--cutoff", "inf"), "--cutoff"),
+            (("kernel", "--fourier", "1", "0.5", "--tol", "inf"), "--tol"),
+        ],
+        ids=["at", "fourier", "cutoff", "tol"],
+    )
+    def test_non_finite_float_options_exit_2(self, capsys, argv, option):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {option}: expected a finite number" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sample", "--cov", '{"power":{"c":1,"p":1}}', "--n", "100000000000",
+              "--seed", "1"), "exceeds the budget of"),
+            (("support", "--cov", CONST1, "--weights", '{"power":{"c":1,"p":1}}',
+              "--mc", "100000000", "100000", "--seed", "1"), "exceed the budget of"),
+        ],
+        ids=["sample-n", "support-mc"],
+    )
+    def test_oversized_requests_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:") and message in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_density_prints_only_the_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, "rn-density", "--cov", CONST1, "--shift", '{"entries":[[1,40.0]]}',
+            "--x", "[40.0]",
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("numeric failure:")
+
+    def test_parser_is_built_once(self, capsys):
+        run_cli(capsys, "hs-check", "--weights", CONST1)
+        run_cli(capsys, "hs-check", "--weights", CONST1)
+        assert cli._build_parser.cache_info().misses == 1
 
     def test_seed_and_tol_declared_only_where_read(self):
         def takes(flag):
