@@ -14,7 +14,6 @@ certificate is an exhaustive search up to a named coefficient bound.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,6 +35,8 @@ __all__ = [
     "haar_sample_batch",
     "haar_cylinder_integral",
     "SEARCH_BUDGET",
+    "MAX_MC_DRAWS",
+    "MAX_QUAD_NODES",
 ]
 
 SEARCH_BUDGET = 10**8
@@ -84,6 +85,24 @@ def _normalize_witness(m: tuple[int, ...]) -> tuple[int, ...]:
     return m
 
 
+def _half_sums(ks: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every coefficient vector over ``ks`` with entries in [-bound, bound].
+
+    Returns the vectors (one per row, lexicographic), their sums
+    sum m_i k_i and their scales sum |m_i k_i|.
+    """
+    coeffs = np.arange(-bound, bound + 1)
+    grids = np.meshgrid(*([coeffs] * len(ks)), indexing="ij")
+    vectors = np.stack([g.reshape(-1) for g in grids], axis=1)
+    terms = vectors * ks
+    return vectors, terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+# head/tail pairs re-tested at once; bounds the memory of a degenerate
+# input whose half-sums crowd into one window
+_PAIR_BLOCK = 2**20
+
+
 def independence_check(gamma: FrequencySet, bound: int) -> IndependenceResult:
     """Search |m_i| <= bound, m != 0, for a null combination sum m_i k_i = 0.
 
@@ -91,6 +110,11 @@ def independence_check(gamma: FrequencySet, bound: int) -> IndependenceResult:
     1e-12 against sum |m_i k_i|, which protects against round-off for
     inputs given at full precision.  The search is exhaustive, so the
     budget (2*bound+1)^n is capped; ask for a smaller bound if exceeded.
+
+    The search meets in the middle (Horowitz–Sahni): the half-sums of
+    the first n//2 coordinates are matched against the sorted half-sums
+    of the rest, so only pairs whose total lies within the tolerance
+    window are tested, at about (2*bound+1)^ceil(n/2) * log cost.
     """
     if bound < 1:
         raise InputError(f"coefficient bound must be >= 1, got {bound}")
@@ -101,38 +125,37 @@ def independence_check(gamma: FrequencySet, bound: int) -> IndependenceResult:
             f"search space {width}^{n} exceeds the budget {SEARCH_BUDGET}; "
             "use a smaller coefficient bound"
         )
-    ks = np.asarray(gamma.freqs)
-    coeffs = np.arange(-bound, bound + 1)
-
-    hits: list[tuple[int, ...]] = []
     if n == 1:
         # m * k = 0 with k != 0 forces m = 0
         return IndependenceResult(True, bound)
+    ks = np.asarray(gamma.freqs)
+    head_vecs, head_sum, head_scale = _half_sums(ks[: n // 2], bound)
+    tail_vecs, tail_sum, tail_scale = _half_sums(ks[n // 2 :], bound)
+    order = np.argsort(tail_sum, kind="stable")
+    sorted_tail = tail_sum[order]
+    # every null pair has |head + tail| <= tol * (its scale); twice the
+    # largest scale also covers the round-off of the two half-sums
+    window = 2.0 * _REL_TOL * (head_scale.max() + tail_scale.max())
+    lo = np.searchsorted(sorted_tail, -head_sum - window, side="left")
+    in_window = np.searchsorted(sorted_tail, -head_sum + window, side="right") - lo
 
-    # vectorize the last two coordinates, loop over the rest
-    tail_a = coeffs[:, None] * ks[-2]
-    tail_b = coeffs[None, :] * ks[-1]
-    tail_sum = tail_a + tail_b
-    tail_scale = np.abs(tail_a) + np.abs(tail_b)
-
-    def scan_head(head: tuple[int, ...]) -> None:
-        head_sum = float(np.dot(head, ks[: n - 2]))
-        head_scale = float(np.abs(np.asarray(head) * ks[: n - 2]).sum())
-        total = head_sum + tail_sum
-        scale = head_scale + tail_scale
-        mask = np.abs(total) <= _REL_TOL * scale
-        if not mask.any():
-            return
-        for i, j in zip(*np.nonzero(mask)):
-            m = head + (int(coeffs[i]), int(coeffs[j]))
-            if any(v != 0 for v in m):
-                hits.append(_normalize_witness(m))
-
-    if n == 2:
-        scan_head(())
-    else:
-        for head in itertools.product(coeffs.tolist(), repeat=n - 2):
-            scan_head(tuple(int(v) for v in head))
+    hits: list[tuple[int, ...]] = []
+    step = max(1, _PAIR_BLOCK // len(order))
+    for start in range(0, len(head_sum), step):
+        counts = in_window[start : start + step]
+        total = int(counts.sum())
+        if total == 0:
+            continue
+        # pair each head with every tail of its window, then re-test
+        heads = np.repeat(np.arange(start, start + len(counts)), counts)
+        firsts = np.repeat(np.cumsum(counts) - counts, counts)
+        tails = order[np.repeat(lo[start : start + step], counts) + np.arange(total) - firsts]
+        scale = head_scale[heads] + tail_scale[tails]
+        null = np.abs(head_sum[heads] + tail_sum[tails]) <= _REL_TOL * scale
+        null &= scale > 0  # m = 0 is the only combination of scale 0
+        for h, t in zip(heads[null].tolist(), tails[null].tolist()):
+            m = tuple(head_vecs[h].tolist() + tail_vecs[t].tolist())
+            hits.append(_normalize_witness(m))
 
     if not hits:
         return IndependenceResult(True, bound)
@@ -157,6 +180,10 @@ def haar_sample_batch(gamma: FrequencySet, n_samples: int, seed: int) -> np.ndar
     """(n_samples, n) matrix of independent Haar draws."""
     if n_samples < 1:
         raise InputError(f"need n_samples >= 1, got {n_samples}")
+    if n_samples * gamma.n > MAX_MC_DRAWS:
+        raise InputError(
+            f"{n_samples} samples x {gamma.n} phases exceed the budget of {MAX_MC_DRAWS} draws"
+        )
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 2.0 * math.pi, (n_samples, gamma.n))
 
@@ -185,6 +212,12 @@ class MCMethod:
 Method = Union[QuadratureMethod, MCMethod]
 
 QUADRATURE_MAX_AXES = 4
+
+# phases held by one Monte Carlo integral (samples x axes), and nodes of
+# the finer quadrature grid, (2 * points_per_axis)^n; the default 16
+# points on 4 axes is 2^20 nodes
+MAX_MC_DRAWS = 10**7
+MAX_QUAD_NODES = 2**21
 
 
 @dataclass(frozen=True)
@@ -234,6 +267,12 @@ def haar_cylinder_integral(
             raise InputError(
                 f"quadrature supports up to {QUADRATURE_MAX_AXES} axes, got {gamma.n}; "
                 "use Monte Carlo"
+            )
+        nodes = (2 * method.points_per_axis) ** gamma.n
+        if nodes > MAX_QUAD_NODES:
+            raise InputError(
+                f"{2 * method.points_per_axis}^{gamma.n} quadrature nodes exceed "
+                f"the budget of {MAX_QUAD_NODES}"
             )
         coarse = _grid_mean(f, gamma.n, method.points_per_axis)
         fine = _grid_mean(f, gamma.n, 2 * method.points_per_axis)

@@ -119,6 +119,13 @@ def _payload_moment(args) -> tuple[dict, Any, list[str]]:
         if args.seed is None:
             raise InputError("--mc-samples needs an explicit --seed")
         dim = max((v.max_index for v in vectors), default=1)
+        if args.mc_samples < 2:
+            raise InputError(f"--mc-samples needs at least 2 samples, got {args.mc_samples}")
+        if args.mc_samples * (dim + len(vectors)) > gaussian.MAX_MC_VALUES:
+            raise InputError(
+                f"{args.mc_samples} samples x ({dim} coordinates + {len(vectors)} factors) "
+                f"exceed the budget of {gaussian.MAX_MC_VALUES} values"
+            )
         rng = np.random.default_rng(args.seed)
         x = gaussian.draw_coordinates(cov, dim, args.mc_samples, rng)
         prods = np.prod(

@@ -38,6 +38,7 @@ __all__ = [
     "positive_type_gram",
     "PAIRING_CAP",
     "MAX_SAMPLE_COORDS",
+    "MAX_MC_VALUES",
 ]
 
 # A covariance is any positive decay class; the alias names the role.
@@ -48,6 +49,10 @@ PAIRING_CAP = 20
 
 # one sample of this many coordinates is already about 22 MB of JSON
 MAX_SAMPLE_COORDS = 10**6
+
+# values a Monte Carlo moment holds at once: samples x (coordinates drawn
+# + factors projected), 80 MB of float64
+MAX_MC_VALUES = 10**7
 
 Pairing = tuple[tuple[int, int], ...]
 
@@ -132,10 +137,13 @@ def wick_moment(
     """Gaussian moment E[phi(x_1) ... phi(x_k)] by the pairing rule.
 
     Zero for odd k.  For even k the sum over all perfect matchings of
-    products of pairwise covariances is evaluated by contracting the
-    first remaining label against every partner, memoized on the set of
-    remaining labels, which visits each matching exactly once without
-    materializing the (k-1)!! list.
+    products of pairwise covariances is evaluated by contracting one
+    remaining factor against every partner, without materializing the
+    (k-1)!! list.  Equal factors are grouped and the contraction is
+    memoized on the multiset of remaining factors (a count per group):
+    one factor of the first nonempty group i pairs with group j >= i,
+    weighted by the remaining count of j.  With distinct factors this
+    is the recursion over sets of remaining labels.
     """
     k = len(xs)
     if k > cap:
@@ -144,26 +152,33 @@ def wick_moment(
         return 0.0
     if k == 0:
         return 1.0
-    gram = [[inner(a, b, cov) for b in xs] for a in xs]
+    multiplicity: dict[FiniteSequence, int] = {}
+    for x in xs:
+        multiplicity[x] = multiplicity.get(x, 0) + 1
+    groups = list(multiplicity)
+    gram = [[inner(a, b, cov) for b in groups] for a in groups]
 
-    memo: dict[int, float] = {0: 1.0}
+    memo: dict[tuple[int, ...], float] = {}
 
-    def contract(mask: int) -> float:
-        cached = memo.get(mask)
+    def contract(counts: tuple[int, ...]) -> float:
+        cached = memo.get(counts)
         if cached is not None:
             return cached
-        i = (mask & -mask).bit_length() - 1  # lowest remaining label
-        rest = mask & ~(1 << i)
+        i = next((g for g, c in enumerate(counts) if c), None)
+        if i is None:
+            return 1.0
+        rest = list(counts)
+        rest[i] -= 1
         total = 0.0
-        m = rest
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            total += gram[i][j] * contract(rest & ~(1 << j))
-        memo[mask] = total
+        for j in range(i, len(rest)):
+            if rest[j]:
+                rest[j] -= 1
+                total += (rest[j] + 1) * gram[i][j] * contract(tuple(rest))
+                rest[j] += 1
+        memo[counts] = total
         return total
 
-    return contract((1 << k) - 1)
+    return contract(tuple(multiplicity.values()))
 
 
 @dataclass(frozen=True)

@@ -234,12 +234,57 @@ def _check_same_grid(f: GridFunction, g: GridFunction) -> None:
         )
 
 
+# length of the blocks in which _decay_scan runs its recursion as a
+# small triangular matrix product
+_SCAN_BLOCK = 64
+
+
+def _decay_scan(b: np.ndarray, r: float) -> np.ndarray:
+    """The first-order recursion y_i = r * y_(i-1) + b_i, for 0 <= r < 1.
+
+    Blocks of _SCAN_BLOCK values are scanned at once by the triangular
+    Toeplitz matrix of r^(i-j); the block ends then follow the same
+    recursion with ratio r^_SCAN_BLOCK and carry into the next block.
+    O(N) time and memory, and only powers r^k with k >= 0 appear, so
+    nothing overflows.
+    """
+    n = len(b)
+    width = min(n, _SCAN_BLOCK)
+    lag = np.arange(width)[:, None] - np.arange(width)[None, :]
+    tri = np.where(lag >= 0, r ** np.maximum(lag, 0), 0.0)
+    if n <= _SCAN_BLOCK:
+        return tri @ b
+    rows = -(-n // _SCAN_BLOCK)
+    padded = np.zeros(rows * _SCAN_BLOCK)
+    padded[:n] = b
+    local = padded.reshape(rows, _SCAN_BLOCK) @ tri.T
+    ends = _decay_scan(local[:, -1], r**_SCAN_BLOCK)
+    local[1:] += np.outer(ends[:-1], r ** np.arange(1, _SCAN_BLOCK + 1))
+    return local.reshape(-1)[:n]
+
+
+def _semiseparable_form(a: np.ndarray, b: np.ndarray, r: float) -> float:
+    """sum_ij a_i r^|i-j| b_j in O(N), for 0 <= r < 1.
+
+    The kernel splits into its lower triangle j <= i, which is the
+    forward recursion of b, and its strict upper triangle, whose form
+    with a and b is that of the strict lower triangle with a and b
+    swapped: sum_{j<i} b_i r^(i-j) a_j = r * sum_i b_i y(a)_(i-1).
+    """
+    forward_a = _decay_scan(a, r)
+    forward_b = _decay_scan(b, r)
+    return float(a @ forward_b + r * (b[1:] @ forward_a[:-1]))
+
+
 def covariance_bilinear(spec: KernelSpec, f: GridFunction, g: GridFunction) -> float:
     """Trapezoid value of the double integral f(x) K(x - x') g(x') dx dx'.
 
     For white noise the delta collapses one integral and the result is
     sigma times the (trapezoid) L2 inner product of f and g — exact at
-    the quadrature level, no kernel matrix involved.
+    the quadrature level, no kernel matrix involved.  The massive free
+    kernel is exp(-m dx)^|i-j| / (2m) on the grid, which two first-order
+    recursions apply in O(N) time and memory; a tabulated kernel builds
+    the dense N x N matrix.
     """
     _check_same_grid(f, g)
     w = f.trapezoid_weights()
@@ -247,11 +292,12 @@ def covariance_bilinear(spec: KernelSpec, f: GridFunction, g: GridFunction) -> f
     gv = np.asarray(g.values)
     if isinstance(spec, WhiteNoise):
         return float(spec.sigma * np.sum(w * fv * gv))
+    if isinstance(spec, MassiveFree1D):
+        r = math.exp(-spec.m * f.dx)
+        return _semiseparable_form(w * fv, w * gv, r) / (2.0 * spec.m)
     xs = f.xs
     diff = xs[:, None] - xs[None, :]
-    if isinstance(spec, MassiveFree1D):
-        kmat = np.exp(-spec.m * np.abs(diff)) / (2.0 * spec.m)
-    elif isinstance(spec, TabulatedKernel):
+    if isinstance(spec, TabulatedKernel):
         lo, hi = spec.grid[0], spec.grid[-1]
         if diff.min() < lo or diff.max() > hi:
             raise InputError(

@@ -267,9 +267,6 @@ def cylinder_measure(spec: ProductMeasureSpec, cyl: CylinderSet) -> float:
 class FullTail:
     """All remaining factors are the whole line (probability 1)."""
 
-    def factor(self, k: int) -> float:
-        return 1.0
-
     length = None
 
 
@@ -283,8 +280,8 @@ class ConstantFactorTail:
         if not (0.0 <= self.f <= 1.0):
             raise InputError(f"factor probability must lie in [0,1], got {self.f}")
 
-    def factor(self, k: int) -> float:
-        return self.f
+    def factor_block(self, start: int, stop: int) -> np.ndarray:
+        return np.full(stop - start, self.f)
 
     length = None
 
@@ -302,8 +299,8 @@ class OneMinusGeometricTail:
         if not (0.0 <= self.c and self.c * self.q <= 1.0):
             raise InputError("geometric tail must keep factors inside [0,1]")
 
-    def factor(self, k: int) -> float:
-        return 1.0 - self.c * self.q**k
+    def factor_block(self, start: int, stop: int) -> np.ndarray:
+        return 1.0 - self.c * self.q ** np.arange(start, stop)
 
     length = None
 
@@ -319,14 +316,19 @@ class TabulatedTail:
         if not all(0.0 <= v <= 1.0 for v in self.factors):
             raise InputError("tabulated factors must lie in [0,1]")
 
-    def factor(self, k: int) -> float:
-        return self.factors[k - 1] if k <= len(self.factors) else 1.0
+    def factor_block(self, start: int, stop: int) -> np.ndarray:
+        block = np.ones(stop - start)
+        listed = self.factors[start - 1 : stop - 1]
+        block[: len(listed)] = listed
+        return block
 
     @property
     def length(self):
         return len(self.factors)
 
 
+# every rule but FullTail gives factor_block(start, stop), the factors
+# k = start .. stop-1 as an array
 TailRule = Union[FullTail, ConstantFactorTail, OneMinusGeometricTail, TabulatedTail]
 
 
@@ -355,6 +357,9 @@ _UNDERFLOW = 1e-300
 DEFAULT_N_MAX_CLOSED_FORM = 10**6
 DEFAULT_N_MAX_TABULATED = 10**4
 
+# factors scanned per vectorised step of countable_product_measure
+_PRODUCT_BLOCK = 4096
+
 
 def countable_product_measure(
     spec: ProductMeasureSpec,
@@ -369,6 +374,11 @@ def countable_product_measure(
     are within ``tol`` of 1 (converged), once the partial product
     underflows to an exact 0 (converged), or at ``n_max`` factors
     (decreasing-unconverged, value = last partial product).
+
+    Factors are taken in blocks: a cumulative product seeded with the
+    running partial product multiplies in the order of a factor-by-factor
+    loop, and the first stop or out-of-range factor in the block ends
+    the scan exactly where that loop would.
     """
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
@@ -380,22 +390,29 @@ def countable_product_measure(
             else DEFAULT_N_MAX_CLOSED_FORM
         )
     partial = cylinder_measure(spec, constraints.prefix)
-    n_used = 0
     if isinstance(tail, FullTail):
         return ProductLimitReport(partial, 0, True, "converged")
-    table_len = tail.length
-    for k in range(1, n_max + 1):
-        f = tail.factor(k)
-        if not (0.0 <= f <= 1.0):
-            raise InputError(f"tail factor {k} outside [0,1]: {f}")
-        partial *= f
-        n_used = k
-        if table_len is not None and k >= table_len:
-            return ProductLimitReport(partial, n_used, True, "converged")
-        if partial <= _UNDERFLOW:
-            return ProductLimitReport(0.0, n_used, True, "converged")
-        if 1.0 - f <= tol:
-            return ProductLimitReport(partial, n_used, True, "converged")
+    table_end = tail.length if tail.length is not None else n_max + 1
+    n_used = 0
+    for start in range(1, n_max + 1, _PRODUCT_BLOCK):
+        ks = np.arange(start, min(start + _PRODUCT_BLOCK, n_max + 1))
+        f = tail.factor_block(start, start + len(ks))
+        bad = ~((0.0 <= f) & (f <= 1.0))
+        running = np.cumprod(np.concatenate(([partial], f)))[1:]
+        at_table_end = ks >= table_end
+        stop = at_table_end | (running <= _UNDERFLOW) | (1.0 - f <= tol)
+        first_bad = int(np.argmax(bad)) if bad.any() else len(ks)
+        first_stop = int(np.argmax(stop)) if stop.any() else len(ks)
+        if first_bad < len(ks) and first_bad <= first_stop:
+            k = start + first_bad
+            raise InputError(f"tail factor {k} outside [0,1]: {float(f[first_bad])}")
+        if first_stop < len(ks):
+            value = float(running[first_stop])
+            if not at_table_end[first_stop] and value <= _UNDERFLOW:
+                value = 0.0
+            return ProductLimitReport(value, start + first_stop, True, "converged")
+        partial = float(running[-1])
+        n_used = int(ks[-1])
     return ProductLimitReport(partial, n_used, False, "decreasing-unconverged")
 
 

@@ -1,10 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from cylmeasure import bohr
 from cylmeasure.bohr import (
     FrequencySet,
+    IndependenceResult,
     MCMethod,
     QuadratureMethod,
     haar_cylinder_integral,
@@ -58,6 +61,39 @@ class TestIndependenceCheck:
         res = independence_check(FrequencySet((2.0, 3.0)), 10)
         assert not res.independent
         assert res.witness == (3, -2)
+
+    @pytest.mark.parametrize(
+        "freqs, bound",
+        [
+            ((1.0, 3.0), 4),  # planted 3*k1 = k2
+            ((SQRT2, 1.0), 6),  # no relation
+            ((1.0, SQRT2, 2.0 - SQRT2), 3),  # planted k3 = 2 k1 - k2
+            ((0.5, math.pi, 1.5, SQRT2), 3),  # planted 3 k1 = k3, pi and sqrt2 free
+            ((1.0, SQRT2, math.pi, math.e), 3),  # no relation
+            ((-2.0, SQRT2, 5.0, 2.0 * SQRT2, 0.25), 2),  # several relations
+            ((math.sqrt(3), math.sqrt(5), math.sqrt(7), math.sqrt(11), math.sqrt(13)), 2),
+            ((1e-8, 3e-8, 1.0, 2.0), 3),  # tiny frequencies next to large ones
+            ((1.0, 2.0, 1e-15, 2e-15), 3),  # every tail half-sum in the head's window
+            ((0.1, 0.2, 0.3), 3),  # decimal inputs: relations hold only to round-off
+            ((0.1, 0.7, 0.3, 0.5), 3),
+        ],
+    )
+    def test_meet_in_the_middle_matches_brute_force(self, freqs, bound, monkeypatch):
+        hits = []
+        for m in itertools.product(range(-bound, bound + 1), repeat=len(freqs)):
+            terms = [mi * k for mi, k in zip(m, freqs)]
+            if any(m) and abs(sum(terms)) <= 1e-12 * sum(abs(t) for t in terms):
+                first = next(v for v in m if v)
+                hits.append(m if first > 0 else tuple(-v for v in m))
+        if hits:
+            witness = min(hits, key=lambda m: (max(map(abs, m)), m))
+            expected = IndependenceResult(False, bound, witness)
+        else:
+            expected = IndependenceResult(True, bound)
+        assert independence_check(FrequencySet(freqs), bound) == expected
+        # candidate pairs re-tested a few heads at a time
+        monkeypatch.setattr(bohr, "_PAIR_BLOCK", 3)
+        assert independence_check(FrequencySet(freqs), bound) == expected
 
     def test_budget_enforced(self):
         with pytest.raises(InputError, match="budget"):

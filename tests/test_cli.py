@@ -528,8 +528,19 @@ class TestCliHardening:
               "--seed", "1"), "exceeds the budget of"),
             (("support", "--cov", CONST1, "--weights", '{"power":{"c":1,"p":1}}',
               "--mc", "100000000", "100000", "--seed", "1"), "exceed the budget of"),
+            (("moment", "--cov", CONST1, "--vectors", "e1,e1", "--mc-samples",
+              "1000000000000", "--seed", "1"), "exceed the budget of"),
+            (("moment", "--cov", CONST1, "--vectors", "e1,e1", "--mc-samples", "1",
+              "--seed", "1"), "at least 2 samples"),
+            (("moment", "--cov", CONST1, "--vectors", "e1,e1", "--mc-samples", "-5",
+              "--seed", "1"), "at least 2 samples"),
+            (("bohr", "--freqs", "1.0,1.4142135623730951", "--integral", "one",
+              "--mc", "1000000000000", "--seed", "1"), "exceed the budget of"),
+            (("bohr", "--freqs", "1.0,1.4142135623730951", "--integral", "one",
+              "--quad-points", "1000000000"), "exceed the budget of"),
         ],
-        ids=["sample-n", "support-mc"],
+        ids=["sample-n", "support-mc", "moment-mc-samples", "moment-one-sample",
+             "moment-negative-samples", "bohr-mc", "bohr-quad-points"],
     )
     def test_oversized_requests_exit_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -174,7 +174,51 @@ def wick_by_enumeration(cov, xs):
     return total
 
 
+def wick_by_label_sets(cov, xs):
+    """Independent route: contraction memoized on the bitmask of remaining labels."""
+    k = len(xs)
+    if k % 2:
+        return 0.0
+    gram = [[inner(a, b, cov) for b in xs] for a in xs]
+    memo = {0: 1.0}
+
+    def contract(mask):
+        if mask not in memo:
+            i = (mask & -mask).bit_length() - 1
+            rest = mask & ~(1 << i)
+            memo[mask] = sum(
+                gram[i][j] * contract(rest & ~(1 << j)) for j in range(k) if rest >> j & 1
+            )
+        return memo[mask]
+
+    return contract((1 << k) - 1)
+
+
 class TestWickMoment:
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            "aabb",  # repeated
+            "abcdef",  # all distinct
+            "aaaaaaaaaaaa",  # one vector twelve times
+            "abacabad",  # repeats interleaved with distinct vectors
+            "aabbccddeeffgg",  # every vector twice
+            "abcabcabcabcabcabc",  # three vectors six times each, k = 18
+        ],
+    )
+    def test_grouped_recursion_matches_label_sets(self, layout):
+        # overlapping supports, so distinct vectors still correlate
+        rng = np.random.default_rng(len(layout))
+        cov = PowerDecay(1.0, 1.5)
+        vectors = {
+            name: FiniteSequence.from_pairs(
+                [(i, float(rng.normal())) for i in rng.choice(np.arange(1, 5), 2, replace=False).tolist()]
+            )
+            for name in sorted(set(layout))
+        }
+        xs = [vectors[name] for name in layout]
+        assert wick_moment(cov, xs) == pytest.approx(wick_by_label_sets(cov, xs), rel=1e-12)
+
     def test_odd_lists_vanish(self):
         assert wick_moment(Constant(1.0), [E1]) == 0.0
         assert wick_moment(Constant(1.0), [E1, E2, E1 + E2]) == 0.0

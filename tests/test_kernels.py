@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,33 @@ class TestCovarianceBilinear:
                     covariance_bilinear(spec, g, f), rel=1e-12
                 )
                 assert covariance_bilinear(spec, f, f) > 0
+
+    @pytest.mark.parametrize("count", [2, 3, 64, 65, 1201])
+    @pytest.mark.parametrize("m_dx", [1e-4, 1e-2, 1.0, 30.0, 800.0])
+    def test_massive_free_recursion_matches_the_dense_matrix(self, count, m_dx):
+        # the dense N x N kernel matrix is the reference; 64 and 65 straddle
+        # one scan block; at m*dx = 800 the ratio exp(-m*dx) underflows to 0
+        # and only the diagonal is left
+        m, x0 = 1.3, -2.0
+        dx = m_dx / m
+        xs = x0 + dx * np.arange(count)
+        f = GridFunction(x0, dx, count, tuple(np.exp(-0.5 * (xs / (dx * count)) ** 2).tolist()))
+        g = GridFunction(x0, dx, count, tuple((1.0 + np.cos(xs / (dx * count))).tolist()))
+        w = f.trapezoid_weights()
+        kmat = np.exp(-m * np.abs(xs[:, None] - xs[None, :])) / (2.0 * m)
+        dense = float((w * np.asarray(f.values)) @ kmat @ (w * np.asarray(g.values)))
+        assert covariance_bilinear(MassiveFree1D(m), f, g) == pytest.approx(dense, rel=1e-12)
+
+    def test_massive_free_memory_is_linear_in_the_grid(self):
+        # a dense kernel matrix at this size would be 2 x 128 MB
+        f = gaussian_bump(x0=-6.0, dx=12.0 / 4000, count=4001)
+        tracemalloc.start()
+        try:
+            covariance_bilinear(MassiveFree1D(1.0), f, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_tabulated_kernel_matches_its_closed_form(self):
         grid = np.linspace(-15.0, 15.0, 3001)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from cylmeasure.errors import InputError, NumericError
 from cylmeasure.measure_core import (
+    DEFAULT_N_MAX_CLOSED_FORM,
+    DEFAULT_N_MAX_TABULATED,
     ConstantFactorTail,
     CylinderSet,
     FullTail,
@@ -13,6 +16,7 @@ from cylmeasure.measure_core import (
     MarginalTable,
     OneMinusGeometricTail,
     PointMass1D,
+    ProductLimitReport,
     ProductMeasureSpec,
     ProductSampler,
     TabulatedTail,
@@ -162,6 +166,130 @@ class TestCountableProduct:
             for k in range(1, 31)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def product_by_loop(spec, constraints, n_max, tol=1e-12):
+    """Reference: the stopping rule applied one factor at a time."""
+    tail = constraints.tail
+    partial = cylinder_measure(spec, constraints.prefix)
+    n_used = 0
+    for k in range(1, n_max + 1):
+        if isinstance(tail, TabulatedTail):
+            f = tail.factors[k - 1] if k <= len(tail.factors) else 1.0
+        elif isinstance(tail, ConstantFactorTail):
+            f = tail.f
+        else:
+            f = 1.0 - tail.c * tail.q**k
+        if not (0.0 <= f <= 1.0):
+            raise InputError(f"tail factor {k} outside [0,1]: {f}")
+        partial *= f
+        n_used = k
+        if tail.length is not None and k >= tail.length:
+            return ProductLimitReport(partial, n_used, True, "converged")
+        if partial <= 1e-300:
+            return ProductLimitReport(0.0, n_used, True, "converged")
+        if 1.0 - f <= tol:
+            return ProductLimitReport(partial, n_used, True, "converged")
+    return ProductLimitReport(partial, n_used, False, "decreasing-unconverged")
+
+
+def with_raw_factors(factors):
+    """A tabulated tail holding factors its constructor would reject."""
+    tail = TabulatedTail(())
+    object.__setattr__(tail, "factors", tuple(factors))
+    return tail
+
+
+HALF_BOX = CylinderSet.from_boxes({1: [(0.0, 0.5)]})
+UNIFORM = ProductMeasureSpec.identical(Uniform1D(0.0, 1.0))
+
+
+class TestProductBlockScan:
+    """The block scan stops exactly where a factor-by-factor loop stops."""
+
+    @staticmethod
+    def check(tail, n_max=None):
+        """The scan's report, or its error message when scan and loop both raise."""
+        constraints = TailConstraints(prefix=HALF_BOX, tail=tail)
+        if n_max is None:
+            tabulated = isinstance(tail, TabulatedTail)
+            loop_n_max = DEFAULT_N_MAX_TABULATED if tabulated else DEFAULT_N_MAX_CLOSED_FORM
+        else:
+            loop_n_max = n_max
+        try:
+            expected = product_by_loop(UNIFORM, constraints, loop_n_max)
+        except InputError as exc:
+            with pytest.raises(InputError) as err:
+                countable_product_measure(UNIFORM, constraints, n_max)
+            assert str(err.value) == str(exc)
+            return str(exc)
+        report = countable_product_measure(UNIFORM, constraints, n_max)
+        if isinstance(tail, OneMinusGeometricTail):
+            # q**k of an array and of a scalar may differ in the last bit
+            assert report.value == pytest.approx(expected.value, rel=1e-14, abs=0.0)
+            report = dataclasses.replace(report, value=expected.value)
+        assert report == expected
+        return report
+
+    @pytest.mark.parametrize("length", [1, 4095, 4096, 4097, 8193])
+    def test_table_ending_at_a_block_boundary(self, length):
+        factors = np.random.default_rng(length).uniform(0.9999, 0.99999, length)
+        report = self.check(TabulatedTail(tuple(factors.tolist())))
+        assert report.n_factors == length and report.converged
+
+    @pytest.mark.parametrize("n_max", [0, 1, 1000, 4096, 4097])
+    def test_n_max_cuts_the_scan(self, n_max):
+        report = self.check(ConstantFactorTail(1.0 - 1e-7), n_max=n_max)
+        assert report.n_factors == n_max and not report.converged
+
+    def test_table_longer_than_n_max(self):
+        report = self.check(TabulatedTail((0.99,) * 5000), n_max=4500)
+        assert report.n_factors == 4500 and not report.converged
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            OneMinusGeometricTail(1.0, 0.5),  # stops near k = 40
+            OneMinusGeometricTail(0.01, 0.9997),  # stops after about 7.7e4 factors
+            OneMinusGeometricTail(1e-3, 0.999),
+            ConstantFactorTail(1.0),
+        ],
+    )
+    def test_tolerance_stop(self, tail):
+        assert self.check(tail).converged
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            ConstantFactorTail(0.0),  # exact 0 at the first factor
+            ConstantFactorTail(0.5),  # underflow inside the first block
+            ConstantFactorTail(0.9),  # underflow in the second block
+        ],
+    )
+    def test_underflow(self, tail):
+        report = self.check(tail)
+        assert report.value == 0.0 and report.converged
+
+    def test_underflow_on_the_last_listed_factor_keeps_the_partial(self):
+        report = self.check(TabulatedTail((1e-160, 1e-150)))
+        assert 0.0 < report.value <= 1e-300
+
+    @pytest.mark.parametrize(
+        "factors, message",
+        [
+            ([0.5] * 10 + [1.5] + [0.5] * 9, "tail factor 11 outside"),
+            ([0.9999] * 5000 + [float("nan")] + [0.5] * 10, "tail factor 5001 outside"),
+            ([0.5, -0.25], "tail factor 2 outside"),  # also the table's last factor
+            ([1.0, 1.5], None),  # factor 1 is within tol of 1: the scan stops first
+            ([0.9999] * 4999 + [1.0, 2.0], None),  # stop at 5000, in the second block
+        ],
+    )
+    def test_out_of_range_factor_raises_only_if_reached(self, factors, message):
+        outcome = self.check(with_raw_factors(factors))
+        if message is None:
+            assert outcome.converged
+        else:
+            assert outcome.startswith(message)
 
 
 class TestIncreasingLimit:
