@@ -9,14 +9,12 @@ quadrature oracle in the test suite and the ``selftest`` gate.
 """
 
 from .bohr import (
-    CharacterSample,
     FrequencySet,
     HaarIntegralResult,
     IndependenceResult,
     MCMethod,
     QuadratureMethod,
     haar_cylinder_integral,
-    haar_sample,
     haar_sample_batch,
     independence_check,
 )

@@ -25,13 +25,11 @@ from .errors import InputError, NumericError
 
 __all__ = [
     "FrequencySet",
-    "CharacterSample",
     "IndependenceResult",
     "QuadratureMethod",
     "MCMethod",
     "HaarIntegralResult",
     "independence_check",
-    "haar_sample",
     "haar_sample_batch",
     "haar_cylinder_integral",
     "SEARCH_BUDGET",
@@ -161,19 +159,6 @@ def independence_check(gamma: FrequencySet, bound: int) -> IndependenceResult:
         return IndependenceResult(True, bound)
     witness = min(hits, key=lambda m: (max(abs(v) for v in m), m))
     return IndependenceResult(False, bound, witness)
-
-
-@dataclass(frozen=True, eq=False)
-class CharacterSample:
-    """One Haar draw: independent uniform phases on [0, 2pi)."""
-
-    phases: np.ndarray
-    seed: int
-
-
-def haar_sample(gamma: FrequencySet, seed: int) -> CharacterSample:
-    rng = np.random.default_rng(seed)
-    return CharacterSample(phases=rng.uniform(0.0, 2.0 * math.pi, gamma.n), seed=seed)
 
 
 def haar_sample_batch(gamma: FrequencySet, n_samples: int, seed: int) -> np.ndarray:

@@ -277,10 +277,10 @@ def _payload_bohr(args) -> tuple[dict, Any, list[str]]:
     if args.sample:
         if args.seed is None:
             raise InputError("bohr --sample needs an explicit --seed")
-        s = bohr.haar_sample(freqs, args.seed)
+        phases = bohr.haar_sample_batch(freqs, 1, args.seed)[0]
         inputs["seed"] = args.seed
         return (
-            {"phases": jsonio.encode_value(s.phases), "seed": args.seed},
+            {"phases": jsonio.encode_value(phases), "seed": args.seed},
             inputs,
             ["seeded haar sampler"],
         )

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .sequences import DecaySeq, FiniteSequence, require_positive, seq_value, seq_values
+from .sequences import DecaySeq, FiniteSequence, require_positive
 
 __all__ = [
     "CovarianceSeq",
@@ -65,7 +65,7 @@ def inner(xi: FiniteSequence, eta: FiniteSequence, cov: CovarianceSeq) -> float:
     for idx, val in xi.entries:
         other = eta_map.get(idx)
         if other is not None:
-            total += seq_value(cov, idx) * val * other
+            total += cov.at(idx) * val * other
     return total
 
 
@@ -88,7 +88,7 @@ def draw_coordinates(
     cov: CovarianceSeq, n_coords: int, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n_samples, n_coords) matrix of independent centered Gaussians."""
-    sd = np.sqrt(seq_values(require_positive(cov, "covariance"), n_coords))
+    sd = np.sqrt(require_positive(cov, "covariance").first(n_coords))
     return rng.standard_normal((n_samples, n_coords)) * sd
 
 

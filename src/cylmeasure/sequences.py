@@ -11,21 +11,34 @@ The decay classes (``Constant``, ``PowerDecay``, ``Geometric``,
 ``ConstantPlusPower``, ``Prefixed``, ``Tabulated``) describe infinite
 positive-or-signed sequences in closed form.  Their point is exactness:
 questions like "does sum a_n^2 rho_n converge?" are decided symbolically,
-never guessed from floating partial sums.  The decision machinery works
-on *atoms* ``k * n^alpha * q^n``: every closed-form class here is a finite
-combination of atoms, combinations are closed under products and
-differences, and the eventually-dominant atom determines convergence of
-the associated positive series:
+never guessed from floating partial sums.  Each closed-form class lists
+its tail as *atoms* ``k * n^alpha * q^n`` with ``atoms()``, as
+(q, alpha, k) triples, largest (q, alpha) first.  The first is the
+*leading atom*: the tail is eventually a constant multiple of it.
+
+The lexicographic order on (q, alpha) is a group order (q multiplies,
+alpha adds), so the leading atom of a product or quotient of sequences
+is the product or quotient of their leading atoms.  A verdict therefore
+needs only leading atoms, the leading atom of one difference
+(``leading_difference``), and one test on the convergence boundary
+(``summable``):
 
     sum n^alpha q^n  converges  iff  q < 1, or q = 1 and alpha < -1.
 
-``Tabulated`` carries a finite table and no tail information; symbolic
-deciders refuse it (callers surface that as an undecided/heuristic
-verdict).
+The boundary test is exact on the decimal each float prints as (its
+``repr``, which is what a JSON document spells): q is compared with 1 by
+cross-multiplying, alpha with -1 by adding, in decimal arithmetic that
+raises rather than rounds.  Coefficients enter only by their sign and by
+float equality, so no product of them can underflow to 0.
+
+``Tabulated`` carries a finite table and no tail information; its
+``atoms()`` raises ``UndecidableError`` (callers surface that as an
+undecided/heuristic verdict).
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -43,16 +56,10 @@ __all__ = [
     "Prefixed",
     "Tabulated",
     "DecaySeq",
-    "seq_value",
-    "seq_values",
-    "tail_atoms",
+    "Atom",
     "require_positive",
-    "series_converges",
-    "ratio_series_converges",
-    "ratio_is_bounded",
-    "atoms_mul",
-    "atoms_sub",
-    "dominant_atom",
+    "leading_difference",
+    "summable",
 ]
 
 
@@ -138,9 +145,32 @@ class FiniteSequence:
 # ---------------------------------------------------------------------------
 # decay classes
 
+# (q, alpha, k): the tail term k * n**alpha * q**n
+Atom = tuple[float, float, float]
+
+
+def _atom(q: float, alpha: float, k: float) -> tuple[Atom, ...]:
+    return ((q, alpha, k),) if k != 0.0 else ()
+
+
+class _Decay:
+    """Index checks shared by the decay classes; entries start at n = 1."""
+
+    def at(self, n: int) -> float:
+        """Entry s_n."""
+        if n < 1:
+            raise InputError(f"sequence entries are indexed from 1, got n={n}")
+        return self._at(n)
+
+    def first(self, n_max: int) -> np.ndarray:
+        """Entries s_1..s_{n_max} as a dense vector."""
+        if n_max < 1:
+            raise InputError(f"need n_max >= 1, got {n_max}")
+        return self._first(n_max)
+
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Decay):
     """s_n = value for every n."""
 
     value: float
@@ -149,9 +179,21 @@ class Constant:
         if not math.isfinite(self.value):
             raise InputError("constant class needs a finite value")
 
+    def _at(self, n: int) -> float:
+        return self.value
+
+    def _first(self, n_max: int) -> np.ndarray:
+        return np.full(n_max, self.value)
+
+    def is_positive(self) -> bool:
+        return self.value > 0
+
+    def atoms(self) -> tuple[Atom, ...]:
+        return _atom(1.0, 0.0, self.value)
+
 
 @dataclass(frozen=True)
-class PowerDecay:
+class PowerDecay(_Decay):
     """s_n = c * n**(-p) with p > 0."""
 
     c: float
@@ -163,9 +205,21 @@ class PowerDecay:
         if self.p <= 0:
             raise InputError(f"power class needs p > 0, got p={self.p}")
 
+    def _at(self, n: int) -> float:
+        return self.c * float(n) ** (-self.p)
+
+    def _first(self, n_max: int) -> np.ndarray:
+        return self.c * np.arange(1, n_max + 1, dtype=float) ** (-self.p)
+
+    def is_positive(self) -> bool:
+        return self.c > 0
+
+    def atoms(self) -> tuple[Atom, ...]:
+        return _atom(1.0, -self.p, self.c)
+
 
 @dataclass(frozen=True)
-class Geometric:
+class Geometric(_Decay):
     """s_n = c * q**n with 0 < q < 1."""
 
     c: float
@@ -177,9 +231,21 @@ class Geometric:
         if not (0.0 < self.q < 1.0):
             raise InputError(f"geometric class needs 0 < q < 1, got q={self.q}")
 
+    def _at(self, n: int) -> float:
+        return self.c * self.q**n
+
+    def _first(self, n_max: int) -> np.ndarray:
+        return self.c * self.q ** np.arange(1, n_max + 1, dtype=float)
+
+    def is_positive(self) -> bool:
+        return self.c > 0
+
+    def atoms(self) -> tuple[Atom, ...]:
+        return _atom(self.q, 0.0, self.c)
+
 
 @dataclass(frozen=True)
-class ConstantPlusPower:
+class ConstantPlusPower(_Decay):
     """s_n = base + c * n**(-p) with base != 0, p > 0.
 
     Extends the multiplicative classes with a constant-plus-correction
@@ -201,10 +267,28 @@ class ConstantPlusPower:
         if self.p <= 0:
             raise InputError(f"constant-plus-power class needs p > 0, got p={self.p}")
 
+    def _at(self, n: int) -> float:
+        return self.base + self.c * float(n) ** (-self.p)
+
+    def _first(self, n_max: int) -> np.ndarray:
+        return self.base + self.c * np.arange(1, n_max + 1, dtype=float) ** (-self.p)
+
+    def is_positive(self) -> bool:
+        # monotone in n, so the extremes are n=1 and the limit
+        return self.base > 0 and self.base + self.c > 0
+
+    def atoms(self) -> tuple[Atom, ...]:
+        return ((1.0, 0.0, self.base), (1.0, -self.p, self.c))
+
 
 @dataclass(frozen=True)
-class Prefixed:
-    """Finitely many explicit values, then a closed-form tail."""
+class Prefixed(_Decay):
+    """Finitely many explicit values, then a closed-form tail.
+
+    The tail is evaluated at the absolute index, not shifted; the prefix
+    alters finitely many terms and never a verdict, so ``atoms()`` are
+    the tail's.
+    """
 
     prefix: tuple[float, ...]
     tail: "Union[Constant, PowerDecay, Geometric, ConstantPlusPower]"
@@ -218,9 +302,26 @@ class Prefixed:
         if isinstance(self.tail, (Prefixed, Tabulated)):
             raise InputError("prefixed tail must be a closed-form decay class")
 
+    def _at(self, n: int) -> float:
+        if n <= len(self.prefix):
+            return self.prefix[n - 1]
+        return self.tail.at(n)
+
+    def _first(self, n_max: int) -> np.ndarray:
+        head = np.asarray(self.prefix[:n_max])
+        if n_max <= len(self.prefix):
+            return head
+        return np.concatenate([head, self.tail.first(n_max)[len(self.prefix) :]])
+
+    def is_positive(self) -> bool:
+        return all(v > 0 for v in self.prefix) and self.tail.is_positive()
+
+    def atoms(self) -> tuple[Atom, ...]:
+        return self.tail.atoms()
+
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(_Decay):
     """A finite table of values with *no* tail information.
 
     Symbolic series decisions are refused on this class; consumers report
@@ -236,201 +337,90 @@ class Tabulated:
         if not all(math.isfinite(v) for v in self.values):
             raise InputError("tabulated class needs finite values")
 
+    def _at(self, n: int) -> float:
+        if n > len(self.values):
+            raise InputError(
+                f"tabulated sequence has {len(self.values)} entries, index {n} requested"
+            )
+        return self.values[n - 1]
+
+    def _first(self, n_max: int) -> np.ndarray:
+        if n_max > len(self.values):
+            raise InputError(
+                f"tabulated sequence has {len(self.values)} entries, {n_max} requested"
+            )
+        return np.asarray(self.values[:n_max])
+
+    def is_positive(self) -> bool:
+        return all(v > 0 for v in self.values)
+
+    def atoms(self) -> tuple[Atom, ...]:
+        raise UndecidableError(
+            "tabulated values carry no tail information; symbolic decision refused"
+        )
+
 
 DecaySeq = Union[Constant, PowerDecay, Geometric, ConstantPlusPower, Prefixed, Tabulated]
-
-_CLOSED_FORM = (Constant, PowerDecay, Geometric, ConstantPlusPower)
-
-
-def seq_value(seq: DecaySeq, n: int) -> float:
-    """Entry s_n (1-based)."""
-    if n < 1:
-        raise InputError(f"sequence entries are indexed from 1, got n={n}")
-    if isinstance(seq, Constant):
-        return seq.value
-    if isinstance(seq, PowerDecay):
-        return seq.c * float(n) ** (-seq.p)
-    if isinstance(seq, Geometric):
-        return seq.c * seq.q**n
-    if isinstance(seq, ConstantPlusPower):
-        return seq.base + seq.c * float(n) ** (-seq.p)
-    if isinstance(seq, Prefixed):
-        if n <= len(seq.prefix):
-            return seq.prefix[n - 1]
-        return seq_value(seq.tail, n)
-    if isinstance(seq, Tabulated):
-        if n > len(seq.values):
-            raise InputError(
-                f"tabulated sequence has {len(seq.values)} entries, index {n} requested"
-            )
-        return seq.values[n - 1]
-    raise InputError(f"not a decay class: {seq!r}")
-
-
-def seq_values(seq: DecaySeq, n_max: int) -> np.ndarray:
-    """Entries s_1..s_{n_max} as a dense vector."""
-    if n_max < 1:
-        raise InputError(f"need n_max >= 1, got {n_max}")
-    n = np.arange(1, n_max + 1, dtype=float)
-    if isinstance(seq, Constant):
-        return np.full(n_max, seq.value)
-    if isinstance(seq, PowerDecay):
-        return seq.c * n ** (-seq.p)
-    if isinstance(seq, Geometric):
-        return seq.c * seq.q**n
-    if isinstance(seq, ConstantPlusPower):
-        return seq.base + seq.c * n ** (-seq.p)
-    if isinstance(seq, Prefixed):
-        k = min(len(seq.prefix), n_max)
-        head = np.asarray(seq.prefix[:k])
-        if n_max <= len(seq.prefix):
-            return head.copy()
-        tail = seq_values(seq.tail, n_max)[k:]
-        return np.concatenate([head, tail])
-    if isinstance(seq, Tabulated):
-        if n_max > len(seq.values):
-            raise InputError(
-                f"tabulated sequence has {len(seq.values)} entries, {n_max} requested"
-            )
-        return np.asarray(seq.values[:n_max])
-    raise InputError(f"not a decay class: {seq!r}")
-
-
-def table_length(seq: DecaySeq) -> int | None:
-    """Length of the usable range (None = infinite)."""
-    return len(seq.values) if isinstance(seq, Tabulated) else None
 
 
 def require_positive(seq: DecaySeq, what: str = "sequence") -> DecaySeq:
     """Validate s_n > 0 for all n; returns the input for chaining."""
-    if isinstance(seq, Constant):
-        ok = seq.value > 0
-    elif isinstance(seq, PowerDecay):
-        ok = seq.c > 0
-    elif isinstance(seq, Geometric):
-        ok = seq.c > 0
-    elif isinstance(seq, ConstantPlusPower):
-        # monotone in n, so the extremes are n=1 and the limit
-        ok = seq.base > 0 and seq.base + seq.c > 0
-    elif isinstance(seq, Prefixed):
-        ok = all(v > 0 for v in seq.prefix)
-        if ok:
-            require_positive(seq.tail, what)
-    elif isinstance(seq, Tabulated):
-        ok = all(v > 0 for v in seq.values)
-    else:
-        raise InputError(f"not a decay class: {seq!r}")
-    if not ok:
+    if not seq.is_positive():
         raise InputError(f"{what} must be strictly positive at every index")
     return seq
 
 
 # ---------------------------------------------------------------------------
-# symbolic series engine
-#
-# An atom dict maps (alpha, q) -> coefficient, representing the tail
-# s_n = sum_i k_i n^{alpha_i} q_i^n.  Only the tail matters: prefixes alter
-# finitely many terms and never change a convergence or boundedness verdict.
-
-Atoms = dict[tuple[float, float], float]
+# leading-atom verdicts
 
 
-def tail_atoms(seq: DecaySeq) -> Atoms:
-    """Atom decomposition of the sequence tail.
+def leading_difference(b: DecaySeq, a: DecaySeq) -> Atom | None:
+    """Leading atom of the tail of b_n - a_n, or None if the tails cancel.
 
-    Raises ``UndecidableError`` for tabulated input, which has no tail.
+    Atoms of one (q, alpha) cancel exactly when their coefficients are
+    equal floats; otherwise the difference of the two floats is nonzero
+    and carries the sign of the exact difference.
     """
-    if isinstance(seq, Constant):
-        return {(0.0, 1.0): seq.value}
-    if isinstance(seq, PowerDecay):
-        return {(-seq.p, 1.0): seq.c}
-    if isinstance(seq, Geometric):
-        return {(0.0, seq.q): seq.c}
-    if isinstance(seq, ConstantPlusPower):
-        return {(0.0, 1.0): seq.base, (-seq.p, 1.0): seq.c}
-    if isinstance(seq, Prefixed):
-        return tail_atoms(seq.tail)
-    if isinstance(seq, Tabulated):
-        raise UndecidableError(
-            "tabulated values carry no tail information; symbolic decision refused"
-        )
-    raise InputError(f"not a decay class: {seq!r}")
+    diff = {(q, alpha): k for q, alpha, k in b.atoms()}
+    for q, alpha, k in a.atoms():
+        diff[q, alpha] = diff.get((q, alpha), 0.0) - k
+    live = [(q, alpha, k) for (q, alpha), k in diff.items() if k != 0.0]
+    return max(live) if live else None
 
 
-def _clean(atoms: Atoms) -> Atoms:
-    return {key: k for key, k in atoms.items() if k != 0.0}
+# Operands are float reprs: at most 17 significant digits, decimal
+# exponents in [-324, 308].  A sum of a few of them (times small integers)
+# spans under 700 digits and a product of a few squares under 1000, so
+# every result is exact; one that is not raises Inexact, never rounds.
+_EXACT = decimal.Context(prec=1000, traps=[decimal.Inexact, decimal.InvalidOperation])
 
 
-def atoms_mul(a: Atoms, b: Atoms) -> Atoms:
-    out: Atoms = {}
-    for (al1, q1), k1 in a.items():
-        for (al2, q2), k2 in b.items():
-            key = (al1 + al2, q1 * q2)
-            out[key] = out.get(key, 0.0) + k1 * k2
-    return _clean(out)
+def _decimal(x: float) -> decimal.Decimal:
+    return decimal.Decimal(repr(x))
 
 
-def atoms_sub(a: Atoms, b: Atoms) -> Atoms:
-    out = dict(a)
-    for key, k in b.items():
-        out[key] = out.get(key, 0.0) - k
-    return _clean(out)
+def summable(*powers: tuple[Atom, int]) -> bool:
+    """Whether sum_n prod_i s_i(n)**e_i converges, from leading atoms.
 
-
-def dominant_atom(atoms: Atoms) -> tuple[float, float, float] | None:
-    """Asymptotically dominant atom as (alpha, q, coeff), or None if zero.
-
-    Larger q wins; at equal q, larger alpha wins.  The tail of the
-    combination is eventually a constant multiple of the dominant atom.
+    Each factor is given as (leading atom of s_i, integer power e_i).  The
+    product must be eventually positive (callers square signed factors
+    and check the others positive); its leading atom is
+    (prod q_i**e_i, sum e_i * alpha_i).  q is compared with 1 by
+    cross-multiplying the q_i with e_i > 0 against those with e_i < 0
+    (factors with q_i = 1 change neither side), then, on a tie, alpha
+    with -1; both exactly.
     """
-    live = [(q, alpha, k) for (alpha, q), k in atoms.items() if k != 0.0]
-    if not live:
-        return None
-    q, alpha, k = max(live)
-    return (alpha, q, k)
-
-
-def _theta_converges(alpha: float, q: float) -> bool:
-    return q < 1.0 or (q == 1.0 and alpha < -1.0)
-
-
-def series_converges(atoms: Atoms) -> bool:
-    """Whether sum_n s_n < infinity for an eventually-positive combination."""
-    dom = dominant_atom(atoms)
-    if dom is None:
-        return True
-    alpha, q, coeff = dom
-    if coeff < 0:
-        raise InputError("series decision requires an eventually-positive sequence")
-    return _theta_converges(alpha, q)
-
-
-def ratio_series_converges(numer: Atoms, denom: Atoms) -> bool:
-    """Whether sum_n (numer_n / denom_n) < infinity.
-
-    The numerator must be eventually nonnegative and the denominator
-    eventually strictly positive; both hold for the squares and variance
-    sequences this package feeds in.
-    """
-    dom_n = dominant_atom(numer)
-    if dom_n is None:
-        return True
-    dom_d = dominant_atom(denom)
-    if dom_d is None or dom_d[2] <= 0:
-        raise InputError("ratio series needs a positive denominator")
-    alpha = dom_n[0] - dom_d[0]
-    q = dom_n[1] / dom_d[1]
-    return _theta_converges(alpha, q)
-
-
-def ratio_is_bounded(numer: Atoms, denom: Atoms) -> bool:
-    """Whether numer_n / denom_n stays within (0, infinity) bounds.
-
-    True exactly when both tails share the dominant shape (same alpha and
-    q), so the ratio tends to a finite nonzero limit.
-    """
-    dom_n = dominant_atom(numer)
-    dom_d = dominant_atom(denom)
-    if dom_n is None or dom_d is None:
-        return False
-    return dom_n[0] == dom_d[0] and dom_n[1] == dom_d[1]
+    num = den = decimal.Decimal(1)
+    for (q, _, _), e in powers:
+        if q != 1.0:
+            q_e = _EXACT.power(_decimal(q), abs(e))
+            if e > 0:
+                num = _EXACT.multiply(num, q_e)
+            else:
+                den = _EXACT.multiply(den, q_e)
+    if num != den:
+        return num < den
+    alpha = decimal.Decimal(0)
+    for (_, a, _), e in powers:
+        alpha = _EXACT.fma(e, _decimal(a), alpha)
+    return alpha < -1

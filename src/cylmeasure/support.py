@@ -26,16 +26,7 @@ import numpy as np
 
 from .errors import InputError
 from .gaussian import CovarianceSeq
-from .sequences import (
-    DecaySeq,
-    FiniteSequence,
-    Tabulated,
-    atoms_mul,
-    require_positive,
-    seq_values,
-    series_converges,
-    tail_atoms,
-)
+from .sequences import DecaySeq, FiniteSequence, Tabulated, require_positive, summable
 
 __all__ = [
     "DiagonalOperator",
@@ -60,8 +51,7 @@ def hilbert_schmidt_check(h: DiagonalOperator) -> bool:
     raise ``UndecidableError``: a finite table cannot settle a tail sum.
     """
     require_positive(h, "diagonal operator")
-    atoms = tail_atoms(h)
-    return series_converges(atoms_mul(atoms, atoms))
+    return summable((h.atoms()[0], 2))
 
 
 class Support(str, enum.Enum):
@@ -102,7 +92,7 @@ def weighted_support_check(cov: CovarianceSeq, a: DiagonalOperator) -> SupportRe
             len(a.values) if isinstance(a, Tabulated) else np.inf,
         )
         length = int(length)
-        terms = seq_values(a, length) ** 2 * seq_values(cov, length)
+        terms = a.first(length) ** 2 * cov.first(length)
         csum = np.cumsum(terms)
         marks = np.unique(
             np.linspace(1, length, min(_HEURISTIC_CHECKPOINTS, length)).astype(int)
@@ -110,9 +100,7 @@ def weighted_support_check(cov: CovarianceSeq, a: DiagonalOperator) -> SupportRe
         return SupportReport(
             Support.HEURISTIC, "unknown", tuple(float(csum[m - 1]) for m in marks)
         )
-    a_atoms = tail_atoms(a)
-    terms = atoms_mul(atoms_mul(a_atoms, a_atoms), tail_atoms(cov))
-    if series_converges(terms):
+    if summable((a.atoms()[0], 2), (cov.atoms()[0], 1)):
         return SupportReport(Support.SUPPORTED, "converges")
     return SupportReport(Support.NOT_SUPPORTED, "diverges")
 
@@ -174,7 +162,7 @@ def mc_tail_growth(
     require_positive(a, "weight sequence")
     rng = np.random.default_rng(seed)
     marks = np.unique((np.arange(1, _N_CHECKPOINTS + 1) * n_coords) // _N_CHECKPOINTS)
-    weights = seq_values(a, n_coords) ** 2 * seq_values(cov, n_coords)
+    weights = a.first(n_coords) ** 2 * cov.first(n_coords)
 
     # accumulate sums chunk-by-chunk over coordinates to bound memory
     chunk = max(1, min(n_coords, 10_000_000 // n_samples))

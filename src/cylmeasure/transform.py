@@ -29,13 +29,9 @@ from .sequences import (
     DecaySeq,
     FiniteSequence,
     Tabulated,
-    atoms_mul,
-    atoms_sub,
-    ratio_is_bounded,
-    ratio_series_converges,
+    leading_difference,
     require_positive,
-    seq_values,
-    tail_atoms,
+    summable,
 )
 
 __all__ = [
@@ -78,7 +74,7 @@ def rn_density(
         return np.ones(x.shape[0]) if x.ndim == 2 else 1.0
     idx = np.array(y.support) - 1
     y_vals = np.array([v for _, v in y.entries])
-    rho = seq_values(cov, y.max_index)[idx]
+    rho = cov.first(y.max_index)[idx]
     weights = y_vals / rho
     quad = float(np.dot(y_vals, weights))
     exponent = x[..., idx] @ weights - 0.5 * quad
@@ -98,8 +94,8 @@ def shift_admissible(y: ShiftSpec, cov: CovarianceSeq) -> bool:
     require_positive(cov, "covariance")
     if isinstance(y, FiniteSequence):
         return True
-    y_sq = atoms_mul(tail_atoms(y), tail_atoms(y))
-    return ratio_series_converges(y_sq, tail_atoms(cov))
+    y_atoms, cov_atoms = y.atoms(), cov.atoms()
+    return not y_atoms or summable((y_atoms[0], 2), (cov_atoms[0], -1))
 
 
 class Equivalence(str, enum.Enum):
@@ -133,7 +129,7 @@ def _ratio_bounds(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> tuple[float, fl
         if isinstance(cov, Tabulated):
             scan = min(scan, len(cov.values))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = seq_values(cov_b, scan) / seq_values(cov_a, scan)
+        ratios = cov_b.first(scan) / cov_a.first(scan)
     # geometric tails under/overflow at deep indices; the scan is evidence,
     # the verdict itself is symbolic
     finite = ratios[np.isfinite(ratios)]
@@ -162,9 +158,8 @@ def equivalence_classify(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> Equivale
             "unknown",
             "tabulated input carries no tail information",
         )
-    atoms_a = tail_atoms(cov_a)
-    atoms_b = tail_atoms(cov_b)
-    if not ratio_is_bounded(atoms_b, atoms_a):
+    lead_a = cov_a.atoms()[0]
+    if lead_a[:2] != cov_b.atoms()[0][:2]:
         return EquivalenceVerdict(
             Equivalence.SINGULAR,
             lo,
@@ -173,10 +168,8 @@ def equivalence_classify(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> Equivale
             "variance ratio is unbounded or tends to zero",
         )
     # (a_n - 1)^2 = (rho'_n - rho_n)^2 / rho_n^2
-    delta = atoms_sub(atoms_b, atoms_a)
-    numer = atoms_mul(delta, delta)
-    denom = atoms_mul(atoms_a, atoms_a)
-    if ratio_series_converges(numer, denom):
+    delta = leading_difference(cov_b, cov_a)
+    if delta is None or summable((delta, 2), (lead_a, -2)):
         return EquivalenceVerdict(
             Equivalence.EQUIVALENT,
             lo,
@@ -234,7 +227,5 @@ def ergodicity_flag(family: ShiftFamily, cov: CovarianceSeq) -> bool:
         return True
     if isinstance(family, WeightedL2Family):
         require_positive(family.cov, "covariance")
-        own = tail_atoms(cov)
-        other = tail_atoms(family.cov)
-        return ratio_is_bounded(other, own)
+        return cov.atoms()[0][:2] == family.cov.atoms()[0][:2]
     raise InputError(f"unknown shift family: {family!r}")

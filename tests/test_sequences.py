@@ -11,16 +11,9 @@ from cylmeasure.sequences import (
     PowerDecay,
     Prefixed,
     Tabulated,
-    atoms_mul,
-    atoms_sub,
-    dominant_atom,
-    ratio_is_bounded,
-    ratio_series_converges,
+    leading_difference,
     require_positive,
-    seq_value,
-    seq_values,
-    series_converges,
-    tail_atoms,
+    summable,
 )
 
 
@@ -64,25 +57,32 @@ class TestFiniteSequence:
 
 class TestDecayValues:
     def test_closed_forms(self):
-        assert seq_value(Constant(2.0), 10) == 2.0
-        assert seq_value(PowerDecay(1.0, 2.0), 3) == pytest.approx(1.0 / 9.0)
-        assert seq_value(Geometric(1.0, 0.5), 3) == pytest.approx(0.125)
-        assert seq_value(ConstantPlusPower(1.0, 1.0, 1.0), 4) == pytest.approx(1.25)
+        assert Constant(2.0).at(10) == 2.0
+        assert PowerDecay(1.0, 2.0).at(3) == pytest.approx(1.0 / 9.0)
+        assert Geometric(1.0, 0.5).at(3) == pytest.approx(0.125)
+        assert ConstantPlusPower(1.0, 1.0, 1.0).at(4) == pytest.approx(1.25)
 
     def test_prefix_overrides_then_tail(self):
         seq = Prefixed((9.0, 8.0), Constant(1.0))
-        assert seq_values(seq, 4).tolist() == [9.0, 8.0, 1.0, 1.0]
+        assert seq.first(4).tolist() == [9.0, 8.0, 1.0, 1.0]
         # the tail is evaluated at the absolute index, not shifted
         seq = Prefixed((9.0,), PowerDecay(1.0, 1.0))
-        assert seq_value(seq, 2) == pytest.approx(0.5)
+        assert seq.at(2) == pytest.approx(0.5)
 
     def test_tabulated_bounds(self):
         tab = Tabulated((1.0, 2.0))
-        assert seq_value(tab, 2) == 2.0
+        assert tab.at(2) == 2.0
         with pytest.raises(InputError):
-            seq_value(tab, 3)
+            tab.at(3)
         with pytest.raises(InputError):
-            seq_values(tab, 5)
+            tab.first(5)
+
+    def test_indices_start_at_one(self):
+        for seq in (Constant(1.0), Tabulated((1.0, 2.0)), Prefixed((3.0,), Constant(1.0))):
+            with pytest.raises(InputError):
+                seq.at(0)
+            with pytest.raises(InputError):
+                seq.first(0)
 
     def test_parameter_validation(self):
         with pytest.raises(InputError):
@@ -107,6 +107,11 @@ class TestDecayValues:
             require_positive(Prefixed((1.0, -2.0), Constant(1.0)))
         with pytest.raises(InputError):
             require_positive(Tabulated((1.0, 0.0)))
+        assert not Prefixed((1.0,), Constant(-1.0)).is_positive()
+
+
+def lead(seq):
+    return seq.atoms()[0]
 
 
 class TestSeriesEngine:
@@ -119,42 +124,53 @@ class TestSeriesEngine:
             (PowerDecay(1.0, 0.5), False),  # sum 1/n diverges
             (ConstantPlusPower(1.0, -0.5, 1.0), False),
         ):
-            atoms = tail_atoms(seq)
-            assert series_converges(atoms_mul(atoms, atoms)) is expected
+            assert summable((lead(seq), 2)) is expected
 
     def test_ratio_rules(self):
-        one = tail_atoms(Constant(1.0))
-        inv_n = tail_atoms(PowerDecay(1.0, 1.0))
+        one = lead(Constant(1.0))
+        inv_n = lead(PowerDecay(1.0, 1.0))
         # sum (1/n)^2 / 1 converges, sum (n^-1/2)^2 / 1 diverges
-        assert ratio_series_converges(atoms_mul(inv_n, inv_n), one)
-        half = tail_atoms(PowerDecay(1.0, 0.5))
-        assert not ratio_series_converges(atoms_mul(half, half), one)
+        assert summable((inv_n, 2), (one, -1))
+        half = lead(PowerDecay(1.0, 0.5))
+        assert not summable((half, 2), (one, -1))
+
+    def test_boundary_is_exact_on_printed_decimals(self):
+        # 2 * 1.1 - 1.2 is 1 in decimals but 1.0000000000000002 in floats
+        assert not summable((lead(PowerDecay(1.0, 1.1)), 2), (lead(PowerDecay(1.0, 1.2)), -1))
+        # 0.3^2 = 0.09 in decimals: (0.3^2 / 0.09)^n = 1 diverges
+        assert not summable((lead(Geometric(1.0, 0.3)), 2), (lead(Geometric(1.0, 0.09)), -1))
+        # coefficients enter by sign only: 1e-200^2 is not 0
+        assert not summable((lead(Constant(1e-200)), 2))
 
     def test_boundedness(self):
-        assert ratio_is_bounded(tail_atoms(Constant(2.0)), tail_atoms(Constant(1.0)))
-        assert ratio_is_bounded(
-            tail_atoms(ConstantPlusPower(1.0, 1.0, 1.0)), tail_atoms(Constant(1.0))
-        )
-        assert not ratio_is_bounded(
-            tail_atoms(PowerDecay(1.0, 1.0)), tail_atoms(Constant(1.0))
-        )
-        assert not ratio_is_bounded(
-            tail_atoms(Geometric(1.0, 0.5)), tail_atoms(Geometric(1.0, 0.25))
-        )
+        # the variance ratio stays within positive bounds exactly when the
+        # leading atoms share (q, alpha)
+        assert lead(Constant(2.0))[:2] == lead(Constant(1.0))[:2]
+        assert lead(ConstantPlusPower(1.0, 1.0, 1.0))[:2] == lead(Constant(1.0))[:2]
+        assert lead(PowerDecay(1.0, 1.0))[:2] != lead(Constant(1.0))[:2]
+        assert lead(Geometric(1.0, 0.5))[:2] != lead(Geometric(1.0, 0.25))[:2]
 
     def test_exact_cancellation(self):
-        a = tail_atoms(ConstantPlusPower(1.0, 2.0, 1.5))
-        assert atoms_sub(a, a) == {}
-        assert dominant_atom(atoms_sub(a, a)) is None
+        a = ConstantPlusPower(1.0, 2.0, 1.5)
+        assert leading_difference(a, a) is None
+        assert leading_difference(Prefixed((5.0,), a), a) is None
+        # the constants cancel, the corrections do not
+        assert leading_difference(ConstantPlusPower(1.0, 1e-170, 0.2), Constant(1.0)) == (
+            1.0,
+            -0.2,
+            1e-170,
+        )
 
     def test_dominant_atom_ordering(self):
-        atoms = {(0.0, 0.5): 3.0, (-2.0, 1.0): 1.0, (5.0, 0.5): 2.0}
         # q = 1 beats any q < 1 regardless of the power
-        assert dominant_atom(atoms) == (-2.0, 1.0, 1.0)
+        assert leading_difference(PowerDecay(1.0, 2.0), Geometric(-3.0, 0.5)) == (1.0, -2.0, 1.0)
+        assert summable(((0.5, 5.0, 2.0), 1))
+        # atoms are listed largest (q, alpha) first
+        assert ConstantPlusPower(2.0, 3.0, 0.5).atoms() == ((1.0, 0.0, 2.0), (1.0, -0.5, 3.0))
 
     def test_tabulated_refuses_symbolic_decision(self):
         with pytest.raises(UndecidableError):
-            tail_atoms(Tabulated((1.0, 2.0)))
+            Tabulated((1.0, 2.0)).atoms()
 
     @given(
         st.lists(st.floats(0.1, 10.0), min_size=1, max_size=6),
@@ -163,8 +179,8 @@ class TestSeriesEngine:
         ),
     )
     def test_prefix_never_changes_decisions(self, prefix, tail):
-        plain = tail_atoms(tail)
-        prefixed = tail_atoms(Prefixed(tuple(prefix), tail))
+        plain = tail.atoms()
+        prefixed = Prefixed(tuple(prefix), tail).atoms()
         assert plain == prefixed
 
     def test_values_match_value_pointwise(self):
@@ -175,6 +191,6 @@ class TestSeriesEngine:
             ConstantPlusPower(1.0, -0.5, 2.0),
             Prefixed((3.0, 4.0), Geometric(1.0, 0.5)),
         ):
-            dense = seq_values(seq, 7)
-            assert dense.tolist() == [seq_value(seq, n) for n in range(1, 8)]
+            dense = seq.first(7)
+            assert dense.tolist() == [seq.at(n) for n in range(1, 8)]
             assert isinstance(dense, np.ndarray)

@@ -127,10 +127,8 @@ class TestShiftAdmissible:
     def test_verdict_matches_partial_sum_growth(self, shift, cov):
         # deterministic oracle: partial sums of y_n^2 / rho_n either level
         # off (admissible) or keep a visible increment (not admissible)
-        from cylmeasure.sequences import seq_values
-
         n = 200_000
-        terms = seq_values(shift, n) ** 2 / seq_values(cov, n)
+        terms = shift.first(n) ** 2 / cov.first(n)
         half, full = float(np.sum(terms[: n // 2])), float(np.sum(terms))
         increment = (full - half) / max(full, 1e-300)
         if shift_admissible(shift, cov):
