@@ -128,9 +128,10 @@ def _payload_moment(args) -> tuple[dict, Any, list[str]]:
             )
         rng = np.random.default_rng(args.seed)
         x = gaussian.draw_coordinates(cov, dim, args.mc_samples, rng)
-        prods = np.prod(
-            np.stack([x @ v.as_vector(dim) for v in vectors], axis=1), axis=1
-        )
+        projections = [x @ v.as_vector(dim) for v in vectors]
+        # no factors: the empty product 1 in every sample, as the exact moment
+        prods = (np.prod(np.stack(projections, axis=1), axis=1) if projections
+                 else np.ones(args.mc_samples))
         payload["mc"] = {
             "estimate": float(prods.mean()),
             "standard_error": float(prods.std(ddof=1) / np.sqrt(args.mc_samples)),

@@ -128,7 +128,8 @@ _N_CHECKPOINTS = 16
 _GROWTH_RATIO = 1.5  # mean S_N / mean S_{N/2} above this counts as growing
 
 # coordinates x samples of one mc_tail_growth call; the chunking bounds its
-# memory, not its time (the full budget runs about 15 s on two vCPUs)
+# memory, not its time (the full budget runs 23-25 s on a two-vCPU VM,
+# about 21 s of it drawing the normals)
 MAX_MC_DRAWS = 10**9
 
 
@@ -164,23 +165,21 @@ def mc_tail_growth(
     marks = np.unique((np.arange(1, _N_CHECKPOINTS + 1) * n_coords) // _N_CHECKPOINTS)
     weights = a.first(n_coords) ** 2 * cov.first(n_coords)
 
-    # accumulate sums chunk-by-chunk over coordinates to bound memory
+    # one pass over the draws, chunk-by-chunk over coordinates to bound
+    # memory: the mean of S_m over samples is sum_{n<=m} w_n mean(x_n^2),
+    # so the checkpoints need only the column sums of the squared draws
     chunk = max(1, min(n_coords, 10_000_000 // n_samples))
     running = np.zeros(n_samples)
-    mean_at_mark: dict[int, float] = {}
-    next_mark = 0
+    col_sums = np.empty(n_coords)
     for start in range(0, n_coords, chunk):
         stop = min(start + chunk, n_coords)
         block_sq = rng.standard_normal((n_samples, stop - start))
         np.square(block_sq, out=block_sq)
-        while next_mark < len(marks) and marks[next_mark] <= stop:
-            m = int(marks[next_mark])
-            partial = running + block_sq[:, : m - start] @ weights[start:m]
-            mean_at_mark[m] = float(partial.mean())
-            next_mark += 1
+        block_sq.sum(axis=0, out=col_sums[start:stop])
         running += block_sq @ weights[start:stop]
 
-    checkpoints = tuple((int(m), mean_at_mark[int(m)]) for m in marks)
+    means = np.cumsum(weights * col_sums) / n_samples
+    checkpoints = tuple((int(m), float(means[m - 1])) for m in marks)
     final_se = float(running.std(ddof=1) / math.sqrt(n_samples))
     half = checkpoints[len(checkpoints) // 2 - 1][1]
     final = checkpoints[-1][1]

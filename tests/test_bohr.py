@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,32 @@ class TestHaarSample:
         assert np.mean(np.abs(z) ** 2) == 1.0
 
 
+def _two_grid_oracle(f, n_axes, points):
+    """Reference quadrature: the fine and the coarse grid each built by
+    meshgrid + stack and f evaluated on both; returns (value, error_bound)."""
+
+    def evaluate(points_matrix):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals = np.asarray(f(points_matrix))
+            if vals.shape == (points_matrix.shape[0],):
+                return vals.astype(complex)
+        except Exception:
+            pass
+        return np.array([f(row) for row in points_matrix], dtype=complex)
+
+    def grid_mean(size):
+        theta = 2.0 * math.pi * np.arange(size) / size
+        mesh = np.meshgrid(*([theta] * n_axes), indexing="ij")
+        flat = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        return complex(evaluate(flat).mean())
+
+    coarse = grid_mean(points)
+    fine = grid_mean(2 * points)
+    return fine, abs(fine - coarse) + 1e-14
+
+
 class TestHaarIntegral:
     def setup_method(self):
         self.gamma2 = FrequencySet((1.0, SQRT2))
@@ -158,6 +185,42 @@ class TestHaarIntegral:
             FrequencySet((1.0,)), lambda th: math.cos(th[0]) ** 2, self.quad
         )
         assert res.value == pytest.approx(0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("points", [2, 3, 8, 10])
+    @pytest.mark.parametrize("n_axes", [1, 2, 3, 4])
+    def test_one_grid_matches_the_two_grid_oracle(self, n_axes, points):
+        # poles at distance acosh(1.5) from the real torus on every axis: the
+        # coarse grid is far from converged, so its nodes show in the bound
+        gamma = FrequencySet(tuple(math.sqrt(q) for q in (2.0, 3.0, 5.0, 7.0)[:n_axes]))
+
+        def f(th):
+            return np.exp(1j * th[..., 0]) / np.prod(1.5 + np.cos(th + 0.3), axis=-1)
+
+        res = haar_cylinder_integral(gamma, f, QuadratureMethod(points))
+        value, bound = _two_grid_oracle(f, n_axes, points)
+        assert res.value == value
+        assert abs(res.error_bound - bound) <= 1e-15
+
+    def test_scalar_only_integrand_matches_the_two_grid_oracle(self):
+        def f(th):
+            return math.exp(math.cos(th[0] - 2.0 * th[1]))
+
+        res = haar_cylinder_integral(self.gamma2, f, QuadratureMethod(3))
+        value, bound = _two_grid_oracle(f, 2, 3)
+        assert res.value == value
+        assert abs(res.error_bound - bound) <= 1e-15
+
+    @pytest.mark.parametrize("n_axes, points", [(1, 3), (2, 8), (4, 10)])
+    def test_vectorized_integrand_is_evaluated_once_on_the_fine_grid(self, n_axes, points):
+        calls = []
+
+        def f(th):
+            calls.append(th.shape)
+            return np.cos(th).sum(axis=1)
+
+        gamma = FrequencySet(tuple(math.sqrt(q) for q in (2.0, 3.0, 5.0, 7.0)[:n_axes]))
+        haar_cylinder_integral(gamma, f, QuadratureMethod(points))
+        assert calls == [((2 * points) ** n_axes, n_axes)]
 
     def test_mc_route_agrees_with_quadrature(self):
         def f(th):

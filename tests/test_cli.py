@@ -548,6 +548,16 @@ class TestCliHardening:
         assert out == ""
         assert err.startswith("input error:") and message in err
 
+    def test_empty_moment_vectors_give_the_empty_product_under_mc(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "moment", "--cov", CONST1, "--vectors", "[]", "--mc-samples", "10",
+            "--seed", "1",
+        )
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["moment"] == 1.0
+        assert payload["mc"]["estimate"] == 1.0 and payload["mc"]["standard_error"] == 0.0
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_density_prints_only_the_failure(self, capsys):
         code, out, err = run_cli(

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from cylmeasure.sequences import (
 )
 from cylmeasure.support import (
     Support,
+    TailGrowthReport,
     hilbert_schmidt_check,
     mc_tail_growth,
     nuclear_embedding_check,
@@ -113,6 +115,40 @@ class TestWeightedSupport:
         assert sums[-1] == pytest.approx(1.0 + 0.25 + 0.0625 + 0.015625)
 
 
+def _prefix_matvec_oracle(cov, a, n_coords, n_samples, seed):
+    """Reference mc_tail_growth: the same seeded chunks, with each checkpoint
+    mean taken over the samples of a prefix mat-vec up to that mark."""
+    rng = np.random.default_rng(seed)
+    marks = np.unique((np.arange(1, 17) * n_coords) // 16)
+    weights = a.first(n_coords) ** 2 * cov.first(n_coords)
+    chunk = max(1, min(n_coords, 10_000_000 // n_samples))
+    running = np.zeros(n_samples)
+    mean_at_mark = {}
+    next_mark = 0
+    for start in range(0, n_coords, chunk):
+        stop = min(start + chunk, n_coords)
+        block_sq = rng.standard_normal((n_samples, stop - start))
+        np.square(block_sq, out=block_sq)
+        while next_mark < len(marks) and marks[next_mark] <= stop:
+            m = int(marks[next_mark])
+            partial = running + block_sq[:, : m - start] @ weights[start:m]
+            mean_at_mark[m] = float(partial.mean())
+            next_mark += 1
+        running += block_sq @ weights[start:stop]
+
+    checkpoints = tuple((int(m), mean_at_mark[int(m)]) for m in marks)
+    final_se = float(running.std(ddof=1) / math.sqrt(n_samples))
+    half = checkpoints[len(checkpoints) // 2 - 1][1]
+    final = checkpoints[-1][1]
+    if half > 0 and final / half >= 1.5:
+        xs = np.array([m for m, _ in checkpoints[len(checkpoints) // 2 :]], dtype=float)
+        ys = np.array([v for _, v in checkpoints[len(checkpoints) // 2 :]])
+        value, kind = float(np.polyfit(xs, ys, 1)[0]), "slope"
+    else:
+        value, kind = final, "plateau"
+    return TailGrowthReport(kind, value, final_se, checkpoints, n_coords, n_samples, seed)
+
+
 class TestMcTailGrowth:
     def test_flat_weights_grow_linearly(self):
         report = mc_tail_growth(Constant(1.0), Constant(1.0), 4000, 200, seed=31)
@@ -167,6 +203,27 @@ class TestMcTailGrowth:
         assert report.kind == "plateau"
         values = [v for _, v in report.checkpoints]
         assert values[-1] > values[0]  # still visibly increasing
+
+    @pytest.mark.parametrize(
+        "cov, a, n_coords, n_samples, seed",
+        [
+            (Constant(1.0), Constant(1.0), 1000, 200, 41),
+            (Constant(1.0), PowerDecay(1.0, 1.0), 1234, 150, 42),
+            (Constant(2.0), PowerDecay(1.0, 0.75), 101, 100, 43),
+            # 1.2e7 draws: two chunks of 1,666 and 334 coordinates
+            (Constant(1.0), PowerDecay(1.0, 1.5), 2000, 6000, 44),
+        ],
+        ids=["slope", "plateau-1234-coords", "plateau-101-coords", "two-chunks"],
+    )
+    def test_column_sums_match_the_prefix_matvec_oracle(self, cov, a, n_coords, n_samples, seed):
+        report = mc_tail_growth(cov, a, n_coords, n_samples, seed)
+        expected = _prefix_matvec_oracle(cov, a, n_coords, n_samples, seed)
+        assert report.kind == expected.kind
+        assert report.final_se == expected.final_se
+        assert report.value == pytest.approx(expected.value, rel=1e-12, abs=0)
+        assert [m for m, _ in report.checkpoints] == [m for m, _ in expected.checkpoints]
+        for (_, got), (_, want) in zip(report.checkpoints, expected.checkpoints):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_input_floors(self):
         with pytest.raises(InputError):
