@@ -229,7 +229,7 @@ def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
         return (
             jsonio.encode_value(res),
             {"fourier": {"m": m, "x": x, "cutoff": args.cutoff}},
-            ["adaptive fourier quadrature"],
+            ["gauss-legendre panels with a proved bound"],
         )
     if args.spec is None:
         raise InputError("kernel needs --spec for --at, --bilinear, --regularity")

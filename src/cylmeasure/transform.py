@@ -18,6 +18,7 @@ symbolically on the decay classes.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -124,18 +125,25 @@ _RATIO_SCAN = 1000
 
 
 def _ratio_bounds(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> tuple[float, float]:
-    scan = _RATIO_SCAN
-    for cov in (cov_a, cov_b):
-        if isinstance(cov, Tabulated):
-            scan = min(scan, len(cov.values))
+    tabulated = [len(cov.values) for cov in (cov_a, cov_b) if isinstance(cov, Tabulated)]
+    scan = min([_RATIO_SCAN, *tabulated])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratios = cov_b.first(scan) / cov_a.first(scan)
     # geometric tails under/overflow at deep indices; the scan is evidence,
     # the verdict itself is symbolic
     finite = ratios[np.isfinite(ratios)]
-    if finite.size == 0:
+    if finite.size:
+        return float(finite.min()), float(finite.max())
+    if tabulated:
         raise NumericError("every scanned variance ratio over- or underflows", scan=scan)
-    return float(finite.min()), float(finite.max())
+    # no finite entry: the tail limit of a_n stands in for the scan
+    (q_a, alpha_a, k_a), (q_b, alpha_b, k_b) = cov_a.atoms()[0], cov_b.atoms()[0]
+    if (q_a, alpha_a) != (q_b, alpha_b):
+        return 0.0, math.inf
+    limit = k_b / k_a
+    if not 0.0 < limit < math.inf:
+        raise NumericError("the tail limit k_b/k_a over- or underflows", k_a=k_a, k_b=k_b)
+    return limit, limit
 
 
 def equivalence_classify(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> EquivalenceVerdict:
@@ -152,38 +160,22 @@ def equivalence_classify(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> Equivale
     lo, hi = _ratio_bounds(cov_a, cov_b)
     if isinstance(cov_a, Tabulated) or isinstance(cov_b, Tabulated):
         return EquivalenceVerdict(
-            Equivalence.UNDECIDED,
-            lo,
-            hi,
-            "unknown",
-            "tabulated input carries no tail information",
+            Equivalence.UNDECIDED, lo, hi, "unknown", "tabulated input carries no tail information"
         )
     lead_a = cov_a.atoms()[0]
     if lead_a[:2] != cov_b.atoms()[0][:2]:
         return EquivalenceVerdict(
-            Equivalence.SINGULAR,
-            lo,
-            hi,
-            "diverges",
+            Equivalence.SINGULAR, lo, hi, "diverges",
             "variance ratio is unbounded or tends to zero",
         )
     # (a_n - 1)^2 = (rho'_n - rho_n)^2 / rho_n^2
     delta = leading_difference(cov_b, cov_a)
     if delta is None or summable((delta, 2), (lead_a, -2)):
         return EquivalenceVerdict(
-            Equivalence.EQUIVALENT,
-            lo,
-            hi,
-            "converges",
+            Equivalence.EQUIVALENT, lo, hi, "converges",
             "bounded ratio and square-summable ratio deviation",
         )
-    return EquivalenceVerdict(
-        Equivalence.SINGULAR,
-        lo,
-        hi,
-        "diverges",
-        "sum (a_n - 1)^2 diverges",
-    )
+    return EquivalenceVerdict(Equivalence.SINGULAR, lo, hi, "diverges", "sum (a_n - 1)^2 diverges")
 
 
 # ---------------------------------------------------------------------------

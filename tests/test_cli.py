@@ -388,6 +388,12 @@ class TestCliContracts:
         assert p1 == p2
         assert env1["inputs_digest"] == env2["inputs_digest"]
 
+    def test_equivalence_of_underflowing_geometric_tails(self, capsys):
+        tiny = '{"geometric": {"c": 1e-322, "q": 0.001}}'
+        env = run_envelope(capsys, "equivalence", "--cov-a", tiny, "--cov-b", tiny)
+        assert env["payload"]["verdict"] == "equivalent"
+        assert env["payload"]["ratio_inf"] == env["payload"]["ratio_sup"] == 1.0
+
     def test_inputs_echo_reparses(self, capsys):
         env = run_envelope(
             capsys, "equivalence", "--cov-a", CONST1, "--cov-b", CONST2

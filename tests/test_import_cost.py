@@ -1,9 +1,10 @@
-"""The package loads scipy only on the two paths that integrate with quad.
+"""No path of the package loads scipy.
 
 Importing ``scipy.integrate`` takes about half a second, more than every
-other import of a CLI call together, so a fresh interpreter checks that
-``import cylmeasure`` and a symbolic subcommand leave scipy unloaded and
-that ``kernel --fourier`` still loads it and meets its error bound.
+other import of a CLI call together, and scipy is only a test dependency.
+A fresh interpreter checks that ``import cylmeasure``, a symbolic
+subcommand, ``kernel --fourier`` and the quick selftest leave scipy
+unloaded, and a second one runs the numeric paths with scipy blocked.
 """
 
 import json
@@ -34,20 +35,33 @@ report["shift_admissible"] = run(
 )
 report["after_shift_admissible"] = scipy_loaded()
 report["fourier"] = run("kernel", "--fourier", "1", "0.5", "--cutoff", "1e7", "--tol", "1e-6")
-report["integrate_loaded"] = "scipy.integrate" in sys.modules
+report["after_fourier"] = scipy_loaded()
+report["selftest"] = run("selftest", "--level", "quick")[0]
+report["after_selftest"] = scipy_loaded()
 print(json.dumps(report))
 """
 
+BLOCKED = """
+import sys
+sys.modules["scipy"] = None
+from cylmeasure.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
-def test_scipy_is_loaded_only_by_quadrature():
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE],
+
+def _run(code, *argv):
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
-        timeout=120,
-        check=True,
+        timeout=300,
     )
+
+
+def test_no_path_loads_scipy():
+    proc = _run(PROBE)
+    assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["after_import"] == []
     code, out = report["shift_admissible"]
@@ -56,7 +70,21 @@ def test_scipy_is_loaded_only_by_quadrature():
 
     code, out = report["fourier"]
     assert code == 0
-    assert report["integrate_loaded"]
+    assert report["after_fourier"] == []
     payload = json.loads(out)["payload"]
     exact = math.exp(-0.5) / 2.0  # exp(-m |x|) / (2 m) at m = 1, x = 0.5
     assert abs(payload["value"] - exact) <= payload["error_bound"] <= 1e-6
+
+    assert report["selftest"] == 0
+    assert report["after_selftest"] == []
+
+
+def test_numeric_paths_run_with_scipy_blocked():
+    fourier = _run(BLOCKED, "kernel", "--fourier", "1", "0.5")
+    assert fourier.returncode == 0, fourier.stderr
+    payload = json.loads(fourier.stdout)["payload"]
+    assert abs(payload["value"] - math.exp(-0.5) / 2.0) <= payload["error_bound"] <= 1e-6
+
+    selftest = _run(BLOCKED, "selftest", "--level", "quick")
+    assert selftest.returncode == 0, selftest.stdout + selftest.stderr
+    assert "kernel-oracle" in selftest.stdout

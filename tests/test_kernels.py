@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cylmeasure import cli
 from cylmeasure.errors import InputError, NumericError
 from cylmeasure.kernels import (
     GridFunction,
@@ -102,6 +104,46 @@ class TestFourierQuadrature:
             kernel_fourier_quadrature(-1.0, 0.0)
         with pytest.raises(InputError):
             kernel_fourier_quadrature(1.0, 0.0, tol=0.0)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_bound_covers_closed_form_and_quadpack_on_the_selftest_grid(self, m):
+        # QUADPACK is an independent oracle here only: (1/pi) int_0^inf with the
+        # Fourier-cosine weight, against the closed form exp(-m|x|)/(2m)
+        for x in np.linspace(-5.0, 5.0, 101):
+            res = kernel_fourier_quadrature(m, float(x), p_cutoff=1e7, tol=5e-7)
+            assert res.error_bound <= 5e-7
+            assert abs(res.value - kernel_eval(MassiveFree1D(m), float(x))) <= res.error_bound
+            if x == 0.0:
+                oracle, oracle_err = quad(lambda p: 1.0 / (m * m + p * p), 0.0, np.inf)
+            else:
+                oracle, oracle_err = quad(
+                    lambda p: 1.0 / (m * m + p * p), 0.0, np.inf, weight="cos", wvar=abs(x)
+                )
+            assert abs(res.value - oracle / math.pi) <= res.error_bound + oracle_err / math.pi
+
+    @pytest.mark.parametrize("m", [1e-300, 1e-8, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e150])
+    @pytest.mark.parametrize("x", [0.0, 1e-8, 0.5, 5.0, 1e4, 1e12, 1e300])
+    def test_cli_contract_grid(self, capsys, m, x):
+        code = cli.main(["kernel", "--fourier", repr(m), repr(x)])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if code == 0:
+            payload = json.loads(out)["payload"]
+            exact = math.exp(-m * abs(x)) / (2.0 * m)
+            assert abs(payload["value"] - exact) <= payload["error_bound"] <= 1e-6
+        else:
+            assert code in (2, 3) and out == "" and err.strip()
+
+    def test_reported_cutoff_is_the_truncation_used(self):
+        res = kernel_fourier_quadrature(1.0, 5.0, p_cutoff=1e7, tol=5e-7)
+        assert res.p_cutoff < 1e7
+        # the second mean-value bound 2/(pi |x| (m^2 + A^2)) takes half of tol
+        assert 2.0 / (math.pi * 5.0 * (1.0 + res.p_cutoff**2)) == pytest.approx(2.5e-7)
+        assert kernel_fourier_quadrature(1.0, 0.0, p_cutoff=1e7, tol=5e-7).p_cutoff == 1e7
+
+    def test_node_budget_is_checked_before_allocation(self):
+        with pytest.raises(NumericError, match="exceed the budget"):
+            kernel_fourier_quadrature(1e-3, 1e12)
 
 
 class TestCovarianceBilinear:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cylmeasure.errors import InputError, UndecidableError
+from cylmeasure.errors import InputError, NumericError, UndecidableError
 from cylmeasure.gaussian import draw_coordinates
 from cylmeasure.sequences import (
     Constant,
@@ -180,6 +180,20 @@ class TestEquivalenceClassify:
     def test_limit_offset_is_singular(self):
         v = equivalence_classify(Constant(1.0), ConstantPlusPower(2.0, 1.0, 1.0))
         assert v.verdict is Equivalence.SINGULAR
+
+    def test_underflowing_scan_reports_the_tail_limit(self):
+        # every scanned entry underflows to 0, so no ratio is finite
+        tiny = Geometric(1e-322, 0.001)
+        v = equivalence_classify(tiny, tiny)
+        assert v.verdict is Equivalence.EQUIVALENT
+        assert v.ratio_inf == v.ratio_sup == 1.0
+        v = equivalence_classify(tiny, Geometric(1e-322, 0.5))
+        assert v.verdict is Equivalence.SINGULAR
+        assert (v.ratio_inf, v.ratio_sup) == (0.0, math.inf)
+
+    def test_overflowing_tail_limit_is_a_numeric_failure(self):
+        with pytest.raises(NumericError):
+            equivalence_classify(Constant(1e-300), Constant(1e300))
 
     def test_tabulated_is_undecided(self):
         v = equivalence_classify(Tabulated((1.0, 1.1, 0.9)), Constant(1.0))
