@@ -6,101 +6,61 @@ support diagnostics, translation-invariant covariance kernels on the
 line, and Haar measure on the torus family of the compactified line.
 Every analytic formula is paired with an independent Monte Carlo or
 quadrature oracle in the test suite and the ``selftest`` gate.
+
+``import cylmeasure`` loads no submodule: each name below, and each
+submodule, is imported on first use (PEP 562), so a CLI call pays only
+for the modules its subcommand runs.
 """
 
-from .bohr import (
-    FrequencySet,
-    HaarIntegralResult,
-    IndependenceResult,
-    MCMethod,
-    QuadratureMethod,
-    haar_cylinder_integral,
-    haar_sample_batch,
-    independence_check,
-)
-from .errors import InputError, NumericError, UndecidableError
-from .gaussian import (
-    CovarianceSeq,
-    GaussianSample,
-    GramReport,
-    chi,
-    draw_coordinates,
-    inner,
-    pairings,
-    positive_type_gram,
-    sample,
-    wick_moment,
-)
-from .kernels import (
-    BilinearReport,
-    FourierQuadResult,
-    GridFunction,
-    KernelRegularity,
-    KernelSpec,
-    MassiveFree1D,
-    TabulatedKernel,
-    WhiteNoise,
-    covariance_bilinear,
-    covariance_bilinear_report,
-    kernel_eval,
-    kernel_fourier_quadrature,
-    support_regularity_flag,
-)
-from .measure_core import (
-    ConstantFactorTail,
-    ConsistencyResult,
-    CylinderSet,
-    FullTail,
-    Gaussian1D,
-    IncreasingLimitReport,
-    Interval,
-    MarginalTable,
-    OneMinusGeometricTail,
-    PointMass1D,
-    ProductLimitReport,
-    ProductMeasureSpec,
-    ProductSampler,
-    TabulatedTail,
-    TailConstraints,
-    Uniform1D,
-    consistency_check,
-    countable_product_measure,
-    cylinder_measure,
-    increasing_limit,
-    pushforward_integral_mc,
-)
-from .seeding import derive_seed
-from .selftest import run_selftest
-from .sequences import (
-    Constant,
-    ConstantPlusPower,
-    FiniteSequence,
-    Geometric,
-    PowerDecay,
-    Prefixed,
-    Tabulated,
-)
-from .support import (
-    DiagonalOperator,
-    Support,
-    SupportReport,
-    TailGrowthReport,
-    hilbert_schmidt_check,
-    mc_tail_growth,
-    nuclear_embedding_check,
-    weighted_support_check,
-)
-from .transform import (
-    EmptyFamily,
-    Equivalence,
-    EquivalenceVerdict,
-    FinitelySupportedFamily,
-    ShiftSpec,
-    WeightedL2Family,
-    equivalence_classify,
-    ergodicity_flag,
-    rn_density,
-    shift_admissible,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# submodule -> the names the package re-exports from it
+_EXPORTS = {
+    "bohr": ("FrequencySet", "HaarIntegralResult", "IndependenceResult", "MCMethod",
+             "QuadratureMethod", "haar_cylinder_integral", "haar_sample_batch",
+             "independence_check"),
+    "errors": ("InputError", "NumericError", "UndecidableError"),
+    "gaussian": ("CovarianceSeq", "GaussianSample", "GramReport", "chi", "draw_coordinates",
+                 "inner", "pairings", "positive_type_gram", "sample", "wick_moment"),
+    "kernels": ("BilinearReport", "FourierQuadResult", "GridFunction", "KernelRegularity",
+                "KernelSpec", "MassiveFree1D", "TabulatedKernel", "WhiteNoise",
+                "covariance_bilinear", "covariance_bilinear_report", "kernel_eval",
+                "kernel_fourier_quadrature", "support_regularity_flag"),
+    "measure_core": ("ConstantFactorTail", "ConsistencyResult", "CylinderSet", "FullTail",
+                     "Gaussian1D", "IncreasingLimitReport", "Interval", "MarginalTable",
+                     "OneMinusGeometricTail", "PointMass1D", "ProductLimitReport",
+                     "ProductMeasureSpec", "ProductSampler", "TabulatedTail",
+                     "TailConstraints", "Uniform1D", "consistency_check",
+                     "countable_product_measure", "cylinder_measure", "increasing_limit",
+                     "pushforward_integral_mc"),
+    "seeding": ("derive_seed",),
+    "selftest": ("run_selftest",),
+    "sequences": ("Constant", "ConstantPlusPower", "FiniteSequence", "Geometric", "PowerDecay",
+                  "Prefixed", "Tabulated"),
+    "support": ("DiagonalOperator", "Support", "SupportReport", "TailGrowthReport",
+                "hilbert_schmidt_check", "mc_tail_growth", "nuclear_embedding_check",
+                "weighted_support_check"),
+    "transform": ("EmptyFamily", "Equivalence", "EquivalenceVerdict", "FinitelySupportedFamily",
+                  "ShiftSpec", "WeightedL2Family", "equivalence_classify", "ergodicity_flag",
+                  "rn_density", "shift_admissible"),
+}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "jsonio"}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

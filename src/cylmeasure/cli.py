@@ -6,6 +6,9 @@ result envelope carries (estimate, standard error, n_samples, seed).
 Output is a strict JSON envelope; ``--out csv`` emits tabular traces for
 the few subcommands that produce them.  ``SUBCOMMANDS`` declares each
 subcommand's options, so a flag a subcommand would ignore is rejected.
+The symbolic core loads with this module; ``kernels``, ``measure_core``,
+``bohr``, ``selftest`` and ``csv`` load inside the code that uses them,
+so a fresh process imports only what its subcommand runs.
 
 Exit codes: 0 success, 2 input error (schema violations name the
 offending key), 3 numeric failure (a tolerance that could not be
@@ -21,7 +24,6 @@ other volatile data live outside the payload.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import io
@@ -33,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from . import bohr, gaussian, jsonio, kernels, measure_core, selftest, support, transform
+from . import gaussian, jsonio, support, transform
 from .errors import InputError, NumericError
 from .sequences import FiniteSequence
 
@@ -213,6 +215,8 @@ def _payload_hs_check(args) -> tuple[dict, Any, list[str]]:
 
 
 def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
+    from . import kernels
+
     modes = (
         args.at is not None,
         args.bilinear is not None,
@@ -259,6 +263,8 @@ def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
 
 
 def _payload_bohr(args) -> tuple[dict, Any, list[str]]:
+    from . import bohr
+
     try:
         freqs = bohr.FrequencySet(tuple(float(v) for v in args.freqs.split(",")))
     except ValueError as exc:
@@ -323,6 +329,8 @@ def _integrand_from_catalog(name: str, n_axes: int):
 
 
 def _payload_product(args) -> tuple[dict, Any, list[str]]:
+    from . import measure_core
+
     spec_doc = _load_json_arg(args.spec, "--spec")
     spec = jsonio.decode("measure_rule", spec_doc, "rule")
     if (args.cylinder is None) == (args.tail is None and args.prefix is None):
@@ -350,6 +358,8 @@ def _payload_product(args) -> tuple[dict, Any, list[str]]:
 
 
 def _payload_consistency(args) -> tuple[dict, Any, list[str]]:
+    from . import measure_core
+
     doc = _load_json_arg(args.marginals, "--marginals")
     tables = jsonio.decode("marginal_tables", doc, "marginals")
     res = measure_core.consistency_check(tables, tol=args.tol)
@@ -387,6 +397,8 @@ def _emit(envelope: dict, out_format: str) -> str:
         raise InputError(
             f"subcommand {envelope['subcommand']!r} has no tabular trace for CSV output"
         )
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
@@ -509,7 +521,7 @@ SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, dict], ...]]] = {
     )),
     "selftest": ("run the release-gate criteria", None, (
         ("--level", {"choices": ("quick", "full"), "default": "quick"}),
-        ("--seed", {**_SEED, "default": selftest.DEFAULT_SEED}),
+        ("--seed", _SEED),
     )),
 }
 
@@ -531,7 +543,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_selftest(args) -> int:
-    results = selftest.run_selftest(args.level, args.seed)
+    from . import selftest
+
+    seed = selftest.DEFAULT_SEED if args.seed is None else args.seed
+    results = selftest.run_selftest(args.level, seed)
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.criterion}: {res.detail}")
     failed = [r for r in results if not r.passed]

@@ -33,11 +33,18 @@ offending path.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import math
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
-from . import kernels, measure_core, sequences, transform
+import numpy as np
+
+from . import sequences, transform
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from . import measure_core
 
 __all__ = ["SCHEMA", "decode", "decode_decay", "decode_shift", "encode_value"]
 
@@ -114,10 +121,6 @@ def _natural(value: Any) -> int:
     return value
 
 
-def _identical(doc: Any) -> measure_core.ProductMeasureSpec:
-    return measure_core.ProductMeasureSpec.identical(_read("component", doc))
-
-
 def _index_map(doc: Any) -> dict[int, measure_core.Component1D]:
     if not isinstance(doc, dict):
         raise _Fault(f"expected an object, got {type(doc).__name__}")
@@ -134,26 +137,92 @@ def _index_map(doc: Any) -> dict[int, measure_core.Component1D]:
     return mapping
 
 
-def _cell(boxes: tuple, p: float) -> tuple:
-    return tuple(measure_core.normalize_box(box) for box in boxes), p
-
-
-def _marginal_table(indices: tuple[int, ...], cells: tuple) -> measure_core.MarginalTable:
-    if not indices:
-        raise _Fault("expected a nonempty array of naturals", ".indices")
-    for j, (boxes, _) in enumerate(cells):
-        if len(boxes) != len(indices):
-            raise _Fault(f"expected {len(indices)} boxes (one per index)", f".cells[{j}].boxes")
-    return measure_core.MarginalTable(indices, cells)
-
-
 # ---------------------------------------------------------------------------
 # the schema: kind -> shape.  A shape is a dict of tagged variants, an
 # _Object, a _List, a _Tuple, the name of another kind, or a leaf reader.
 
 _NUMBERS = _List(_number)
-_BOX = _List(_Tuple(measure_core.Interval, (_interval_end, _interval_end)))
 
+
+def _measure_kinds() -> dict[str, Any]:
+    """The kinds read into ``measure_core`` objects; ``measure_core`` loads here."""
+    from . import measure_core
+
+    def cell(boxes: tuple, p: float) -> tuple:
+        return tuple(measure_core.normalize_box(box) for box in boxes), p
+
+    def marginal_table(indices: tuple[int, ...], cells: tuple) -> measure_core.MarginalTable:
+        if not indices:
+            raise _Fault("expected a nonempty array of naturals", ".indices")
+        for j, (boxes, _) in enumerate(cells):
+            if len(boxes) != len(indices):
+                raise _Fault(f"expected {len(indices)} boxes (one per index)", f".cells[{j}].boxes")
+        return measure_core.MarginalTable(indices, cells)
+
+    box = _List(_Tuple(measure_core.Interval, (_interval_end, _interval_end)))
+    return {
+        "component": {
+            "gaussian": _object(measure_core.Gaussian1D, rho=_number),
+            "uniform": _object(measure_core.Uniform1D, a=_number, b=_number),
+            "point_mass": _object(measure_core.PointMass1D, c=_number),
+        },
+        "measure_rule": {
+            "identical": lambda doc: measure_core.ProductMeasureSpec.identical(
+                _read("component", doc)
+            ),
+            "indexed": _object(
+                measure_core.ProductMeasureSpec.indexed, map=_index_map, default="component"
+            ),
+        },
+        "cylinder": _object(
+            measure_core.CylinderSet, base=_List(_object(_pack, index=_natural, boxes=box))
+        ),
+        "tail_rule": {
+            "full": _object(measure_core.FullTail),
+            "constant_factor": _object(measure_core.ConstantFactorTail, f=_number),
+            "one_minus_geometric": _object(
+                measure_core.OneMinusGeometricTail, c=_number, q=_number
+            ),
+            "tabulated": _object(measure_core.TabulatedTail, factors=_NUMBERS),
+        },
+        "marginal_tables": _List(
+            _object(
+                marginal_table,
+                indices=_List(_natural),
+                cells=_List(_object(cell, boxes=_List(box), p=_number)),
+            )
+        ),
+    }
+
+
+def _kernel_kinds() -> dict[str, Any]:
+    """The kinds read into ``kernels`` objects; ``kernels`` loads here."""
+    from . import kernels
+
+    return {
+        "kernel": {
+            "white_noise": _object(kernels.WhiteNoise, sigma=_number),
+            "massive_free_1d": _object(kernels.MassiveFree1D, m=_number),
+            "tabulated": _object(kernels.TabulatedKernel, grid=_NUMBERS, values=_NUMBERS),
+        },
+        "grid_function": _object(
+            kernels.GridFunction, x0=_number, dx=_number, count=_natural, values=_NUMBERS
+        ),
+    }
+
+
+def _on_first_read(kind: str, kinds) -> Any:
+    """A leaf reader standing in for ``kind``: its first read puts ``kinds()`` into SCHEMA."""
+
+    def read(doc: Any) -> Any:
+        SCHEMA.update(kinds())
+        return _read(kind, doc)
+
+    return read
+
+
+# Every kind is listed from import on; the kinds of measure_core and kernels
+# are built on their first read, so a call that reads none loads neither.
 SCHEMA: dict[str, Any] = {
     "decay": {
         "constant": _object(sequences.Constant, rho=_number),
@@ -165,44 +234,16 @@ SCHEMA: dict[str, Any] = {
         "prefixed": _object(sequences.Prefixed, prefix=_NUMBERS, tail="decay"),
         "tabulated": _object(sequences.Tabulated, values=_NUMBERS),
     },
-    "component": {
-        "gaussian": _object(measure_core.Gaussian1D, rho=_number),
-        "uniform": _object(measure_core.Uniform1D, a=_number, b=_number),
-        "point_mass": _object(measure_core.PointMass1D, c=_number),
-    },
-    "measure_rule": {
-        "identical": _identical,
-        "indexed": _object(
-            measure_core.ProductMeasureSpec.indexed, map=_index_map, default="component"
-        ),
-    },
-    "cylinder": _object(
-        measure_core.CylinderSet, base=_List(_object(_pack, index=_natural, boxes=_BOX))
-    ),
+    "component": _on_first_read("component", _measure_kinds),
+    "measure_rule": _on_first_read("measure_rule", _measure_kinds),
+    "cylinder": _on_first_read("cylinder", _measure_kinds),
     "finite_sequence": _object(
         sequences.FiniteSequence, entries=_List(_Tuple(_pack, (_natural, _number)))
     ),
-    "kernel": {
-        "white_noise": _object(kernels.WhiteNoise, sigma=_number),
-        "massive_free_1d": _object(kernels.MassiveFree1D, m=_number),
-        "tabulated": _object(kernels.TabulatedKernel, grid=_NUMBERS, values=_NUMBERS),
-    },
-    "grid_function": _object(
-        kernels.GridFunction, x0=_number, dx=_number, count=_natural, values=_NUMBERS
-    ),
-    "tail_rule": {
-        "full": _object(measure_core.FullTail),
-        "constant_factor": _object(measure_core.ConstantFactorTail, f=_number),
-        "one_minus_geometric": _object(measure_core.OneMinusGeometricTail, c=_number, q=_number),
-        "tabulated": _object(measure_core.TabulatedTail, factors=_NUMBERS),
-    },
-    "marginal_tables": _List(
-        _object(
-            _marginal_table,
-            indices=_List(_natural),
-            cells=_List(_object(_cell, boxes=_List(_BOX), p=_number)),
-        )
-    ),
+    "kernel": _on_first_read("kernel", _kernel_kinds),
+    "grid_function": _on_first_read("grid_function", _kernel_kinds),
+    "tail_rule": _on_first_read("tail_rule", _measure_kinds),
+    "marginal_tables": _on_first_read("marginal_tables", _measure_kinds),
     "numbers": _NUMBERS,
 }
 
@@ -285,11 +326,6 @@ def decode_shift(doc: Any, path: str = "shift") -> transform.ShiftSpec:
 
 def encode_value(value: Any) -> Any:
     """Recursively convert results to JSON-safe structures."""
-    import dataclasses
-    import enum
-
-    import numpy as np
-
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, (bool, int, str)) or value is None:

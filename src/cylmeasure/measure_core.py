@@ -382,6 +382,8 @@ def countable_product_measure(
     """
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
+    if n_max is not None and n_max < 0:
+        raise InputError(f"n_max must be non-negative, got {n_max}")
     tail = constraints.tail
     if n_max is None:
         n_max = (

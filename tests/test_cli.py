@@ -267,6 +267,15 @@ class TestCliSubcommands:
         assert abs(env["payload"]["value"] - 0.288788) < 1e-6
         assert env["payload"]["verdict"] == "converged"
 
+    def test_product_negative_n_max_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "product", "--spec", UNIFORM,
+            "--tail", '{"constant_factor": {"f": 0.5}}', "--n-max", "-3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:") and "n_max must be non-negative" in err
+
     def test_consistency_subcommand(self, capsys):
         doc = json.dumps(
             [

@@ -1,10 +1,15 @@
-"""No path of the package loads scipy.
+"""A CLI call loads only what its subcommand runs, and never scipy.
 
 Importing ``scipy.integrate`` takes about half a second, more than every
 other import of a CLI call together, and scipy is only a test dependency.
 A fresh interpreter checks that ``import cylmeasure``, a symbolic
 subcommand, ``kernel --fourier`` and the quick selftest leave scipy
 unloaded, and a second one runs the numeric paths with scipy blocked.
+
+The package's own modules come next: ``import cylmeasure`` loads none of
+them, and a subcommand loads only those of ``bohr``, ``kernels``,
+``measure_core`` and ``selftest`` that it runs.  Each call gets its own
+fresh interpreter, since loaded modules accumulate.
 """
 
 import json
@@ -13,6 +18,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -88,3 +95,72 @@ def test_numeric_paths_run_with_scipy_blocked():
     selftest = _run(BLOCKED, "selftest", "--level", "quick")
     assert selftest.returncode == 0, selftest.stdout + selftest.stderr
     assert "kernel-oracle" in selftest.stdout
+
+
+LOADED = """
+import contextlib, io, json, sys
+import cylmeasure.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cylmeasure.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(k for k in sys.modules if k.startswith("cylmeasure."))]))
+"""
+
+HEAVY = {"bohr", "kernels", "measure_core", "selftest"}
+CONST = '{"constant":{"rho":1}}'
+POWER = '{"power":{"c":1,"p":1}}'
+UNIFORM = '{"identical":{"uniform":{"a":0,"b":1}}}'
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (("shift-admissible", "--cov", CONST, "--shift", POWER), set()),
+        (("hs-check", "--weights", POWER), set()),
+        (("equivalence", "--cov-a", CONST, "--cov-b", '{"constant":{"rho":2}}'), set()),
+        (("support", "--cov", CONST, "--weights", POWER, "--mc", "100", "100", "--seed", "1"),
+         set()),
+        (("kernel", "--spec", '{"massive_free_1d":{"m":1}}', "--at", "0.5"), {"kernels"}),
+        (("product", "--spec", UNIFORM, "--tail", '{"constant_factor":{"f":0.5}}'),
+         {"measure_core"}),
+        (("consistency", "--marginals",
+          '[{"indices":[1],"cells":[{"boxes":[[[0,"inf"]]],"p":1}]}]'), {"measure_core"}),
+        (("bohr", "--freqs", "1,1.4142135623730951", "--integral", "cos:1,1"), {"bohr"}),
+    ],
+    ids=["shift-admissible", "hs-check", "equivalence", "support", "kernel", "product",
+         "consistency", "bohr"],
+)
+def test_subcommand_loads_only_the_heavy_modules_it_runs(argv, loads):
+    proc = _run(LOADED, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    assert {m.removeprefix("cylmeasure.") for m in modules} & HEAVY == loads
+
+
+EXPORTS = """
+import json, sys
+import cylmeasure
+loaded = sorted(k for k in sys.modules if k.startswith("cylmeasure."))
+star = {}
+exec("from cylmeasure import *", star)
+print(json.dumps({
+    "loaded": loaded,
+    "exports": len(cylmeasure.__all__),
+    "missing": [n for n in cylmeasure.__all__ if not hasattr(cylmeasure, n)],
+    "unlisted": sorted(set(cylmeasure.__all__) - set(dir(cylmeasure))),
+    "not_starred": sorted(set(cylmeasure.__all__) - set(star)),
+    "submodules": sorted({type(getattr(cylmeasure, m)).__name__ for m in (
+        "bohr", "cli", "errors", "gaussian", "jsonio", "kernels", "measure_core", "seeding",
+        "selftest", "sequences", "support", "transform")}),
+}))
+"""
+
+
+def test_import_loads_no_submodule_and_every_export_resolves():
+    proc = _run(EXPORTS)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == []
+    assert report["exports"] > 0
+    assert report["missing"] == report["unlisted"] == report["not_starred"] == []
+    assert report["submodules"] == ["module"]

@@ -242,6 +242,11 @@ class TestProductBlockScan:
         report = self.check(ConstantFactorTail(1.0 - 1e-7), n_max=n_max)
         assert report.n_factors == n_max and not report.converged
 
+    def test_negative_n_max_is_rejected(self):
+        constraints = TailConstraints(prefix=HALF_BOX, tail=ConstantFactorTail(0.5))
+        with pytest.raises(InputError, match="n_max must be non-negative, got -3"):
+            countable_product_measure(UNIFORM, constraints, n_max=-3)
+
     def test_table_longer_than_n_max(self):
         report = self.check(TabulatedTail((0.99,) * 5000), n_max=4500)
         assert report.n_factors == 4500 and not report.converged
