@@ -47,6 +47,9 @@ def _reject_constant(token: str) -> None:
 
 
 _STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+# the canonical form the inputs digest hashes: what json.dumps(inputs,
+# sort_keys=True, separators=(",", ":")) prints, without a new encoder per call
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _load_json_arg(raw: str, what: str) -> Any:
@@ -369,9 +372,7 @@ def _payload_consistency(args) -> tuple[dict, Any, list[str]]:
 def build_envelope(args) -> dict:
     start = time.perf_counter()
     payload, inputs, provenance = SUBCOMMANDS[args.subcommand][1](args)
-    digest = hashlib.sha256(
-        json.dumps(inputs, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
+    digest = hashlib.sha256(_CANONICAL_JSON.encode(inputs).encode()).hexdigest()
     return {
         "subcommand": args.subcommand,
         "inputs": inputs,

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from typing import TYPE_CHECKING, Any, NamedTuple
 
@@ -99,13 +100,19 @@ def _pack(*values):
 
 
 def _number(value: Any, allow_inf: bool = False) -> float:
-    if isinstance(value, str):
-        if allow_inf and value in ("inf", "-inf"):
-            return math.inf if value == "inf" else -math.inf
-        raise _Fault(f"expected a number, got string {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _Fault(f"expected a number, got {type(value).__name__}")
-    value = float(value)
+    kind = type(value)
+    if kind is not float:
+        if kind is not int:  # bool is a subclass of int, not int itself
+            if isinstance(value, str):
+                if allow_inf and value in ("inf", "-inf"):
+                    return math.inf if value == "inf" else -math.inf
+                raise _Fault(f"expected a number, got string {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise _Fault(f"expected a number, got {type(value).__name__}")
+        try:
+            value = float(value)
+        except OverflowError:  # a JSON integer past the float range
+            raise _Fault("must be finite") from None
     if not math.isfinite(value):
         raise _Fault("must be finite")
     return value
@@ -140,6 +147,7 @@ def _index_map(doc: Any) -> dict[int, measure_core.Component1D]:
 # ---------------------------------------------------------------------------
 # the schema: kind -> shape.  A shape is a dict of tagged variants, an
 # _Object, a _List, a _Tuple, the name of another kind, or a leaf reader.
+# A kind's shape is compiled into one reader closure on its first read.
 
 _NUMBERS = _List(_number)
 
@@ -212,10 +220,17 @@ def _kernel_kinds() -> dict[str, Any]:
 
 
 def _on_first_read(kind: str, kinds) -> Any:
-    """A leaf reader standing in for ``kind``: its first read puts ``kinds()`` into SCHEMA."""
+    """A leaf reader standing in for ``kind``: its first read puts ``kinds()`` into SCHEMA.
+
+    The readers compiled from the stand-ins are dropped, so each kind is
+    compiled again from its real shape.
+    """
 
     def read(doc: Any) -> Any:
-        SCHEMA.update(kinds())
+        built = kinds()
+        SCHEMA.update(built)
+        for name in built:
+            _READERS.pop(name, None)
         return _read(kind, doc)
 
     return read
@@ -255,52 +270,118 @@ def _build(build, values: list) -> Any:
         raise _Fault(str(exc)) from None
 
 
-def _read(shape: Any, doc: Any) -> Any:
-    """Read ``doc`` as ``shape``: the one decoder behind every kind."""
-    if type(shape) is str:
-        shape = SCHEMA[shape]
-    form = type(shape)
-    if (form is dict or form is _Object) and not isinstance(doc, dict):
-        raise _Fault(f"expected an object, got {type(doc).__name__}")
-    if form is dict:
+def _object_fault(doc: Any) -> _Fault:
+    return _Fault(f"expected an object, got {type(doc).__name__}")
+
+
+def _variants(shape: dict) -> Any:
+    readers = {tag: _compile(variant) for tag, variant in shape.items()}
+    tags = list(shape)
+
+    def read(doc: Any) -> Any:
+        if not isinstance(doc, dict):
+            raise _object_fault(doc)
         if len(doc) != 1:
-            raise _Fault(f"expected exactly one of {list(shape)}, got keys {list(doc)}")
+            raise _Fault(f"expected exactly one of {tags}, got keys {list(doc)}")
         ((tag, body),) = doc.items()
-        variant = shape.get(tag)
-        if variant is None:
-            raise _Fault(f"unknown variant; expected one of {list(shape)}", f".{tag}")
+        reader = readers.get(tag)
+        if reader is None:
+            raise _Fault(f"unknown variant; expected one of {tags}", f".{tag}")
         try:
-            return _read(variant, body)
+            return reader(body)
         except _Fault as fault:
             raise fault.under(f".{tag}")
-    if form is _Object:
-        if doc.keys() != shape.keys:
-            unknown = sorted(doc.keys() - shape.keys)
+
+    return read
+
+
+def _fields(shape: _Object) -> Any:
+    build, keys = shape.build, shape.keys
+    fields = tuple((key, _compile(field)) for key, field in shape.fields)
+
+    def read(doc: Any) -> Any:
+        if not isinstance(doc, dict):
+            raise _object_fault(doc)
+        if doc.keys() != keys:
+            unknown = sorted(doc.keys() - keys)
             if unknown:
                 raise _Fault("unknown key", f".{unknown[0]}")
-            missing = next(key for key, _ in shape.fields if key not in doc)
+            missing = next(key for key, _ in fields if key not in doc)
             raise _Fault("missing required key", f".{missing}")
         values = []
-        try:
-            for key, field in shape.fields:
-                values.append(_read(field, doc[key]))
-        except _Fault as fault:
-            raise fault.under(f".{key}")
-        return _build(shape.build, values)
-    if form is _List or form is _Tuple:
-        if not isinstance(doc, list):
-            raise _Fault(f"expected an array, got {type(doc).__name__}")
-        items = shape.items if form is _Tuple else (shape.item,) * len(doc)
-        if len(doc) != len(items):
+        for key, field in fields:
+            try:
+                values.append(field(doc[key]))
+            except _Fault as fault:
+                raise fault.under(f".{key}")
+        return _build(build, values)
+
+    return read
+
+
+def _array(doc: Any) -> list:
+    if not isinstance(doc, list):
+        raise _Fault(f"expected an array, got {type(doc).__name__}")
+    return doc
+
+
+def _list(shape: _List) -> Any:
+    item = _compile(shape.item)
+
+    def read(doc: Any) -> tuple:
+        values = []
+        for i, value in enumerate(_array(doc)):
+            try:
+                values.append(item(value))
+            except _Fault as fault:
+                raise fault.under(f"[{i}]")
+        return tuple(values)
+
+    return read
+
+
+def _tuple(shape: _Tuple) -> Any:
+    build, items = shape.build, tuple(_compile(item) for item in shape.items)
+
+    def read(doc: Any) -> Any:
+        if len(_array(doc)) != len(items):
             raise _Fault(f"expected an array of {len(items)} items, got {len(doc)}")
         values = []
-        try:
-            for i, item in enumerate(items):
-                values.append(_read(item, doc[i]))
-        except _Fault as fault:
-            raise fault.under(f"[{i}]")
-        return tuple(values) if form is _List else _build(shape.build, values)
-    return shape(doc)
+        for i, item in enumerate(items):
+            try:
+                values.append(item(doc[i]))
+            except _Fault as fault:
+                raise fault.under(f"[{i}]")
+        return _build(build, values)
+
+    return read
+
+
+def _compile(shape: Any) -> Any:
+    """The reader of ``shape``: a function from a document to its value, raising ``_Fault``."""
+    form = type(shape)
+    if form is str:  # another kind, resolved at read time, so kinds may nest
+        return functools.partial(_read, shape)
+    if form is dict:
+        return _variants(shape)
+    if form is _Object:
+        return _fields(shape)
+    if form is _List:
+        return _list(shape)
+    if form is _Tuple:
+        return _tuple(shape)
+    return shape
+
+
+_READERS: dict[str, Any] = {}  # kind -> compiled reader, filled on each kind's first read
+
+
+def _read(kind: str, doc: Any) -> Any:
+    """Read ``doc`` as the ``SCHEMA`` kind ``kind``: the one decoder behind every kind."""
+    reader = _READERS.get(kind)
+    if reader is None:
+        reader = _READERS[kind] = _compile(SCHEMA[kind])
+    return reader(doc)
 
 
 def decode(kind: str, doc: Any, path: str) -> Any:

@@ -373,7 +373,9 @@ def countable_product_measure(
     The limit is reported, not decided: iteration stops once the factors
     are within ``tol`` of 1 (converged), once the partial product
     underflows to an exact 0 (converged), or at ``n_max`` factors
-    (decreasing-unconverged, value = last partial product).
+    (decreasing-unconverged, value = last partial product).  A tabulated
+    tail is multiplied factor by factor to the end of its table
+    (converged there): the ``tol`` stop does not apply inside a table.
 
     Factors are taken in blocks: a cumulative product seeded with the
     running partial product multiplies in the order of a factor-by-factor
@@ -392,7 +394,7 @@ def countable_product_measure(
             else DEFAULT_N_MAX_CLOSED_FORM
         )
     partial = cylinder_measure(spec, constraints.prefix)
-    if isinstance(tail, FullTail):
+    if isinstance(tail, FullTail) or tail.length == 0:
         return ProductLimitReport(partial, 0, True, "converged")
     table_end = tail.length if tail.length is not None else n_max + 1
     n_used = 0
@@ -402,7 +404,9 @@ def countable_product_measure(
         bad = ~((0.0 <= f) & (f <= 1.0))
         running = np.cumprod(np.concatenate(([partial], f)))[1:]
         at_table_end = ks >= table_end
-        stop = at_table_end | (running <= _UNDERFLOW) | (1.0 - f <= tol)
+        stop = at_table_end | (running <= _UNDERFLOW)
+        if tail.length is None:  # a table is multiplied to its end
+            stop |= 1.0 - f <= tol
         first_bad = int(np.argmax(bad)) if bad.any() else len(ks)
         first_stop = int(np.argmax(stop)) if stop.any() else len(ks)
         if first_bad < len(ks) and first_bad <= first_stop:

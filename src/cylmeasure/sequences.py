@@ -28,7 +28,9 @@ needs only leading atoms, the leading atom of one difference
 The boundary test is exact on the decimal each float prints as (its
 ``repr``, which is what a JSON document spells): q is compared with 1 by
 cross-multiplying, alpha with -1 by adding, in decimal arithmetic that
-raises rather than rounds.  Coefficients enter only by their sign and by
+raises rather than rounds.  A float filter answers first, within a
+rigorous error bound, and leaves every result it cannot separate from
+the boundary to that test.  Coefficients enter only by their sign and by
 float equality, so no product of them can underflow to 0.
 
 ``Tabulated`` carries a finite table and no tail information; its
@@ -160,7 +162,10 @@ class _Decay:
         """Entry s_n."""
         if n < 1:
             raise InputError(f"sequence entries are indexed from 1, got n={n}")
-        return self._at(n)
+        try:
+            return self._at(n)
+        except OverflowError:  # n itself is past the float range
+            raise InputError(f"sequence index {n} is beyond the float range") from None
 
     def first(self, n_max: int) -> np.ndarray:
         """Entries s_1..s_{n_max} as a dense vector."""
@@ -399,17 +404,71 @@ def _decimal(x: float) -> decimal.Decimal:
     return decimal.Decimal(repr(x))
 
 
-def summable(*powers: tuple[Atom, int]) -> bool:
-    """Whether sum_n prod_i s_i(n)**e_i converges, from leading atoms.
+# The float filter in front of the exact test.  u = 2**-53 bounds both the
+# relative rounding of one float operation and the relative gap between a
+# float and the decimal its repr spells (half an ulp).  Inside
+# [2**-1000, 2**1000] every float is normal, so both bounds hold; a value
+# outside that range goes to the exact test.  A side of at most
+# _FILTER_FACTORS factors has under 1000 digits, so wherever the filter
+# decides, the exact test would have decided too, and the same way.
+_TINY, _HUGE = 2.0**-1000, 2.0**1000
+_INV_U = 2.0**53
+_SLACK = 1.0 + 2.0**-40  # covers the second-order terms and the bound's own rounding
+_FILTER_FACTORS = 32
 
-    Each factor is given as (leading atom of s_i, integer power e_i).  The
-    product must be eventually positive (callers square signed factors
-    and check the others positive); its leading atom is
-    (prod q_i**e_i, sum e_i * alpha_i).  q is compared with 1 by
-    cross-multiplying the q_i with e_i > 0 against those with e_i < 0
-    (factors with q_i = 1 change neither side), then, on a tie, alpha
-    with -1; both exactly.
+
+def _float_summable(powers: tuple[tuple[Atom, int], ...]) -> bool | None:
+    """``summable`` decided in floats, or None where rounding could flip it.
+
+    A side that multiplies n floats has carried n repr gaps and n - 1
+    roundings (the first product 1.0 * q is exact), so it lies within
+    a relative gamma_(2n-1) of the exact product of the decimals; the
+    difference of two sides must clear the sum of the two.  The alpha
+    sum of m terms, each a repr gap and a product away from exact, is
+    off by at most gamma_(m+2) times the sum of magnitudes; one more u
+    of margin takes up the rest.
     """
+    num = den = 1.0
+    n_num = n_den = 0
+    for (q, _, _), e in powers:
+        if q == 1.0:
+            continue
+        if e > 0:
+            n_num += e
+            if n_num > _FILTER_FACTORS:
+                return None
+            for _ in range(e):
+                num *= q
+                if not _TINY <= num <= _HUGE:
+                    return None
+        elif e < 0:
+            n_den -= e
+            if n_den > _FILTER_FACTORS:
+                return None
+            for _ in range(-e):
+                den *= q
+                if not _TINY <= den <= _HUGE:
+                    return None
+    if n_num or n_den:
+        k = 2 * (n_num + n_den) - (n_num > 0) - (n_den > 0)
+        if abs(den - num) * _INV_U <= k * _SLACK * max(num, den):
+            return None  # too close to call, or a tie: the exact test decides
+        return num < den
+    if len(powers) > _FILTER_FACTORS:
+        return None
+    total = magnitude = 1.0
+    for (_, alpha, _), e in powers:
+        if abs(e) > _FILTER_FACTORS or alpha != 0.0 and not _TINY <= abs(alpha) <= _HUGE:
+            return None
+        term = e * alpha
+        total += term
+        magnitude += abs(term)
+    if abs(total) * _INV_U <= (len(powers) + 3) * _SLACK * magnitude:
+        return None
+    return total < 0.0
+
+
+def _exact_summable(powers: tuple[tuple[Atom, int], ...]) -> bool:
     num = den = decimal.Decimal(1)
     for (q, _, _), e in powers:
         if q != 1.0:
@@ -424,3 +483,20 @@ def summable(*powers: tuple[Atom, int]) -> bool:
     for (_, a, _), e in powers:
         alpha = _EXACT.fma(e, _decimal(a), alpha)
     return alpha < -1
+
+
+def summable(*powers: tuple[Atom, int]) -> bool:
+    """Whether sum_n prod_i s_i(n)**e_i converges, from leading atoms.
+
+    Each factor is given as (leading atom of s_i, integer power e_i).  The
+    product must be eventually positive (callers square signed factors
+    and check the others positive); its leading atom is
+    (prod q_i**e_i, sum e_i * alpha_i).  q is compared with 1 by
+    cross-multiplying the q_i with e_i > 0 against those with e_i < 0
+    (factors with q_i = 1 change neither side), then, on a tie, alpha
+    with -1; both exactly.  Floats decide first, within a rigorous error
+    bound; a result too close to call, and so every tie, goes to the
+    exact decimal test.
+    """
+    verdict = _float_summable(powers)
+    return _exact_summable(powers) if verdict is None else verdict

@@ -494,6 +494,25 @@ class TestCliHardening:
         assert code == 2
         assert "cylinder.base[0].boxes[0][0]: must be finite" in err
 
+    def test_integer_past_the_float_range_exits_2(self, capsys):
+        big = "1" + "0" * 400
+        weights = f'{{"constant":{{"rho":{big}}}}}'
+        code, out, err = run_cli(capsys, "hs-check", "--weights", weights)
+        assert (code, out) == (2, "")
+        assert "input error: weights.constant.rho: must be finite" in err
+
+    @pytest.mark.parametrize(
+        "cov",
+        ['{"power":{"c":1,"p":2}}', '{"geometric":{"c":1,"q":0.5}}'],
+        ids=["power", "geometric"],
+    )
+    def test_index_past_the_float_range_exits_2(self, capsys, cov):
+        big = "1" + "0" * 400
+        xi = f'{{"entries":[[{big},1.0]]}}'
+        code, out, err = run_cli(capsys, "chi", "--cov", cov, "--xi", xi)
+        assert (code, out) == (2, "")
+        assert "is beyond the float range" in err and "Traceback" not in err
+
     def test_non_numeric_coordinate_names_its_index(self, capsys):
         code, _, err = run_cli(
             capsys, "rn-density", "--cov", CONST1, "--shift", '{"entries":[[1,1.0]]}',

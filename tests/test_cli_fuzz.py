@@ -1,0 +1,105 @@
+"""The CLI contract under mutated JSON documents.
+
+Whatever the documents say, ``cli.main`` exits 0 with strict JSON on
+stdout, 2 for an input error or 3 for a numeric failure, and never lets
+an exception escape (a shell user would see a traceback).  The drawn
+subcommands are the ones whose cost is decoding: shift-admissible,
+hs-check, support without Monte Carlo, equivalence, chi and consistency.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from cylmeasure import cli
+
+DECAYS = [
+    {"constant": {"rho": 1.0}},
+    {"power": {"c": 1.0, "p": 1.1}},
+    {"geometric": {"c": 2.0, "q": 0.7}},
+    {"constant_plus_power": {"base": 1.0, "c": -0.5, "p": 0.5}},
+    {"prefixed": {"prefix": [2.0, 0.5], "tail": {"power": {"c": 1.0, "p": 2.0}}}},
+    {"tabulated": {"values": [1.0, 0.5, 0.25]}},
+]
+SEQUENCES = [{"entries": [[1, 1.0], [3, -2.0]]}, {"entries": []}]
+MARGINALS = [
+    [{"indices": [1], "cells": [{"boxes": [[[0.0, "inf"]]], "p": 1.0}]}],
+    [
+        {"indices": [1, 2], "cells": [{"boxes": [[[0.0, 0.5]], [["-inf", "inf"]]], "p": 0.5}]},
+        {"indices": [1], "cells": [{"boxes": [[[0.0, 0.5]]], "p": 0.5}]},
+    ],
+]
+# subcommand -> its document options and the seed documents of each
+SUBCOMMANDS = {
+    "shift-admissible": (("--cov", DECAYS), ("--shift", DECAYS + SEQUENCES)),
+    "hs-check": (("--weights", DECAYS),),
+    "support": (("--cov", DECAYS), ("--weights", DECAYS)),
+    "equivalence": (("--cov-a", DECAYS), ("--cov-b", DECAYS)),
+    "chi": (("--cov", DECAYS), ("--xi", SEQUENCES)),
+    "consistency": (("--marginals", MARGINALS),),
+}
+
+SCALARS = st.one_of(
+    st.sampled_from([0, -1, 1, 2, 0.5, -0.5, 1.5, 1e-320, 5e-324, 1e308, -1e308, 1e-200,
+                     10**400, -(10**400), 2**63, True, False, None, "inf", "-inf", "x", ""]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6),
+)
+KEYS = st.sampled_from(["rho", "c", "p", "q", "base", "prefix", "tail", "values", "entries",
+                        "indices", "cells", "boxes", "power", "constant", "geometric", "x"])
+
+
+def mutate(doc, data, depth=0):
+    """``doc`` with one change at a drawn place: replaced, dropped, added or rewrapped."""
+    children = (list(doc.items()) if isinstance(doc, dict)
+                else list(enumerate(doc)) if isinstance(doc, list) else [])
+    if children and depth < 6 and data.draw(st.booleans()):
+        key, child = data.draw(st.sampled_from(children))
+        out = dict(doc) if isinstance(doc, dict) else list(doc)
+        out[key] = mutate(child, data, depth + 1)
+        return out
+    action = data.draw(st.sampled_from(["scalar", "drop", "add", "wrap", "unwrap", "duplicate"]))
+    if action == "scalar":
+        return data.draw(SCALARS)
+    if action == "drop" and children:
+        key = data.draw(st.sampled_from([k for k, _ in children]))
+        if isinstance(doc, dict):
+            return {k: v for k, v in doc.items() if k != key}
+        return doc[:key] + doc[key + 1 :]
+    if action == "add" and isinstance(doc, dict):
+        return {**doc, data.draw(KEYS): data.draw(SCALARS)}
+    if action == "add" and isinstance(doc, list):
+        return doc + [data.draw(st.one_of(SCALARS, st.just(doc[:1])))]
+    if action == "unwrap" and children:
+        return children[0][1]
+    if action == "duplicate" and isinstance(doc, list):
+        return doc + doc
+    return [doc]
+
+
+def reject_constant(token):
+    raise ValueError(f"non-RFC 8259 token {token}")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_cli_contract_holds_for_mutated_documents(data):
+    subcommand = data.draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [subcommand]
+    for option, seeds in SUBCOMMANDS[subcommand]:
+        doc = data.draw(st.sampled_from(seeds))
+        for _ in range(data.draw(st.integers(0, 2))):
+            doc = mutate(doc, data)
+        argv += [option, json.dumps(doc)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # an exception escaping here is a traceback for a shell user
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        envelope = json.loads(out.getvalue(), parse_constant=reject_constant)
+        assert envelope["subcommand"] == subcommand
+    else:
+        assert out.getvalue() == "" and err.getvalue().strip(), argv

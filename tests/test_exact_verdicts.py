@@ -14,9 +14,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cylmeasure import cli
-from cylmeasure.sequences import Constant, ConstantPlusPower, Geometric, PowerDecay, Prefixed
-from cylmeasure.support import weighted_support_check
+from cylmeasure import cli, sequences
+from cylmeasure.sequences import (
+    Constant,
+    ConstantPlusPower,
+    Geometric,
+    PowerDecay,
+    Prefixed,
+    summable,
+)
+from cylmeasure.support import hilbert_schmidt_check, weighted_support_check
 from cylmeasure.transform import equivalence_classify, shift_admissible
 
 ONE = Fraction(1)
@@ -102,6 +109,120 @@ def test_power_grid_boundary_matches_exact_truth():
     # includes the pairs whose float exponent sum misses -1, e.g. (1.1, 1.2)
     assert ("1.10", "1.20") in BOUNDARY_PAIRS and ("1.37", "1.74") in BOUNDARY_PAIRS
     assert mismatches == []
+
+
+# ---------------------------------------------------------------------------
+# the float filter in front of the exact boundary test
+
+
+def test_float_product_below_a_tie_does_not_decide():
+    # 0.7 * 0.7 rounds below 0.49, yet the decimals square exactly: sum 1
+    assert 0.7 * 0.7 < 0.49
+    assert shift_admissible(Geometric(1.0, 0.7), Geometric(1.0, 0.49)) is False
+    assert summable(((0.7, 0.0, 1.0), 2), ((0.49, 0.0, 1.0), -1)) is False
+
+
+def test_float_exponent_sum_past_a_tie_does_not_decide():
+    # 2 * 1.07 - 1.14 rounds above 1, yet the series is sum 1/n
+    assert 2 * 1.07 - 1.14 == 1.0000000000000002
+    assert shift_admissible(PowerDecay(1.0, 1.07), PowerDecay(1.0, 1.14)) is False
+
+
+def test_squared_tiny_coefficient_does_not_decide():
+    assert 1e-200 * 1e-200 == 0.0
+    assert hilbert_schmidt_check(Constant(1e-200)) is False
+    assert hilbert_schmidt_check(Geometric(1e-200, 0.5)) is True
+    assert summable(((1.0, 0.0, 1e-200), 2)) is False
+
+
+def test_whole_power_grid_matches_exact_truth(monkeypatch):
+    """Every grid verdict is exact, and only the boundary reaches the decimal test.
+
+    Grid values are exact hundredths, so 2 p_y - p_c > 1 is decided on
+    the integers 2 i - j > 100 (p_y = i/100, p_c = j/100).
+    """
+    calls = []
+    exact = sequences._exact_summable
+    monkeypatch.setattr(
+        sequences, "_exact_summable", lambda powers: calls.append(powers) or exact(powers)
+    )
+    hundredths = {p: int(Fraction(p) * 100) for p in GRID}
+    power = {p: PowerDecay(1.0, float(p)) for p in GRID}
+    mismatches, fell_back = [], set()
+    for py in GRID:
+        for pc in GRID:
+            before = len(calls)
+            expected = 2 * hundredths[py] - hundredths[pc] > 100
+            if shift_admissible(power[py], power[pc]) is not expected:
+                mismatches.append((py, pc))
+            if len(calls) > before:
+                fell_back.add((py, pc))
+    assert len(GRID) ** 2 == 89_401
+    assert mismatches == []
+    boundary = {
+        (py, pc) for py in GRID for pc in GRID if 2 * hundredths[py] - hundredths[pc] == 100
+    }
+    assert len(boundary) == 149
+    assert fell_back == boundary and len(calls) == 149
+
+
+# q_y**2 == q_c exactly in decimals, and the two decimal neighbours of q_c
+GEOMETRIC_TIES = [
+    (qy, qc)
+    for qy, squares in [
+        ("0.3", ("0.09", "0.0899", "0.0901")),
+        ("0.7", ("0.49", "0.4899", "0.4901")),
+        ("0.9", ("0.81", "0.8099", "0.8101")),
+        ("0.95", ("0.9025", "0.9024", "0.9026")),
+    ]
+    for qc in squares
+]
+
+
+def test_geometric_ratio_ties_match_exact_truth():
+    # sum (c q_y^n)^2 / q_c^n converges iff q_y^2 / q_c < 1 (alpha = 0 on a tie)
+    for qy, qc in GEOMETRIC_TIES:
+        expected = Fraction(qy) ** 2 < Fraction(qc)
+        y, cov = Geometric(1.0, float(qy)), Geometric(2.0, float(qc))
+        assert shift_admissible(y, cov) is expected, (qy, qc)
+        prefixed = Prefixed((3.0,), Geometric(0.5, float(qy)))
+        assert shift_admissible(prefixed, cov) is expected, (qy, qc)
+
+
+def test_geometric_tie_in_equivalence_is_exact():
+    # delta and the leading atom share q = 0.7: the q sides tie, alpha 0 > -1
+    verdict = equivalence_classify(Geometric(1.0, 0.7), Geometric(2.0, 0.7))
+    assert (verdict.verdict.value, verdict.series) == ("singular", "diverges")
+
+
+DECIMALS = st.sampled_from(
+    ["0.1", "0.3", "0.09", "0.7", "0.49", "0.9", "0.81", "0.95", "0.9025", "0.5", "0.25",
+     "0.343", "0.999", "0.998001", "1e-150", "1e-300", "1"]
+)
+EXPONENTS = st.sampled_from(["0", "-0.5", "-1", "-1.07", "-1.14", "-2.14", "0.1", "-0.3",
+                             "1e-310", "-3.3", "1.1"])
+FACTOR = st.tuples(
+    st.one_of(DECIMALS, st.floats(1e-30, 1.0).map(repr)),
+    st.one_of(EXPONENTS, st.floats(-4.0, 4.0).map(repr)),
+    st.sampled_from([-2, -1, 1, 2, 3]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(FACTOR, min_size=1, max_size=4))
+@example([("0.7", "0", 2), ("0.49", "0", -1)])
+@example([("1", "-1.07", 2), ("1", "-1.14", -1)])
+@example([("0.999", "0", 2), ("0.998001", "0", -1)])
+@example([("1e-300", "0", 2), ("1e-300", "0", -2)])
+def test_summable_matches_a_fraction_oracle(factors):
+    powers = tuple(((float(q), float(a), 1.0), e) for q, a, e in factors)
+    q, alpha = ONE, 0
+    for (qf, af, _), e in powers:
+        q *= Fraction(repr(qf)) ** e
+        alpha += e * Fraction(repr(af))
+    expected = q < 1 or (q == 1 and alpha < -1)
+    assert summable(*powers) is expected
+    assert sequences._exact_summable(powers) is expected
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,8 @@ def product_by_loop(spec, constraints, n_max, tol=1e-12):
     """Reference: the stopping rule applied one factor at a time."""
     tail = constraints.tail
     partial = cylinder_measure(spec, constraints.prefix)
+    if tail.length == 0:
+        return ProductLimitReport(partial, 0, True, "converged")
     n_used = 0
     for k in range(1, n_max + 1):
         if isinstance(tail, TabulatedTail):
@@ -188,7 +190,7 @@ def product_by_loop(spec, constraints, n_max, tol=1e-12):
             return ProductLimitReport(partial, n_used, True, "converged")
         if partial <= 1e-300:
             return ProductLimitReport(0.0, n_used, True, "converged")
-        if 1.0 - f <= tol:
+        if tail.length is None and 1.0 - f <= tol:  # a table is multiplied to its end
             return ProductLimitReport(partial, n_used, True, "converged")
     return ProductLimitReport(partial, n_used, False, "decreasing-unconverged")
 
@@ -275,6 +277,28 @@ class TestProductBlockScan:
         report = self.check(tail)
         assert report.value == 0.0 and report.converged
 
+    @pytest.mark.parametrize(
+        "factors, value, n_factors",
+        [
+            ((0.5, 1.0, 0.5), 0.125, 3),  # the interior 1.0 does not stop the product
+            ((1.0, 1.0, 0.25), 0.125, 3),
+            ((0.5,) + (1.0,) * 4095 + (0.5,), 0.125, 4097),  # across a block boundary
+            ((), 0.5, 0),
+        ],
+    )
+    def test_table_is_multiplied_to_its_end(self, factors, value, n_factors):
+        report = self.check(TabulatedTail(factors))
+        assert (report.value, report.n_factors, report.converged) == (value, n_factors, True)
+
+    def test_table_product_without_prefix(self):
+        for factors, value, n_factors in [((0.5, 1.0, 0.5), 0.25, 3), ((), 1.0, 0)]:
+            report = countable_product_measure(
+                UNIFORM, TailConstraints(tail=TabulatedTail(factors))
+            )
+            assert (report.value, report.n_factors, report.verdict) == (
+                value, n_factors, "converged"
+            )
+
     def test_underflow_on_the_last_listed_factor_keeps_the_partial(self):
         report = self.check(TabulatedTail((1e-160, 1e-150)))
         assert 0.0 < report.value <= 1e-300
@@ -285,8 +309,8 @@ class TestProductBlockScan:
             ([0.5] * 10 + [1.5] + [0.5] * 9, "tail factor 11 outside"),
             ([0.9999] * 5000 + [float("nan")] + [0.5] * 10, "tail factor 5001 outside"),
             ([0.5, -0.25], "tail factor 2 outside"),  # also the table's last factor
-            ([1.0, 1.5], None),  # factor 1 is within tol of 1: the scan stops first
-            ([0.9999] * 4999 + [1.0, 2.0], None),  # stop at 5000, in the second block
+            ([1.0, 1.5], "tail factor 2 outside"),  # no tol stop inside a table
+            ([0.9999] * 4999 + [1.0, 2.0], "tail factor 5001 outside"),  # in the second block
         ],
     )
     def test_out_of_range_factor_raises_only_if_reached(self, factors, message):
