@@ -24,10 +24,9 @@ _EXPORTS = {
     "errors": ("InputError", "NumericError", "UndecidableError"),
     "gaussian": ("CovarianceSeq", "GaussianSample", "GramReport", "chi", "draw_coordinates",
                  "inner", "pairings", "positive_type_gram", "sample", "wick_moment"),
-    "kernels": ("BilinearReport", "FourierQuadResult", "GridFunction", "KernelRegularity",
-                "KernelSpec", "MassiveFree1D", "TabulatedKernel", "WhiteNoise",
-                "covariance_bilinear", "covariance_bilinear_report", "kernel_eval",
-                "kernel_fourier_quadrature", "support_regularity_flag"),
+    "kernels": ("FourierQuadResult", "GridFunction", "KernelRegularity", "KernelSpec",
+                "MassiveFree1D", "TabulatedKernel", "WhiteNoise", "covariance_bilinear",
+                "kernel_eval", "kernel_fourier_quadrature", "support_regularity_flag"),
     "measure_core": ("ConstantFactorTail", "ConsistencyResult", "CylinderSet", "FullTail",
                      "Gaussian1D", "IncreasingLimitReport", "Interval", "MarginalTable",
                      "OneMinusGeometricTail", "PointMass1D", "ProductLimitReport",
@@ -40,8 +39,7 @@ _EXPORTS = {
     "sequences": ("Constant", "ConstantPlusPower", "FiniteSequence", "Geometric", "PowerDecay",
                   "Prefixed", "Tabulated"),
     "support": ("DiagonalOperator", "Support", "SupportReport", "TailGrowthReport",
-                "hilbert_schmidt_check", "mc_tail_growth", "nuclear_embedding_check",
-                "weighted_support_check"),
+                "hilbert_schmidt_check", "mc_tail_growth", "weighted_support_check"),
     "transform": ("EmptyFamily", "Equivalence", "EquivalenceVerdict", "FinitelySupportedFamily",
                   "ShiftSpec", "WeightedL2Family", "equivalence_classify", "ergodicity_flag",
                   "rn_density", "shift_admissible"),

@@ -6,9 +6,12 @@ result envelope carries (estimate, standard error, n_samples, seed).
 Output is a strict JSON envelope; ``--out csv`` emits tabular traces for
 the few subcommands that produce them.  ``SUBCOMMANDS`` declares each
 subcommand's options, so a flag a subcommand would ignore is rejected.
-The symbolic core loads with this module; ``kernels``, ``measure_core``,
-``bohr``, ``selftest`` and ``csv`` load inside the code that uses them,
-so a fresh process imports only what its subcommand runs.
+The symbolic core loads with this module, and numpy does not: numpy,
+``kernels``, ``measure_core``, ``bohr``, ``selftest`` and ``csv`` load
+inside the code that uses them, so a fresh process imports only what
+its subcommand runs.  ``shift-admissible``, ``hs-check``, ``chi``,
+``moment`` without ``--mc-samples`` and ``consistency`` build no array
+and never load numpy.
 
 Exit codes: 0 success, 2 input error (schema violations name the
 offending key), 3 numeric failure (a tolerance that could not be
@@ -32,8 +35,6 @@ import math
 import sys
 import time
 from typing import Any
-
-import numpy as np
 
 from . import gaussian, jsonio, support, transform
 from .errors import InputError, NumericError
@@ -131,6 +132,8 @@ def _payload_moment(args) -> tuple[dict, Any, list[str]]:
                 f"{args.mc_samples} samples x ({dim} coordinates + {len(vectors)} factors) "
                 f"exceed the budget of {gaussian.MAX_MC_VALUES} values"
             )
+        import numpy as np
+
         rng = np.random.default_rng(args.seed)
         x = gaussian.draw_coordinates(cov, dim, args.mc_samples, rng)
         projections = [x @ v.as_vector(dim) for v in vectors]
@@ -148,6 +151,8 @@ def _payload_moment(args) -> tuple[dict, Any, list[str]]:
 
 
 def _payload_rn_density(args) -> tuple[dict, Any, list[str]]:
+    import numpy as np
+
     cov_doc = _load_json_arg(args.cov, "--cov")
     shift_doc = _load_json_arg(args.shift, "--shift")
     x_doc = _load_json_arg(args.x, "--x")
@@ -312,6 +317,8 @@ def _payload_bohr(args) -> tuple[dict, Any, list[str]]:
 
 def _integrand_from_catalog(name: str, n_axes: int):
     """Named integrands: ``one``, ``char:m1,...,mn``, ``cos:m1,...,mn``."""
+    import numpy as np
+
     if name == "one":
         return lambda th: np.ones(th.shape[0] if th.ndim == 2 else 1, dtype=complex)
     for prefix, builder in (

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import InputError
 from .sequences import DecaySeq, FiniteSequence, require_positive
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CovarianceSeq",
@@ -88,6 +89,8 @@ def draw_coordinates(
     cov: CovarianceSeq, n_coords: int, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n_samples, n_coords) matrix of independent centered Gaussians."""
+    import numpy as np
+
     sd = np.sqrt(require_positive(cov, "covariance").first(n_coords))
     return rng.standard_normal((n_samples, n_coords)) * sd
 
@@ -100,6 +103,8 @@ def sample(cov: CovarianceSeq, n_coords: int, seed: int) -> GaussianSample:
         raise InputError(
             f"truncation {n_coords} exceeds the budget of {MAX_SAMPLE_COORDS} coordinates"
         )
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     values = draw_coordinates(cov, n_coords, 1, rng)[0]
     return GaussianSample(truncation=n_coords, values=values, seed=seed, cov=cov)
@@ -211,6 +216,8 @@ def positive_type_gram(
         raise InputError(f"{m} points exceed the limit {max_points}")
     if len(set(points)) != m:
         raise InputError("points must be distinct")
+    import numpy as np
+
     gram = np.empty((m, m), dtype=complex)
     for a in range(m):
         for b in range(m):

@@ -37,9 +37,8 @@ import dataclasses
 import enum
 import functools
 import math
+import sys
 from typing import TYPE_CHECKING, Any, NamedTuple
-
-import numpy as np
 
 from . import sequences, transform
 from .errors import InputError
@@ -417,12 +416,14 @@ def encode_value(value: Any) -> Any:
         return value
     if isinstance(value, complex):
         return {"re": encode_value(value.real), "im": encode_value(value.imag)}
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return encode_value(float(value))
-    if isinstance(value, np.ndarray):
-        return [encode_value(v) for v in value.tolist()]
+    np = sys.modules.get("numpy")  # no numpy value exists unless numpy is loaded
+    if np is not None:
+        if isinstance(value, np.integer):
+            return int(value)
+        if isinstance(value, np.floating):
+            return encode_value(float(value))
+        if isinstance(value, np.ndarray):
+            return [encode_value(v) for v in value.tolist()]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             field.name: encode_value(getattr(value, field.name))

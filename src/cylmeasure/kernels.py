@@ -32,13 +32,11 @@ __all__ = [
     "GridFunction",
     "KernelRegularity",
     "FourierQuadResult",
-    "BilinearReport",
     "kernel_eval",
     "kernel_fourier_quadrature",
     "gauss_legendre_panels",
     "MAX_FOURIER_NODES",
     "covariance_bilinear",
-    "covariance_bilinear_report",
     "support_regularity_flag",
 ]
 
@@ -314,33 +312,6 @@ def covariance_bilinear(spec: KernelSpec, f: GridFunction, g: GridFunction) -> f
     else:
         raise InputError(f"not a kernel spec: {spec!r}")
     return float((w * fv) @ kmat @ (w * gv))
-
-
-@dataclass(frozen=True)
-class BilinearReport:
-    value: float
-    error_estimate: float  # |fine - coarse| under 2*dx subsampling
-
-
-def covariance_bilinear_report(
-    spec: KernelSpec, f: GridFunction, g: GridFunction
-) -> BilinearReport:
-    """Bilinear value plus a Richardson-style error estimate.
-
-    The estimate compares the full grid against the every-other-point
-    subgrid (step 2*dx); for the O(dx^2) trapezoid model it tracks the
-    true error up to a constant and shrinks under refinement.  Requires
-    an odd point count so the subgrid shares both endpoints.
-    """
-    if f.count % 2 == 0 or f.count < 3:
-        raise InputError(
-            f"error estimate needs an odd point count >= 3, got {f.count}"
-        )
-    value = covariance_bilinear(spec, f, g)
-    coarse_f = GridFunction(f.x0, 2 * f.dx, (f.count + 1) // 2, f.values[::2])
-    coarse_g = GridFunction(g.x0, 2 * g.dx, (g.count + 1) // 2, g.values[::2])
-    coarse = covariance_bilinear(spec, coarse_f, coarse_g)
-    return BilinearReport(value=value, error_estimate=abs(value - coarse))
 
 
 class KernelRegularity(str, enum.Enum):

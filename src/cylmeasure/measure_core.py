@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
 from .errors import InputError, NumericError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Interval",
@@ -197,6 +198,8 @@ class PointMass1D:
         return 1.0 if iv.lo <= self.c <= iv.hi else 0.0
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
+        import numpy as np
+
         return np.full(size, self.c)
 
 
@@ -280,9 +283,6 @@ class ConstantFactorTail:
         if not (0.0 <= self.f <= 1.0):
             raise InputError(f"factor probability must lie in [0,1], got {self.f}")
 
-    def factor_block(self, start: int, stop: int) -> np.ndarray:
-        return np.full(stop - start, self.f)
-
     length = None
 
 
@@ -300,6 +300,8 @@ class OneMinusGeometricTail:
             raise InputError("geometric tail must keep factors inside [0,1]")
 
     def factor_block(self, start: int, stop: int) -> np.ndarray:
+        import numpy as np
+
         return 1.0 - self.c * self.q ** np.arange(start, stop)
 
     length = None
@@ -317,6 +319,8 @@ class TabulatedTail:
             raise InputError("tabulated factors must lie in [0,1]")
 
     def factor_block(self, start: int, stop: int) -> np.ndarray:
+        import numpy as np
+
         block = np.ones(stop - start)
         listed = self.factors[start - 1 : stop - 1]
         block[: len(listed)] = listed
@@ -327,8 +331,8 @@ class TabulatedTail:
         return len(self.factors)
 
 
-# every rule but FullTail gives factor_block(start, stop), the factors
-# k = start .. stop-1 as an array
+# the geometric and tabulated rules give factor_block(start, stop), the
+# factors k = start .. stop-1 as an array
 TailRule = Union[FullTail, ConstantFactorTail, OneMinusGeometricTail, TabulatedTail]
 
 
@@ -370,7 +374,9 @@ def countable_product_measure(
     """Probability of a countable constraint family as a monotone limit.
 
     Evaluates lim_n of the partial products prefix * f_1 * ... * f_n.
-    The limit is reported, not decided: iteration stops once the factors
+    A constant factor f is decided in closed form, with no factor taken:
+    the limit is 0 for f < 1 and the prefix for f = 1.  Otherwise the
+    limit is reported, not decided: iteration stops once the factors
     are within ``tol`` of 1 (converged), once the partial product
     underflows to an exact 0 (converged), or at ``n_max`` factors
     (decreasing-unconverged, value = last partial product).  A tabulated
@@ -396,6 +402,10 @@ def countable_product_measure(
     partial = cylinder_measure(spec, constraints.prefix)
     if isinstance(tail, FullTail) or tail.length == 0:
         return ProductLimitReport(partial, 0, True, "converged")
+    if isinstance(tail, ConstantFactorTail):
+        return ProductLimitReport(partial if tail.f == 1.0 else 0.0, 0, True, "converged")
+    import numpy as np
+
     table_end = tail.length if tail.length is not None else n_max + 1
     n_used = 0
     for start in range(1, n_max + 1, _PRODUCT_BLOCK):
@@ -554,6 +564,8 @@ class ProductSampler:
         self.n_coords = n_coords
 
     def draw(self, rng: np.random.Generator, n_samples: int) -> np.ndarray:
+        import numpy as np
+
         out = np.empty((n_samples, self.n_coords))
         for j in range(self.n_coords):
             out[:, j] = self.spec.component(j + 1).draw(rng, n_samples)
@@ -576,6 +588,8 @@ def pushforward_integral_mc(
     """
     if n_samples < 2:
         raise InputError(f"need n_samples >= 2, got {n_samples}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     x = sampler.draw(rng, n_samples)
     u = np.asarray(phi(x))

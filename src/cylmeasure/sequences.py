@@ -43,11 +43,12 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import InputError, UndecidableError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FiniteSequence",
@@ -138,6 +139,8 @@ class FiniteSequence:
             raise InputError(
                 f"sequence support reaches index {self.max_index}, beyond length {length}"
             )
+        import numpy as np
+
         out = np.zeros(length)
         for idx, val in self.entries:
             out[idx - 1] = val
@@ -188,6 +191,8 @@ class Constant(_Decay):
         return self.value
 
     def _first(self, n_max: int) -> np.ndarray:
+        import numpy as np
+
         return np.full(n_max, self.value)
 
     def is_positive(self) -> bool:
@@ -214,6 +219,8 @@ class PowerDecay(_Decay):
         return self.c * float(n) ** (-self.p)
 
     def _first(self, n_max: int) -> np.ndarray:
+        import numpy as np
+
         return self.c * np.arange(1, n_max + 1, dtype=float) ** (-self.p)
 
     def is_positive(self) -> bool:
@@ -240,6 +247,8 @@ class Geometric(_Decay):
         return self.c * self.q**n
 
     def _first(self, n_max: int) -> np.ndarray:
+        import numpy as np
+
         return self.c * self.q ** np.arange(1, n_max + 1, dtype=float)
 
     def is_positive(self) -> bool:
@@ -276,6 +285,8 @@ class ConstantPlusPower(_Decay):
         return self.base + self.c * float(n) ** (-self.p)
 
     def _first(self, n_max: int) -> np.ndarray:
+        import numpy as np
+
         return self.base + self.c * np.arange(1, n_max + 1, dtype=float) ** (-self.p)
 
     def is_positive(self) -> bool:
@@ -313,6 +324,8 @@ class Prefixed(_Decay):
         return self.tail.at(n)
 
     def _first(self, n_max: int) -> np.ndarray:
+        import numpy as np
+
         head = np.asarray(self.prefix[:n_max])
         if n_max <= len(self.prefix):
             return head
@@ -354,6 +367,8 @@ class Tabulated(_Decay):
             raise InputError(
                 f"tabulated sequence has {len(self.values)} entries, {n_max} requested"
             )
+        import numpy as np
+
         return np.asarray(self.values[:n_max])
 
     def is_positive(self) -> bool:

@@ -8,11 +8,6 @@ independent a_n^2 x_n^2 with mean a_n^2 rho_n, so the weighted tail sum
 is almost surely finite or almost surely infinite with it.  Both checks
 are symbolic on decay classes; ``mc_tail_growth`` is the empirical
 cross-check that watches the partial sums themselves.
-
-The nuclear-embedding identity ties the weighted inner products
-<y,z>_k = sum n^{2k} y_n z_n together through the Hilbert-Schmidt map
-(Hy)_n = y_n / n: lowering the weight by one power pair is the same as
-applying H on both slots one level up.
 """
 
 from __future__ import annotations
@@ -20,13 +15,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from .errors import InputError
 from .gaussian import CovarianceSeq
-from .sequences import DecaySeq, FiniteSequence, Tabulated, require_positive, summable
+from .sequences import DecaySeq, Tabulated, require_positive, summable
 
 __all__ = [
     "DiagonalOperator",
@@ -37,7 +29,6 @@ __all__ = [
     "weighted_support_check",
     "mc_tail_growth",
     "MAX_MC_DRAWS",
-    "nuclear_embedding_check",
 ]
 
 # a diagonal operator is a positive decay class; the alias names the role
@@ -87,11 +78,9 @@ def weighted_support_check(cov: CovarianceSeq, a: DiagonalOperator) -> SupportRe
     require_positive(cov, "covariance")
     require_positive(a, "weight sequence")
     if isinstance(cov, Tabulated) or isinstance(a, Tabulated):
-        length = min(
-            len(cov.values) if isinstance(cov, Tabulated) else np.inf,
-            len(a.values) if isinstance(a, Tabulated) else np.inf,
-        )
-        length = int(length)
+        import numpy as np
+
+        length = min(len(seq.values) for seq in (cov, a) if isinstance(seq, Tabulated))
         terms = a.first(length) ** 2 * cov.first(length)
         csum = np.cumsum(terms)
         marks = np.unique(
@@ -161,6 +150,8 @@ def mc_tail_growth(
         )
     require_positive(cov, "covariance")
     require_positive(a, "weight sequence")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     marks = np.unique((np.arange(1, _N_CHECKPOINTS + 1) * n_coords) // _N_CHECKPOINTS)
     weights = a.first(n_coords) ** 2 * cov.first(n_coords)
@@ -194,39 +185,3 @@ def mc_tail_growth(
         "plateau", final, final_se, checkpoints, n_coords, n_samples, seed
     )
 
-
-def nuclear_embedding_check(
-    k: int, vectors: Sequence[FiniteSequence], rel_tol: float = 1e-12
-) -> bool:
-    """Verify <xi,eta>_k = <H xi, H eta>_{k+1} with (Hy)_n = y_n / n.
-
-    The weighted inner products are <y,z>_k = sum n^{2k} y_n z_n.  The
-    identity is algebraic (n^{2k} = n^{2k+2} / n^2), so it must hold for
-    every pair of finitely supported vectors up to floating round-off;
-    checked to ``rel_tol`` relative accuracy over all pairs.
-    """
-    if k < 0:
-        raise InputError(f"weight level k must be >= 0, got {k}")
-    if not vectors:
-        raise InputError("nuclear_embedding_check needs at least one vector")
-
-    def weighted(y: FiniteSequence, z: FiniteSequence, level: int) -> float:
-        z_map = dict(z.entries)
-        total = 0.0
-        for idx, val in y.entries:
-            other = z_map.get(idx)
-            if other is not None:
-                total += float(idx) ** (2 * level) * val * other
-        return total
-
-    def lowered(y: FiniteSequence) -> FiniteSequence:
-        return FiniteSequence(tuple((i, v / i) for i, v in y.entries))
-
-    for i in range(len(vectors)):
-        for j in range(i, len(vectors)):
-            lhs = weighted(vectors[i], vectors[j], k)
-            rhs = weighted(lowered(vectors[i]), lowered(vectors[j]), k + 1)
-            scale = max(1.0, abs(lhs), abs(rhs))
-            if abs(lhs - rhs) > rel_tol * scale:
-                return False
-    return True

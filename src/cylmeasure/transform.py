@@ -20,9 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import InputError, NumericError
 from .gaussian import CovarianceSeq
@@ -34,6 +32,9 @@ from .sequences import (
     require_positive,
     summable,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ShiftSpec",
@@ -62,6 +63,8 @@ def rn_density(
     for a batch.  The shift must live inside the truncation.  The result
     is strictly positive.
     """
+    import numpy as np
+
     require_positive(cov, "covariance")
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
@@ -125,6 +128,8 @@ _RATIO_SCAN = 1000
 
 
 def _ratio_bounds(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> tuple[float, float]:
+    import numpy as np
+
     tabulated = [len(cov.values) for cov in (cov_a, cov_b) if isinstance(cov, Tabulated)]
     scan = min([_RATIO_SCAN, *tabulated])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from cylmeasure import cli, jsonio, kernels, measure_core
@@ -199,6 +201,20 @@ class TestJsonDecoding:
         assert jsonio.encode_value(math.inf) == "inf"
         assert jsonio.encode_value(-math.inf) == "-inf"
         assert jsonio.encode_value(1 + 2j) == {"re": 1.0, "im": 2.0}
+
+    def test_encode_numpy_values_as_plain_json(self):
+        @dataclasses.dataclass
+        class Holder:
+            count: np.int64
+            bound: np.float64
+            values: np.ndarray
+
+        values = np.array([[0.5, -np.inf], [2.0, 1e-300]])
+        encoded = jsonio.encode_value(Holder(np.int64(3), np.float64("inf"), values))
+        assert encoded == {"count": 3, "bound": "inf", "values": [[0.5, "-inf"], [2.0, 1e-300]]}
+        assert type(encoded["count"]) is int and type(encoded["values"][1][0]) is float
+        assert jsonio.encode_value(np.int64(3)) == 3 and jsonio.encode_value(np.float32(0.5)) == 0.5
+        assert json.dumps(jsonio.encode_value(np.arange(3))) == "[0, 1, 2]"
 
 
 class TestCliSubcommands:

@@ -6,6 +6,11 @@ A fresh interpreter checks that ``import cylmeasure``, a symbolic
 subcommand, ``kernel --fourier`` and the quick selftest leave scipy
 unloaded, and a second one runs the numeric paths with scipy blocked.
 
+numpy takes about 0.1 s to import and the symbolic subcommands build no
+array.  A fresh interpreter checks that ``import cylmeasure.cli`` and
+those subcommands leave numpy unloaded and that the array paths load it,
+and a second one runs the symbolic subcommands with numpy blocked.
+
 The package's own modules come next: ``import cylmeasure`` loads none of
 them, and a subcommand loads only those of ``bohr``, ``kernels``,
 ``measure_core`` and ``selftest`` that it runs.  Each call gets its own
@@ -164,3 +169,57 @@ def test_import_loads_no_submodule_and_every_export_resolves():
     assert report["exports"] > 0
     assert report["missing"] == report["unlisted"] == report["not_starred"] == []
     assert report["submodules"] == ["module"]
+
+
+MARGINALS = '[{"indices":[1],"cells":[{"boxes":[[[0,"inf"]]],"p":1}]}]'
+E1 = '{"entries":[[1,1.0]]}'
+
+# the subcommands that build no array, each with its payload
+SYMBOLIC = [
+    (["shift-admissible", "--cov", CONST, "--shift", POWER], {"admissible": True}),
+    (["hs-check", "--weights", POWER], {"hilbert_schmidt": True}),
+    (["chi", "--cov", CONST, "--xi", E1], {"chi": math.exp(-0.5), "inner": 1.0}),
+    (["moment", "--cov", CONST, "--vectors", f"[{E1},{E1}]"], {"moment": 1.0, "n_vectors": 2}),
+    (["consistency", "--marginals", MARGINALS], {"consistent": True, "violation": None}),
+]
+ARRAY_PATHS = [
+    ["equivalence", "--cov-a", CONST, "--cov-b", '{"constant":{"rho":2}}'],
+    ["rn-density", "--cov", CONST, "--shift", E1, "--x", "[0.5]"],
+]
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+block = sys.argv[1] == "block"
+if block:
+    sys.modules["numpy"] = None
+import cylmeasure.cli
+report = [["import", None, None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[2]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cylmeasure.cli.main(argv)
+    payload = json.loads(buf.getvalue())["payload"] if code == 0 else None
+    report.append([argv[0], code, payload, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_symbolic_subcommands_leave_numpy_unloaded():
+    argvs = [argv for argv, _ in SYMBOLIC] + ARRAY_PATHS
+    proc = _run(NUMPY_PROBE, "probe", json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report[0] == ["import", None, None, False]
+    for (argv, payload), (name, code, got, loaded) in zip(SYMBOLIC, report[1:]):
+        assert (name, code, got, loaded) == (argv[0], 0, payload, False)
+    for argv, (name, code, _, loaded) in zip(ARRAY_PATHS, report[len(SYMBOLIC) + 1 :]):
+        assert (name, code, loaded) == (argv[0], 0, True)
+
+
+def test_symbolic_subcommands_run_with_numpy_blocked():
+    proc = _run(NUMPY_PROBE, "block", json.dumps([argv for argv, _ in SYMBOLIC]))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [row[:3] for row in report[1:]] == [
+        [argv[0], 0, payload] for argv, payload in SYMBOLIC
+    ]

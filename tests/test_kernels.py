@@ -15,7 +15,6 @@ from cylmeasure.kernels import (
     TabulatedKernel,
     WhiteNoise,
     covariance_bilinear,
-    covariance_bilinear_report,
     kernel_eval,
     kernel_fourier_quadrature,
     support_regularity_flag,
@@ -236,19 +235,6 @@ class TestCovarianceBilinear:
         g = gaussian_bump(count=51)
         with pytest.raises(InputError, match="incompatible grids"):
             covariance_bilinear(MassiveFree1D(1.0), f, g)
-
-    def test_refinement_shrinks_the_error_estimate(self):
-        coarse = gaussian_bump(x0=-6.0, dx=0.24, count=51)
-        fine = gaussian_bump(x0=-6.0, dx=0.12, count=101)
-        spec = MassiveFree1D(1.0)
-        r_coarse = covariance_bilinear_report(spec, coarse, coarse)
-        r_fine = covariance_bilinear_report(spec, fine, fine)
-        assert r_fine.error_estimate < r_coarse.error_estimate
-
-    def test_error_report_needs_odd_count(self):
-        f = gaussian_bump(count=100)
-        with pytest.raises(InputError):
-            covariance_bilinear_report(MassiveFree1D(1.0), f, f)
 
 
 class TestRegularityFlag:

@@ -146,10 +146,24 @@ class TestCountableProduct:
         assert report.value == 0.0
         assert report.converged
 
+    @pytest.mark.parametrize("f", [0.0, 0.9, 1.0 - 1e-7, 1.0 - 1e-11, 1.0 - 1e-13])
+    def test_constant_factor_below_one_is_decided_zero(self, f):
+        # f**n -> 0 for every f < 1, however close to 1
+        report = countable_product_measure(
+            UNIFORM, TailConstraints(prefix=HALF_BOX, tail=ConstantFactorTail(f)), n_max=10
+        )
+        assert report == ProductLimitReport(0.0, 0, True, "converged")
+
+    def test_constant_factor_one_keeps_the_prefix(self):
+        report = countable_product_measure(
+            UNIFORM, TailConstraints(prefix=HALF_BOX, tail=ConstantFactorTail(1.0)), n_max=0
+        )
+        assert report == ProductLimitReport(0.5, 0, True, "converged")
+
     def test_slow_factors_report_unconverged(self):
         spec = ProductMeasureSpec.identical(Uniform1D(0.0, 1.0))
         report = countable_product_measure(
-            spec, TailConstraints(tail=ConstantFactorTail(1.0 - 1e-7)), n_max=1000
+            spec, TailConstraints(tail=OneMinusGeometricTail(1e-3, 0.999)), n_max=1000
         )
         assert not report.converged
         assert report.verdict == "decreasing-unconverged"
@@ -178,8 +192,6 @@ def product_by_loop(spec, constraints, n_max, tol=1e-12):
     for k in range(1, n_max + 1):
         if isinstance(tail, TabulatedTail):
             f = tail.factors[k - 1] if k <= len(tail.factors) else 1.0
-        elif isinstance(tail, ConstantFactorTail):
-            f = tail.f
         else:
             f = 1.0 - tail.c * tail.q**k
         if not (0.0 <= f <= 1.0):
@@ -241,7 +253,7 @@ class TestProductBlockScan:
 
     @pytest.mark.parametrize("n_max", [0, 1, 1000, 4096, 4097])
     def test_n_max_cuts_the_scan(self, n_max):
-        report = self.check(ConstantFactorTail(1.0 - 1e-7), n_max=n_max)
+        report = self.check(OneMinusGeometricTail(0.01, 0.9997), n_max=n_max)
         assert report.n_factors == n_max and not report.converged
 
     def test_negative_n_max_is_rejected(self):
@@ -259,7 +271,6 @@ class TestProductBlockScan:
             OneMinusGeometricTail(1.0, 0.5),  # stops near k = 40
             OneMinusGeometricTail(0.01, 0.9997),  # stops after about 7.7e4 factors
             OneMinusGeometricTail(1e-3, 0.999),
-            ConstantFactorTail(1.0),
         ],
     )
     def test_tolerance_stop(self, tail):
@@ -268,9 +279,9 @@ class TestProductBlockScan:
     @pytest.mark.parametrize(
         "tail",
         [
-            ConstantFactorTail(0.0),  # exact 0 at the first factor
-            ConstantFactorTail(0.5),  # underflow inside the first block
-            ConstantFactorTail(0.9),  # underflow in the second block
+            TabulatedTail((0.0,) * 10),  # exact 0 at the first factor
+            TabulatedTail((0.5,) * 2000),  # underflow inside the first block
+            TabulatedTail((0.9,) * 8000),  # underflow in the second block
         ],
     )
     def test_underflow(self, tail):

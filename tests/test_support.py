@@ -2,12 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cylmeasure.errors import InputError, UndecidableError
 from cylmeasure.sequences import (
     Constant,
-    FiniteSequence,
     Geometric,
     PowerDecay,
     Prefixed,
@@ -18,7 +16,6 @@ from cylmeasure.support import (
     TailGrowthReport,
     hilbert_schmidt_check,
     mc_tail_growth,
-    nuclear_embedding_check,
     weighted_support_check,
 )
 
@@ -235,36 +232,3 @@ class TestMcTailGrowth:
         a = mc_tail_growth(Constant(1.0), PowerDecay(1.0, 1.0), 300, 120, seed=9)
         b = mc_tail_growth(Constant(1.0), PowerDecay(1.0, 1.0), 300, 120, seed=9)
         assert a.checkpoints == b.checkpoints and a.value == b.value
-
-
-class TestNuclearEmbedding:
-    def test_first_basis_vector(self):
-        assert nuclear_embedding_check(1, [FiniteSequence.basis(1)]) is True
-
-    def test_second_basis_vector_both_sides_four(self):
-        # <e2,e2>_1 = 2^2 = 4 and <He2,He2>_2 = 2^4 * (1/2)^2 = 4
-        e2 = FiniteSequence.basis(2)
-        assert nuclear_embedding_check(1, [e2]) is True
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(0, 3),
-        st.lists(
-            st.builds(
-                FiniteSequence.from_pairs,
-                st.lists(
-                    st.tuples(st.integers(1, 10), st.floats(-5.0, 5.0, allow_nan=False)),
-                    min_size=1,
-                    max_size=10,
-                ),
-            ),
-            min_size=1,
-            max_size=3,
-        ),
-    )
-    def test_identity_holds_for_random_vectors(self, k, vectors):
-        assert nuclear_embedding_check(k, vectors) is True
-
-    def test_needs_vectors(self):
-        with pytest.raises(InputError):
-            nuclear_embedding_check(1, [])
