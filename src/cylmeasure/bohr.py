@@ -4,9 +4,9 @@ A finite set of reals k_1..k_n that admits no nonzero integer relation
 sum m_i k_i = 0 freely generates a subgroup of the line; its character
 group is an n-torus, and the compatible family of these tori carries
 Haar measure as uniform independent phases.  Cylindrical integrals over
-the big space reduce to torus integrals, evaluated here by periodic
-trapezoid rule (spectrally accurate on trigonometric integrands) or by
-seeded Monte Carlo.
+the big space reduce to torus integrals of a function of an (M, n) array
+of phases, evaluated once on the periodic trapezoid grid (spectrally
+accurate on trigonometric integrands) or on seeded Monte Carlo draws.
 
 True rational independence is not decidable in floating point; the
 certificate is an exhaustive search up to a named coefficient bound.
@@ -15,7 +15,6 @@ certificate is an exhaustive search up to a named coefficient bound.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -126,6 +125,10 @@ def independence_check(gamma: FrequencySet, bound: int) -> IndependenceResult:
     if n == 1:
         # m * k = 0 with k != 0 forces m = 0
         return IndependenceResult(True, bound)
+    # the sums reach bound * sum |k_i|; near the float limit they round to inf,
+    # and inf passes the null test
+    if bound * sum(abs(k) for k in gamma.freqs) > 2.0**1020:
+        raise InputError(f"bound {bound} times sum |k_i| exceeds 2^1020; the sums would overflow")
     ks = np.asarray(gamma.freqs)
     head_vecs, head_sum, head_scale = _half_sums(ks[: n // 2], bound)
     tail_vecs, tail_sum, tail_scale = _half_sums(ks[n // 2 :], bound)
@@ -212,17 +215,16 @@ class HaarIntegralResult:
     method: str
 
 
-def _evaluate(f: Callable, points: np.ndarray) -> np.ndarray:
-    """Apply f to rows of (M, n); accepts vectorized or scalar callables."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            vals = np.asarray(f(points))
-        if vals.shape == (points.shape[0],):
-            return np.asarray(vals, dtype=complex)
-    except Exception:
-        pass
-    return np.array([f(row) for row in points], dtype=complex)
+def _evaluate(f: Callable, points: np.ndarray, where: str) -> np.ndarray:
+    """f on the rows of the (M, n) phase matrix: M finite values."""
+    vals = np.asarray(f(points), dtype=complex)
+    if vals.shape != (len(points),):
+        raise InputError(
+            f"integrand must map {points.shape} phases to shape ({len(points)},), got {vals.shape}"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise NumericError(f"integrand produced a non-finite value {where}")
+    return vals
 
 
 def _grid_means(f: Callable, n_axes: int, points: int) -> tuple[complex, complex]:
@@ -239,9 +241,7 @@ def _grid_means(f: Callable, n_axes: int, points: int) -> tuple[complex, complex
     nodes = np.empty((size,) * n_axes + (n_axes,))
     for axis in range(n_axes):
         nodes[..., axis] = theta.reshape((size,) + (1,) * (n_axes - 1 - axis))
-    vals = _evaluate(f, nodes.reshape(-1, n_axes))
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("integrand produced a non-finite value on the grid")
+    vals = _evaluate(f, nodes.reshape(-1, n_axes), "on the grid")
     even = vals.reshape((size,) * n_axes)[(slice(None, None, 2),) * n_axes]
     return complex(vals.mean()), complex(np.ascontiguousarray(even).mean())
 
@@ -254,9 +254,10 @@ def haar_cylinder_integral(
     Quadrature (n <= 4 axes) uses the periodic trapezoid rule, which
     integrates trigonometric polynomials below the node count exactly;
     the reported bound is the change under doubling the nodes.  Monte
-    Carlo reports the standard error of the mean.  ``f`` takes a phase
-    vector (or a stacked (M, n) array when vectorized) and may return
-    complex values.
+    Carlo reports the standard error of the mean.  ``f`` is called once,
+    on an (M, n) array of phases, and returns M real or complex values; a
+    callable of one phase vector raises its own error on that array or
+    returns another shape, an ``InputError``.
     """
     if isinstance(method, QuadratureMethod):
         if gamma.n > QUADRATURE_MAX_AXES:
@@ -275,9 +276,7 @@ def haar_cylinder_integral(
         return HaarIntegralResult(fine, bound, f"quadrature({method.points_per_axis}x2)")
     if isinstance(method, MCMethod):
         points = haar_sample_batch(gamma, method.n_samples, method.seed)
-        vals = _evaluate(f, points)
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("integrand produced a non-finite value on a sample")
+        vals = _evaluate(f, points, "on a sample")
         est = complex(vals.mean())
         se = math.sqrt(
             (np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)) / method.n_samples

@@ -5,7 +5,7 @@ stochastic mode requires an explicit non-negative ``--seed`` and its
 result envelope carries (estimate, standard error, n_samples, seed).
 Output is a strict JSON envelope; ``--out csv`` emits tabular traces for
 the few subcommands that produce them.  ``SUBCOMMANDS`` declares each
-subcommand's options, so a flag a subcommand would ignore is rejected.
+subcommand's options, and ``main`` refuses one that the call set but never read.
 The symbolic core loads with this module, and numpy does not: numpy,
 ``kernels``, ``measure_core``, ``bohr``, ``selftest`` and ``csv`` load
 inside the code that uses them, so a fresh process imports only what
@@ -225,16 +225,6 @@ def _payload_hs_check(args) -> tuple[dict, Any, list[str]]:
 def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
     from . import kernels
 
-    modes = (
-        args.at is not None,
-        args.bilinear is not None,
-        bool(args.regularity),
-        args.fourier is not None,
-    )
-    if sum(modes) != 1:
-        raise InputError(
-            "kernel needs exactly one of --at, --bilinear, --regularity, --fourier"
-        )
     if args.fourier is not None:
         m, x = args.fourier
         res = kernels.kernel_fourier_quadrature(m, x, p_cutoff=args.cutoff, tol=args.tol)
@@ -244,7 +234,7 @@ def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
             ["gauss-legendre panels with a proved bound"],
         )
     if args.spec is None:
-        raise InputError("kernel needs --spec for --at, --bilinear, --regularity")
+        raise InputError("kernel needs --fourier, or --spec with --at, --bilinear or --regularity")
     spec_doc = _load_json_arg(args.spec, "--spec")
     spec = jsonio.decode("kernel", spec_doc, "spec")
     if args.at is not None:
@@ -263,11 +253,13 @@ def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
             {"spec": spec_doc, "f": f_doc, "g": g_doc},
             ["trapezoid double quadrature"],
         )
-    return (
-        {"regularity": kernels.support_regularity_flag(spec).value},
-        {"spec": spec_doc},
-        ["continuity classification"],
-    )
+    if args.regularity:
+        return (
+            {"regularity": kernels.support_regularity_flag(spec).value},
+            {"spec": spec_doc},
+            ["continuity classification"],
+        )
+    raise InputError("kernel --spec needs one of --at, --bilinear, --regularity")
 
 
 def _payload_bohr(args) -> tuple[dict, Any, list[str]]:
@@ -278,13 +270,6 @@ def _payload_bohr(args) -> tuple[dict, Any, list[str]]:
     except ValueError as exc:
         raise InputError(f"--freqs: {exc}") from None
     inputs: dict[str, Any] = {"freqs": list(freqs.freqs)}
-    actions = [
-        args.check_independence is not None,
-        args.integral is not None,
-        args.sample,
-    ]
-    if sum(actions) != 1:
-        raise InputError("bohr needs exactly one of --check-independence, --integral, --sample")
     if args.check_independence is not None:
         res = bohr.independence_check(freqs, args.check_independence)
         inputs["check_independence"] = args.check_independence
@@ -299,6 +284,8 @@ def _payload_bohr(args) -> tuple[dict, Any, list[str]]:
             inputs,
             ["seeded haar sampler"],
         )
+    if args.integral is None:
+        raise InputError("bohr needs one of --check-independence, --integral, --sample")
     f = _integrand_from_catalog(args.integral, freqs.n)
     inputs["integral"] = args.integral
     if args.mc is not None:
@@ -320,7 +307,7 @@ def _integrand_from_catalog(name: str, n_axes: int):
     import numpy as np
 
     if name == "one":
-        return lambda th: np.ones(th.shape[0] if th.ndim == 2 else 1, dtype=complex)
+        return lambda th: np.ones(th.shape[0], dtype=complex)
     for prefix, builder in (
         ("char:", lambda m: (lambda th: np.exp(1j * (th @ m)))),
         ("cos:", lambda m: (lambda th: np.cos(th @ m).astype(complex))),
@@ -343,8 +330,6 @@ def _payload_product(args) -> tuple[dict, Any, list[str]]:
 
     spec_doc = _load_json_arg(args.spec, "--spec")
     spec = jsonio.decode("measure_rule", spec_doc, "rule")
-    if (args.cylinder is None) == (args.tail is None and args.prefix is None):
-        raise InputError("product needs either --cylinder or a --prefix/--tail pair")
     if args.cylinder is not None:
         cyl_doc = _load_json_arg(args.cylinder, "--cylinder")
         cyl = jsonio.decode("cylinder", cyl_doc, "cylinder")
@@ -353,6 +338,8 @@ def _payload_product(args) -> tuple[dict, Any, list[str]]:
             {"rule": spec_doc, "cylinder": cyl_doc},
             ["finite product of component probabilities"],
         )
+    if args.prefix is None and args.tail is None:
+        raise InputError("product needs either --cylinder or a --prefix/--tail pair")
     prefix_doc = _load_json_arg(args.prefix, "--prefix") if args.prefix else {"base": []}
     tail_doc = _load_json_arg(args.tail, "--tail") if args.tail else {"full": {}}
     constraints = measure_core.TailConstraints(
@@ -565,16 +552,38 @@ def _run_selftest(args) -> int:
     return 0
 
 
+class _ReadLog(argparse.Namespace):
+    """Logs every attribute read in ``read``, a slot kept out of ``vars()``."""
+
+    __slots__ = ("read",)
+
+    def __getattribute__(self, name: str) -> Any:
+        if name != "read":
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def _refuse_unread(args: _ReadLog) -> None:
+    """Refuse an option set away from its default (None, False for a flag) but never read."""
+    for flag, keywords in SUBCOMMANDS[args.subcommand][2]:
+        dest = flag[2:].replace("-", "_")
+        default = keywords.get("default", False if "action" in keywords else None)
+        if dest not in args.read and vars(args)[dest] != default:
+            raise InputError(f"{flag} does not apply to this {args.subcommand} call")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, _ReadLog(read=set()))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    args.read.clear()  # what the parser itself looked up
     try:
         if args.subcommand == "selftest":
             return _run_selftest(args)
         envelope = build_envelope(args)
+        _refuse_unread(args)
         print(_emit(envelope, args.out))
         return 0
     except InputError as exc:

@@ -156,6 +156,8 @@ def _measure_kinds() -> dict[str, Any]:
     from . import measure_core
 
     def cell(boxes: tuple, p: float) -> tuple:
+        if not 0.0 <= p <= 1.0:
+            raise _Fault(f"probability must lie in [0,1], got {p}", ".p")
         return tuple(measure_core.normalize_box(box) for box in boxes), p
 
     def marginal_table(indices: tuple[int, ...], cells: tuple) -> measure_core.MarginalTable:

@@ -11,6 +11,7 @@ is the Fourier integral
 whose 1/(2m) normalization this module pins by quadrature rather than
 taking on faith.  Grid functions use trapezoid quadrature with the usual
 O(dx^2) error model; smoothness of the inputs is the caller's business.
+The support flag is exact for the closed forms and ``undecided`` for a table.
 """
 
 from __future__ import annotations
@@ -317,12 +318,7 @@ def covariance_bilinear(spec: KernelSpec, f: GridFunction, g: GridFunction) -> f
 class KernelRegularity(str, enum.Enum):
     CONTINUOUS_KERNEL = "continuous-kernel"
     NOWHERE_SIGNED_MEASURE = "nowhere-signed-measure"
-
-
-# a tabulated kernel is flagged discontinuous when one adjacent jump
-# dwarfs the typical jump and is visible at the value scale
-_JUMP_FACTOR = 10.0
-_JUMP_SCALE = 1e-3
+    UNDECIDED = "undecided"
 
 
 def support_regularity_flag(spec: KernelSpec) -> KernelRegularity:
@@ -331,21 +327,13 @@ def support_regularity_flag(spec: KernelSpec) -> KernelRegularity:
     A kernel that is not a continuous function (white noise) puts the
     measure on distributions that are signed measures on no open set; a
     continuous kernel (massive free, d = 1) keeps typical paths function-
-    like.  Tabulated kernels are classified by a jump heuristic, which is
-    a documented judgment call, not a theorem.
+    like.  A table of finitely many values fixes no continuity class, so
+    a tabulated kernel is ``UNDECIDED``.
     """
     if isinstance(spec, WhiteNoise):
         return KernelRegularity.NOWHERE_SIGNED_MEASURE
     if isinstance(spec, MassiveFree1D):
         return KernelRegularity.CONTINUOUS_KERNEL
     if isinstance(spec, TabulatedKernel):
-        jumps = np.abs(np.diff(spec.values))
-        if jumps.size == 0:
-            return KernelRegularity.CONTINUOUS_KERNEL
-        scale = float(np.max(np.abs(spec.values)))
-        big = float(jumps.max())
-        typical = float(np.median(jumps))
-        if big > _JUMP_FACTOR * typical and big > _JUMP_SCALE * scale:
-            return KernelRegularity.NOWHERE_SIGNED_MEASURE
-        return KernelRegularity.CONTINUOUS_KERNEL
+        return KernelRegularity.UNDECIDED
     raise InputError(f"not a kernel spec: {spec!r}")

@@ -103,6 +103,16 @@ class TestIndependenceCheck:
         with pytest.raises(InputError):
             independence_check(FrequencySet((1.0,)), 0)
 
+    @pytest.mark.parametrize(
+        "freqs, bound", [((1e308, 1.5), 3), ((1.7e308, -8.5e307), 1)], ids=["3e308", "2.55e308"]
+    )
+    def test_overflowing_combinations_are_refused(self, freqs, bound):
+        # the half-sums would overflow to inf, and inf <= tol * inf passes the null test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"exceeds 2\^1020; the sums would overflow"):
+                independence_check(FrequencySet(freqs), bound)
+
 
 class TestHaarSample:
     def test_determinism(self):
@@ -135,22 +145,11 @@ def _two_grid_oracle(f, n_axes, points):
     """Reference quadrature: the fine and the coarse grid each built by
     meshgrid + stack and f evaluated on both; returns (value, error_bound)."""
 
-    def evaluate(points_matrix):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                vals = np.asarray(f(points_matrix))
-            if vals.shape == (points_matrix.shape[0],):
-                return vals.astype(complex)
-        except Exception:
-            pass
-        return np.array([f(row) for row in points_matrix], dtype=complex)
-
     def grid_mean(size):
         theta = 2.0 * math.pi * np.arange(size) / size
         mesh = np.meshgrid(*([theta] * n_axes), indexing="ij")
         flat = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        return complex(evaluate(flat).mean())
+        return complex(np.asarray(f(flat), dtype=complex).mean())
 
     coarse = grid_mean(points)
     fine = grid_mean(2 * points)
@@ -180,11 +179,12 @@ class TestHaarIntegral:
         )
         assert abs(res.value) < 1e-8
 
-    def test_scalar_callable_fallback(self):
-        res = haar_cylinder_integral(
-            FrequencySet((1.0,)), lambda th: math.cos(th[0]) ** 2, self.quad
-        )
-        assert res.value == pytest.approx(0.5, abs=1e-10)
+    @pytest.mark.parametrize(
+        "method", [QuadratureMethod(4), MCMethod(100, seed=1)], ids=["quadrature", "mc"]
+    )
+    def test_scalar_integrand_is_refused(self, method):
+        with pytest.raises(InputError, match=r"shape \(\d+,\), got \(\)"):
+            haar_cylinder_integral(self.gamma2, lambda th: 1.0, method)
 
     @pytest.mark.parametrize("points", [2, 3, 8, 10])
     @pytest.mark.parametrize("n_axes", [1, 2, 3, 4])
@@ -198,15 +198,6 @@ class TestHaarIntegral:
 
         res = haar_cylinder_integral(gamma, f, QuadratureMethod(points))
         value, bound = _two_grid_oracle(f, n_axes, points)
-        assert res.value == value
-        assert abs(res.error_bound - bound) <= 1e-15
-
-    def test_scalar_only_integrand_matches_the_two_grid_oracle(self):
-        def f(th):
-            return math.exp(math.cos(th[0] - 2.0 * th[1]))
-
-        res = haar_cylinder_integral(self.gamma2, f, QuadratureMethod(3))
-        value, bound = _two_grid_oracle(f, 2, 3)
         assert res.value == value
         assert abs(res.error_bound - bound) <= 1e-15
 

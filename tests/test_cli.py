@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ def run_envelope(capsys, *argv):
 
 
 UNIFORM = '{"identical": {"uniform": {"a": 0, "b": 1}}}'
+MASSIVE_FREE = '{"massive_free_1d": {"m": 1}}'
 MARGINALS = json.dumps([{"indices": [1], "cells": [{"boxes": [[[0.0, "inf"]]], "p": 1.0}]}])
 
 # kind -> (valid document, decoded object, [(bad document, path named by the error)]):
@@ -538,22 +540,57 @@ class TestCliHardening:
         assert "x[0]" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, flag",
         [
-            ("sample", "--cov", CONST1, "--n", "4", "--seed", "-1"),
-            ("sample", "--cov", CONST1, "--n", "4", "--seed", str(2**64)),
-            ("shift-admissible", "--cov", CONST1, "--shift", CONST1, "--tol", "1e-3"),
-            ("hs-check", "--weights", CONST1, "--seed", "1"),
-            ("consistency", "--marginals", MARGINALS, "--tol", "-1"),
-            ("kernel", "--fourier", "1.0", "0.0", "--tol", "0"),
+            (("sample", "--cov", CONST1, "--n", "4", "--seed", "-1"), "--seed"),
+            (("sample", "--cov", CONST1, "--n", "4", "--seed", str(2**64)), "--seed"),
+            (("shift-admissible", "--cov", CONST1, "--shift", CONST1, "--tol", "1e-3"), "--tol"),
+            (("hs-check", "--weights", CONST1, "--seed", "1"), "--seed"),
+            (("consistency", "--marginals", MARGINALS, "--tol", "-1"), "--tol"),
+            (("kernel", "--fourier", "1.0", "0.0", "--tol", "0"), "--tol"),
+            # declared options that the call did not read
+            (("moment", "--cov", CONST1, "--vectors", "e1,e1", "--seed", "4"), "--seed"),
+            (("support", "--cov", CONST1, "--weights", CONST1, "--seed", "4"), "--seed"),
+            (("bohr", "--freqs", "1.0,1.4142135623730951", "--check-independence", "5",
+              "--seed", "3"), "--seed"),
+            (("kernel", "--spec", MASSIVE_FREE, "--at", "0", "--tol", "1e-3"), "--tol"),
+            (("kernel", "--fourier", "1", "0", "--spec", MASSIVE_FREE), "--spec"),
+            (("bohr", "--freqs", "1.0,2.0", "--sample", "--seed", "1", "--mc", "10"), "--mc"),
+            (("bohr", "--freqs", "1.0,2.0", "--integral", "one", "--mc", "100", "--seed", "1",
+              "--quad-points", "4"), "--quad-points"),
+            (("product", "--spec", UNIFORM, "--cylinder", '{"base":[]}', "--n-max", "5"),
+             "--n-max"),
         ],
         ids=["negative-seed", "seed-above-64-bits", "tol-on-shift-admissible",
-             "seed-on-hs-check", "negative-tol", "zero-tol"],
+             "seed-on-hs-check", "negative-tol", "zero-tol", "seed-on-exact-moment",
+             "seed-on-exact-support", "seed-on-bohr-independence", "tol-on-kernel-at",
+             "spec-on-kernel-fourier", "mc-on-bohr-sample", "quad-points-on-bohr-mc",
+             "n-max-on-product-cylinder"],
     )
-    def test_rejected_options_exit_2(self, capsys, argv):
-        code, out, _ = run_cli(capsys, *argv)
+    def test_rejected_options_exit_2(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("freqs, bound", [("1e308,1.5", "3"), ("1.7e308,-8.5e307", "1")])
+    def test_overflowing_independence_search_exits_2(self, capsys, freqs, bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would escape main
+            code, out, err = run_cli(
+                capsys, "bohr", "--freqs", freqs, "--check-independence", bound
+            )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"input error: bound {bound} times sum |k_i| exceeds 2^1020; the sums would overflow\n"
+        )
+
+    def test_probability_outside_the_unit_interval_exits_2(self, capsys):
+        cell = {"boxes": [[[0.0, "inf"]]], "p": -0.5}
+        marginals = json.dumps([{"indices": [1], "cells": [cell]}] * 2)
+        code, out, err = run_cli(capsys, "consistency", "--marginals", marginals)
+        assert (code, out) == (2, "")
+        assert "marginals[0].cells[0].p: probability must lie in [0,1], got -0.5" in err
 
     @pytest.mark.parametrize(
         "argv, option",

@@ -5,6 +5,10 @@ stdout, 2 for an input error or 3 for a numeric failure, and never lets
 an exception escape (a shell user would see a traceback).  The drawn
 subcommands are the ones whose cost is decoding: shift-admissible,
 hs-check, support without Monte Carlo, equivalence, chi and consistency.
+A second test draws combinations of the declared options of the
+subcommands with several modes (kernel, bohr, product, moment, support),
+each with a small valid value, so a call that mixes modes or sets an
+option its mode does not read is refused with exit 2, never ignored.
 """
 
 import contextlib
@@ -98,6 +102,59 @@ def test_cli_contract_holds_for_mutated_documents(data):
         code = cli.main(argv)  # an exception escaping here is a traceback for a shell user
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        envelope = json.loads(out.getvalue(), parse_constant=reject_constant)
+        assert envelope["subcommand"] == subcommand
+    else:
+        assert out.getvalue() == "" and err.getvalue().strip(), argv
+
+
+# flag -> small valid values; a flag with no values is a store_true switch
+KERNEL = [json.dumps({"massive_free_1d": {"m": 1.0}}), json.dumps({"white_noise": {"sigma": 2.0}}),
+          json.dumps({"tabulated": {"grid": [-1.0, 0.0, 1.0], "values": [0.5, 1.0, 0.5]}})]
+GRID = json.dumps({"x0": -0.5, "dx": 0.25, "count": 5, "values": [0.0, 0.5, 1.0, 0.5, 0.0]})
+OPTION_VALUES = {
+    "kernel": {
+        "--spec": [[k] for k in KERNEL], "--at": [["0"], ["0.5"]], "--bilinear": [[GRID, GRID]],
+        "--regularity": [], "--fourier": [["1", "0"], ["2", "0.5"]], "--cutoff": [["1e7"], ["100"]],
+        "--tol": [["1e-6"], ["1e-3"]],
+    },
+    "bohr": {
+        "--freqs": [["1.0,1.4142135623730951"], ["1.0,2.0"], ["0.5"]],
+        "--check-independence": [["3"]], "--integral": [["one"], ["char:1,-1"], ["cos:2"]],
+        "--quad-points": [["4"], ["16"]], "--mc": [["50"]], "--sample": [], "--seed": [["1"]],
+    },
+    "product": {
+        "--spec": [['{"identical":{"uniform":{"a":0,"b":1}}}']],
+        "--cylinder": [['{"base":[{"index":1,"boxes":[[0.0,0.5]]}]}'], ['{"base":[]}']],
+        "--prefix": [['{"base":[]}']],
+        "--tail": [['{"one_minus_geometric":{"c":1.0,"q":0.5}}'], ['{"full":{}}']],
+        "--n-max": [["5"], ["1000"]],
+    },
+    "moment": {
+        "--cov": [[json.dumps(DECAYS[0])], [json.dumps(DECAYS[2])]],
+        "--vectors": [["e1,e1"], ["e1,e2,e1,e2"]], "--mc-samples": [["20"]], "--seed": [["4"]],
+    },
+    "support": {
+        "--cov": [[json.dumps(DECAYS[0])]], "--weights": [[json.dumps(DECAYS[1])]],
+        "--mc": [["100", "100"]], "--seed": [["7"]],
+    },
+}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_cli_contract_holds_for_option_combinations(data):
+    subcommand = data.draw(st.sampled_from(sorted(OPTION_VALUES)))
+    argv = [subcommand]
+    for flag, keywords in cli.SUBCOMMANDS[subcommand][2]:
+        if keywords.get("required") or data.draw(st.booleans()):
+            values = OPTION_VALUES[subcommand][flag]
+            argv += [flag, *(data.draw(st.sampled_from(values)) if values else [])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
     if code == 0:
         envelope = json.loads(out.getvalue(), parse_constant=reject_constant)
         assert envelope["subcommand"] == subcommand

@@ -188,6 +188,10 @@ ERRORS = {
          "doc[0].cells[0].p: expected a number, got bool"),
         ("cell-non-finite", [{"indices": [1], "cells": [CELL, {**CELL, "p": INF}]}],
          "doc[0].cells[1].p: must be finite"),
+        ("cell-negative-p", [{"indices": [1], "cells": [CELL, {**CELL, "p": -0.5}]}],
+         "doc[0].cells[1].p: probability must lie in [0,1], got -0.5"),
+        ("cell-p-above-one", [{"indices": [1], "cells": [{**CELL, "p": 1.5}]}],
+         "doc[0].cells[0].p: probability must lie in [0,1], got 1.5"),
         ("cell-arity",
          [{"indices": [1], "cells": [CELL]},
           {"indices": [1, 2], "cells": [{"boxes": [[[0.0, 1.0]], [[0.0]]], "p": 1.0}]}],

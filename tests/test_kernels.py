@@ -250,23 +250,21 @@ class TestRegularityFlag:
             is KernelRegularity.CONTINUOUS_KERNEL
         )
 
-    def test_tabulated_smooth_sample_is_continuous(self):
-        # the jump heuristic compares against the median jump, so the
-        # verdict depends on how much dynamic range the table spans; a
-        # moderate window keeps the sampled exponential below threshold
-        grid = np.linspace(-3.0, 3.0, 301)
-        tab = TabulatedKernel(
-            tuple(grid.tolist()), tuple(np.exp(-np.abs(grid)).tolist())
-        )
-        assert support_regularity_flag(tab) is KernelRegularity.CONTINUOUS_KERNEL
-
-    def test_tabulated_step_is_flagged(self):
-        grid = np.linspace(-1.0, 1.0, 201)
-        vals = np.where(np.abs(grid) < 0.01, 1.0, 0.001)
-        tab = TabulatedKernel(tuple(grid.tolist()), tuple(vals.tolist()))
-        assert (
-            support_regularity_flag(tab) is KernelRegularity.NOWHERE_SIGNED_MEASURE
-        )
+    def test_tabulated_kernels_are_undecided(self, capsys):
+        # a smooth sample and a step: finitely many values fix no continuity class
+        smooth = np.linspace(-3.0, 3.0, 301)
+        step = np.linspace(-1.0, 1.0, 201)
+        tables = [
+            TabulatedKernel(tuple(smooth.tolist()), tuple(np.exp(-np.abs(smooth)).tolist())),
+            TabulatedKernel(
+                tuple(step.tolist()), tuple(np.where(np.abs(step) < 0.01, 1.0, 0.001).tolist())
+            ),
+        ]
+        for tab in tables:
+            assert support_regularity_flag(tab) is KernelRegularity.UNDECIDED
+            spec = json.dumps({"tabulated": {"grid": list(tab.grid), "values": list(tab.values)}})
+            assert cli.main(["kernel", "--spec", spec, "--regularity"]) == 0
+            assert json.loads(capsys.readouterr().out)["payload"] == {"regularity": "undecided"}
 
 
 class TestGridFunction:
