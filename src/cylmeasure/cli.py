@@ -10,8 +10,10 @@ The symbolic core loads with this module, and numpy does not: numpy,
 ``kernels``, ``measure_core``, ``bohr``, ``selftest`` and ``csv`` load
 inside the code that uses them, so a fresh process imports only what
 its subcommand runs.  ``shift-admissible``, ``hs-check``, ``chi``,
-``moment`` without ``--mc-samples`` and ``consistency`` build no array
-and never load numpy.
+``moment`` without ``--mc-samples``, ``consistency``, ``equivalence``
+(which bounds its variance ratios from a few indices), ``rn-density``
+(one point, a plain sum) and ``support`` on closed-form inputs build
+no array and never load numpy.
 
 Exit codes: 0 success, 2 input error (schema violations name the
 offending key), 3 numeric failure (a tolerance that could not be
@@ -151,17 +153,14 @@ def _payload_moment(args) -> tuple[dict, Any, list[str]]:
 
 
 def _payload_rn_density(args) -> tuple[dict, Any, list[str]]:
-    import numpy as np
-
     cov_doc = _load_json_arg(args.cov, "--cov")
     shift_doc = _load_json_arg(args.shift, "--shift")
     x_doc = _load_json_arg(args.x, "--x")
     cov = jsonio.decode_decay(cov_doc, "cov")
     shift = jsonio.decode("finite_sequence", shift_doc, "shift")
-    x = np.asarray(jsonio.decode("numbers", x_doc, "x"))
-    value = transform.rn_density(x, shift, cov)
+    x = jsonio.decode("numbers", x_doc, "x")
     return (
-        {"density": float(value), "truncation": len(x_doc)},
+        {"density": transform.rn_density(x, shift, cov), "truncation": len(x_doc)},
         {"cov": cov_doc, "shift": shift_doc, "x": x_doc},
         ["closed-form shift density"],
     )
@@ -340,8 +339,8 @@ def _payload_product(args) -> tuple[dict, Any, list[str]]:
         )
     if args.prefix is None and args.tail is None:
         raise InputError("product needs either --cylinder or a --prefix/--tail pair")
-    prefix_doc = _load_json_arg(args.prefix, "--prefix") if args.prefix else {"base": []}
-    tail_doc = _load_json_arg(args.tail, "--tail") if args.tail else {"full": {}}
+    prefix_doc = {"base": []} if args.prefix is None else _load_json_arg(args.prefix, "--prefix")
+    tail_doc = {"full": {}} if args.tail is None else _load_json_arg(args.tail, "--tail")
     constraints = measure_core.TailConstraints(
         prefix=jsonio.decode("cylinder", prefix_doc, "prefix"),
         tail=jsonio.decode("tail_rule", tail_doc, "tail"),

@@ -504,6 +504,12 @@ class TestCliHardening:
         assert code == 2
         assert f"input error: {option}: invalid JSON" in err
 
+    @pytest.mark.parametrize("option", ["--cylinder", "--prefix", "--tail"])
+    def test_empty_product_document_exits_2(self, capsys, option):
+        code, out, err = run_cli(capsys, "product", "--spec", UNIFORM, option, "")
+        assert (code, out) == (2, "")
+        assert f"input error: {option}: invalid JSON" in err
+
     def test_overflowing_interval_end_names_its_path(self, capsys):
         code, _, err = run_cli(
             capsys, "product", "--spec", UNIFORM,

@@ -7,9 +7,10 @@ subcommand, ``kernel --fourier`` and the quick selftest leave scipy
 unloaded, and a second one runs the numeric paths with scipy blocked.
 
 numpy takes about 0.1 s to import and the symbolic subcommands build no
-array.  A fresh interpreter checks that ``import cylmeasure.cli`` and
-those subcommands leave numpy unloaded and that the array paths load it,
-and a second one runs the symbolic subcommands with numpy blocked.
+array (``equivalence`` and one-point ``rn-density`` included).  A fresh
+interpreter checks that ``import cylmeasure.cli`` and those subcommands
+leave numpy unloaded and that an array path (``sample``) loads it, and
+a second one runs the symbolic subcommands with numpy blocked.
 
 The package's own modules come next: ``import cylmeasure`` loads none of
 them, and a subcommand loads only those of ``bohr``, ``kernels``,
@@ -181,10 +182,14 @@ SYMBOLIC = [
     (["chi", "--cov", CONST, "--xi", E1], {"chi": math.exp(-0.5), "inner": 1.0}),
     (["moment", "--cov", CONST, "--vectors", f"[{E1},{E1}]"], {"moment": 1.0, "n_vectors": 2}),
     (["consistency", "--marginals", MARGINALS], {"consistent": True, "violation": None}),
+    (["equivalence", "--cov-a", CONST, "--cov-b", '{"constant":{"rho":2}}'],
+     {"ratio_inf": 2.0, "ratio_sup": 2.0, "reason": "sum (a_n - 1)^2 diverges",
+      "series": "diverges", "verdict": "singular"}),
+    (["rn-density", "--cov", CONST, "--shift", E1, "--x", "[0.5]"],
+     {"density": 1.0, "truncation": 1}),
 ]
 ARRAY_PATHS = [
-    ["equivalence", "--cov-a", CONST, "--cov-b", '{"constant":{"rho":2}}'],
-    ["rn-density", "--cov", CONST, "--shift", E1, "--x", "[0.5]"],
+    ["sample", "--cov", CONST, "--n", "4", "--seed", "1"],
 ]
 
 NUMPY_PROBE = """

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cylmeasure.errors import InputError, NumericError, UndecidableError
 from cylmeasure.gaussian import draw_coordinates
@@ -24,6 +25,7 @@ from cylmeasure.transform import (
     rn_density,
     shift_admissible,
 )
+from cylmeasure import transform
 
 E1 = FiniteSequence.basis(1)
 
@@ -55,6 +57,14 @@ class TestRnDensity:
         vals = rn_density(x, FiniteSequence(((2, 1.5),)), Constant(2.0))
         assert vals.shape == (50,)
         assert np.all(vals > 0)
+
+    def test_batch_as_a_list_of_rows(self):
+        y, cov = FiniteSequence(((2, 1.5),)), Constant(2.0)
+        rows = [np.zeros(3), np.array([0.0, 1.0, 0.0])]
+        vals = rn_density(rows, y, cov)
+        assert vals.shape == (2,)
+        assert vals[0] == rn_density(rows[0], y, cov)
+        assert vals[1] == pytest.approx(rn_density(rows[1], y, cov), rel=1e-15)
 
     def test_support_outside_truncation_rejected(self):
         with pytest.raises(InputError, match="beyond the truncation"):
@@ -212,6 +222,84 @@ class TestEquivalenceClassify:
     )
     def test_symmetry(self, a, b):
         assert equivalence_classify(a, b).verdict == equivalence_classify(b, a).verdict
+
+
+def scanned_ratio_bounds(a, b):
+    """min and max of the finite ratios b_n / a_n over every n <= 1000."""
+    ratios = []
+    for n in range(1, 1001):
+        x, y = a.at(n), b.at(n)
+        if x != 0.0 and math.isfinite(y / x):
+            ratios.append(y / x)
+    return min(ratios), max(ratios)
+
+
+AMPLITUDES = st.floats(1e-3, 1e3)
+POWERS = st.floats(0.01, 4.0)
+RATES = st.one_of(
+    st.floats(0.01, 0.999),
+    st.floats(1e-12, 1e-6).map(lambda d: 1.0 - d),  # within 1e-6 of 1
+)
+CLOSED_FORMS = st.one_of(
+    st.builds(Constant, AMPLITUDES),
+    st.builds(PowerDecay, AMPLITUDES, POWERS),
+    st.builds(Geometric, AMPLITUDES, RATES),
+    # entries that go subnormal inside the scan: the fallback scan
+    st.builds(Geometric, st.floats(1e-301, 1e-299), st.floats(0.01, 0.9)),
+    st.builds(
+        lambda base, frac, p: ConstantPlusPower(base, base * frac, p),
+        AMPLITUDES,
+        st.floats(-0.999, 3.0).filter(lambda f: f != 0.0),  # negative c down to -0.999 base
+        POWERS,
+    ),
+)
+COVARIANCES = st.one_of(
+    CLOSED_FORMS,
+    st.builds(Prefixed, st.lists(AMPLITUDES, min_size=1, max_size=40).map(tuple), CLOSED_FORMS),
+)
+
+
+class TestRatioBounds:
+    @settings(max_examples=200, deadline=None)
+    @given(COVARIANCES, COVARIANCES)
+    @example(ConstantPlusPower(1.0, 2.0, 0.04), ConstantPlusPower(1.0, 2.0, 2.58))
+    @example(PowerDecay(2.0, 2.33), Geometric(1.0, 0.95))
+    @example(ConstantPlusPower(1.0, -0.5, 0.1), Prefixed((1.5,), Geometric(2.0, 0.7)))
+    @example(Geometric(1.0, 1.0 - 1e-7), Prefixed((2.0, 0.5, 3.0), Geometric(3.0, 1.0 - 3e-7)))
+    def test_matches_a_scan_of_every_index(self, a, b):
+        lo, hi = transform._ratio_bounds(a, b)
+        want_lo, want_hi = scanned_ratio_bounds(a, b)
+        assert lo == pytest.approx(want_lo, rel=1e-13)
+        assert hi == pytest.approx(want_hi, rel=1e-13)
+
+    def test_interior_critical_points_are_found(self):
+        # r_n = n^2 0.9^n peaks at n = -2 / log 0.9 = 18.98, far from both ends
+        lo, hi = transform._ratio_bounds(PowerDecay(1.0, 2.0), Geometric(1.0, 0.9))
+        assert hi == pytest.approx(19**2 * 0.9**19, rel=1e-15)
+        assert lo == pytest.approx(1000**2 * 0.9**1000, rel=1e-15)
+
+    @pytest.mark.parametrize("a, b", [
+        (Geometric(1e-300, 0.5), Constant(1.0)),  # the denominator reaches 0 at n = 78
+        (Constant(1.0), Geometric(1e-300, 0.5)),  # the numerator does: the least ratio is 0
+        (Geometric(1e-300, 0.5), PowerDecay(1e-320, 0.1)),
+    ])
+    def test_subnormal_entries_take_the_scan(self, a, b):
+        assert transform._candidate_bounds(a, b) is None
+        assert transform._ratio_bounds(a, b) == scanned_ratio_bounds(a, b)
+
+    def test_a_prefix_over_the_whole_range_takes_the_scan(self):
+        a = Prefixed(tuple(1.0 + (n % 7) / 10 for n in range(1200)), Constant(1.0))
+        b = PowerDecay(2.0, 0.5)
+        assert transform._candidate_bounds(a, b) is None
+        assert transform._ratio_bounds(a, b) == scanned_ratio_bounds(a, b)
+
+    def test_a_table_is_scanned_to_its_end(self):
+        table = Tabulated(tuple(1.0 + (n % 13) / 5 for n in range(1, 1001)))
+        for a, b in ((table, Geometric(3.0, 0.99)), (Geometric(3.0, 0.99), table),
+                     (table, Tabulated(table.values[::-1]))):
+            assert transform._ratio_bounds(a, b) == scanned_ratio_bounds(a, b)
+        short = Tabulated((1.0, 4.0, 2.0))
+        assert transform._ratio_bounds(short, Constant(2.0)) == (0.5, 2.0)
 
 
 class TestErgodicityFlag:
