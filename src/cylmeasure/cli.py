@@ -123,6 +123,7 @@ def _payload_moment(args) -> tuple[dict, Any, list[str]]:
     value = gaussian.wick_moment(cov, vectors)
     payload: dict[str, Any] = {"moment": value, "n_vectors": len(vectors)}
     provenance = ["pairing-sum evaluation"]
+    inputs: dict[str, Any] = {"cov": cov_doc, "vectors": vec_echo}
     if args.mc_samples is not None:
         if args.seed is None:
             raise InputError("--mc-samples needs an explicit --seed")
@@ -149,7 +150,8 @@ def _payload_moment(args) -> tuple[dict, Any, list[str]]:
             "seed": args.seed,
         }
         provenance.append("monte carlo product-moment oracle")
-    return payload, {"cov": cov_doc, "vectors": vec_echo}, provenance
+        inputs["mc"] = {"n_samples": args.mc_samples, "seed": args.seed}
+    return payload, inputs, provenance
 
 
 def _payload_rn_density(args) -> tuple[dict, Any, list[str]]:
@@ -229,7 +231,7 @@ def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
         res = kernels.kernel_fourier_quadrature(m, x, p_cutoff=args.cutoff, tol=args.tol)
         return (
             jsonio.encode_value(res),
-            {"fourier": {"m": m, "x": x, "cutoff": args.cutoff}},
+            {"fourier": {"m": m, "x": x, "cutoff": args.cutoff, "tol": args.tol}},
             ["gauss-legendre panels with a proved bound"],
         )
     if args.spec is None:
@@ -346,11 +348,10 @@ def _payload_product(args) -> tuple[dict, Any, list[str]]:
         tail=jsonio.decode("tail_rule", tail_doc, "tail"),
     )
     report = measure_core.countable_product_measure(spec, constraints, n_max=args.n_max)
-    return (
-        jsonio.encode_value(report),
-        {"rule": spec_doc, "prefix": prefix_doc, "tail": tail_doc},
-        ["monotone partial products"],
-    )
+    inputs = {"rule": spec_doc, "prefix": prefix_doc, "tail": tail_doc}
+    if args.n_max is not None:
+        inputs["n_max"] = args.n_max
+    return jsonio.encode_value(report), inputs, ["monotone partial products"]
 
 
 def _payload_consistency(args) -> tuple[dict, Any, list[str]]:
@@ -359,7 +360,8 @@ def _payload_consistency(args) -> tuple[dict, Any, list[str]]:
     doc = _load_json_arg(args.marginals, "--marginals")
     tables = jsonio.decode("marginal_tables", doc, "marginals")
     res = measure_core.consistency_check(tables, tol=args.tol)
-    return jsonio.encode_value(res), {"marginals": doc}, ["chain marginalization"]
+    inputs = {"marginals": doc, "tol": args.tol}
+    return jsonio.encode_value(res), inputs, ["chain marginalization"]
 
 
 def build_envelope(args) -> dict:

@@ -40,11 +40,10 @@ import math
 import sys
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from . import sequences, transform
 from .errors import InputError
 
 if TYPE_CHECKING:
-    from . import measure_core
+    from . import measure_core, sequences, transform
 
 __all__ = ["SCHEMA", "decode", "decode_decay", "decode_shift", "encode_value"]
 
@@ -146,122 +145,96 @@ def _index_map(doc: Any) -> dict[int, measure_core.Component1D]:
 # ---------------------------------------------------------------------------
 # the schema: kind -> shape.  A shape is a dict of tagged variants, an
 # _Object, a _List, a _Tuple, the name of another kind, or a leaf reader.
-# A kind's shape is compiled into one reader closure on its first read.
+# A constructor is a function or the name of a package export, such as
+# "Gaussian1D" or "ProductMeasureSpec.indexed".  A kind's shape is compiled
+# into one reader closure on its first read; the names resolve then, so
+# the package loads the module behind them (``measure_core``, ``kernels``)
+# only for a call that reads such a kind.
+
+
+def _identical(doc: Any) -> measure_core.ProductMeasureSpec:
+    from .measure_core import ProductMeasureSpec
+
+    return ProductMeasureSpec.identical(_read("component", doc))
+
+
+def _cell(boxes: tuple, p: float) -> tuple:
+    from .measure_core import normalize_box
+
+    if not 0.0 <= p <= 1.0:
+        raise _Fault(f"probability must lie in [0,1], got {p}", ".p")
+    return tuple(normalize_box(box) for box in boxes), p
+
+
+def _marginal_table(indices: tuple[int, ...], cells: tuple) -> measure_core.MarginalTable:
+    from .measure_core import MarginalTable
+
+    if not indices:
+        raise _Fault("expected a nonempty array of naturals", ".indices")
+    for j, (boxes, _) in enumerate(cells):
+        if len(boxes) != len(indices):
+            raise _Fault(f"expected {len(indices)} boxes (one per index)", f".cells[{j}].boxes")
+    return MarginalTable(indices, cells)
+
 
 _NUMBERS = _List(_number)
+_BOX = _List(_Tuple("Interval", (_interval_end, _interval_end)))
 
-
-def _measure_kinds() -> dict[str, Any]:
-    """The kinds read into ``measure_core`` objects; ``measure_core`` loads here."""
-    from . import measure_core
-
-    def cell(boxes: tuple, p: float) -> tuple:
-        if not 0.0 <= p <= 1.0:
-            raise _Fault(f"probability must lie in [0,1], got {p}", ".p")
-        return tuple(measure_core.normalize_box(box) for box in boxes), p
-
-    def marginal_table(indices: tuple[int, ...], cells: tuple) -> measure_core.MarginalTable:
-        if not indices:
-            raise _Fault("expected a nonempty array of naturals", ".indices")
-        for j, (boxes, _) in enumerate(cells):
-            if len(boxes) != len(indices):
-                raise _Fault(f"expected {len(indices)} boxes (one per index)", f".cells[{j}].boxes")
-        return measure_core.MarginalTable(indices, cells)
-
-    box = _List(_Tuple(measure_core.Interval, (_interval_end, _interval_end)))
-    return {
-        "component": {
-            "gaussian": _object(measure_core.Gaussian1D, rho=_number),
-            "uniform": _object(measure_core.Uniform1D, a=_number, b=_number),
-            "point_mass": _object(measure_core.PointMass1D, c=_number),
-        },
-        "measure_rule": {
-            "identical": lambda doc: measure_core.ProductMeasureSpec.identical(
-                _read("component", doc)
-            ),
-            "indexed": _object(
-                measure_core.ProductMeasureSpec.indexed, map=_index_map, default="component"
-            ),
-        },
-        "cylinder": _object(
-            measure_core.CylinderSet, base=_List(_object(_pack, index=_natural, boxes=box))
-        ),
-        "tail_rule": {
-            "full": _object(measure_core.FullTail),
-            "constant_factor": _object(measure_core.ConstantFactorTail, f=_number),
-            "one_minus_geometric": _object(
-                measure_core.OneMinusGeometricTail, c=_number, q=_number
-            ),
-            "tabulated": _object(measure_core.TabulatedTail, factors=_NUMBERS),
-        },
-        "marginal_tables": _List(
-            _object(
-                marginal_table,
-                indices=_List(_natural),
-                cells=_List(_object(cell, boxes=_List(box), p=_number)),
-            )
-        ),
-    }
-
-
-def _kernel_kinds() -> dict[str, Any]:
-    """The kinds read into ``kernels`` objects; ``kernels`` loads here."""
-    from . import kernels
-
-    return {
-        "kernel": {
-            "white_noise": _object(kernels.WhiteNoise, sigma=_number),
-            "massive_free_1d": _object(kernels.MassiveFree1D, m=_number),
-            "tabulated": _object(kernels.TabulatedKernel, grid=_NUMBERS, values=_NUMBERS),
-        },
-        "grid_function": _object(
-            kernels.GridFunction, x0=_number, dx=_number, count=_natural, values=_NUMBERS
-        ),
-    }
-
-
-def _on_first_read(kind: str, kinds) -> Any:
-    """A leaf reader standing in for ``kind``: its first read puts ``kinds()`` into SCHEMA.
-
-    The readers compiled from the stand-ins are dropped, so each kind is
-    compiled again from its real shape.
-    """
-
-    def read(doc: Any) -> Any:
-        built = kinds()
-        SCHEMA.update(built)
-        for name in built:
-            _READERS.pop(name, None)
-        return _read(kind, doc)
-
-    return read
-
-
-# Every kind is listed from import on; the kinds of measure_core and kernels
-# are built on their first read, so a call that reads none loads neither.
 SCHEMA: dict[str, Any] = {
     "decay": {
-        "constant": _object(sequences.Constant, rho=_number),
-        "power": _object(sequences.PowerDecay, c=_number, p=_number),
-        "geometric": _object(sequences.Geometric, c=_number, q=_number),
-        "constant_plus_power": _object(
-            sequences.ConstantPlusPower, base=_number, c=_number, p=_number
-        ),
-        "prefixed": _object(sequences.Prefixed, prefix=_NUMBERS, tail="decay"),
-        "tabulated": _object(sequences.Tabulated, values=_NUMBERS),
+        "constant": _object("Constant", rho=_number),
+        "power": _object("PowerDecay", c=_number, p=_number),
+        "geometric": _object("Geometric", c=_number, q=_number),
+        "constant_plus_power": _object("ConstantPlusPower", base=_number, c=_number, p=_number),
+        "prefixed": _object("Prefixed", prefix=_NUMBERS, tail="decay"),
+        "tabulated": _object("Tabulated", values=_NUMBERS),
     },
-    "component": _on_first_read("component", _measure_kinds),
-    "measure_rule": _on_first_read("measure_rule", _measure_kinds),
-    "cylinder": _on_first_read("cylinder", _measure_kinds),
+    "component": {
+        "gaussian": _object("Gaussian1D", rho=_number),
+        "uniform": _object("Uniform1D", a=_number, b=_number),
+        "point_mass": _object("PointMass1D", c=_number),
+    },
+    "measure_rule": {
+        "identical": _identical,
+        "indexed": _object("ProductMeasureSpec.indexed", map=_index_map, default="component"),
+    },
+    "cylinder": _object("CylinderSet", base=_List(_object(_pack, index=_natural, boxes=_BOX))),
     "finite_sequence": _object(
-        sequences.FiniteSequence, entries=_List(_Tuple(_pack, (_natural, _number)))
+        "FiniteSequence", entries=_List(_Tuple(_pack, (_natural, _number)))
     ),
-    "kernel": _on_first_read("kernel", _kernel_kinds),
-    "grid_function": _on_first_read("grid_function", _kernel_kinds),
-    "tail_rule": _on_first_read("tail_rule", _measure_kinds),
-    "marginal_tables": _on_first_read("marginal_tables", _measure_kinds),
+    "kernel": {
+        "white_noise": _object("WhiteNoise", sigma=_number),
+        "massive_free_1d": _object("MassiveFree1D", m=_number),
+        "tabulated": _object("TabulatedKernel", grid=_NUMBERS, values=_NUMBERS),
+    },
+    "grid_function": _object(
+        "GridFunction", x0=_number, dx=_number, count=_natural, values=_NUMBERS
+    ),
+    "tail_rule": {
+        "full": _object("FullTail"),
+        "constant_factor": _object("ConstantFactorTail", f=_number),
+        "one_minus_geometric": _object("OneMinusGeometricTail", c=_number, q=_number),
+        "tabulated": _object("TabulatedTail", factors=_NUMBERS),
+    },
+    "marginal_tables": _List(
+        _object(
+            _marginal_table,
+            indices=_List(_natural),
+            cells=_List(_object(_cell, boxes=_List(_BOX), p=_number)),
+        )
+    ),
     "numbers": _NUMBERS,
 }
+
+
+def _constructor(build: Any) -> Any:
+    """``build`` itself, or the package export it names (loading its module)."""
+    if type(build) is not str:
+        return build
+    value = sys.modules[__package__]
+    for name in build.split("."):
+        value = getattr(value, name)
+    return value
 
 
 def _build(build, values: list) -> Any:
@@ -297,7 +270,7 @@ def _variants(shape: dict) -> Any:
 
 
 def _fields(shape: _Object) -> Any:
-    build, keys = shape.build, shape.keys
+    build, keys = _constructor(shape.build), shape.keys
     fields = tuple((key, _compile(field)) for key, field in shape.fields)
 
     def read(doc: Any) -> Any:
@@ -342,7 +315,7 @@ def _list(shape: _List) -> Any:
 
 
 def _tuple(shape: _Tuple) -> Any:
-    build, items = shape.build, tuple(_compile(item) for item in shape.items)
+    build, items = _constructor(shape.build), tuple(_compile(item) for item in shape.items)
 
     def read(doc: Any) -> Any:
         if len(_array(doc)) != len(items):

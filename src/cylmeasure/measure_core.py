@@ -321,10 +321,7 @@ class TabulatedTail:
     def factor_block(self, start: int, stop: int) -> np.ndarray:
         import numpy as np
 
-        block = np.ones(stop - start)
-        listed = self.factors[start - 1 : stop - 1]
-        block[: len(listed)] = listed
-        return block
+        return np.asarray(self.factors[start - 1 : stop - 1])
 
     @property
     def length(self):
@@ -385,8 +382,8 @@ def countable_product_measure(
 
     Factors are taken in blocks: a cumulative product seeded with the
     running partial product multiplies in the order of a factor-by-factor
-    loop, and the first stop or out-of-range factor in the block ends
-    the scan exactly where that loop would.
+    loop, and the first stop in the block ends the scan exactly where
+    that loop would.  The rule constructors keep every factor in [0,1].
     """
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
@@ -406,30 +403,23 @@ def countable_product_measure(
         return ProductLimitReport(partial if tail.f == 1.0 else 0.0, 0, True, "converged")
     import numpy as np
 
-    table_end = tail.length if tail.length is not None else n_max + 1
-    n_used = 0
-    for start in range(1, n_max + 1, _PRODUCT_BLOCK):
-        ks = np.arange(start, min(start + _PRODUCT_BLOCK, n_max + 1))
-        f = tail.factor_block(start, start + len(ks))
-        bad = ~((0.0 <= f) & (f <= 1.0))
+    end = n_max if tail.length is None else min(n_max, tail.length)
+    for start in range(1, end + 1, _PRODUCT_BLOCK):
+        f = tail.factor_block(start, min(start + _PRODUCT_BLOCK, end + 1))
         running = np.cumprod(np.concatenate(([partial], f)))[1:]
-        at_table_end = ks >= table_end
-        stop = at_table_end | (running <= _UNDERFLOW)
+        stop = running <= _UNDERFLOW
         if tail.length is None:  # a table is multiplied to its end
             stop |= 1.0 - f <= tol
-        first_bad = int(np.argmax(bad)) if bad.any() else len(ks)
-        first_stop = int(np.argmax(stop)) if stop.any() else len(ks)
-        if first_bad < len(ks) and first_bad <= first_stop:
-            k = start + first_bad
-            raise InputError(f"tail factor {k} outside [0,1]: {float(f[first_bad])}")
-        if first_stop < len(ks):
-            value = float(running[first_stop])
-            if not at_table_end[first_stop] and value <= _UNDERFLOW:
+        if stop.any():
+            first = int(np.argmax(stop))
+            k, value = start + first, float(running[first])
+            if k != tail.length and value <= _UNDERFLOW:
                 value = 0.0
-            return ProductLimitReport(value, start + first_stop, True, "converged")
+            return ProductLimitReport(value, k, True, "converged")
         partial = float(running[-1])
-        n_used = int(ks[-1])
-    return ProductLimitReport(partial, n_used, False, "decreasing-unconverged")
+    if end == tail.length:
+        return ProductLimitReport(partial, end, True, "converged")
+    return ProductLimitReport(partial, end, False, "decreasing-unconverged")
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ def _atom(q: float, alpha: float, k: float) -> tuple[Atom, ...]:
 
 
 class _Decay:
-    """Index checks shared by the decay classes; entries start at n = 1."""
+    """Index checks and ``first`` from the atoms, shared by the decay classes; n starts at 1."""
 
     def at(self, n: int) -> float:
         """Entry s_n."""
@@ -176,6 +176,19 @@ class _Decay:
             raise InputError(f"need n_max >= 1, got {n_max}")
         return self._first(n_max)
 
+    def _first(self, n_max: int) -> np.ndarray:
+        """The sum of the atoms k * n**alpha * q**n, each factor of 1 left out."""
+        import numpy as np
+
+        n = np.arange(1, n_max + 1, dtype=float)
+        total = None
+        for q, alpha, k in self.atoms():
+            term = k if alpha == 0.0 else k * n**alpha
+            if q != 1.0:
+                term = term * q**n
+            total = term if total is None else total + term
+        return np.full(n_max, 0.0 if total is None else total)
+
 
 @dataclass(frozen=True)
 class Constant(_Decay):
@@ -189,11 +202,6 @@ class Constant(_Decay):
 
     def _at(self, n: int) -> float:
         return self.value
-
-    def _first(self, n_max: int) -> np.ndarray:
-        import numpy as np
-
-        return np.full(n_max, self.value)
 
     def is_positive(self) -> bool:
         return self.value > 0
@@ -218,11 +226,6 @@ class PowerDecay(_Decay):
     def _at(self, n: int) -> float:
         return self.c * float(n) ** (-self.p)
 
-    def _first(self, n_max: int) -> np.ndarray:
-        import numpy as np
-
-        return self.c * np.arange(1, n_max + 1, dtype=float) ** (-self.p)
-
     def is_positive(self) -> bool:
         return self.c > 0
 
@@ -245,11 +248,6 @@ class Geometric(_Decay):
 
     def _at(self, n: int) -> float:
         return self.c * self.q**n
-
-    def _first(self, n_max: int) -> np.ndarray:
-        import numpy as np
-
-        return self.c * self.q ** np.arange(1, n_max + 1, dtype=float)
 
     def is_positive(self) -> bool:
         return self.c > 0
@@ -283,11 +281,6 @@ class ConstantPlusPower(_Decay):
 
     def _at(self, n: int) -> float:
         return self.base + self.c * float(n) ** (-self.p)
-
-    def _first(self, n_max: int) -> np.ndarray:
-        import numpy as np
-
-        return self.base + self.c * np.arange(1, n_max + 1, dtype=float) ** (-self.p)
 
     def is_positive(self) -> bool:
         # monotone in n, so the extremes are n=1 and the limit

@@ -421,6 +421,27 @@ class TestCliContracts:
         assert env["payload"]["verdict"] == "equivalent"
         assert env["payload"]["ratio_inf"] == env["payload"]["ratio_sup"] == 1.0
 
+    @pytest.mark.parametrize(
+        "argv, option, values",
+        [
+            (("consistency", "--marginals", json.dumps(json.loads(MARGINALS) + [
+                {"indices": [1], "cells": [{"boxes": [[[0.0, "inf"]]], "p": 0.9999}]}])),
+             "--tol", ("1e-12", "1e-3")),
+            (("kernel", "--fourier", "1", "0.5"), "--tol", ("1e-6", "1e-3")),
+            (("product", "--spec", UNIFORM, "--tail", '{"one_minus_geometric":{"c":1,"q":0.5}}'),
+             "--n-max", ("10", "100")),
+            (("moment", "--cov", CONST1, "--vectors", "e1,e1", "--mc-samples", "100"),
+             "--seed", ("3", "4")),
+        ],
+        ids=["consistency-tol", "kernel-fourier-tol", "product-n-max", "moment-mc-seed"],
+    )
+    def test_an_option_that_changes_the_payload_changes_the_digest(
+        self, capsys, argv, option, values
+    ):
+        first, second = (run_envelope(capsys, *argv, option, value) for value in values)
+        assert first["payload"] != second["payload"]
+        assert first["inputs_digest"] != second["inputs_digest"]
+
     def test_inputs_echo_reparses(self, capsys):
         env = run_envelope(
             capsys, "equivalence", "--cov-a", CONST1, "--cov-b", CONST2

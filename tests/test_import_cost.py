@@ -16,6 +16,10 @@ The package's own modules come next: ``import cylmeasure`` loads none of
 them, and a subcommand loads only those of ``bohr``, ``kernels``,
 ``measure_core`` and ``selftest`` that it runs.  Each call gets its own
 fresh interpreter, since loaded modules accumulate.
+
+``jsonio.SCHEMA`` names its constructors, and a kind's first read loads
+the module behind them: ``import cylmeasure.jsonio`` loads no model module
+and no numpy, every name resolves, and reading leaves ``SCHEMA`` unchanged.
 """
 
 import json
@@ -228,3 +232,57 @@ def test_symbolic_subcommands_run_with_numpy_blocked():
     assert [row[:3] for row in report[1:]] == [
         [argv[0], 0, payload] for argv, payload in SYMBOLIC
     ]
+
+
+# one document of every SCHEMA kind
+KIND_DOCS = {
+    "decay": {"prefixed": {"prefix": [2.0], "tail": {"power": {"c": 1, "p": 2}}}},
+    "component": {"gaussian": {"rho": 1}},
+    "measure_rule": {"indexed": {"map": {"2": {"point_mass": {"c": 0}}},
+                                 "default": {"uniform": {"a": 0, "b": 1}}}},
+    "cylinder": {"base": [{"index": 1, "boxes": [[0, 0.5]]}]},
+    "finite_sequence": {"entries": [[1, 1.0]]},
+    "kernel": {"white_noise": {"sigma": 1}},
+    "grid_function": {"x0": 0, "dx": 0.5, "count": 2, "values": [1, 2]},
+    "tail_rule": {"one_minus_geometric": {"c": 1, "q": 0.5}},
+    "marginal_tables": json.loads(MARGINALS),
+    "numbers": [1.0, -2.5],
+}
+
+MODELS = ["kernels", "measure_core", "sequences", "transform"]
+
+SCHEMA_PROBE = """
+import copy, json, sys
+from cylmeasure import jsonio
+
+def loaded():
+    return sorted(k.removeprefix("cylmeasure.") for k in sys.modules
+                  if k == "numpy" or k.startswith("cylmeasure."))
+
+report = {"after_import": loaded()}
+before = copy.deepcopy(jsonio.SCHEMA)
+docs = json.loads(sys.argv[1])
+report["kinds"] = sorted(docs) == sorted(jsonio.SCHEMA)
+report["decoded"] = [type(jsonio.decode(kind, doc, kind)).__name__ for kind, doc in docs.items()]
+report["unchanged"] = jsonio.SCHEMA == before
+report["compiled"] = all(callable(jsonio._compile(shape)) for shape in jsonio.SCHEMA.values())
+print(json.dumps(report))
+"""
+
+
+def test_schema_is_fixed_and_names_resolve_on_first_read():
+    proc = _run(SCHEMA_PROBE, json.dumps(KIND_DOCS))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    # importing jsonio loads no model module and no numpy
+    assert not set(report["after_import"]) & {*MODELS, "numpy"}
+    assert report["kinds"]
+    assert report["decoded"] == [
+        "Prefixed", "Gaussian1D", "ProductMeasureSpec", "CylinderSet", "FiniteSequence",
+        "WhiteNoise", "GridFunction", "OneMinusGeometricTail", "tuple", "tuple",
+    ]
+    # reading every kind leaves SCHEMA as it was at import
+    assert report["unchanged"]
+    # compiling a kind looks up each constructor it names, so a misspelled
+    # name would fail here rather than at that kind's first read
+    assert report["compiled"]

@@ -62,6 +62,28 @@ class TestDecayValues:
         assert Geometric(1.0, 0.5).at(3) == pytest.approx(0.125)
         assert ConstantPlusPower(1.0, 1.0, 1.0).at(4) == pytest.approx(1.25)
 
+    def test_first_from_atoms_is_bitwise_the_closed_forms(self):
+        # reference: each class's closed form, written out per class
+        n = np.arange(1, 501, dtype=float)
+        reference = {
+            Constant: lambda s: np.full(len(n), s.value),
+            PowerDecay: lambda s: s.c * n ** (-s.p),
+            Geometric: lambda s: s.c * s.q**n,
+            ConstantPlusPower: lambda s: s.base + s.c * n ** (-s.p),
+        }
+        rng = np.random.default_rng(20)
+
+        def amplitude():
+            return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+
+        for _ in range(750):
+            p, q = float(10.0 ** rng.uniform(-2.0, 2.6)), float(rng.uniform(0.01, 0.999))
+            for seq in (Constant(amplitude()), PowerDecay(amplitude(), p),
+                        Geometric(amplitude(), q), ConstantPlusPower(amplitude(), amplitude(), p)):
+                assert seq.first(len(n)).tobytes() == reference[type(seq)](seq).tobytes(), seq
+        for seq in (Constant(0.0), PowerDecay(0.0, 1.0), Geometric(0.0, 0.5)):
+            assert seq.first(len(n)).tobytes() == reference[type(seq)](seq).tobytes(), seq
+
     def test_prefix_overrides_then_tail(self):
         seq = Prefixed((9.0, 8.0), Constant(1.0))
         assert seq.first(4).tolist() == [9.0, 8.0, 1.0, 1.0]

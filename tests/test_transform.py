@@ -246,12 +246,10 @@ CLOSED_FORMS = st.one_of(
     st.builds(Geometric, AMPLITUDES, RATES),
     # entries that go subnormal inside the scan: the fallback scan
     st.builds(Geometric, st.floats(1e-301, 1e-299), st.floats(0.01, 0.9)),
-    st.builds(
-        lambda base, frac, p: ConstantPlusPower(base, base * frac, p),
-        AMPLITUDES,
-        st.floats(-0.999, 3.0).filter(lambda f: f != 0.0),  # negative c down to -0.999 base
-        POWERS,
-    ),
+    # negative c down to -0.999 base; a base * frac that underflows to c = 0 is no such class
+    st.tuples(AMPLITUDES, st.floats(-0.999, 3.0), POWERS)
+    .filter(lambda t: t[0] * t[1] != 0.0)
+    .map(lambda t: ConstantPlusPower(t[0], t[0] * t[1], t[2])),
 )
 COVARIANCES = st.one_of(
     CLOSED_FORMS,
