@@ -26,7 +26,7 @@ _EXPORTS = {
                  "inner", "pairings", "positive_type_gram", "sample", "wick_moment"),
     "kernels": ("FourierQuadResult", "GridFunction", "KernelRegularity", "KernelSpec",
                 "MassiveFree1D", "TabulatedKernel", "WhiteNoise", "covariance_bilinear",
-                "kernel_eval", "kernel_fourier_quadrature", "support_regularity_flag"),
+                "kernel_fourier_quadrature"),
     "measure_core": ("ConstantFactorTail", "ConsistencyResult", "CylinderSet", "FullTail",
                      "Gaussian1D", "IncreasingLimitReport", "Interval", "MarginalTable",
                      "OneMinusGeometricTail", "PointMass1D", "ProductLimitReport",
@@ -40,8 +40,7 @@ _EXPORTS = {
                   "Prefixed", "Tabulated"),
     "support": ("DiagonalOperator", "Support", "SupportReport", "TailGrowthReport",
                 "hilbert_schmidt_check", "mc_tail_growth", "weighted_support_check"),
-    "transform": ("EmptyFamily", "Equivalence", "EquivalenceVerdict", "FinitelySupportedFamily",
-                  "ShiftSpec", "WeightedL2Family", "equivalence_classify", "ergodicity_flag",
+    "transform": ("Equivalence", "EquivalenceVerdict", "ShiftSpec", "equivalence_classify",
                   "rn_density", "shift_admissible"),
 }
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "jsonio"}

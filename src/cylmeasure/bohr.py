@@ -5,8 +5,9 @@ sum m_i k_i = 0 freely generates a subgroup of the line; its character
 group is an n-torus, and the compatible family of these tori carries
 Haar measure as uniform independent phases.  Cylindrical integrals over
 the big space reduce to torus integrals of a function of an (M, n) array
-of phases, evaluated once on the periodic trapezoid grid (spectrally
-accurate on trigonometric integrands) or on seeded Monte Carlo draws.
+of phases, evaluated once by the ``integrate`` of the chosen method: on
+the periodic trapezoid grid of ``QuadratureMethod`` (spectrally accurate
+on trigonometric integrands) or on the seeded draws of ``MCMethod``.
 
 True rational independence is not decidable in floating point; the
 certificate is an exhaustive search up to a named coefficient bound.
@@ -176,29 +177,6 @@ def haar_sample_batch(gamma: FrequencySet, n_samples: int, seed: int) -> np.ndar
     return rng.uniform(0.0, 2.0 * math.pi, (n_samples, gamma.n))
 
 
-@dataclass(frozen=True)
-class QuadratureMethod:
-    """Periodic trapezoid rule with points_per_axis nodes per angle."""
-
-    points_per_axis: int = 16
-
-    def __post_init__(self):
-        if self.points_per_axis < 2:
-            raise InputError("quadrature needs at least 2 points per axis")
-
-
-@dataclass(frozen=True)
-class MCMethod:
-    n_samples: int
-    seed: int
-
-    def __post_init__(self):
-        if self.n_samples < 2:
-            raise InputError(f"need n_samples >= 2, got {self.n_samples}")
-
-
-Method = Union[QuadratureMethod, MCMethod]
-
 QUADRATURE_MAX_AXES = 4
 
 # phases held by one Monte Carlo integral (samples x axes), and nodes of
@@ -246,40 +224,64 @@ def _grid_means(f: Callable, n_axes: int, points: int) -> tuple[complex, complex
     return complex(vals.mean()), complex(np.ascontiguousarray(even).mean())
 
 
-def haar_cylinder_integral(
-    gamma: FrequencySet, f: Callable, method: Method
-) -> HaarIntegralResult:
-    """Normalized Haar integral of f over the torus of ``gamma``.
+@dataclass(frozen=True)
+class QuadratureMethod:
+    """Periodic trapezoid rule with points_per_axis nodes per angle, on n <= 4
+    axes: exact on trigonometric polynomials below the node count, and the
+    reported bound is the change under doubling the nodes."""
 
-    Quadrature (n <= 4 axes) uses the periodic trapezoid rule, which
-    integrates trigonometric polynomials below the node count exactly;
-    the reported bound is the change under doubling the nodes.  Monte
-    Carlo reports the standard error of the mean.  ``f`` is called once,
-    on an (M, n) array of phases, and returns M real or complex values; a
-    callable of one phase vector raises its own error on that array or
-    returns another shape, an ``InputError``.
-    """
-    if isinstance(method, QuadratureMethod):
+    points_per_axis: int = 16
+
+    def __post_init__(self):
+        if self.points_per_axis < 2:
+            raise InputError("quadrature needs at least 2 points per axis")
+
+    def integrate(self, gamma: FrequencySet, f: Callable) -> HaarIntegralResult:
         if gamma.n > QUADRATURE_MAX_AXES:
             raise InputError(
                 f"quadrature supports up to {QUADRATURE_MAX_AXES} axes, got {gamma.n}; "
                 "use Monte Carlo"
             )
-        nodes = (2 * method.points_per_axis) ** gamma.n
+        nodes = (2 * self.points_per_axis) ** gamma.n
         if nodes > MAX_QUAD_NODES:
             raise InputError(
-                f"{2 * method.points_per_axis}^{gamma.n} quadrature nodes exceed "
+                f"{2 * self.points_per_axis}^{gamma.n} quadrature nodes exceed "
                 f"the budget of {MAX_QUAD_NODES}"
             )
-        fine, coarse = _grid_means(f, gamma.n, method.points_per_axis)
+        fine, coarse = _grid_means(f, gamma.n, self.points_per_axis)
         bound = abs(fine - coarse) + 1e-14
-        return HaarIntegralResult(fine, bound, f"quadrature({method.points_per_axis}x2)")
-    if isinstance(method, MCMethod):
-        points = haar_sample_batch(gamma, method.n_samples, method.seed)
+        return HaarIntegralResult(fine, bound, f"quadrature({self.points_per_axis}x2)")
+
+
+@dataclass(frozen=True)
+class MCMethod:
+    """Seeded Monte Carlo; the reported bound is the standard error of the mean."""
+
+    n_samples: int
+    seed: int
+
+    def __post_init__(self):
+        if self.n_samples < 2:
+            raise InputError(f"need n_samples >= 2, got {self.n_samples}")
+
+    def integrate(self, gamma: FrequencySet, f: Callable) -> HaarIntegralResult:
+        points = haar_sample_batch(gamma, self.n_samples, self.seed)
         vals = _evaluate(f, points, "on a sample")
         est = complex(vals.mean())
         se = math.sqrt(
-            (np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)) / method.n_samples
+            (np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)) / self.n_samples
         )
-        return HaarIntegralResult(est, se, f"mc({method.n_samples},seed={method.seed})")
-    raise InputError(f"unknown integration method: {method!r}")
+        return HaarIntegralResult(est, se, f"mc({self.n_samples},seed={self.seed})")
+
+
+Method = Union[QuadratureMethod, MCMethod]
+
+
+def haar_cylinder_integral(gamma: FrequencySet, f: Callable, method: Method) -> HaarIntegralResult:
+    """Normalized Haar integral of f over the torus of ``gamma`` by ``method``.
+
+    ``f`` is called once, on an (M, n) array of phases, and returns M
+    real or complex values; a callable of one phase vector raises its
+    own error on that array or returns another shape, an ``InputError``.
+    """
+    return method.integrate(gamma, f)

@@ -240,7 +240,7 @@ def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
     spec = jsonio.decode("kernel", spec_doc, "spec")
     if args.at is not None:
         return (
-            {"value": kernels.kernel_eval(spec, args.at), "x": args.at},
+            {"value": spec.at(args.at), "x": args.at},
             {"spec": spec_doc, "at": args.at},
             ["closed-form kernel evaluation"],
         )
@@ -256,7 +256,7 @@ def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
         )
     if args.regularity:
         return (
-            {"regularity": kernels.support_regularity_flag(spec).value},
+            {"regularity": spec.regularity.value},
             {"spec": spec_doc},
             ["continuity classification"],
         )

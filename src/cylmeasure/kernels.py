@@ -9,9 +9,12 @@ is the Fourier integral
     (1/2pi) * integral dp cos(p x) / (m^2 + p^2)  =  exp(-m |x|) / (2 m),
 
 whose 1/(2m) normalization this module pins by quadrature rather than
-taking on faith.  Grid functions use trapezoid quadrature with the usual
-O(dx^2) error model; smoothness of the inputs is the caller's business.
-The support flag is exact for the closed forms and ``undecided`` for a table.
+taking on faith.  Each kernel class carries its own operations: the
+point value ``at``, the trapezoid ``bilinear`` form on a grid and the
+``regularity`` flag.  Grid functions use trapezoid quadrature with the
+usual O(dx^2) error model; smoothness of the inputs is the caller's
+business.  The support flag is exact for the closed forms and
+``undecided`` for a table.
 """
 
 from __future__ import annotations
@@ -33,13 +36,25 @@ __all__ = [
     "GridFunction",
     "KernelRegularity",
     "FourierQuadResult",
-    "kernel_eval",
     "kernel_fourier_quadrature",
     "gauss_legendre_panels",
     "MAX_FOURIER_NODES",
     "covariance_bilinear",
-    "support_regularity_flag",
 ]
+
+
+class KernelRegularity(str, enum.Enum):
+    """Continuity class of a kernel, as a support-regularity flag.
+
+    A kernel that is not a continuous function (white noise) puts the
+    measure on distributions that are signed measures on no open set; a
+    continuous kernel (massive free, d = 1) keeps typical paths function-
+    like.  A table of finitely many values fixes no continuity class.
+    """
+
+    CONTINUOUS_KERNEL = "continuous-kernel"
+    NOWHERE_SIGNED_MEASURE = "nowhere-signed-measure"
+    UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
@@ -47,10 +62,20 @@ class WhiteNoise:
     """Covariance sigma * identity; kernel sigma * delta."""
 
     sigma: float
+    regularity = KernelRegularity.NOWHERE_SIGNED_MEASURE
 
     def __post_init__(self):
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise InputError(f"white noise needs sigma > 0, got {self.sigma}")
+
+    def at(self, x: float) -> float:
+        """A delta has no point value: always an InputError."""
+        raise InputError("the white noise kernel is sigma*delta, not a pointwise function")
+
+    def bilinear(self, f: GridFunction, g: GridFunction) -> float:
+        """sigma times the trapezoid L2 inner product: the delta collapses
+        one integral, so no kernel matrix is involved."""
+        return float(self.sigma * np.sum(f.weighted() * np.asarray(g.values)))
 
 
 @dataclass(frozen=True)
@@ -58,10 +83,20 @@ class MassiveFree1D:
     """Kernel exp(-m|x|)/(2m) of the inverse of (m^2 - d^2/dx^2)."""
 
     m: float
+    regularity = KernelRegularity.CONTINUOUS_KERNEL
 
     def __post_init__(self):
         if not (self.m > 0 and math.isfinite(self.m)):
             raise InputError(f"massive free kernel needs m > 0, got {self.m}")
+
+    def at(self, x: float) -> float:
+        return math.exp(-self.m * abs(x)) / (2.0 * self.m)
+
+    def bilinear(self, f: GridFunction, g: GridFunction) -> float:
+        """On the grid the kernel is exp(-m dx)^|i-j| / (2m), which two
+        first-order recursions apply in O(N) time and memory."""
+        r = math.exp(-self.m * f.dx)
+        return _semiseparable_form(f.weighted(), g.weighted(), r) / (2.0 * self.m)
 
 
 @dataclass(frozen=True)
@@ -70,6 +105,7 @@ class TabulatedKernel:
 
     grid: tuple[float, ...]
     values: tuple[float, ...]
+    regularity = KernelRegularity.UNDECIDED
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
@@ -78,6 +114,29 @@ class TabulatedKernel:
             raise InputError("tabulated kernel needs matching grid/values of length >= 2")
         if not all(a < b for a, b in zip(self.grid, self.grid[1:])):
             raise InputError("tabulated kernel grid must be strictly increasing")
+
+    def at(self, x: float) -> float:
+        """Linear interpolation; a point outside the grid is an InputError."""
+        if not (self.grid[0] <= x <= self.grid[-1]):
+            raise InputError(
+                f"x={x} outside the tabulated range [{self.grid[0]}, {self.grid[-1]}]"
+            )
+        return float(np.interp(x, self.grid, self.values))
+
+    def bilinear(self, f: GridFunction, g: GridFunction) -> float:
+        """The dense N x N matrix K((i - j) dx), read from the 2N - 1 lags
+        k dx, |k| < N, which must lie in the table."""
+        n = f.count
+        lags = f.dx * np.arange(1 - n, n)
+        lo, hi = self.grid[0], self.grid[-1]
+        if lags[0] < lo or lags[-1] > hi:
+            raise InputError(
+                f"grid lags span [{lags[0]}, {lags[-1]}], outside the tabulated range [{lo}, {hi}]"
+            )
+        row = np.interp(lags, self.grid, self.values)
+        index = np.arange(n)
+        kmat = row[np.subtract.outer(index, index) + (n - 1)]
+        return float(f.weighted() @ kmat @ g.weighted())
 
 
 KernelSpec = Union[WhiteNoise, MassiveFree1D, TabulatedKernel]
@@ -112,25 +171,9 @@ class GridFunction:
         w[0] = w[-1] = 0.5 * self.dx
         return w
 
-
-def kernel_eval(spec: KernelSpec, x: float) -> float:
-    """Point value of the covariance kernel at separation x.
-
-    White noise has no pointwise kernel (it is a delta), so asking for
-    one is an input error.  Tabulated kernels interpolate linearly and
-    refuse points outside their grid.
-    """
-    if isinstance(spec, MassiveFree1D):
-        return math.exp(-spec.m * abs(x)) / (2.0 * spec.m)
-    if isinstance(spec, TabulatedKernel):
-        if not (spec.grid[0] <= x <= spec.grid[-1]):
-            raise InputError(
-                f"x={x} outside the tabulated range [{spec.grid[0]}, {spec.grid[-1]}]"
-            )
-        return float(np.interp(x, spec.grid, spec.values))
-    if isinstance(spec, WhiteNoise):
-        raise InputError("the white noise kernel is sigma*delta, not a pointwise function")
-    raise InputError(f"not a kernel spec: {spec!r}")
+    def weighted(self) -> np.ndarray:
+        """The values times their trapezoid weights."""
+        return self.trapezoid_weights() * np.asarray(self.values)
 
 
 @dataclass(frozen=True)
@@ -231,14 +274,6 @@ def kernel_fourier_quadrature(
     return FourierQuadResult(value, bound, tail_bound, quad_error, min(p_cutoff, t_max * m))
 
 
-def _check_same_grid(f: GridFunction, g: GridFunction) -> None:
-    if (f.x0, f.dx, f.count) != (g.x0, g.dx, g.count):
-        raise InputError(
-            "incompatible grids: "
-            f"({f.x0}, {f.dx}, {f.count}) vs ({g.x0}, {g.dx}, {g.count})"
-        )
-
-
 # length of the blocks in which _decay_scan runs its recursion as a
 # small triangular matrix product
 _SCAN_BLOCK = 64
@@ -282,58 +317,10 @@ def _semiseparable_form(a: np.ndarray, b: np.ndarray, r: float) -> float:
 
 
 def covariance_bilinear(spec: KernelSpec, f: GridFunction, g: GridFunction) -> float:
-    """Trapezoid value of the double integral f(x) K(x - x') g(x') dx dx'.
-
-    For white noise the delta collapses one integral and the result is
-    sigma times the (trapezoid) L2 inner product of f and g — exact at
-    the quadrature level, no kernel matrix involved.  The massive free
-    kernel is exp(-m dx)^|i-j| / (2m) on the grid, which two first-order
-    recursions apply in O(N) time and memory; a tabulated kernel builds
-    the dense N x N matrix.
-    """
-    _check_same_grid(f, g)
-    w = f.trapezoid_weights()
-    fv = np.asarray(f.values)
-    gv = np.asarray(g.values)
-    if isinstance(spec, WhiteNoise):
-        return float(spec.sigma * np.sum(w * fv * gv))
-    if isinstance(spec, MassiveFree1D):
-        r = math.exp(-spec.m * f.dx)
-        return _semiseparable_form(w * fv, w * gv, r) / (2.0 * spec.m)
-    xs = f.xs
-    diff = xs[:, None] - xs[None, :]
-    if isinstance(spec, TabulatedKernel):
-        lo, hi = spec.grid[0], spec.grid[-1]
-        if diff.min() < lo or diff.max() > hi:
-            raise InputError(
-                f"grid differences span [{diff.min()}, {diff.max()}], outside the "
-                f"tabulated range [{lo}, {hi}]"
-            )
-        kmat = np.interp(diff, spec.grid, spec.values)
-    else:
-        raise InputError(f"not a kernel spec: {spec!r}")
-    return float((w * fv) @ kmat @ (w * gv))
-
-
-class KernelRegularity(str, enum.Enum):
-    CONTINUOUS_KERNEL = "continuous-kernel"
-    NOWHERE_SIGNED_MEASURE = "nowhere-signed-measure"
-    UNDECIDED = "undecided"
-
-
-def support_regularity_flag(spec: KernelSpec) -> KernelRegularity:
-    """Continuity class of the kernel, as a support-regularity flag.
-
-    A kernel that is not a continuous function (white noise) puts the
-    measure on distributions that are signed measures on no open set; a
-    continuous kernel (massive free, d = 1) keeps typical paths function-
-    like.  A table of finitely many values fixes no continuity class, so
-    a tabulated kernel is ``UNDECIDED``.
-    """
-    if isinstance(spec, WhiteNoise):
-        return KernelRegularity.NOWHERE_SIGNED_MEASURE
-    if isinstance(spec, MassiveFree1D):
-        return KernelRegularity.CONTINUOUS_KERNEL
-    if isinstance(spec, TabulatedKernel):
-        return KernelRegularity.UNDECIDED
-    raise InputError(f"not a kernel spec: {spec!r}")
+    """Trapezoid value of the double integral f(x) K(x - x') g(x') dx dx'
+    by ``spec.bilinear``, over the one grid that f and g must share."""
+    if (f.x0, f.dx, f.count) != (g.x0, g.dx, g.count):
+        raise InputError(
+            f"incompatible grids: ({f.x0}, {f.dx}, {f.count}) vs ({g.x0}, {g.dx}, {g.count})"
+        )
+    return spec.bilinear(f, g)

@@ -322,16 +322,14 @@ def criterion_kernel_oracle(seed: int, full: bool) -> CheckResult:
         worst = 0.0
         for x in xs:
             res = kernels.kernel_fourier_quadrature(m, float(x), p_cutoff=1e7, tol=5e-7)
-            worst = max(worst, abs(res.value - kernels.kernel_eval(kernel, float(x))))
+            worst = max(worst, abs(res.value - kernel.at(float(x))))
         if worst >= 1e-6:
             failures.append(f"m={m}: max |closed - quadrature| = {worst:.2e} >= 1e-6")
         notes.append(f"m={m}: max dev {worst:.1e}")
         # twice the same Gauss-Legendre rule on [0, X] plus the exact tail
         span = 40.0 / m
         nodes, weights = kernels.gauss_legendre_panels(np.linspace(0.0, span, 9))
-        body = math.fsum(
-            w * kernels.kernel_eval(kernel, t) for t, w in zip(nodes.flat, weights.flat)
-        )
+        body = math.fsum(w * kernel.at(t) for t, w in zip(nodes.flat, weights.flat))
         mass = 2.0 * (body + math.exp(-m * span) / (2.0 * m * m))
         if abs(mass - 1.0 / m**2) > 1e-6:
             failures.append(f"m={m}: integral {mass:.8f} != 1/m^2 within 1e-6")

@@ -13,6 +13,11 @@ holds exactly when the ratio stays within positive bounds and
 sum (a_n - 1)^2 converges; every failure of those conditions lands in
 the singular branch of the dichotomy.  All series questions are decided
 symbolically on the decay classes.
+
+Ergodicity under shifts needs no function: a Gaussian measure is ergodic
+under the shifts along a subspace of its Cameron-Martin space H exactly
+when that subspace is dense in H (Bogachev, Gaussian Measures, 1998), and
+every subspace of H that holds the finitely supported shifts is dense.
 """
 
 from __future__ import annotations
@@ -44,14 +49,9 @@ __all__ = [
     "ShiftSpec",
     "Equivalence",
     "EquivalenceVerdict",
-    "EmptyFamily",
-    "FinitelySupportedFamily",
-    "WeightedL2Family",
-    "ShiftFamily",
     "rn_density",
     "shift_admissible",
     "equivalence_classify",
-    "ergodicity_flag",
 ]
 
 # a shift is either an explicit finite vector or a signed decay class
@@ -361,48 +361,3 @@ def equivalence_classify(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> Equivale
             "bounded ratio and square-summable ratio deviation",
         )
     return EquivalenceVerdict(Equivalence.SINGULAR, lo, hi, "diverges", "sum (a_n - 1)^2 diverges")
-
-
-# ---------------------------------------------------------------------------
-# ergodicity of shift families (symbolic classification)
-
-
-@dataclass(frozen=True)
-class EmptyFamily:
-    """No shifts at all."""
-
-
-@dataclass(frozen=True)
-class FinitelySupportedFamily:
-    """All finitely supported shift vectors."""
-
-
-@dataclass(frozen=True)
-class WeightedL2Family:
-    """The admissible-shift space of some covariance: sum y_n^2 / rho_n < inf."""
-
-    cov: CovarianceSeq
-
-
-ShiftFamily = Union[EmptyFamily, FinitelySupportedFamily, WeightedL2Family]
-
-
-def ergodicity_flag(family: ShiftFamily, cov: CovarianceSeq) -> bool:
-    """Whether the measure is ergodic under the declared shift family.
-
-    Ergodicity holds exactly when the family is dense in the space of
-    admissible shifts of ``cov``.  Classified symbolically: finitely
-    supported shifts are dense for every covariance; a weighted-l2 family
-    is dense exactly when it matches the admissible-shift space of
-    ``cov`` itself, i.e. when the two variance ratios stay bounded.  The
-    empty family is never ergodic.
-    """
-    require_positive(cov, "covariance")
-    if isinstance(family, EmptyFamily):
-        return False
-    if isinstance(family, FinitelySupportedFamily):
-        return True
-    if isinstance(family, WeightedL2Family):
-        require_positive(family.cov, "covariance")
-        return cov.atoms()[0][:2] == family.cov.atoms()[0][:2]
-    raise InputError(f"unknown shift family: {family!r}")

@@ -182,6 +182,17 @@ class TestHaarIntegral:
     @pytest.mark.parametrize(
         "method", [QuadratureMethod(4), MCMethod(100, seed=1)], ids=["quadrature", "mc"]
     )
+    def test_every_method_integrates_through_the_entry_point(self, method):
+        def f(th):
+            return 1.0 + np.cos(th[..., 0]) * np.sin(th[..., 1])
+
+        res = haar_cylinder_integral(self.gamma2, f, method)
+        assert res == method.integrate(self.gamma2, f)
+        assert abs(res.value - 1.0) <= max(4 * res.error_bound, 1e-14)
+
+    @pytest.mark.parametrize(
+        "method", [QuadratureMethod(4), MCMethod(100, seed=1)], ids=["quadrature", "mc"]
+    )
     def test_scalar_integrand_is_refused(self, method):
         with pytest.raises(InputError, match=r"shape \(\d+,\), got \(\)"):
             haar_cylinder_integral(self.gamma2, lambda th: 1.0, method)

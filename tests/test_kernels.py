@@ -1,12 +1,13 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cylmeasure import cli
+from cylmeasure import cli, jsonio
 from cylmeasure.errors import InputError, NumericError
 from cylmeasure.kernels import (
     GridFunction,
@@ -15,9 +16,7 @@ from cylmeasure.kernels import (
     TabulatedKernel,
     WhiteNoise,
     covariance_bilinear,
-    kernel_eval,
     kernel_fourier_quadrature,
-    support_regularity_flag,
 )
 
 # frozen: exp(-5)/2, checked against the quadrature below
@@ -36,38 +35,38 @@ def gaussian_bump(x0=-6.0, dx=0.12, count=101, center=0.0, width=1.0):
 
 class TestKernelEval:
     def test_value_at_origin(self):
-        assert kernel_eval(MassiveFree1D(1.0), 0.0) == 0.5
+        assert MassiveFree1D(1.0).at(0.0) == 0.5
 
     def test_evenness(self):
         k = MassiveFree1D(0.7)
         for x in (0.3, 1.5, 4.0):
-            assert kernel_eval(k, x) == kernel_eval(k, -x)
+            assert k.at(x) == k.at(-x)
 
     def test_far_value(self):
-        assert kernel_eval(MassiveFree1D(1.0), 5.0) == pytest.approx(
+        assert MassiveFree1D(1.0).at(5.0) == pytest.approx(
             KERNEL_M1_X5, rel=1e-15
         )
 
     def test_strictly_decreasing_in_distance(self):
         k = MassiveFree1D(2.0)
-        vals = [kernel_eval(k, x) for x in np.linspace(0.0, 3.0, 10)]
+        vals = [k.at(x) for x in np.linspace(0.0, 3.0, 10)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(v > 0 for v in vals)
 
     def test_total_mass(self):
         for m in (0.5, 1.0, 2.0):
-            mass, _ = quad(lambda x: kernel_eval(MassiveFree1D(m), x), -np.inf, np.inf)
+            mass, _ = quad(lambda x: MassiveFree1D(m).at(x), -np.inf, np.inf)
             assert mass == pytest.approx(1.0 / m**2, abs=1e-6)
 
     def test_white_noise_has_no_pointwise_kernel(self):
         with pytest.raises(InputError):
-            kernel_eval(WhiteNoise(1.0), 0.0)
+            WhiteNoise(1.0).at(0.0)
 
     def test_tabulated_interpolation(self):
         tab = TabulatedKernel((0.0, 1.0, 2.0), (0.0, 2.0, 0.0))
-        assert kernel_eval(tab, 0.5) == 1.0
+        assert tab.at(0.5) == 1.0
         with pytest.raises(InputError):
-            kernel_eval(tab, 3.0)
+            tab.at(3.0)
 
 
 class TestFourierQuadrature:
@@ -85,7 +84,7 @@ class TestFourierQuadrature:
         worst = 0.0
         for x in np.linspace(-5.0, 5.0, 41):
             res = kernel_fourier_quadrature(1.0, float(x), p_cutoff=1e7, tol=5e-7)
-            worst = max(worst, abs(res.value - kernel_eval(MassiveFree1D(1.0), float(x))))
+            worst = max(worst, abs(res.value - MassiveFree1D(1.0).at(float(x))))
         assert worst < 1e-6
 
     def test_error_budget_is_reported(self):
@@ -111,7 +110,7 @@ class TestFourierQuadrature:
         for x in np.linspace(-5.0, 5.0, 101):
             res = kernel_fourier_quadrature(m, float(x), p_cutoff=1e7, tol=5e-7)
             assert res.error_bound <= 5e-7
-            assert abs(res.value - kernel_eval(MassiveFree1D(m), float(x))) <= res.error_bound
+            assert abs(res.value - MassiveFree1D(m).at(float(x))) <= res.error_bound
             if x == 0.0:
                 oracle, oracle_err = quad(lambda p: 1.0 / (m * m + p * p), 0.0, np.inf)
             else:
@@ -230,6 +229,40 @@ class TestCovarianceBilinear:
         with pytest.raises(InputError, match="outside the tabulated range"):
             covariance_bilinear(tab, f, f)
 
+    def test_table_ending_at_the_last_lag_is_accepted(self):
+        # 8 * 0.07 == 0.56, while x_8 - x_0 of the grid -5 + 0.07 i is an ulp
+        # above it: the range check reads the lags k * dx, not the differences
+        tab = TabulatedKernel((-0.56, 0.0, 0.56), (0.0, 1.0, 0.0))
+        g = GridFunction(-5.0, 0.07, 9, (0, 0.5, 1, 1, 1, 1, 1, 0.5, 0))
+        assert 8 * 0.07 == 0.56 and g.xs[8] - g.xs[0] > 0.56
+        # the hat kernel is 1 - |k|/8 at the lag k * dx
+        c = [Fraction(7, 100) * Fraction(v) * (Fraction(1, 2) if i in (0, 8) else 1)
+             for i, v in enumerate(g.values)]
+        exact = sum(a * b * (1 - Fraction(abs(i - j), 8))
+                    for i, a in enumerate(c) for j, b in enumerate(c))
+        assert covariance_bilinear(tab, g, g) == pytest.approx(float(exact), rel=1e-15)
+        doc = json.dumps({"x0": -5.0, "dx": 0.07, "count": 9, "values": list(g.values)})
+        spec = json.dumps({"tabulated": {"grid": list(tab.grid), "values": list(tab.values)}})
+        assert cli.main(["kernel", "--spec", spec, "--bilinear", doc, doc]) == 0
+
+    def test_tabulated_matches_the_dense_matrix_of_differences(self):
+        # an odd table, so that the orientation K(x_i - x_j) shows, ending at
+        # the float (N - 1) * dx, against the matrix of the grid differences
+        # clipped into the table
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            count, dx = int(rng.integers(2, 60)), float(rng.uniform(0.01, 0.5))
+            end = (count - 1) * dx
+            grid = np.linspace(-end, end, 2 * count + 1)
+            tab = TabulatedKernel(tuple(grid.tolist()), tuple((np.exp(-grid**2) + grid).tolist()))
+            x0 = float(rng.uniform(-3, 3))
+            f, g = (GridFunction(x0, dx, count, tuple(rng.uniform(-1, 1, count).tolist()))
+                    for _ in range(2))
+            kmat = np.interp(np.clip(np.subtract.outer(f.xs, f.xs), -end, end), grid, tab.values)
+            wf, wg = (h.trapezoid_weights() * np.asarray(h.values) for h in (f, g))
+            scale = float(np.abs(wf) @ np.abs(kmat) @ np.abs(wg))
+            assert abs(covariance_bilinear(tab, f, g) - float(wf @ kmat @ wg)) <= 1e-13 * scale
+
     def test_incompatible_grids_rejected(self):
         f = gaussian_bump(count=101)
         g = gaussian_bump(count=51)
@@ -239,16 +272,10 @@ class TestCovarianceBilinear:
 
 class TestRegularityFlag:
     def test_white_noise_flag(self):
-        assert (
-            support_regularity_flag(WhiteNoise(1.0))
-            is KernelRegularity.NOWHERE_SIGNED_MEASURE
-        )
+        assert WhiteNoise(1.0).regularity is KernelRegularity.NOWHERE_SIGNED_MEASURE
 
     def test_massive_free_flag(self):
-        assert (
-            support_regularity_flag(MassiveFree1D(2.0))
-            is KernelRegularity.CONTINUOUS_KERNEL
-        )
+        assert MassiveFree1D(2.0).regularity is KernelRegularity.CONTINUOUS_KERNEL
 
     def test_tabulated_kernels_are_undecided(self, capsys):
         # a smooth sample and a step: finitely many values fix no continuity class
@@ -261,10 +288,32 @@ class TestRegularityFlag:
             ),
         ]
         for tab in tables:
-            assert support_regularity_flag(tab) is KernelRegularity.UNDECIDED
+            assert tab.regularity is KernelRegularity.UNDECIDED
             spec = json.dumps({"tabulated": {"grid": list(tab.grid), "values": list(tab.values)}})
             assert cli.main(["kernel", "--spec", spec, "--regularity"]) == 0
             assert json.loads(capsys.readouterr().out)["payload"] == {"regularity": "undecided"}
+
+
+# one document per declared kernel variant; a variant missing here fails below
+KERNEL_DOCS = {
+    "white_noise": {"sigma": 2.0},
+    "massive_free_1d": {"m": 1.5},
+    "tabulated": {"grid": [-20.0, 0.0, 20.0], "values": [0.0, 1.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("variant", sorted(jsonio.SCHEMA["kernel"]))
+def test_every_declared_kernel_answers_every_operation(variant):
+    spec = jsonio.decode("kernel", {variant: KERNEL_DOCS[variant]}, "spec")
+    if isinstance(spec, WhiteNoise):
+        with pytest.raises(InputError, match="delta"):
+            spec.at(0.5)
+    else:
+        assert 0.0 < spec.at(0.5) < math.inf
+    f = gaussian_bump()
+    assert covariance_bilinear(spec, f, f) > 0.0
+    assert spec.bilinear(f, f) == covariance_bilinear(spec, f, f)
+    assert isinstance(spec.regularity, KernelRegularity)
 
 
 class TestGridFunction:

@@ -16,12 +16,8 @@ from cylmeasure.sequences import (
     Tabulated,
 )
 from cylmeasure.transform import (
-    EmptyFamily,
     Equivalence,
-    FinitelySupportedFamily,
-    WeightedL2Family,
     equivalence_classify,
-    ergodicity_flag,
     rn_density,
     shift_admissible,
 )
@@ -298,23 +294,3 @@ class TestRatioBounds:
             assert transform._ratio_bounds(a, b) == scanned_ratio_bounds(a, b)
         short = Tabulated((1.0, 4.0, 2.0))
         assert transform._ratio_bounds(short, Constant(2.0)) == (0.5, 2.0)
-
-
-class TestErgodicityFlag:
-    def test_finitely_supported_always_dense(self):
-        for cov in (Constant(1.0), PowerDecay(1.0, 2.0), Geometric(1.0, 0.5)):
-            assert ergodicity_flag(FinitelySupportedFamily(), cov) is True
-
-    def test_matching_weighted_space_is_dense(self):
-        assert ergodicity_flag(WeightedL2Family(Constant(3.0)), Constant(1.0)) is True
-
-    def test_strictly_smaller_space_is_not(self):
-        # family shifts decay like 1/n^2 while the covariance is flat
-        assert ergodicity_flag(WeightedL2Family(PowerDecay(1.0, 2.0)), Constant(1.0)) is False
-
-    def test_empty_family(self):
-        assert ergodicity_flag(EmptyFamily(), Constant(1.0)) is False
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(InputError):
-            ergodicity_flag("everything", Constant(1.0))
