@@ -318,9 +318,14 @@ def _semiseparable_form(a: np.ndarray, b: np.ndarray, r: float) -> float:
 
 def covariance_bilinear(spec: KernelSpec, f: GridFunction, g: GridFunction) -> float:
     """Trapezoid value of the double integral f(x) K(x - x') g(x') dx dx'
-    by ``spec.bilinear``, over the one grid that f and g must share."""
+    by ``spec.bilinear``, over the one grid that f and g must share.  A
+    weight or sum that overflows is a NumericError."""
     if (f.x0, f.dx, f.count) != (g.x0, g.dx, g.count):
         raise InputError(
             f"incompatible grids: ({f.x0}, {f.dx}, {f.count}) vs ({g.x0}, {g.dx}, {g.count})"
         )
-    return spec.bilinear(f, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = spec.bilinear(f, g)
+    if not math.isfinite(value):
+        raise NumericError("the bilinear form overflows", value=value)
+    return value

@@ -267,10 +267,25 @@ def cylinder_measure(spec: ProductMeasureSpec, cyl: CylinderSet) -> float:
 
 
 @dataclass(frozen=True)
+class ProductLimitReport:
+    """Monotone-limit report for a countable product of factors <= 1."""
+
+    value: float
+    n_factors: int
+    converged: bool
+    verdict: str  # "converged" | "decreasing-unconverged"
+
+
+DEFAULT_N_MAX_CLOSED_FORM = 10**6
+DEFAULT_N_MAX_TABULATED = 10**4
+
+
+@dataclass(frozen=True)
 class FullTail:
     """All remaining factors are the whole line (probability 1)."""
 
-    length = None
+    def limit(self, partial: float, n_max: int | None, tol: float) -> ProductLimitReport:
+        return ProductLimitReport(partial, 0, True, "converged")
 
 
 @dataclass(frozen=True)
@@ -283,7 +298,8 @@ class ConstantFactorTail:
         if not (0.0 <= self.f <= 1.0):
             raise InputError(f"factor probability must lie in [0,1], got {self.f}")
 
-    length = None
+    def limit(self, partial: float, n_max: int | None, tol: float) -> ProductLimitReport:
+        return ProductLimitReport(partial if self.f == 1.0 else 0.0, 0, True, "converged")
 
 
 @dataclass(frozen=True)
@@ -299,12 +315,20 @@ class OneMinusGeometricTail:
         if not (0.0 <= self.c and self.c * self.q <= 1.0):
             raise InputError("geometric tail must keep factors inside [0,1]")
 
-    def factor_block(self, start: int, stop: int) -> np.ndarray:
-        import numpy as np
+    def count(self, tol: float) -> int:
+        """The least n, up to a 2^-48 widening that covers every rounding,
+        whose remainder bound c*q**(n+1)/(1-q) is <= tol: as prod_{k>n} (1 -
+        c q^k) >= 1 - sum_{k>n} c q^k, n factors exceed the limit by at most
+        tol times their product.  Solved in logs, which never underflow."""
+        if self.c == 0.0:
+            return 0
+        logs = (math.log(self.c), -math.log1p(-self.q), -math.log(tol))
+        a = math.fsum(logs) + 2.0**-48 * sum(map(abs, logs))
+        return max(0, math.ceil(a / (-math.log(self.q) * (1.0 - 2.0**-48))) - 1)
 
-        return 1.0 - self.c * self.q ** np.arange(start, stop)
-
-    length = None
+    def limit(self, partial: float, n_max: int | None, tol: float) -> ProductLimitReport:
+        n_max = DEFAULT_N_MAX_CLOSED_FORM if n_max is None else n_max
+        return _multiply(partial, self.count(tol), n_max, lambda k: 1.0 - self.c * self.q**k)
 
 
 @dataclass(frozen=True)
@@ -318,18 +342,14 @@ class TabulatedTail:
         if not all(0.0 <= v <= 1.0 for v in self.factors):
             raise InputError("tabulated factors must lie in [0,1]")
 
-    def factor_block(self, start: int, stop: int) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.factors[start - 1 : stop - 1])
-
-    @property
-    def length(self):
-        return len(self.factors)
+    def limit(self, partial: float, n_max: int | None, tol: float) -> ProductLimitReport:
+        """Every listed factor enters the product; ``tol`` plays no part."""
+        n_max = DEFAULT_N_MAX_TABULATED if n_max is None else n_max
+        table = self.factors
+        return _multiply(partial, len(table), n_max, lambda k: table[k[0] - 1 : k[-1]])
 
 
-# the geometric and tabulated rules give factor_block(start, stop), the
-# factors k = start .. stop-1 as an array
+# each rule's limit(partial, n_max, tol) is the limit of partial * f_1 * f_2 ...
 TailRule = Union[FullTail, ConstantFactorTail, OneMinusGeometricTail, TabulatedTail]
 
 
@@ -341,25 +361,32 @@ class TailConstraints:
     tail: TailRule = FullTail()
 
 
-@dataclass(frozen=True)
-class ProductLimitReport:
-    """Monotone-limit report for a countable product of factors <= 1."""
-
-    value: float
-    n_factors: int
-    converged: bool
-    verdict: str  # "converged" | "decreasing-unconverged"
-
-
-# partial products are monotone nonincreasing; below this they cannot
-# numerically recover, so the limit is reported as 0
+# partial products are nonincreasing; below this the limit is reported as 0
 _UNDERFLOW = 1e-300
 
-DEFAULT_N_MAX_CLOSED_FORM = 10**6
-DEFAULT_N_MAX_TABULATED = 10**4
-
-# factors scanned per vectorised step of countable_product_measure
+# factors multiplied per vectorised step of _multiply
 _PRODUCT_BLOCK = 4096
+
+
+def _multiply(partial: float, count: int, n_max: int, factors: Callable) -> ProductLimitReport:
+    """partial * f_1 * ... * f_m, m = min(count, n_max), where ``factors(k)``
+    is f_k on an array k of consecutive indices.  A cumulative product
+    multiplies each block in the order of a factor-by-factor loop.  The one
+    early stop is underflow, reported as 0 except at the rule's last factor."""
+    import numpy as np
+
+    end = min(count, n_max)
+    for start in range(1, end + 1, _PRODUCT_BLOCK):
+        k = np.arange(start, min(start + _PRODUCT_BLOCK, end + 1))
+        running = np.cumprod(np.concatenate(([partial], factors(k))))[1:]
+        under = running <= _UNDERFLOW
+        if under.any():
+            first = int(np.argmax(under))
+            value = float(running[first]) if start + first == count else 0.0
+            return ProductLimitReport(value, start + first, True, "converged")
+        partial = float(running[-1])
+    done = end == count
+    return ProductLimitReport(partial, end, done, "converged" if done else "decreasing-unconverged")
 
 
 def countable_product_measure(
@@ -368,58 +395,21 @@ def countable_product_measure(
     n_max: int | None = None,
     tol: float = 1e-12,
 ) -> ProductLimitReport:
-    """Probability of a countable constraint family as a monotone limit.
+    """Probability of a countable constraint family: lim_n prefix * f_1 * ... * f_n.
 
-    Evaluates lim_n of the partial products prefix * f_1 * ... * f_n.
-    A constant factor f is decided in closed form, with no factor taken:
-    the limit is 0 for f < 1 and the prefix for f = 1.  Otherwise the
-    limit is reported, not decided: iteration stops once the factors
-    are within ``tol`` of 1 (converged), once the partial product
-    underflows to an exact 0 (converged), or at ``n_max`` factors
-    (decreasing-unconverged, value = last partial product).  A tabulated
-    tail is multiplied factor by factor to the end of its table
-    (converged there): the ``tol`` stop does not apply inside a table.
-
-    Factors are taken in blocks: a cumulative product seeded with the
-    running partial product multiplies in the order of a factor-by-factor
-    loop, and the first stop in the block ends the scan exactly where
-    that loop would.  The rule constructors keep every factor in [0,1].
+    The tail rule fixes the factor count: none for a constant factor
+    (decided: 0 for f < 1, the prefix for f = 1), a table's length, and
+    ``OneMinusGeometricTail.count(tol)``.  An underflow below 1e-300
+    stops early, as 0.  A rule needing more than ``n_max`` factors
+    (default 10**6 geometric, 10**4 tabulated) stops there, as
+    decreasing-unconverged.
     """
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tol}")
     if n_max is not None and n_max < 0:
         raise InputError(f"n_max must be non-negative, got {n_max}")
-    tail = constraints.tail
-    if n_max is None:
-        n_max = (
-            DEFAULT_N_MAX_TABULATED
-            if isinstance(tail, TabulatedTail)
-            else DEFAULT_N_MAX_CLOSED_FORM
-        )
     partial = cylinder_measure(spec, constraints.prefix)
-    if isinstance(tail, FullTail) or tail.length == 0:
-        return ProductLimitReport(partial, 0, True, "converged")
-    if isinstance(tail, ConstantFactorTail):
-        return ProductLimitReport(partial if tail.f == 1.0 else 0.0, 0, True, "converged")
-    import numpy as np
-
-    end = n_max if tail.length is None else min(n_max, tail.length)
-    for start in range(1, end + 1, _PRODUCT_BLOCK):
-        f = tail.factor_block(start, min(start + _PRODUCT_BLOCK, end + 1))
-        running = np.cumprod(np.concatenate(([partial], f)))[1:]
-        stop = running <= _UNDERFLOW
-        if tail.length is None:  # a table is multiplied to its end
-            stop |= 1.0 - f <= tol
-        if stop.any():
-            first = int(np.argmax(stop))
-            k, value = start + first, float(running[first])
-            if k != tail.length and value <= _UNDERFLOW:
-                value = 0.0
-            return ProductLimitReport(value, k, True, "converged")
-        partial = float(running[-1])
-    if end == tail.length:
-        return ProductLimitReport(partial, end, True, "converged")
-    return ProductLimitReport(partial, end, False, "decreasing-unconverged")
+    return constraints.tail.limit(partial, n_max, tol)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, NumericError
 from .gaussian import CovarianceSeq
 from .sequences import DecaySeq, Tabulated, require_positive, summable
 
@@ -81,8 +81,10 @@ def weighted_support_check(cov: CovarianceSeq, a: DiagonalOperator) -> SupportRe
         import numpy as np
 
         length = min(len(seq.values) for seq in (cov, a) if isinstance(seq, Tabulated))
-        terms = a.first(length) ** 2 * cov.first(length)
-        csum = np.cumsum(terms)
+        with np.errstate(over="ignore"):
+            csum = np.cumsum(a.first(length) ** 2 * cov.first(length))
+        if not np.isfinite(csum[-1]):  # the terms are positive
+            raise NumericError("the partial sums of a_n^2 rho_n overflow")
         marks = np.unique(
             np.linspace(1, length, min(_HEURISTIC_CHECKPOINTS, length)).astype(int)
         )
@@ -154,34 +156,35 @@ def mc_tail_growth(
 
     rng = np.random.default_rng(seed)
     marks = np.unique((np.arange(1, _N_CHECKPOINTS + 1) * n_coords) // _N_CHECKPOINTS)
-    weights = a.first(n_coords) ** 2 * cov.first(n_coords)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = a.first(n_coords) ** 2 * cov.first(n_coords)
+        if not np.isfinite(weights).all():  # refused before anything is drawn
+            raise NumericError("the weights a_n^2 rho_n overflow")
 
-    # one pass over the draws, chunk-by-chunk over coordinates to bound
-    # memory: the mean of S_m over samples is sum_{n<=m} w_n mean(x_n^2),
-    # so the checkpoints need only the column sums of the squared draws
-    chunk = max(1, min(n_coords, 10_000_000 // n_samples))
-    running = np.zeros(n_samples)
-    col_sums = np.empty(n_coords)
-    for start in range(0, n_coords, chunk):
-        stop = min(start + chunk, n_coords)
-        block_sq = rng.standard_normal((n_samples, stop - start))
-        np.square(block_sq, out=block_sq)
-        block_sq.sum(axis=0, out=col_sums[start:stop])
-        running += block_sq @ weights[start:stop]
+        # one pass over the draws, chunk-by-chunk over coordinates to bound
+        # memory: the mean of S_m over samples is sum_{n<=m} w_n mean(x_n^2),
+        # so the checkpoints need only the column sums of the squared draws
+        chunk = max(1, min(n_coords, 10_000_000 // n_samples))
+        running = np.zeros(n_samples)
+        col_sums = np.empty(n_coords)
+        for start in range(0, n_coords, chunk):
+            stop = min(start + chunk, n_coords)
+            block_sq = rng.standard_normal((n_samples, stop - start))
+            np.square(block_sq, out=block_sq)
+            block_sq.sum(axis=0, out=col_sums[start:stop])
+            running += block_sq @ weights[start:stop]
 
-    means = np.cumsum(weights * col_sums) / n_samples
+        means = np.cumsum(weights * col_sums) / n_samples
+        final_se = float(running.std(ddof=1) / math.sqrt(n_samples))
+    if not (np.isfinite(means[-1]) and math.isfinite(final_se)):
+        raise NumericError("the sampled partial sums of a_n^2 x_n^2 overflow")
     checkpoints = tuple((int(m), float(means[m - 1])) for m in marks)
-    final_se = float(running.std(ddof=1) / math.sqrt(n_samples))
     half = checkpoints[len(checkpoints) // 2 - 1][1]
     final = checkpoints[-1][1]
+    kind, value = "plateau", final
     if half > 0 and final / half >= _GROWTH_RATIO:
         xs = np.array([m for m, _ in checkpoints[len(checkpoints) // 2 :]], dtype=float)
         ys = np.array([v for _, v in checkpoints[len(checkpoints) // 2 :]])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-        return TailGrowthReport(
-            "slope", slope, final_se, checkpoints, n_coords, n_samples, seed
-        )
-    return TailGrowthReport(
-        "plateau", final, final_se, checkpoints, n_coords, n_samples, seed
-    )
+        kind, value = "slope", float(np.polyfit(xs, ys, 1)[0])
+    return TailGrowthReport(kind, value, final_se, checkpoints, n_coords, n_samples, seed)
 

@@ -682,6 +682,31 @@ class TestCliHardening:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("numeric failure:")
 
+    HUGE_GRID = '{"x0":0,"dx":1e300,"count":2,"values":[1e300,1e300]}'
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("support", "--cov", '{"tabulated":{"values":[1e308,1e308]}}',
+             "--weights", '{"tabulated":{"values":[1e10,1e10]}}'),
+            ("kernel", "--spec", '{"white_noise":{"sigma":1e308}}',
+             "--bilinear", HUGE_GRID, HUGE_GRID),
+            ("kernel", "--spec", MASSIVE_FREE, "--bilinear", HUGE_GRID, HUGE_GRID),
+            ("support", "--cov", '{"constant":{"rho":1e308}}',
+             "--weights", '{"constant":{"rho":1e10}}', "--mc", "100", "100", "--seed", "1"),
+            ("support", "--cov", '{"constant":{"rho":1e306}}',
+             "--weights", CONST1, "--mc", "100", "100", "--seed", "1"),
+        ],
+        ids=["support-tabulated", "kernel-white-noise", "kernel-massive-free",
+             "support-mc-weights", "support-mc-sums"],
+    )
+    def test_overflow_prints_only_the_failure(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("numeric failure:")
+
     def test_parser_is_built_once(self, capsys):
         run_cli(capsys, "hs-check", "--weights", CONST1)
         run_cli(capsys, "hs-check", "--weights", CONST1)

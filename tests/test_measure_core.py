@@ -1,5 +1,8 @@
 import dataclasses
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,26 +186,31 @@ class TestCountableProduct:
 
 
 def product_by_loop(spec, constraints, n_max, tol=1e-12):
-    """Reference: the stopping rule applied one factor at a time."""
+    """Reference, one factor at a time.  A table runs to its end; a
+    geometric tail stops once its remainder bound c*q**(k+1)/(1-q) after
+    k factors is at most tol.  A partial product at or below 1e-300 stops
+    early as 0, except at the rule's last factor."""
     tail = constraints.tail
+    table = isinstance(tail, TabulatedTail)
+
+    def done(k):
+        if table:
+            return k == len(tail.factors)
+        return tail.c * tail.q ** (k + 1) / (1 - tail.q) <= tol
+
+    def factor(k):
+        return tail.factors[k - 1] if table else 1.0 - tail.c * tail.q**k
+
     partial = cylinder_measure(spec, constraints.prefix)
-    if tail.length == 0:
-        return ProductLimitReport(partial, 0, True, "converged")
-    n_used = 0
-    for k in range(1, n_max + 1):
-        if isinstance(tail, TabulatedTail):
-            f = tail.factors[k - 1] if k <= len(tail.factors) else 1.0
-        else:
-            f = 1.0 - tail.c * tail.q**k
-        partial *= f
-        n_used = k
-        if tail.length is not None and k >= tail.length:
-            return ProductLimitReport(partial, n_used, True, "converged")
+    k = 0
+    while not done(k):
+        if k == n_max:
+            return ProductLimitReport(partial, k, False, "decreasing-unconverged")
+        k += 1
+        partial *= factor(k)
         if partial <= 1e-300:
-            return ProductLimitReport(0.0, n_used, True, "converged")
-        if tail.length is None and 1.0 - f <= tol:  # a table is multiplied to its end
-            return ProductLimitReport(partial, n_used, True, "converged")
-    return ProductLimitReport(partial, n_used, False, "decreasing-unconverged")
+            return ProductLimitReport(partial if done(k) else 0.0, k, True, "converged")
+    return ProductLimitReport(partial, k, True, "converged")
 
 
 HALF_BOX = CylinderSet.from_boxes({1: [(0.0, 0.5)]})
@@ -251,15 +259,48 @@ class TestProductBlockScan:
         assert report.n_factors == 4500 and not report.converged
 
     @pytest.mark.parametrize(
-        "tail",
+        "tail, n_factors",
         [
-            OneMinusGeometricTail(1.0, 0.5),  # stops near k = 40
-            OneMinusGeometricTail(0.01, 0.9997),  # stops after about 7.7e4 factors
-            OneMinusGeometricTail(1e-3, 0.999),
+            (OneMinusGeometricTail(1.0, 0.5), 40),  # 2^-40 <= 1e-12 < 2^-39
+            (OneMinusGeometricTail(0.01, 0.9997), 103_776),
+            (OneMinusGeometricTail(1e-3, 0.999), 27_617),
+            (OneMinusGeometricTail(0.0, 0.5), 0),  # every factor is 1
+            (OneMinusGeometricTail(2.0, 0.5), 1),  # c*q = 1: the first factor is 0
+            (OneMinusGeometricTail(1.0, 5e-324), 0),  # the bound c*q/(1-q) is 5e-324
+            (OneMinusGeometricTail(1e300, 1e-300), 1),  # c*q = 1; q**2 underflows
         ],
     )
-    def test_tolerance_stop(self, tail):
-        assert self.check(tail).converged
+    def test_remainder_bound_fixes_the_count(self, tail, n_factors):
+        report = self.check(tail)
+        assert report.converged and report.n_factors == n_factors
+
+    @pytest.mark.parametrize(
+        "c, q, tol",
+        [(1.0, 0.5, 1e-12), (0.5, 0.9, 1e-12), (2.0, 0.5, 1e-300), (1e300, 1e-300, 1e-30)],
+    )
+    def test_count_is_the_least_with_an_exact_bound_below_tol(self, c, q, tol):
+        def bound(n):  # c q^(n+1) / (1 - q), exactly
+            return Fraction(c) * Fraction(q) ** (n + 1) / (1 - Fraction(q))
+
+        n = OneMinusGeometricTail(c, q).count(tol)
+        assert bound(n) <= Fraction(tol) and (n == 0 or bound(n - 1) > Fraction(tol))
+
+    @pytest.mark.parametrize("c, q", [("1e-3", "0.999"), ("0.5", "0.9"), ("0.01", "0.9997")])
+    def test_value_lies_within_tol_of_the_log_series_limit(self, c, q):
+        # log prod (1 - c q^k) = -sum_m (c q)^m / (m (1 - q^m)), in 40 digits
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            cd, qd = Decimal(c), Decimal(q)
+            log = -sum((cd * qd) ** m / (m * (1 - qd**m)) for m in range(1, 150))
+            limit = float(log.exp())
+        tol = 1e-12
+        report = countable_product_measure(
+            UNIFORM, TailConstraints(tail=OneMinusGeometricTail(float(c), float(q))), tol=tol
+        )
+        v, rounding = report.value, 4 * report.n_factors * 2.0**-53
+        assert report.converged
+        assert v * (1 - tol) <= limit * (1 + rounding)
+        assert limit <= v * (1 + rounding)
 
     @pytest.mark.parametrize(
         "tail",
