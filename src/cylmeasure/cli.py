@@ -5,7 +5,8 @@ stochastic mode requires an explicit non-negative ``--seed`` and its
 result envelope carries (estimate, standard error, n_samples, seed).
 Output is a strict JSON envelope; ``--out csv`` emits tabular traces for
 the few subcommands that produce them.  ``SUBCOMMANDS`` declares each
-subcommand's options, and ``main`` refuses one that the call set but never read.
+subcommand's options and ``_MODES`` what each mode reads; ``build_envelope``
+picks the call's mode and refuses an option it would not read before reading any input.
 The symbolic core loads with this module, and numpy does not: numpy,
 ``kernels``, ``measure_core``, ``bohr``, ``selftest`` and ``csv`` load
 inside the code that uses them, so a fresh process imports only what
@@ -125,8 +126,6 @@ def _payload_moment(args) -> tuple[dict, Any, list[str]]:
     provenance = ["pairing-sum evaluation"]
     inputs: dict[str, Any] = {"cov": cov_doc, "vectors": vec_echo}
     if args.mc_samples is not None:
-        if args.seed is None:
-            raise InputError("--mc-samples needs an explicit --seed")
         dim = max((v.max_index for v in vectors), default=1)
         if args.mc_samples < 2:
             raise InputError(f"--mc-samples needs at least 2 samples, got {args.mc_samples}")
@@ -203,8 +202,6 @@ def _payload_support(args) -> tuple[dict, Any, list[str]]:
     provenance = ["symbolic weighted-series decision"]
     inputs: dict[str, Any] = {"cov": cov_doc, "weights": w_doc}
     if args.mc is not None:
-        if args.seed is None:
-            raise InputError("--mc needs an explicit --seed")
         n_coords, n_samples = args.mc
         growth = support.mc_tail_growth(cov, weights, n_coords, n_samples, args.seed)
         payload["mc"] = jsonio.encode_value(growth)
@@ -235,7 +232,7 @@ def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
             ["gauss-legendre panels with a proved bound"],
         )
     if args.spec is None:
-        raise InputError("kernel needs --fourier, or --spec with --at, --bilinear or --regularity")
+        raise InputError("kernel --at, --bilinear and --regularity need --spec")
     spec_doc = _load_json_arg(args.spec, "--spec")
     spec = jsonio.decode("kernel", spec_doc, "spec")
     if args.at is not None:
@@ -254,13 +251,7 @@ def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
             {"spec": spec_doc, "f": f_doc, "g": g_doc},
             ["trapezoid double quadrature"],
         )
-    if args.regularity:
-        return (
-            {"regularity": spec.regularity.value},
-            {"spec": spec_doc},
-            ["continuity classification"],
-        )
-    raise InputError("kernel --spec needs one of --at, --bilinear, --regularity")
+    return {"regularity": spec.regularity.value}, {"spec": spec_doc}, ["continuity classification"]
 
 
 def _payload_bohr(args) -> tuple[dict, Any, list[str]]:
@@ -276,8 +267,6 @@ def _payload_bohr(args) -> tuple[dict, Any, list[str]]:
         inputs["check_independence"] = args.check_independence
         return jsonio.encode_value(res), inputs, ["bounded integer-relation search"]
     if args.sample:
-        if args.seed is None:
-            raise InputError("bohr --sample needs an explicit --seed")
         phases = bohr.haar_sample_batch(freqs, 1, args.seed)[0]
         inputs["seed"] = args.seed
         return (
@@ -286,12 +275,10 @@ def _payload_bohr(args) -> tuple[dict, Any, list[str]]:
             ["seeded haar sampler"],
         )
     if args.integral is None:
-        raise InputError("bohr needs one of --check-independence, --integral, --sample")
+        raise InputError("bohr --mc needs --integral")
     f = _integrand_from_catalog(args.integral, freqs.n)
     inputs["integral"] = args.integral
     if args.mc is not None:
-        if args.seed is None:
-            raise InputError("bohr --mc needs an explicit --seed")
         method: bohr.Method = bohr.MCMethod(args.mc, args.seed)
         inputs["mc"] = {"n_samples": args.mc, "seed": args.seed}
         provenance = ["monte carlo haar integral"]
@@ -339,8 +326,6 @@ def _payload_product(args) -> tuple[dict, Any, list[str]]:
             {"rule": spec_doc, "cylinder": cyl_doc},
             ["finite product of component probabilities"],
         )
-    if args.prefix is None and args.tail is None:
-        raise InputError("product needs either --cylinder or a --prefix/--tail pair")
     prefix_doc = {"base": []} if args.prefix is None else _load_json_arg(args.prefix, "--prefix")
     tail_doc = {"full": {}} if args.tail is None else _load_json_arg(args.tail, "--tail")
     constraints = measure_core.TailConstraints(
@@ -365,6 +350,7 @@ def _payload_consistency(args) -> tuple[dict, Any, list[str]]:
 
 
 def build_envelope(args) -> dict:
+    _check_mode(args)
     start = time.perf_counter()
     payload, inputs, provenance = SUBCOMMANDS[args.subcommand][1](args)
     digest = hashlib.sha256(_CANONICAL_JSON.encode(inputs).encode()).hexdigest()
@@ -397,8 +383,7 @@ def _emit(envelope: dict, out_format: str) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
 
 
@@ -521,6 +506,43 @@ SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, dict], ...]]] = {
     )),
 }
 
+# subcommand -> its modes in precedence order: the flag that picks a mode (None
+# for the default mode) -> the other options that mode reads.  An option no mode
+# names is read by every call, and a mode that reads --seed needs it.
+_MODES: dict[str, dict[str | None, str]] = {
+    "moment": {"--mc-samples": "--seed", None: ""},
+    "support": {"--mc": "--seed", None: ""},
+    "kernel": {"--fourier": "--cutoff --tol", "--at": "--spec", "--bilinear": "--spec",
+               "--regularity": "--spec"},
+    "bohr": {"--check-independence": "", "--sample": "--seed", "--mc": "--integral --seed",
+             "--integral": "--quad-points"},
+    "product": {"--cylinder": "", "--prefix": "--tail --n-max", "--tail": "--prefix --n-max"},
+}
+# subcommand -> (flag, dest, default) of each option its modes name, in declared order
+_NAMED = {name: tuple((flag, flag[2:].replace("-", "_"),
+                       keywords.get("default", False if "action" in keywords else None))
+                      for flag, keywords in SUBCOMMANDS[name][2]
+                      if any(flag in (mode, *reads.split()) for mode, reads in modes.items()))
+          for name, modes in _MODES.items()}
+
+
+def _check_mode(args) -> None:
+    """Pick the call's mode; refuse a set option it would not read, or a missing --seed."""
+    modes = _MODES.get(args.subcommand)
+    if modes is None:
+        return
+    given = [f for f, dest, default in _NAMED[args.subcommand] if getattr(args, dest) != default]
+    mode = next(filter(given.__contains__, modes), None)  # None: the default mode, if any
+    if mode not in modes:
+        raise InputError(f"{args.subcommand} needs one of {', '.join(modes)}")
+    reads = (mode, *modes[mode].split())
+    unread = [flag for flag in given if flag not in reads]
+    if unread:
+        verb = "does" if len(unread) == 1 else "do"
+        raise InputError(f"{', '.join(unread)} {verb} not apply to this {args.subcommand} call")
+    if "--seed" in reads and args.seed is None:
+        raise InputError(f"{args.subcommand} {mode} needs an explicit --seed")
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -553,38 +575,16 @@ def _run_selftest(args) -> int:
     return 0
 
 
-class _ReadLog(argparse.Namespace):
-    """Logs every attribute read in ``read``, a slot kept out of ``vars()``."""
-
-    __slots__ = ("read",)
-
-    def __getattribute__(self, name: str) -> Any:
-        if name != "read":
-            object.__getattribute__(self, "read").add(name)
-        return object.__getattribute__(self, name)
-
-
-def _refuse_unread(args: _ReadLog) -> None:
-    """Refuse an option set away from its default (None, False for a flag) but never read."""
-    for flag, keywords in SUBCOMMANDS[args.subcommand][2]:
-        dest = flag[2:].replace("-", "_")
-        default = keywords.get("default", False if "action" in keywords else None)
-        if dest not in args.read and vars(args)[dest] != default:
-            raise InputError(f"{flag} does not apply to this {args.subcommand} call")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv, _ReadLog(read=set()))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    args.read.clear()  # what the parser itself looked up
     try:
         if args.subcommand == "selftest":
             return _run_selftest(args)
         envelope = build_envelope(args)
-        _refuse_unread(args)
         print(_emit(envelope, args.out))
         return 0
     except InputError as exc:

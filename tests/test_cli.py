@@ -492,6 +492,27 @@ class TestCliContracts:
         assert env["payload"]["chi"] == 1.0
 
 
+# declared options that the call did not read, each with the flag its refusal names
+UNREAD_OPTIONS = [
+    pytest.param(("moment", "--cov", CONST1, "--vectors", "e1,e1", "--seed", "4"), "--seed",
+                 id="seed-on-exact-moment"),
+    pytest.param(("support", "--cov", CONST1, "--weights", CONST1, "--seed", "4"), "--seed",
+                 id="seed-on-exact-support"),
+    pytest.param(("bohr", "--freqs", "1.0,1.4142135623730951", "--check-independence", "5",
+                  "--seed", "3"), "--seed", id="seed-on-bohr-independence"),
+    pytest.param(("kernel", "--spec", MASSIVE_FREE, "--at", "0", "--tol", "1e-3"), "--tol",
+                 id="tol-on-kernel-at"),
+    pytest.param(("kernel", "--fourier", "1", "0", "--spec", MASSIVE_FREE), "--spec",
+                 id="spec-on-kernel-fourier"),
+    pytest.param(("bohr", "--freqs", "1.0,2.0", "--sample", "--seed", "1", "--mc", "10"), "--mc",
+                 id="mc-on-bohr-sample"),
+    pytest.param(("bohr", "--freqs", "1.0,2.0", "--integral", "one", "--mc", "100", "--seed", "1",
+                  "--quad-points", "4"), "--quad-points", id="quad-points-on-bohr-mc"),
+    pytest.param(("product", "--spec", UNIFORM, "--cylinder", '{"base":[]}', "--n-max", "5"),
+                 "--n-max", id="n-max-on-product-cylinder"),
+]
+
+
 class TestCliHardening:
     @pytest.mark.parametrize(
         "argv",
@@ -569,36 +590,68 @@ class TestCliHardening:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (("sample", "--cov", CONST1, "--n", "4", "--seed", "-1"), "--seed"),
-            (("sample", "--cov", CONST1, "--n", "4", "--seed", str(2**64)), "--seed"),
-            (("shift-admissible", "--cov", CONST1, "--shift", CONST1, "--tol", "1e-3"), "--tol"),
-            (("hs-check", "--weights", CONST1, "--seed", "1"), "--seed"),
-            (("consistency", "--marginals", MARGINALS, "--tol", "-1"), "--tol"),
-            (("kernel", "--fourier", "1.0", "0.0", "--tol", "0"), "--tol"),
-            # declared options that the call did not read
-            (("moment", "--cov", CONST1, "--vectors", "e1,e1", "--seed", "4"), "--seed"),
-            (("support", "--cov", CONST1, "--weights", CONST1, "--seed", "4"), "--seed"),
-            (("bohr", "--freqs", "1.0,1.4142135623730951", "--check-independence", "5",
-              "--seed", "3"), "--seed"),
-            (("kernel", "--spec", MASSIVE_FREE, "--at", "0", "--tol", "1e-3"), "--tol"),
-            (("kernel", "--fourier", "1", "0", "--spec", MASSIVE_FREE), "--spec"),
-            (("bohr", "--freqs", "1.0,2.0", "--sample", "--seed", "1", "--mc", "10"), "--mc"),
-            (("bohr", "--freqs", "1.0,2.0", "--integral", "one", "--mc", "100", "--seed", "1",
-              "--quad-points", "4"), "--quad-points"),
-            (("product", "--spec", UNIFORM, "--cylinder", '{"base":[]}', "--n-max", "5"),
-             "--n-max"),
+            pytest.param(("sample", "--cov", CONST1, "--n", "4", "--seed", "-1"), "--seed",
+                         id="negative-seed"),
+            pytest.param(("sample", "--cov", CONST1, "--n", "4", "--seed", str(2**64)), "--seed",
+                         id="seed-above-64-bits"),
+            pytest.param(("shift-admissible", "--cov", CONST1, "--shift", CONST1, "--tol", "1e-3"),
+                         "--tol", id="tol-on-shift-admissible"),
+            pytest.param(("hs-check", "--weights", CONST1, "--seed", "1"), "--seed",
+                         id="seed-on-hs-check"),
+            pytest.param(("consistency", "--marginals", MARGINALS, "--tol", "-1"), "--tol",
+                         id="negative-tol"),
+            pytest.param(("kernel", "--fourier", "1.0", "0.0", "--tol", "0"), "--tol",
+                         id="zero-tol"),
+            *UNREAD_OPTIONS,
         ],
-        ids=["negative-seed", "seed-above-64-bits", "tol-on-shift-admissible",
-             "seed-on-hs-check", "negative-tol", "zero-tol", "seed-on-exact-moment",
-             "seed-on-exact-support", "seed-on-bohr-independence", "tol-on-kernel-at",
-             "spec-on-kernel-fourier", "mc-on-bohr-sample", "quad-points-on-bohr-mc",
-             "n-max-on-product-cylinder"],
     )
     def test_rejected_options_exit_2(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert flag in err
+
+    @pytest.mark.parametrize("argv, flag", UNREAD_OPTIONS)
+    def test_unread_option_is_refused_before_any_input_is_read(self, capsys, argv, flag):
+        # the first document (or bohr's frequency list) can no longer be read
+        first = next(i for i, v in enumerate(argv) if v.startswith("{") or argv[i - 1] == "--freqs")
+        code, out, err = run_cli(capsys, *argv[:first], "@/nonexistent", *argv[first + 1:])
+        assert (code, out) == (2, "")
+        assert flag in err and "cannot read" not in err and "--freqs" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # without the check these two exit 3 on the quadrature
+            (("kernel", "--fourier", "1", "0", "--spec", MASSIVE_FREE, "--cutoff", "10"),
+             "--spec does not apply to this kernel call"),
+            (("kernel", "--fourier", "1", "6e5", "--at", "0", "--spec", MASSIVE_FREE),
+             "--spec, --at do not apply to this kernel call"),
+            (("moment", "--cov", "@/nonexistent", "--vectors", "e1", "--mc-samples", "10"),
+             "moment --mc-samples needs an explicit --seed"),
+            (("support", "--cov", "@/nonexistent", "--weights", CONST1, "--mc", "10", "10"),
+             "support --mc needs an explicit --seed"),
+            (("bohr", "--freqs", "x", "--sample"), "bohr --sample needs an explicit --seed"),
+            (("bohr", "--freqs", "x", "--integral", "one", "--mc", "10"),
+             "bohr --mc needs an explicit --seed"),
+            (("kernel", "--spec", "@/nonexistent"),
+             "kernel needs one of --fourier, --at, --bilinear, --regularity"),
+            (("bohr", "--freqs", "x"),
+             "bohr needs one of --check-independence, --sample, --mc, --integral"),
+            (("product", "--spec", "@/nonexistent"),
+             "product needs one of --cylinder, --prefix, --tail"),
+            (("kernel", "--at", "0"), "kernel --at, --bilinear and --regularity need --spec"),
+            (("bohr", "--freqs", "1.0", "--mc", "10", "--seed", "1"), "bohr --mc needs --integral"),
+        ],
+        ids=["spec-with-unmet-fourier-tolerance", "spec-and-at-with-fourier-over-budget",
+             "moment-mc-samples-without-seed", "support-mc-without-seed",
+             "bohr-sample-without-seed", "bohr-mc-without-seed", "kernel-without-mode",
+             "bohr-without-mode", "product-without-mode", "kernel-at-without-spec",
+             "bohr-mc-without-integral"],
+    )
+    def test_mode_check_comes_first_and_prints_one_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
 
     @pytest.mark.parametrize("freqs, bound", [("1e308,1.5", "3"), ("1.7e308,-8.5e307", "1")])
     def test_overflowing_independence_search_exits_2(self, capsys, freqs, bound):

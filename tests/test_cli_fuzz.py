@@ -4,13 +4,20 @@ Whatever the documents say, ``cli.main`` exits 0 with strict JSON on
 stdout, 2 for an input error or 3 for a numeric failure, and never lets
 an exception escape (a shell user would see a traceback).  The drawn
 subcommands are the ones whose cost is decoding: shift-admissible,
-hs-check, support without Monte Carlo, equivalence, chi and consistency.
+hs-check, support without Monte Carlo, equivalence, chi and consistency,
+plus rn-density at a point of at most 4 coordinates and sample with at
+most 8 coordinates.
 A second test draws combinations of the declared options of the
 subcommands with several modes (kernel, bohr, product, moment, support),
 each with a small valid value, so a call that mixes modes or sets an
 option its mode does not read is refused with exit 2, never ignored.
+Each call it accepts is run again on a namespace that logs every option
+its payload builder reads, an oracle for ``cli._MODES``: the builder
+reads every option the call set besides its mode flag, and of the
+options that modes name, only its mode's and the flags of earlier modes.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -35,6 +42,7 @@ MARGINALS = [
         {"indices": [1], "cells": [{"boxes": [[[0.0, 0.5]]], "p": 0.5}]},
     ],
 ]
+POINTS = [[0.5], [0.0, 1.0, -1.0, 2.0], [1.0, 0.0, 3.0]]
 # subcommand -> its document options and the seed documents of each
 SUBCOMMANDS = {
     "shift-admissible": (("--cov", DECAYS), ("--shift", DECAYS + SEQUENCES)),
@@ -43,7 +51,11 @@ SUBCOMMANDS = {
     "equivalence": (("--cov-a", DECAYS), ("--cov-b", DECAYS)),
     "chi": (("--cov", DECAYS), ("--xi", SEQUENCES)),
     "consistency": (("--marginals", MARGINALS),),
+    "rn-density": (("--cov", DECAYS), ("--shift", SEQUENCES), ("--x", POINTS)),
+    "sample": (("--cov", DECAYS),),
 }
+# subcommand -> its options that are not documents, drawn unmutated
+SCALAR_OPTIONS = {"sample": st.integers(0, 8).map(lambda n: ["--n", str(n), "--seed", "5"])}
 
 SCALARS = st.one_of(
     st.sampled_from([0, -1, 1, 2, 0.5, -0.5, 1.5, 1e-320, 5e-324, 1e308, -1e308, 1e-200,
@@ -97,6 +109,7 @@ def test_cli_contract_holds_for_mutated_documents(data):
         for _ in range(data.draw(st.integers(0, 2))):
             doc = mutate(doc, data)
         argv += [option, json.dumps(doc)]
+    argv += data.draw(SCALAR_OPTIONS.get(subcommand, st.just([])))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)  # an exception escaping here is a traceback for a shell user
@@ -142,6 +155,41 @@ OPTION_VALUES = {
 }
 
 
+class ReadLog(argparse.Namespace):
+    """Logs every attribute read in ``read``, a slot kept out of ``vars()``."""
+
+    __slots__ = ("read",)
+
+    def __getattribute__(self, name):
+        if name != "read":
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def assert_builder_reads_its_mode(argv):
+    """Rerun an accepted call's builder on a logging namespace and compare with its mode."""
+    args = cli._build_parser().parse_args(argv, ReadLog(read=set()))
+    modes = cli._MODES[args.subcommand]
+    defaults = {dest(flag): kw.get("default", False if "action" in kw else None)
+                for flag, kw in cli.SUBCOMMANDS[args.subcommand][2]}
+    set_options = {name for name, default in defaults.items() if vars(args)[name] != default}
+    order = list(modes)
+    mode = next(m for m in order if m is None or dest(m) in set_options)
+    named = {dest(f) for m, reads in modes.items() for f in (m, *reads.split()) if f}
+    # the builder may test the flag of each earlier mode on its way to its own
+    earlier = order[:order.index(mode)]
+    allowed = {dest(f) for f in (*earlier, mode, *modes[mode].split()) if f}
+    args.read.clear()  # what the parser itself looked up
+    cli.SUBCOMMANDS[args.subcommand][1](args)
+    assert args.read & named <= allowed, (argv, mode, args.read & named - allowed)
+    unread = set_options - args.read - {mode and dest(mode)}
+    assert not unread, (argv, mode, unread)
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_cli_contract_holds_for_option_combinations(data):
@@ -158,5 +206,6 @@ def test_cli_contract_holds_for_option_combinations(data):
     if code == 0:
         envelope = json.loads(out.getvalue(), parse_constant=reject_constant)
         assert envelope["subcommand"] == subcommand
+        assert_builder_reads_its_mode(argv)
     else:
         assert out.getvalue() == "" and err.getvalue().strip(), argv
