@@ -4,9 +4,17 @@ Inputs are strict RFC 8259 JSON documents, inline or ``@path``.  Every
 stochastic mode requires an explicit non-negative ``--seed`` and its
 result envelope carries (estimate, standard error, n_samples, seed).
 Output is a strict JSON envelope; ``--out csv`` emits tabular traces for
-the few subcommands that produce them.  ``SUBCOMMANDS`` declares each
-subcommand's options and ``_MODES`` what each mode reads; ``build_envelope``
-picks the call's mode and refuses an option it would not read before reading any input.
+the few subcommands that produce them.
+
+``SUBCOMMANDS`` declares each subcommand's options with the SCHEMA kind
+(or reader) of each, and ``_MODES`` the modes in precedence order with
+what each reads.  ``build_envelope`` alone reads a call's options: it
+picks the mode, refuses an option the mode would not read before reading
+any input, then reads the mode's options in declared order and records
+each under its dest in ``inputs`` (a document as parsed).  A payload
+builder gets only the mode and the decoded values, so ``inputs_digest``,
+the SHA-256 of the canonical ``inputs``, covers all a result depends on.
+
 The symbolic core loads with this module, and numpy does not: numpy,
 ``kernels``, ``measure_core``, ``bohr``, ``selftest`` and ``csv`` load
 inside the code that uses them, so a fresh process imports only what
@@ -23,8 +31,8 @@ naming the first failed criterion.
 
 Payload determinism contract: the ``payload`` object is serialized
 canonically (sorted keys, no volatile fields), so identical invocations
-with identical seeds produce byte-identical payloads.  Wall time and
-other volatile data live outside the payload.
+with identical seeds produce byte-identical payloads.  ``wall_time_s``
+(reading plus compute) and ``provenance`` live outside the payload.
 """
 
 from __future__ import annotations
@@ -70,8 +78,8 @@ def _load_json_arg(raw: str, what: str) -> Any:
         raise InputError(f"{what}: invalid JSON ({exc})") from None
 
 
-def _parse_vectors(raw: str) -> tuple[list[FiniteSequence], Any]:
-    """Comma-separated basis tokens like ``e1,e1,e2`` or a JSON array."""
+def _read_vectors(raw: str) -> tuple[list[FiniteSequence], Any]:
+    """Comma-separated basis tokens like ``e1,e1,e2`` or a JSON array of sequences."""
     if raw.lstrip().startswith("["):
         doc = _load_json_arg(raw, "vectors")
         vecs = [jsonio.decode("finite_sequence", d, f"vectors[{i}]") for i, d in enumerate(doc)]
@@ -79,215 +87,180 @@ def _parse_vectors(raw: str) -> tuple[list[FiniteSequence], Any]:
     vecs = []
     for i, token in enumerate(raw.split(",")):
         token = token.strip()
-        if not token.startswith("e"):
-            raise InputError(f"vectors[{i}]: expected a basis token like e1, got {token!r}")
         try:
-            index = int(token[1:])
+            vecs.append(FiniteSequence.basis(int(token[1:] if token.startswith("e") else "")))
+        except InputError as exc:
+            raise InputError(f"vectors[{i}]: {exc}") from None
         except ValueError:
-            raise InputError(f"vectors[{i}]: expected a basis token like e1, got {token!r}") from None
-        vecs.append(FiniteSequence.basis(index))
+            message = f"expected a basis token like e1, got {token!r}"
+            raise InputError(f"vectors[{i}]: {message}") from None
     return vecs, raw
 
 
+def _read_freqs(raw: str) -> tuple[Any, str]:
+    """Comma-separated frequencies."""
+    from . import bohr
+
+    try:
+        return bohr.FrequencySet(tuple(float(v) for v in raw.split(","))), raw
+    except ValueError as exc:
+        raise InputError(f"--freqs: {exc}") from None
+
+
+def _reader(flag: str, kind: Any) -> Any:
+    """The function from an option's argparse value to its (value, echo in ``inputs``)."""
+    if kind is None:
+        return lambda raw: (raw, raw)
+    if type(kind) is not str:
+        return kind
+    name = flag[2:]
+
+    def read(raw):
+        if type(raw) is list:  # the documents of a several-value option, named by position
+            docs = [_load_json_arg(r, f"{flag}[{i}]") for i, r in enumerate(raw)]
+            return [jsonio.decode(kind, d, f"{name}[{i}]") for i, d in enumerate(docs)], docs
+        doc = _load_json_arg(raw, flag)
+        return jsonio.decode(kind, doc, name), doc
+
+    return read
+
+
 # ---------------------------------------------------------------------------
-# payload builders (one per subcommand)
+# payload builders (one per subcommand): (mode, decoded values) -> (payload, provenance)
 
 
-def _payload_sample(args) -> tuple[dict, Any, list[str]]:
-    cov_doc = _load_json_arg(args.cov, "--cov")
-    cov = jsonio.decode_decay(cov_doc, "cov")
-    out = gaussian.sample(cov, args.n, args.seed)
+def _payload_sample(mode, values) -> tuple[dict, list[str]]:
+    out = gaussian.sample(values["cov"], values["n"], values["seed"])
     payload = {
         "values": jsonio.encode_value(out.values),
         "truncation": out.truncation,
-        "seed": args.seed,
+        "seed": values["seed"],
     }
-    return payload, {"cov": cov_doc, "n": args.n, "seed": args.seed}, ["seeded gaussian sampler"]
+    return payload, ["seeded gaussian sampler"]
 
 
-def _payload_chi(args) -> tuple[dict, Any, list[str]]:
-    cov_doc = _load_json_arg(args.cov, "--cov")
-    xi_doc = _load_json_arg(args.xi, "--xi")
-    cov = jsonio.decode_decay(cov_doc, "cov")
-    xi = jsonio.decode("finite_sequence", xi_doc, "xi")
+def _payload_chi(mode, values) -> tuple[dict, list[str]]:
+    cov, xi = values["cov"], values["xi"]
     return (
         {"chi": gaussian.chi(xi, cov), "inner": gaussian.inner(xi, xi, cov)},
-        {"cov": cov_doc, "xi": xi_doc},
         ["closed-form characteristic function"],
     )
 
 
-def _payload_moment(args) -> tuple[dict, Any, list[str]]:
-    cov_doc = _load_json_arg(args.cov, "--cov")
-    cov = jsonio.decode_decay(cov_doc, "cov")
-    vectors, vec_echo = _parse_vectors(args.vectors)
+def _payload_moment(mode, values) -> tuple[dict, list[str]]:
+    cov, vectors = values["cov"], values["vectors"]
     value = gaussian.wick_moment(cov, vectors)
     payload: dict[str, Any] = {"moment": value, "n_vectors": len(vectors)}
-    provenance = ["pairing-sum evaluation"]
-    inputs: dict[str, Any] = {"cov": cov_doc, "vectors": vec_echo}
-    if args.mc_samples is not None:
-        dim = max((v.max_index for v in vectors), default=1)
-        if args.mc_samples < 2:
-            raise InputError(f"--mc-samples needs at least 2 samples, got {args.mc_samples}")
-        if args.mc_samples * (dim + len(vectors)) > gaussian.MAX_MC_VALUES:
-            raise InputError(
-                f"{args.mc_samples} samples x ({dim} coordinates + {len(vectors)} factors) "
-                f"exceed the budget of {gaussian.MAX_MC_VALUES} values"
-            )
-        import numpy as np
+    if mode is None:
+        return payload, ["pairing-sum evaluation"]
+    n_samples, seed = values["mc_samples"], values["seed"]
+    dim = max((v.max_index for v in vectors), default=1)
+    if n_samples < 2:
+        raise InputError(f"--mc-samples needs at least 2 samples, got {n_samples}")
+    if n_samples * (dim + len(vectors)) > gaussian.MAX_MC_VALUES:
+        raise InputError(
+            f"{n_samples} samples x ({dim} coordinates + {len(vectors)} factors) "
+            f"exceed the budget of {gaussian.MAX_MC_VALUES} values"
+        )
+    import numpy as np
 
-        rng = np.random.default_rng(args.seed)
-        x = gaussian.draw_coordinates(cov, dim, args.mc_samples, rng)
-        projections = [x @ v.as_vector(dim) for v in vectors]
-        # no factors: the empty product 1 in every sample, as the exact moment
-        prods = (np.prod(np.stack(projections, axis=1), axis=1) if projections
-                 else np.ones(args.mc_samples))
-        payload["mc"] = {
-            "estimate": float(prods.mean()),
-            "standard_error": float(prods.std(ddof=1) / np.sqrt(args.mc_samples)),
-            "n_samples": args.mc_samples,
-            "seed": args.seed,
-        }
-        provenance.append("monte carlo product-moment oracle")
-        inputs["mc"] = {"n_samples": args.mc_samples, "seed": args.seed}
-    return payload, inputs, provenance
+    rng = np.random.default_rng(seed)
+    x = gaussian.draw_coordinates(cov, dim, n_samples, rng)
+    projections = [x @ v.as_vector(dim) for v in vectors]
+    # no factors: the empty product 1 in every sample, as the exact moment
+    prods = (np.prod(np.stack(projections, axis=1), axis=1) if projections
+             else np.ones(n_samples))
+    payload["mc"] = {
+        "estimate": float(prods.mean()),
+        "standard_error": float(prods.std(ddof=1) / np.sqrt(n_samples)),
+        "n_samples": n_samples,
+        "seed": seed,
+    }
+    return payload, ["pairing-sum evaluation", "monte carlo product-moment oracle"]
 
 
-def _payload_rn_density(args) -> tuple[dict, Any, list[str]]:
-    cov_doc = _load_json_arg(args.cov, "--cov")
-    shift_doc = _load_json_arg(args.shift, "--shift")
-    x_doc = _load_json_arg(args.x, "--x")
-    cov = jsonio.decode_decay(cov_doc, "cov")
-    shift = jsonio.decode("finite_sequence", shift_doc, "shift")
-    x = jsonio.decode("numbers", x_doc, "x")
+def _payload_rn_density(mode, values) -> tuple[dict, list[str]]:
+    x = values["x"]
     return (
-        {"density": transform.rn_density(x, shift, cov), "truncation": len(x_doc)},
-        {"cov": cov_doc, "shift": shift_doc, "x": x_doc},
+        {"density": transform.rn_density(x, values["shift"], values["cov"]), "truncation": len(x)},
         ["closed-form shift density"],
     )
 
 
-def _payload_shift_admissible(args) -> tuple[dict, Any, list[str]]:
-    cov_doc = _load_json_arg(args.cov, "--cov")
-    shift_doc = _load_json_arg(args.shift, "--shift")
-    cov = jsonio.decode_decay(cov_doc, "cov")
-    shift = jsonio.decode_shift(shift_doc, "shift")
+def _payload_shift_admissible(mode, values) -> tuple[dict, list[str]]:
     return (
-        {"admissible": transform.shift_admissible(shift, cov)},
-        {"cov": cov_doc, "shift": shift_doc},
+        {"admissible": transform.shift_admissible(values["shift"], values["cov"])},
         ["symbolic series decision"],
     )
 
 
-def _payload_equivalence(args) -> tuple[dict, Any, list[str]]:
-    a_doc = _load_json_arg(args.cov_a, "--cov-a")
-    b_doc = _load_json_arg(args.cov_b, "--cov-b")
-    verdict = transform.equivalence_classify(
-        jsonio.decode_decay(a_doc, "cov-a"), jsonio.decode_decay(b_doc, "cov-b")
-    )
-    return (
-        jsonio.encode_value(verdict),
-        {"cov_a": a_doc, "cov_b": b_doc},
-        ["symbolic ratio classification"],
-    )
+def _payload_equivalence(mode, values) -> tuple[dict, list[str]]:
+    verdict = transform.equivalence_classify(values["cov_a"], values["cov_b"])
+    return jsonio.encode_value(verdict), ["symbolic ratio classification"]
 
 
-def _payload_support(args) -> tuple[dict, Any, list[str]]:
-    cov_doc = _load_json_arg(args.cov, "--cov")
-    w_doc = _load_json_arg(args.weights, "--weights")
-    cov = jsonio.decode_decay(cov_doc, "cov")
-    weights = jsonio.decode_decay(w_doc, "weights")
+def _payload_support(mode, values) -> tuple[dict, list[str]]:
+    cov, weights = values["cov"], values["weights"]
     report = support.weighted_support_check(cov, weights)
     payload: dict[str, Any] = {"report": jsonio.encode_value(report)}
-    provenance = ["symbolic weighted-series decision"]
-    inputs: dict[str, Any] = {"cov": cov_doc, "weights": w_doc}
-    if args.mc is not None:
-        n_coords, n_samples = args.mc
-        growth = support.mc_tail_growth(cov, weights, n_coords, n_samples, args.seed)
-        payload["mc"] = jsonio.encode_value(growth)
-        provenance.append("monte carlo tail-growth oracle")
-        inputs["mc"] = {"n_coords": n_coords, "n_samples": n_samples, "seed": args.seed}
-    return payload, inputs, provenance
+    if mode is None:
+        return payload, ["symbolic weighted-series decision"]
+    n_coords, n_samples = values["mc"]
+    growth = support.mc_tail_growth(cov, weights, n_coords, n_samples, values["seed"])
+    payload["mc"] = jsonio.encode_value(growth)
+    return payload, ["symbolic weighted-series decision", "monte carlo tail-growth oracle"]
 
 
-def _payload_hs_check(args) -> tuple[dict, Any, list[str]]:
-    w_doc = _load_json_arg(args.weights, "--weights")
-    h = jsonio.decode_decay(w_doc, "weights")
+def _payload_hs_check(mode, values) -> tuple[dict, list[str]]:
     return (
-        {"hilbert_schmidt": support.hilbert_schmidt_check(h)},
-        {"weights": w_doc},
+        {"hilbert_schmidt": support.hilbert_schmidt_check(values["weights"])},
         ["symbolic series decision"],
     )
 
 
-def _payload_kernel(args) -> tuple[dict, Any, list[str]]:
+def _payload_kernel(mode, values) -> tuple[dict, list[str]]:
     from . import kernels
 
-    if args.fourier is not None:
-        m, x = args.fourier
-        res = kernels.kernel_fourier_quadrature(m, x, p_cutoff=args.cutoff, tol=args.tol)
-        return (
-            jsonio.encode_value(res),
-            {"fourier": {"m": m, "x": x, "cutoff": args.cutoff, "tol": args.tol}},
-            ["gauss-legendre panels with a proved bound"],
-        )
-    if args.spec is None:
+    if mode == "--fourier":
+        m, x = values["fourier"]
+        res = kernels.kernel_fourier_quadrature(m, x, p_cutoff=values["cutoff"], tol=values["tol"])
+        return jsonio.encode_value(res), ["gauss-legendre panels with a proved bound"]
+    spec = values.get("spec")
+    if spec is None:
         raise InputError("kernel --at, --bilinear and --regularity need --spec")
-    spec_doc = _load_json_arg(args.spec, "--spec")
-    spec = jsonio.decode("kernel", spec_doc, "spec")
-    if args.at is not None:
-        return (
-            {"value": spec.at(args.at), "x": args.at},
-            {"spec": spec_doc, "at": args.at},
-            ["closed-form kernel evaluation"],
-        )
-    if args.bilinear is not None:
-        f_doc = _load_json_arg(args.bilinear[0], "--bilinear f")
-        g_doc = _load_json_arg(args.bilinear[1], "--bilinear g")
-        f = jsonio.decode("grid_function", f_doc, "f")
-        g = jsonio.decode("grid_function", g_doc, "g")
-        return (
-            {"value": kernels.covariance_bilinear(spec, f, g)},
-            {"spec": spec_doc, "f": f_doc, "g": g_doc},
-            ["trapezoid double quadrature"],
-        )
-    return {"regularity": spec.regularity.value}, {"spec": spec_doc}, ["continuity classification"]
+    if mode == "--at":
+        at = values["at"]
+        return {"value": spec.at(at), "x": at}, ["closed-form kernel evaluation"]
+    if mode == "--bilinear":
+        f, g = values["bilinear"]
+        return {"value": kernels.covariance_bilinear(spec, f, g)}, ["trapezoid double quadrature"]
+    return {"regularity": spec.regularity.value}, ["continuity classification"]
 
 
-def _payload_bohr(args) -> tuple[dict, Any, list[str]]:
+def _payload_bohr(mode, values) -> tuple[dict, list[str]]:
     from . import bohr
 
-    try:
-        freqs = bohr.FrequencySet(tuple(float(v) for v in args.freqs.split(",")))
-    except ValueError as exc:
-        raise InputError(f"--freqs: {exc}") from None
-    inputs: dict[str, Any] = {"freqs": list(freqs.freqs)}
-    if args.check_independence is not None:
-        res = bohr.independence_check(freqs, args.check_independence)
-        inputs["check_independence"] = args.check_independence
-        return jsonio.encode_value(res), inputs, ["bounded integer-relation search"]
-    if args.sample:
-        phases = bohr.haar_sample_batch(freqs, 1, args.seed)[0]
-        inputs["seed"] = args.seed
+    freqs = values["freqs"]
+    if mode == "--check-independence":
+        res = bohr.independence_check(freqs, values["check_independence"])
+        return jsonio.encode_value(res), ["bounded integer-relation search"]
+    if mode == "--sample":
+        phases = bohr.haar_sample_batch(freqs, 1, values["seed"])[0]
         return (
-            {"phases": jsonio.encode_value(phases), "seed": args.seed},
-            inputs,
+            {"phases": jsonio.encode_value(phases), "seed": values["seed"]},
             ["seeded haar sampler"],
         )
-    if args.integral is None:
+    if "integral" not in values:
         raise InputError("bohr --mc needs --integral")
-    f = _integrand_from_catalog(args.integral, freqs.n)
-    inputs["integral"] = args.integral
-    if args.mc is not None:
-        method: bohr.Method = bohr.MCMethod(args.mc, args.seed)
-        inputs["mc"] = {"n_samples": args.mc, "seed": args.seed}
+    f = _integrand_from_catalog(values["integral"], freqs.n)
+    if mode == "--mc":
+        method: bohr.Method = bohr.MCMethod(values["mc"], values["seed"])
         provenance = ["monte carlo haar integral"]
     else:
-        method = bohr.QuadratureMethod(args.quad_points)
-        inputs["quad_points"] = args.quad_points
+        method = bohr.QuadratureMethod(values["quad_points"])
         provenance = ["periodic trapezoid quadrature"]
     res = bohr.haar_cylinder_integral(freqs, f, method)
-    return jsonio.encode_value(res), inputs, provenance
+    return jsonio.encode_value(res), provenance
 
 
 def _integrand_from_catalog(name: str, n_axes: int):
@@ -313,46 +286,40 @@ def _integrand_from_catalog(name: str, n_axes: int):
     raise InputError(f"--integral: unknown integrand {name!r}; use one, char:..., cos:...")
 
 
-def _payload_product(args) -> tuple[dict, Any, list[str]]:
+def _payload_product(mode, values) -> tuple[dict, list[str]]:
     from . import measure_core
 
-    spec_doc = _load_json_arg(args.spec, "--spec")
-    spec = jsonio.decode("measure_rule", spec_doc, "rule")
-    if args.cylinder is not None:
-        cyl_doc = _load_json_arg(args.cylinder, "--cylinder")
-        cyl = jsonio.decode("cylinder", cyl_doc, "cylinder")
+    spec = values["spec"]
+    if mode == "--cylinder":
         return (
-            {"probability": measure_core.cylinder_measure(spec, cyl)},
-            {"rule": spec_doc, "cylinder": cyl_doc},
+            {"probability": measure_core.cylinder_measure(spec, values["cylinder"])},
             ["finite product of component probabilities"],
         )
-    prefix_doc = {"base": []} if args.prefix is None else _load_json_arg(args.prefix, "--prefix")
-    tail_doc = {"full": {}} if args.tail is None else _load_json_arg(args.tail, "--tail")
+    # an unset --prefix is the empty cylinder, an unset --tail the full tail
     constraints = measure_core.TailConstraints(
-        prefix=jsonio.decode("cylinder", prefix_doc, "prefix"),
-        tail=jsonio.decode("tail_rule", tail_doc, "tail"),
+        **{key: value for key, value in values.items() if key in ("prefix", "tail")}
     )
-    report = measure_core.countable_product_measure(spec, constraints, n_max=args.n_max)
-    inputs = {"rule": spec_doc, "prefix": prefix_doc, "tail": tail_doc}
-    if args.n_max is not None:
-        inputs["n_max"] = args.n_max
-    return jsonio.encode_value(report), inputs, ["monotone partial products"]
+    report = measure_core.countable_product_measure(spec, constraints, n_max=values.get("n_max"))
+    return jsonio.encode_value(report), ["monotone partial products"]
 
 
-def _payload_consistency(args) -> tuple[dict, Any, list[str]]:
+def _payload_consistency(mode, values) -> tuple[dict, list[str]]:
     from . import measure_core
 
-    doc = _load_json_arg(args.marginals, "--marginals")
-    tables = jsonio.decode("marginal_tables", doc, "marginals")
-    res = measure_core.consistency_check(tables, tol=args.tol)
-    inputs = {"marginals": doc, "tol": args.tol}
-    return jsonio.encode_value(res), inputs, ["chain marginalization"]
+    res = measure_core.consistency_check(values["marginals"], tol=values["tol"])
+    return jsonio.encode_value(res), ["chain marginalization"]
 
 
 def build_envelope(args) -> dict:
-    _check_mode(args)
+    mode, options = _check_mode(args)
     start = time.perf_counter()
-    payload, inputs, provenance = SUBCOMMANDS[args.subcommand][1](args)
+    values: dict[str, Any] = {}
+    inputs: dict[str, Any] = {}
+    for dest, read in options:  # an option left at None is not read
+        raw = getattr(args, dest)
+        if raw is not None:
+            values[dest], inputs[dest] = read(raw)
+    payload, provenance = SUBCOMMANDS[args.subcommand][1](mode, values)
     digest = hashlib.sha256(_CANONICAL_JSON.encode(inputs).encode()).hexdigest()
     return {
         "subcommand": args.subcommand,
@@ -429,86 +396,89 @@ def _positive(text: str) -> float:
 
 _SEED = {"type": _seed, "help": "non-negative 64-bit seed"}
 
-# name -> (help, payload builder, options as (flag, add_argument keywords)).
+# name -> (help, payload builder, options as (flag, kind, add_argument keywords)).
+# An option's kind is the SCHEMA kind of its JSON document, its own reader (a
+# function from the argument to its value and echo), or None for an argparse value.
 # Every subcommand also takes --out; selftest prints a report, not a payload.
-SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, dict], ...]]] = {
+SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, Any, dict], ...]]] = {
     "sample": ("draw a truncated gaussian sample", _payload_sample, (
-        ("--cov", {"required": True}),
-        ("--n", {"type": int, "required": True}),
-        ("--seed", {**_SEED, "required": True}),
+        ("--cov", "decay", {"required": True}),
+        ("--n", None, {"type": int, "required": True}),
+        ("--seed", None, {**_SEED, "required": True}),
     )),
     "chi": ("characteristic function at a test vector", _payload_chi, (
-        ("--cov", {"required": True}),
-        ("--xi", {"required": True}),
+        ("--cov", "decay", {"required": True}),
+        ("--xi", "finite_sequence", {"required": True}),
     )),
     "moment": ("gaussian moment by the pairing rule", _payload_moment, (
-        ("--cov", {"required": True}),
-        ("--vectors", {"required": True,
-                       "help": "basis tokens e1,e2,... or a JSON array of sequences"}),
-        ("--mc-samples", {"type": int}),
-        ("--seed", {**_SEED, "help": "seed of --mc-samples"}),
+        ("--cov", "decay", {"required": True}),
+        ("--vectors", _read_vectors, {
+            "required": True, "help": "basis tokens e1,e2,... or a JSON array of sequences"}),
+        ("--mc-samples", None, {"type": int}),
+        ("--seed", None, {**_SEED, "help": "seed of --mc-samples"}),
     )),
     "rn-density": ("shift density at a point", _payload_rn_density, (
-        ("--cov", {"required": True}),
-        ("--shift", {"required": True}),
-        ("--x", {"required": True, "help": "JSON array of truncated coordinates"}),
+        ("--cov", "decay", {"required": True}),
+        ("--shift", "finite_sequence", {"required": True}),
+        ("--x", "numbers", {"required": True, "help": "JSON array of truncated coordinates"}),
     )),
     "shift-admissible": ("is a shift admissible for a covariance", _payload_shift_admissible, (
-        ("--cov", {"required": True}),
-        ("--shift", {"required": True}),
+        ("--cov", "decay", {"required": True}),
+        ("--shift", "shift", {"required": True}),
     )),
     "equivalence": ("equivalent / singular classification", _payload_equivalence, (
-        ("--cov-a", {"required": True}),
-        ("--cov-b", {"required": True}),
+        ("--cov-a", "decay", {"required": True}),
+        ("--cov-b", "decay", {"required": True}),
     )),
     "support": ("weighted-subspace support verdict", _payload_support, (
-        ("--cov", {"required": True}),
-        ("--weights", {"required": True}),
-        ("--mc", {"type": int, "nargs": 2, "metavar": ("N_COORDS", "N_SAMPLES"),
-                  "help": "add the tail-growth oracle (needs --seed)"}),
-        ("--seed", {**_SEED, "help": "seed of --mc"}),
+        ("--cov", "decay", {"required": True}),
+        ("--weights", "decay", {"required": True}),
+        ("--mc", None, {"type": int, "nargs": 2, "metavar": ("N_COORDS", "N_SAMPLES"),
+                        "help": "add the tail-growth oracle (needs --seed)"}),
+        ("--seed", None, {**_SEED, "help": "seed of --mc"}),
     )),
     "hs-check": ("hilbert-schmidt check for a diagonal operator", _payload_hs_check, (
-        ("--weights", {"required": True}),
+        ("--weights", "decay", {"required": True}),
     )),
     "kernel": ("covariance kernel operations", _payload_kernel, (
-        ("--spec", {}),
-        ("--at", {"type": _finite}),
-        ("--bilinear", {"nargs": 2, "metavar": ("F", "G")}),
-        ("--regularity", {"action": "store_true"}),
-        ("--fourier", {"type": _finite, "nargs": 2, "metavar": ("M", "X")}),
-        ("--cutoff", {"type": _finite, "default": 1e7}),
-        ("--tol", {"type": _positive, "default": 1e-6, "help": "error budget of --fourier"}),
+        ("--spec", "kernel", {}),
+        ("--at", None, {"type": _finite}),
+        ("--bilinear", "grid_function", {"nargs": 2, "metavar": ("F", "G")}),
+        ("--regularity", None, {"action": "store_true"}),
+        ("--fourier", None, {"type": _finite, "nargs": 2, "metavar": ("M", "X")}),
+        ("--cutoff", None, {"type": _finite, "default": 1e7}),
+        ("--tol", None, {"type": _positive, "default": 1e-6, "help": "error budget of --fourier"}),
     )),
     "bohr": ("torus family: independence, sampling, integrals", _payload_bohr, (
-        ("--freqs", {"required": True, "help": "comma-separated frequencies"}),
-        ("--check-independence", {"type": int, "metavar": "BOUND"}),
-        ("--integral", {"metavar": "EXPR_ID"}),
-        ("--quad-points", {"type": int, "default": 16}),
-        ("--mc", {"type": int, "metavar": "N_SAMPLES"}),
-        ("--sample", {"action": "store_true"}),
-        ("--seed", {**_SEED, "help": "seed of --sample and --mc"}),
+        ("--freqs", _read_freqs, {"required": True, "help": "comma-separated frequencies"}),
+        ("--check-independence", None, {"type": int, "metavar": "BOUND"}),
+        ("--integral", None, {"metavar": "EXPR_ID"}),
+        ("--quad-points", None, {"type": int, "default": 16}),
+        ("--mc", None, {"type": int, "metavar": "N_SAMPLES"}),
+        ("--sample", None, {"action": "store_true"}),
+        ("--seed", None, {**_SEED, "help": "seed of --sample and --mc"}),
     )),
     "product": ("cylinder or countable product probability", _payload_product, (
-        ("--spec", {"required": True}),
-        ("--cylinder", {}),
-        ("--prefix", {}),
-        ("--tail", {}),
-        ("--n-max", {"type": int}),
+        ("--spec", "measure_rule", {"required": True}),
+        ("--cylinder", "cylinder", {}),
+        ("--prefix", "cylinder", {}),
+        ("--tail", "tail_rule", {}),
+        ("--n-max", None, {"type": int}),
     )),
     "consistency": ("marginal self-consistency check", _payload_consistency, (
-        ("--marginals", {"required": True}),
-        ("--tol", {"type": _positive, "default": 1e-12, "help": "agreement tolerance"}),
+        ("--marginals", "marginal_tables", {"required": True}),
+        ("--tol", None, {"type": _positive, "default": 1e-12, "help": "agreement tolerance"}),
     )),
     "selftest": ("run the release-gate criteria", None, (
-        ("--level", {"choices": ("quick", "full"), "default": "quick"}),
-        ("--seed", _SEED),
+        ("--level", None, {"choices": ("quick", "full"), "default": "quick"}),
+        ("--seed", None, _SEED),
     )),
 }
 
 # subcommand -> its modes in precedence order: the flag that picks a mode (None
 # for the default mode) -> the other options that mode reads.  An option no mode
-# names is read by every call, and a mode that reads --seed needs it.
+# names is read by every call, and a mode that reads --seed needs it.  This is
+# the only place that orders the modes: a builder is handed the mode picked here.
 _MODES: dict[str, dict[str | None, str]] = {
     "moment": {"--mc-samples": "--seed", None: ""},
     "support": {"--mc": "--seed", None: ""},
@@ -521,16 +491,31 @@ _MODES: dict[str, dict[str | None, str]] = {
 # subcommand -> (flag, dest, default) of each option its modes name, in declared order
 _NAMED = {name: tuple((flag, flag[2:].replace("-", "_"),
                        keywords.get("default", False if "action" in keywords else None))
-                      for flag, keywords in SUBCOMMANDS[name][2]
+                      for flag, _, keywords in SUBCOMMANDS[name][2]
                       if any(flag in (mode, *reads.split()) for mode, reads in modes.items()))
           for name, modes in _MODES.items()}
 
 
-def _check_mode(args) -> None:
-    """Pick the call's mode; refuse a set option it would not read, or a missing --seed."""
+def _mode_reads(name: str) -> dict[str | None, tuple]:
+    """Mode -> (dest, reader) of each option it reads, in declared order:
+    its flag, its reads and every option that no mode names."""
+    modes = _MODES.get(name, {None: ""})
+    named = {flag for mode, reads in modes.items() for flag in (mode, *reads.split())}
+    return {mode: tuple((flag[2:].replace("-", "_"), _reader(flag, kind))
+                        for flag, kind, _ in SUBCOMMANDS[name][2]
+                        if flag in (mode, *reads.split()) or flag not in named)
+            for mode, reads in modes.items()}
+
+
+_READS = {name: _mode_reads(name) for name in SUBCOMMANDS}
+
+
+def _check_mode(args) -> tuple[str | None, tuple]:
+    """The call's mode and the options it reads; refuse a set option it would not
+    read, or a missing --seed."""
     modes = _MODES.get(args.subcommand)
-    if modes is None:
-        return
+    if modes is None:  # the one mode None
+        return None, _READS[args.subcommand][None]
     given = [f for f, dest, default in _NAMED[args.subcommand] if getattr(args, dest) != default]
     mode = next(filter(given.__contains__, modes), None)  # None: the default mode, if any
     if mode not in modes:
@@ -542,6 +527,7 @@ def _check_mode(args) -> None:
         raise InputError(f"{', '.join(unread)} {verb} not apply to this {args.subcommand} call")
     if "--seed" in reads and args.seed is None:
         raise InputError(f"{args.subcommand} {mode} needs an explicit --seed")
+    return mode, _READS[args.subcommand][mode]
 
 
 @functools.cache
@@ -554,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, _, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag, keywords in options:
+        for flag, _, keywords in options:
             p.add_argument(flag, **keywords)
         p.add_argument("--out", choices=("json", "csv"), default="json")
     return parser

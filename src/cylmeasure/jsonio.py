@@ -24,8 +24,8 @@ convention for variants.  ``SCHEMA`` is the reference for every kind:
     marginal_tables  [{"indices": [1, 2],
                        "cells": [{"boxes": [[[0.0, 0.5]], [["-inf", "inf"]]], "p": 0.5}]}]
     numbers          [1.0, -2.5]
+    shift            a finite_sequence if the object has "entries", else a decay
 
-A shift (``decode_shift``) is a finite_sequence or a decay document.
 Numbers are finite; an infinite interval end is spelled as the string
 "inf" / "-inf".  Unknown keys are rejected, and every error names the
 offending path.
@@ -177,6 +177,10 @@ def _marginal_table(indices: tuple[int, ...], cells: tuple) -> measure_core.Marg
     return MarginalTable(indices, cells)
 
 
+def _shift(doc: Any) -> transform.ShiftSpec:
+    return _read("finite_sequence" if isinstance(doc, dict) and "entries" in doc else "decay", doc)
+
+
 _NUMBERS = _List(_number)
 _BOX = _List(_Tuple("Interval", (_interval_end, _interval_end)))
 
@@ -224,6 +228,7 @@ SCHEMA: dict[str, Any] = {
         )
     ),
     "numbers": _NUMBERS,
+    "shift": _shift,
 }
 
 
@@ -371,8 +376,7 @@ def decode_decay(doc: Any, path: str = "cov") -> sequences.DecaySeq:
 
 
 def decode_shift(doc: Any, path: str = "shift") -> transform.ShiftSpec:
-    kind = "finite_sequence" if isinstance(doc, dict) and "entries" in doc else "decay"
-    return decode(kind, doc, path)
+    return decode("shift", doc, path)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,15 @@ SCHEMA_CASES = {
             ([1, [2]], "doc[1]"),
         ],
     ),
+    "shift": (
+        {"power": {"c": 1, "p": 2}},
+        PowerDecay(1.0, 2.0),
+        [
+            ({"powr": {}}, "doc.powr"),
+            ({"entries": [], "power": {"c": 1, "p": 2}}, "doc.power"),
+            ({"power": {"c": 1}}, "doc.power.p"),
+        ],
+    ),
 }
 
 
@@ -513,7 +522,72 @@ UNREAD_OPTIONS = [
 ]
 
 
+GRID = '{"x0":-0.5,"dx":0.25,"count":5,"values":[0,0.5,1,0.5,0]}'
+# one call per (subcommand, mode), seeded modes included
+REPLAYED = {
+    "sample": ("sample", "--cov", CONST1, "--n", "4", "--seed", "3"),
+    "chi": ("chi", "--cov", CONST1, "--xi", '{"entries": [[1, 1.0]]}'),
+    "moment": ("moment", "--cov", CONST1, "--vectors", "e1,e2,e1,e2"),
+    "moment-mc-samples": ("moment", "--cov", CONST1,
+                          "--vectors", '[{"entries": [[1, 1.0], [2, 0.5]]}, {"entries": []}]',
+                          "--mc-samples", "20", "--seed", "4"),
+    "rn-density": ("rn-density", "--cov", CONST1, "--shift", '{"entries": [[1, 1.0]]}',
+                   "--x", "[0.5, 2]"),
+    "shift-admissible": ("shift-admissible", "--cov", CONST1,
+                         "--shift", '{"power": {"c": 1, "p": 1}}'),
+    "equivalence": ("equivalence", "--cov-a", CONST1, "--cov-b", CONST2),
+    "support": ("support", "--cov", CONST1, "--weights", CONST1),
+    "support-mc": ("support", "--cov", CONST1, "--weights", CONST1, "--mc", "100", "100",
+                   "--seed", "7"),
+    "hs-check": ("hs-check", "--weights", '{"power": {"c": 1, "p": 1}}'),
+    "kernel-fourier": ("kernel", "--fourier", "1", "0.5", "--tol", "1e-3"),
+    "kernel-at": ("kernel", "--spec", MASSIVE_FREE, "--at", "0.5"),
+    "kernel-bilinear": ("kernel", "--spec", MASSIVE_FREE, "--bilinear", GRID, GRID),
+    "kernel-regularity": ("kernel", "--spec", MASSIVE_FREE, "--regularity"),
+    "bohr-check-independence": ("bohr", "--freqs", "1.0,1.4142135623730951",
+                                "--check-independence", "3"),
+    "bohr-sample": ("bohr", "--freqs", "1.0,2.0", "--sample", "--seed", "1"),
+    "bohr-mc": ("bohr", "--freqs", "1.0,2.0", "--integral", "char:1,-1", "--mc", "50",
+                "--seed", "1"),
+    "bohr-integral": ("bohr", "--freqs", "1.0,2.0", "--integral", "cos:1,1", "--quad-points", "4"),
+    "product-cylinder": ("product", "--spec", UNIFORM,
+                         "--cylinder", '{"base":[{"index":1,"boxes":[[0.0,0.5]]}]}'),
+    "product-prefix": ("product", "--spec", UNIFORM, "--prefix", '{"base":[]}', "--n-max", "5"),
+    "product-tail": ("product", "--spec", UNIFORM,
+                     "--tail", '{"one_minus_geometric":{"c":1,"q":0.5}}'),
+    "consistency": ("consistency", "--marginals", MARGINALS, "--tol", "1e-9"),
+}
+
+
+def replay_argv(envelope):
+    """An argv rebuilt from the envelope's ``inputs``: each dest as its flag, a document
+    as its JSON, the values of a several-value option as separate tokens, true as a switch."""
+    options = {flag: keywords for flag, _, keywords in cli.SUBCOMMANDS[envelope["subcommand"]][2]}
+
+    def token(value):
+        return json.dumps(value) if isinstance(value, (dict, list)) else str(value)
+
+    argv = [envelope["subcommand"]]
+    for dest, value in envelope["inputs"].items():
+        flag = "--" + dest.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif "nargs" in options[flag]:
+            argv += [flag, *map(token, value)]
+        else:
+            argv += [flag, token(value)]
+    return argv
+
+
 class TestCliHardening:
+    @pytest.mark.parametrize("argv", REPLAYED.values(), ids=REPLAYED.keys())
+    def test_inputs_replay_to_the_same_payload_and_digest(self, capsys, argv):
+        env = run_envelope(capsys, *argv)
+        again = run_envelope(capsys, *replay_argv(env))
+        assert again["payload"] == env["payload"]
+        assert again["inputs_digest"] == env["inputs_digest"]
+
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -602,6 +676,9 @@ class TestCliHardening:
                          id="negative-tol"),
             pytest.param(("kernel", "--fourier", "1.0", "0.0", "--tol", "0"), "--tol",
                          id="zero-tol"),
+            pytest.param(("moment", "--cov", CONST1, "--vectors", "e1,e0"),
+                         "input error: vectors[1]: sequence index must be a natural >= 1, got 0",
+                         id="basis-token-e0"),
             *UNREAD_OPTIONS,
         ],
     )
@@ -768,7 +845,7 @@ class TestCliHardening:
     def test_seed_and_tol_declared_only_where_read(self):
         def takes(flag):
             return {name for name, (_, _, options) in cli.SUBCOMMANDS.items()
-                    if any(f == flag for f, _ in options)}
+                    if any(f == flag for f, *_ in options)}
 
         assert takes("--seed") == {"sample", "moment", "support", "bohr", "selftest"}
         assert takes("--tol") == {"kernel", "consistency"}

@@ -7,17 +7,16 @@ subcommands are the ones whose cost is decoding: shift-admissible,
 hs-check, support without Monte Carlo, equivalence, chi and consistency,
 plus rn-density at a point of at most 4 coordinates and sample with at
 most 8 coordinates.
-A second test draws combinations of the declared options of the
-subcommands with several modes (kernel, bohr, product, moment, support),
-each with a small valid value, so a call that mixes modes or sets an
-option its mode does not read is refused with exit 2, never ignored.
-Each call it accepts is run again on a namespace that logs every option
-its payload builder reads, an oracle for ``cli._MODES``: the builder
-reads every option the call set besides its mode flag, and of the
-options that modes name, only its mode's and the flags of earlier modes.
+A second test draws calls of the subcommands with several modes (kernel,
+bohr, product, moment, support): a mode, some of the options it reads and
+at most one stray declared option, each with a small valid value, so a
+call that mixes modes or sets an option its mode does not read is refused
+with exit 2, never ignored.  For each call it accepts, the envelope's
+``inputs`` holds exactly the options set among those the call's mode
+reads by ``cli._MODES``: its flag, its reads and every option no mode
+names.
 """
 
-import argparse
 import contextlib
 import io
 import json
@@ -155,48 +154,43 @@ OPTION_VALUES = {
 }
 
 
-class ReadLog(argparse.Namespace):
-    """Logs every attribute read in ``read``, a slot kept out of ``vars()``."""
-
-    __slots__ = ("read",)
-
-    def __getattribute__(self, name):
-        if name != "read":
-            object.__getattribute__(self, "read").add(name)
-        return object.__getattribute__(self, name)
-
-
 def dest(flag):
     return flag[2:].replace("-", "_")
 
 
-def assert_builder_reads_its_mode(argv):
-    """Rerun an accepted call's builder on a logging namespace and compare with its mode."""
-    args = cli._build_parser().parse_args(argv, ReadLog(read=set()))
+def is_set(value):
+    """Off the default of a mode flag: None, or False for a switch (0 is set)."""
+    return value is not None and value is not False
+
+
+def expected_inputs(argv):
+    """The dests of the options set among those the call's mode reads by ``cli._MODES``."""
+    args = cli._build_parser().parse_args(argv)
     modes = cli._MODES[args.subcommand]
-    defaults = {dest(flag): kw.get("default", False if "action" in kw else None)
-                for flag, kw in cli.SUBCOMMANDS[args.subcommand][2]}
-    set_options = {name for name, default in defaults.items() if vars(args)[name] != default}
-    order = list(modes)
-    mode = next(m for m in order if m is None or dest(m) in set_options)
-    named = {dest(f) for m, reads in modes.items() for f in (m, *reads.split()) if f}
-    # the builder may test the flag of each earlier mode on its way to its own
-    earlier = order[:order.index(mode)]
-    allowed = {dest(f) for f in (*earlier, mode, *modes[mode].split()) if f}
-    args.read.clear()  # what the parser itself looked up
-    cli.SUBCOMMANDS[args.subcommand][1](args)
-    assert args.read & named <= allowed, (argv, mode, args.read & named - allowed)
-    unread = set_options - args.read - {mode and dest(mode)}
-    assert not unread, (argv, mode, unread)
+    mode = next(m for m in modes if m is None or is_set(getattr(args, dest(m))))
+    named = {f for m, reads in modes.items() for f in (m, *reads.split())}
+    reads = {mode, *modes[mode].split()}
+    return {dest(flag) for flag, *_ in cli.SUBCOMMANDS[args.subcommand][2]
+            if (flag in reads or flag not in named) and vars(args)[dest(flag)] is not None}
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_cli_contract_holds_for_option_combinations(data):
     subcommand = data.draw(st.sampled_from(sorted(OPTION_VALUES)))
+    modes = cli._MODES[subcommand]
+    mode = data.draw(st.sampled_from(list(modes)))
+    options = cli.SUBCOMMANDS[subcommand][2]
+    chosen = {flag for flag, _, keywords in options
+              if keywords.get("required") or flag == mode
+              or (flag in modes[mode].split() and data.draw(st.booleans()))}
+    # at most one stray option, none in half the calls
+    strays = [flag for flag, *_ in options if flag not in chosen]
+    if strays and data.draw(st.booleans()):
+        chosen.add(data.draw(st.sampled_from(strays)))
     argv = [subcommand]
-    for flag, keywords in cli.SUBCOMMANDS[subcommand][2]:
-        if keywords.get("required") or data.draw(st.booleans()):
+    for flag, *_ in options:
+        if flag in chosen:
             values = OPTION_VALUES[subcommand][flag]
             argv += [flag, *(data.draw(st.sampled_from(values)) if values else [])]
     out, err = io.StringIO(), io.StringIO()
@@ -206,6 +200,6 @@ def test_cli_contract_holds_for_option_combinations(data):
     if code == 0:
         envelope = json.loads(out.getvalue(), parse_constant=reject_constant)
         assert envelope["subcommand"] == subcommand
-        assert_builder_reads_its_mode(argv)
+        assert set(envelope["inputs"]) == expected_inputs(argv), argv
     else:
         assert out.getvalue() == "" and err.getvalue().strip(), argv

@@ -247,6 +247,7 @@ KIND_DOCS = {
     "tail_rule": {"one_minus_geometric": {"c": 1, "q": 0.5}},
     "marginal_tables": json.loads(MARGINALS),
     "numbers": [1.0, -2.5],
+    "shift": {"power": {"c": 1, "p": 1}},
 }
 
 MODELS = ["kernels", "measure_core", "sequences", "transform"]
@@ -279,7 +280,7 @@ def test_schema_is_fixed_and_names_resolve_on_first_read():
     assert report["kinds"]
     assert report["decoded"] == [
         "Prefixed", "Gaussian1D", "ProductMeasureSpec", "CylinderSet", "FiniteSequence",
-        "WhiteNoise", "GridFunction", "OneMinusGeometricTail", "tuple", "tuple",
+        "WhiteNoise", "GridFunction", "OneMinusGeometricTail", "tuple", "tuple", "PowerDecay",
     ]
     # reading every kind leaves SCHEMA as it was at import
     assert report["unchanged"]

@@ -214,6 +214,18 @@ ERRORS = {
         ("non-finite", [INF], "doc[0]: must be finite"),
         ("string", ["inf"], "doc[0]: expected a number, got string 'inf'"),
     ],
+    # a finite_sequence when the object has "entries", a decay otherwise
+    "shift": [
+        ("wrong-type", [[1, 1.0]], "doc: expected an object, got list"),
+        ("entries-and-a-decay", {"entries": [], "constant": {"rho": 1.0}},
+         "doc.constant: unknown key"),
+        ("entries-index", {"entries": [[0, 1.0]]},
+         "doc.entries[0][0]: expected a natural >= 1, got 0"),
+        ("non-finite", {"entries": [[1, INF]]}, "doc.entries[0][1]: must be finite"),
+        ("decay-non-finite", {"power": {"c": INF, "p": 1.0}}, "doc.power.c: must be finite"),
+        ("unknown-variant", {"entry": []},
+         f"doc.entry: unknown variant; expected one of {DECAY_TAGS}"),
+    ],
 }
 
 
