@@ -87,13 +87,13 @@ def _read_vectors(raw: str) -> tuple[list[FiniteSequence], Any]:
     vecs = []
     for i, token in enumerate(raw.split(",")):
         token = token.strip()
+        digits = token[1:]
+        if token[:1] != "e" or not (digits.isascii() and digits.isdigit()):
+            raise InputError(f"vectors[{i}]: expected a basis token like e1, got {token!r}")
         try:
-            vecs.append(FiniteSequence.basis(int(token[1:] if token.startswith("e") else "")))
+            vecs.append(FiniteSequence.basis(int(digits)))
         except InputError as exc:
             raise InputError(f"vectors[{i}]: {exc}") from None
-        except ValueError:
-            message = f"expected a basis token like e1, got {token!r}"
-            raise InputError(f"vectors[{i}]: {message}") from None
     return vecs, raw
 
 
@@ -162,20 +162,9 @@ def _payload_moment(mode, values) -> tuple[dict, list[str]]:
             f"{n_samples} samples x ({dim} coordinates + {len(vectors)} factors) "
             f"exceed the budget of {gaussian.MAX_MC_VALUES} values"
         )
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    x = gaussian.draw_coordinates(cov, dim, n_samples, rng)
-    projections = [x @ v.as_vector(dim) for v in vectors]
-    # no factors: the empty product 1 in every sample, as the exact moment
-    prods = (np.prod(np.stack(projections, axis=1), axis=1) if projections
-             else np.ones(n_samples))
-    payload["mc"] = {
-        "estimate": float(prods.mean()),
-        "standard_error": float(prods.std(ddof=1) / np.sqrt(n_samples)),
-        "n_samples": n_samples,
-        "seed": seed,
-    }
+    estimate, standard_error = gaussian.mc_moment(cov, vectors, n_samples, seed)
+    payload["mc"] = {"estimate": estimate, "standard_error": standard_error,
+                     "n_samples": n_samples, "seed": seed}
     return payload, ["pairing-sum evaluation", "monte carlo product-moment oracle"]
 
 

@@ -10,7 +10,8 @@ exp(-<xi, xi>_rho / 2) with the covariance form
 and its polynomial moments close under the pairing rule: odd moments
 vanish, even moments are sums over perfect matchings of two-point
 covariances.  Every operation here is exact given the covariance class;
-Monte Carlo enters only through the (seeded) sampler.
+Monte Carlo enters only through seeded draws: ``sample`` and ``mc_moment``,
+the one product-moment estimator, shared by ``moment --mc-samples`` and the gate.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "draw_coordinates",
     "pairings",
     "wick_moment",
+    "mc_moment",
     "positive_type_gram",
     "PAIRING_CAP",
     "MAX_SAMPLE_COORDS",
@@ -51,8 +53,8 @@ PAIRING_CAP = 20
 # one sample of this many coordinates is already about 22 MB of JSON
 MAX_SAMPLE_COORDS = 10**6
 
-# values a Monte Carlo moment holds at once: samples x (coordinates drawn
-# + factors projected), 80 MB of float64
+# the CLI's cap on a ``moment --mc-samples`` call, samples x (coordinates
+# drawn + factors), 80 MB of float64; ``mc_moment`` itself has no budget
 MAX_MC_VALUES = 10**7
 
 Pairing = tuple[tuple[int, int], ...]
@@ -184,6 +186,26 @@ def wick_moment(
         return total
 
     return contract(tuple(multiplicity.values()))
+
+
+def mc_moment(
+    cov: CovarianceSeq, xs: Sequence[FiniteSequence], n_samples: int, seed: int
+) -> tuple[float, float]:
+    """Monte Carlo E[phi(x_1) ... phi(x_k)] as (sample mean, standard error).
+
+    One seeded draw of coordinates 1..max index; the product starts from
+    ones, so no factors give the empty product 1, as in ``wick_moment``.
+    """
+    if n_samples < 2:
+        raise InputError(f"a standard error needs at least 2 samples, got {n_samples}")
+    import numpy as np
+
+    dim = max((x.max_index for x in xs), default=1)
+    coords = draw_coordinates(cov, dim, n_samples, np.random.default_rng(seed))
+    prods = np.ones(n_samples)
+    for x in xs:
+        prods *= coords @ x.as_vector(dim)
+    return float(prods.mean()), float(prods.std(ddof=1) / np.sqrt(n_samples))
 
 
 @dataclass(frozen=True)

@@ -129,12 +129,16 @@ def _natural(value: Any) -> int:
 def _index_map(doc: Any) -> dict[int, measure_core.Component1D]:
     if not isinstance(doc, dict):
         raise _Fault(f"expected an object, got {type(doc).__name__}")
-    mapping = {}
+    mapping, keys = {}, {}
     for raw_index, comp_doc in doc.items():
-        try:
-            index = int(raw_index)
-        except ValueError:
-            raise _Fault("index keys must be integers", f".{raw_index}") from None
+        digits = raw_index.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise _Fault("index keys must be integers", f".{raw_index}")
+        index = int(raw_index)
+        if index in keys:
+            raise _Fault(f"repeats index {index}, already named by key {keys[index]!r}",
+                         f".{raw_index}")
+        keys[index] = raw_index
         try:
             mapping[_natural(index)] = _read("component", comp_doc)
         except _Fault as fault:

@@ -456,7 +456,7 @@ class MarginalTable:
     """A finite-dimensional box-measure table over an index set.
 
     Each cell pairs one box per index (aligned with ``indices``) with its
-    probability.
+    probability; no two cells have the same boxes.
     """
 
     indices: tuple[int, ...]
@@ -465,11 +465,14 @@ class MarginalTable:
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
             raise InputError("marginal table has duplicate indices")
-        for boxes, _ in self.cells:
+        first: dict[tuple[Box, ...], int] = {}
+        for j, (boxes, _) in enumerate(self.cells):
             if len(boxes) != len(self.indices):
                 raise InputError(
                     f"cell arity {len(boxes)} does not match index set {self.indices}"
                 )
+            if first.setdefault(boxes, j) != j:
+                raise InputError(f"cell {j} repeats the boxes of cell {first[boxes]}")
 
     def marginal_onto(self, indices: tuple[int, ...]) -> dict[tuple[Box, ...], float]:
         positions = [self.indices.index(i) for i in indices]

@@ -65,29 +65,6 @@ _COV_CATALOG = (
 )
 
 
-def _mc_product_moment(
-    cov, vectors: list[FiniteSequence], n_samples: int, seed: int
-) -> tuple[float, float]:
-    """Sample mean and standard error of prod_j phi(x_j)."""
-    dim = max(v.max_index for v in vectors)
-    coeff = np.stack([v.as_vector(dim) for v in vectors], axis=1)  # (dim, k)
-    rng = np.random.default_rng(seed)
-    chunk = 250_000
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        x = gaussian.draw_coordinates(cov, dim, m, rng)
-        prods = np.prod(x @ coeff, axis=1)
-        total += float(prods.sum())
-        total_sq += float((prods**2).sum())
-        done += m
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean**2, 0.0) * n_samples / (n_samples - 1)
-    return mean, math.sqrt(var / n_samples)
-
-
 def criterion_wick_vs_mc(seed: int, full: bool) -> CheckResult:
     """1. Fourth moment 3 exactly; MC agreement on a randomized catalog."""
     failures: list[str] = []
@@ -98,9 +75,7 @@ def criterion_wick_vs_mc(seed: int, full: bool) -> CheckResult:
         failures.append(f"wick fourth moment {exact!r} != 3.0")
     notes.append("E[x1^4] = 3 exact")
     if full:
-        rng = np.random.default_rng(derive_seed(seed, 101))
-        draws = rng.standard_normal(1_000_000)
-        m4 = float(np.mean(draws**4))
+        m4, _ = gaussian.mc_moment(Constant(1.0), [e1] * 4, 1_000_000, derive_seed(seed, 101))
         if abs(m4 - 3.0) > 0.03:
             failures.append(f"MC fourth moment {m4:.4f} off 3 by more than 1%")
         notes.append(f"MC fourth moment {m4:.4f} (tol 1%)")
@@ -111,9 +86,7 @@ def criterion_wick_vs_mc(seed: int, full: bool) -> CheckResult:
             cov = _COV_CATALOG[case % len(_COV_CATALOG)]
             vectors = [_random_finite_sequence(case_rng, 5, 5) for _ in range(two_n)]
             analytic = gaussian.wick_moment(cov, vectors)
-            est, se = _mc_product_moment(
-                cov, vectors, 1_000_000, derive_seed(seed, 103, case)
-            )
+            est, se = gaussian.mc_moment(cov, vectors, 1_000_000, derive_seed(seed, 103, case))
             if abs(analytic - est) > 5.0 * se:
                 bad += 1
                 failures.append(
@@ -137,10 +110,9 @@ def criterion_odd_moments(seed: int, full: bool) -> CheckResult:
             failures.append(f"odd moment of length {length} returned {val!r}")
     notes.append("odd moments 0 exact")
     if full:
-        draws = np.random.default_rng(derive_seed(seed, 202)).standard_normal(1_000_000)
-        cubes = draws**3
-        est = float(np.mean(cubes))
-        se = float(np.std(cubes, ddof=1) / math.sqrt(len(cubes)))
+        est, se = gaussian.mc_moment(
+            Constant(1.0), [FiniteSequence.basis(1)] * 3, 1_000_000, derive_seed(seed, 202)
+        )
         if abs(est) > 4.0 * se:
             failures.append(f"MC third moment {est:.5f} exceeds 4*SE {4 * se:.5f}")
         notes.append(f"MC E[x^3] = {est:.2e} (4*SE {4 * se:.2e})")
@@ -536,11 +508,17 @@ def criterion_determinism(seed: int, full: bool) -> CheckResult:
                 derive_seed(seed, 1104),
             ),
         ),
+        (
+            "mc moment",
+            lambda: gaussian.mc_moment(
+                Constant(2.0), [FiniteSequence.basis(1)] * 2, 10_000, derive_seed(seed, 1105)
+            ),
+        ),
     )
     for name, build in probes:
         if payload_bytes(build) != payload_bytes(build):
             failures.append(f"{name}: repeated seed changed the payload")
-    return _result("determinism", failures, ["4 stochastic payloads byte-identical"])
+    return _result("determinism", failures, ["5 stochastic payloads byte-identical"])
 
 
 CRITERIA: tuple[tuple[str, Callable[[int, bool], CheckResult]], ...] = (

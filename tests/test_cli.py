@@ -679,6 +679,15 @@ class TestCliHardening:
             pytest.param(("moment", "--cov", CONST1, "--vectors", "e1,e0"),
                          "input error: vectors[1]: sequence index must be a natural >= 1, got 0",
                          id="basis-token-e0"),
+            pytest.param(("moment", "--cov", CONST1, "--vectors", "e1_0,e10"),
+                         "input error: vectors[0]: expected a basis token like e1, got 'e1_0'",
+                         id="basis-token-digit-separator"),
+            pytest.param(("moment", "--cov", CONST1, "--vectors", "e+1"),
+                         "input error: vectors[0]: expected a basis token like e1, got 'e+1'",
+                         id="basis-token-sign"),
+            pytest.param(("moment", "--cov", CONST1, "--vectors", "e1,e\u0661"),
+                         "input error: vectors[1]: expected a basis token like e1, got 'e\u0661'",
+                         id="basis-token-non-ascii-digit"),
             *UNREAD_OPTIONS,
         ],
     )
@@ -741,6 +750,22 @@ class TestCliHardening:
         assert err == (
             f"input error: bound {bound} times sum |k_i| exceeds 2^1020; the sums would overflow\n"
         )
+
+    @pytest.mark.parametrize("repeated", [0, 1], ids=["smaller-table", "larger-table"])
+    def test_repeated_marginal_cell_exits_2(self, capsys, repeated):
+        # one cell listed twice, its probability split, on either side of the chain
+        halves = [[[0.0, 0.5]], [[0.5, 1.0]]]
+        tables = [
+            {"indices": [1], "cells": [{"boxes": [h], "p": 0.5} for h in halves]},
+            {"indices": [1, 2],
+             "cells": [{"boxes": [a, b], "p": 0.25} for a in halves for b in halves]},
+        ]
+        cells = tables[repeated]["cells"]
+        cells[0]["p"] /= 2
+        cells.insert(1, cells[0])
+        code, out, err = run_cli(capsys, "consistency", "--marginals", json.dumps(tables))
+        assert (code, out) == (2, "")
+        assert err == f"input error: marginals[{repeated}]: cell 1 repeats the boxes of cell 0\n"
 
     def test_probability_outside_the_unit_interval_exits_2(self, capsys):
         cell = {"boxes": [[[0.0, "inf"]]], "p": -0.5}

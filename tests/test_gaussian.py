@@ -9,6 +9,7 @@ from cylmeasure.gaussian import (
     chi,
     draw_coordinates,
     inner,
+    mc_moment,
     pairings,
     positive_type_gram,
     sample,
@@ -24,6 +25,14 @@ from cylmeasure.sequences import (
 
 E1 = FiniteSequence.basis(1)
 E2 = FiniteSequence.basis(2)
+
+
+def inline_mc_moment(cov, vs, n_samples, seed):
+    """Sample mean and standard error of prod_j phi(v_j), written out with numpy."""
+    dim = max(v.max_index for v in vs)
+    x = draw_coordinates(cov, dim, n_samples, np.random.default_rng(seed))
+    prods = np.prod(np.stack([x @ v.as_vector(dim) for v in vs], axis=1), axis=1)
+    return float(prods.mean()), float(prods.std(ddof=1) / math.sqrt(len(prods)))
 
 
 def double_factorial(n):
@@ -285,11 +294,26 @@ class TestWickMoment:
         cov = Constant(1.0)
         vs = [E1, E1, E1 + E2, E2]
         analytic = wick_moment(cov, vs)
-        rng = np.random.default_rng(55)
-        x = draw_coordinates(cov, 2, 1_000_000, rng)
-        prods = np.prod(np.stack([x @ v.as_vector(2) for v in vs], axis=1), axis=1)
-        se = prods.std(ddof=1) / math.sqrt(len(prods))
-        assert abs(prods.mean() - analytic) < 5 * se
+        mean, se = inline_mc_moment(cov, vs, 1_000_000, 55)
+        assert abs(mean - analytic) < 5 * se
+
+    @pytest.mark.parametrize(
+        "cov, vs",
+        [
+            (Constant(1.0), [E1, E1, E1 + E2, E2]),
+            (PowerDecay(2.0, 1.5), [E2, FiniteSequence(((1, 0.5), (3, -1.0))), E1]),
+            (Prefixed((2.0, 0.5), Geometric(1.0, 0.5)), [E2] * 6),
+        ],
+    )
+    def test_mc_moment_is_the_inline_estimator(self, cov, vs):
+        # the library estimator, which the CLI and the release gate call,
+        # reproduces the estimator written out above bit for bit
+        assert mc_moment(cov, vs, 10_000, 55) == inline_mc_moment(cov, vs, 10_000, 55)
+
+    def test_mc_moment_of_no_factors_is_the_empty_product(self):
+        assert mc_moment(Constant(1.0), [], 3, 0) == (1.0, 0.0)
+        with pytest.raises(InputError, match="at least 2 samples"):
+            mc_moment(Constant(1.0), [E1], 1, 0)
 
     def test_cap_enforced(self):
         with pytest.raises(InputError):

@@ -77,6 +77,14 @@ ERRORS = {
          "doc.indexed.map: expected an object, got list"),
         ("map-key", {"indexed": {"map": {"x": ONE}, "default": ONE}},
          "doc.indexed.map.x: index keys must be integers"),
+        ("map-key-digit-separator", {"indexed": {"map": {"1_0": ONE}, "default": ONE}},
+         "doc.indexed.map.1_0: index keys must be integers"),
+        ("map-key-sign", {"indexed": {"map": {"+1": ONE}, "default": ONE}},
+         "doc.indexed.map.+1: index keys must be integers"),
+        ("map-key-non-ascii-digit", {"indexed": {"map": {"\u0661": ONE}, "default": ONE}},
+         "doc.indexed.map.\u0661: index keys must be integers"),
+        ("map-key-repeated-index", {"indexed": {"map": {"1": ONE, "01": ONE}, "default": ONE}},
+         "doc.indexed.map.01: repeats index 1, already named by key '1'"),
         ("map-natural", {"indexed": {"map": {"0": ONE}, "default": ONE}},
          "doc.indexed.map.0: expected a natural >= 1, got 0"),
         ("map-value", {"indexed": {"map": {"2": {"gaussian": {"sigma": 1.0}}}, "default": ONE}},
