@@ -23,7 +23,8 @@ _EXPORTS = {
              "independence_check"),
     "errors": ("InputError", "NumericError", "UndecidableError"),
     "gaussian": ("CovarianceSeq", "GaussianSample", "GramReport", "chi", "draw_coordinates",
-                 "inner", "mc_moment", "pairings", "positive_type_gram", "sample", "wick_moment"),
+                 "inner", "mc_mean", "mc_moment", "pairings", "positive_type_gram", "sample",
+                 "wick_moment"),
     "kernels": ("FourierQuadResult", "GridFunction", "KernelRegularity", "KernelSpec",
                 "MassiveFree1D", "TabulatedKernel", "WhiteNoise", "covariance_bilinear",
                 "kernel_fourier_quadrature"),

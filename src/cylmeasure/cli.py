@@ -1,6 +1,8 @@
 """Command-line front end: one subcommand per library surface.
 
-Inputs are strict RFC 8259 JSON documents, inline or ``@path``.  Every
+Inputs are strict RFC 8259 JSON documents, inline or ``@path``, whose
+objects name each key once; a number given as an argument is plain ASCII
+without ``_``.  Every
 stochastic mode requires an explicit non-negative ``--seed`` and its
 result envelope carries (estimate, standard error, n_samples, seed).
 Output is a strict JSON envelope; ``--out csv`` emits tabular traces for
@@ -58,7 +60,17 @@ def _reject_constant(token: str) -> None:
     raise ValueError(f"{token} is not RFC 8259 JSON; write infinite interval ends as \"inf\"")
 
 
-_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant)
+def _object(pairs: list) -> dict:
+    """A JSON object that names each key once; a plain decoder keeps the last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):  # only then look for the repeated key
+        keys = [k for k, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ValueError(f"repeated key {key!r}")
+    return obj
+
+
+_STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_hook=_object)
 # the canonical form the inputs digest hashes: what json.dumps(inputs,
 # sort_keys=True, separators=(",", ":")) prints, without a new encoder per call
 _CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -76,6 +88,14 @@ def _load_json_arg(raw: str, what: str) -> Any:
         return _STRICT_JSON.decode(text)
     except ValueError as exc:
         raise InputError(f"{what}: invalid JSON ({exc})") from None
+
+
+def _number(text: str, parse: Any) -> Any:
+    """``parse(text)`` for ASCII text without ``_``: Python's int() and float()
+    also read digit separators and non-ASCII digits, so ``1_0`` would be 10."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"expected a plain ASCII number, got {text!r}")
+    return parse(text)
 
 
 def _read_vectors(raw: str) -> tuple[list[FiniteSequence], Any]:
@@ -102,7 +122,7 @@ def _read_freqs(raw: str) -> tuple[Any, str]:
     from . import bohr
 
     try:
-        return bohr.FrequencySet(tuple(float(v) for v in raw.split(","))), raw
+        return bohr.FrequencySet(tuple(_number(v, float) for v in raw.split(","))), raw
     except ValueError as exc:
         raise InputError(f"--freqs: {exc}") from None
 
@@ -264,7 +284,8 @@ def _integrand_from_catalog(name: str, n_axes: int):
     ):
         if name.startswith(prefix):
             try:
-                m = np.asarray([int(v) for v in name[len(prefix):].split(",")], dtype=float)
+                m = np.asarray([_number(v, int) for v in name[len(prefix):].split(",")],
+                               dtype=float)
             except ValueError:
                 raise InputError(f"--integral: bad mode list in {name!r}") from None
             if len(m) != n_axes:
@@ -356,9 +377,16 @@ def _tabulate(payload: dict) -> list[list] | None:
     return None
 
 
+def _int(text: str) -> int:
+    try:
+        return _number(text, int)
+    except ValueError:  # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _seed(text: str) -> int:
     try:
-        value = int(text)
+        value = _number(text, int)
     except ValueError:
         value = -1
     if not 0 <= value < 2**64:
@@ -368,7 +396,7 @@ def _seed(text: str) -> int:
 
 def _finite(text: str) -> float:
     try:
-        value = float(text)
+        value = _number(text, float)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
@@ -392,7 +420,7 @@ _SEED = {"type": _seed, "help": "non-negative 64-bit seed"}
 SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, Any, dict], ...]]] = {
     "sample": ("draw a truncated gaussian sample", _payload_sample, (
         ("--cov", "decay", {"required": True}),
-        ("--n", None, {"type": int, "required": True}),
+        ("--n", None, {"type": _int, "required": True}),
         ("--seed", None, {**_SEED, "required": True}),
     )),
     "chi": ("characteristic function at a test vector", _payload_chi, (
@@ -403,7 +431,7 @@ SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, Any, dict], ...]]] = {
         ("--cov", "decay", {"required": True}),
         ("--vectors", _read_vectors, {
             "required": True, "help": "basis tokens e1,e2,... or a JSON array of sequences"}),
-        ("--mc-samples", None, {"type": int}),
+        ("--mc-samples", None, {"type": _int}),
         ("--seed", None, {**_SEED, "help": "seed of --mc-samples"}),
     )),
     "rn-density": ("shift density at a point", _payload_rn_density, (
@@ -422,7 +450,7 @@ SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, Any, dict], ...]]] = {
     "support": ("weighted-subspace support verdict", _payload_support, (
         ("--cov", "decay", {"required": True}),
         ("--weights", "decay", {"required": True}),
-        ("--mc", None, {"type": int, "nargs": 2, "metavar": ("N_COORDS", "N_SAMPLES"),
+        ("--mc", None, {"type": _int, "nargs": 2, "metavar": ("N_COORDS", "N_SAMPLES"),
                         "help": "add the tail-growth oracle (needs --seed)"}),
         ("--seed", None, {**_SEED, "help": "seed of --mc"}),
     )),
@@ -440,10 +468,10 @@ SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, Any, dict], ...]]] = {
     )),
     "bohr": ("torus family: independence, sampling, integrals", _payload_bohr, (
         ("--freqs", _read_freqs, {"required": True, "help": "comma-separated frequencies"}),
-        ("--check-independence", None, {"type": int, "metavar": "BOUND"}),
+        ("--check-independence", None, {"type": _int, "metavar": "BOUND"}),
         ("--integral", None, {"metavar": "EXPR_ID"}),
-        ("--quad-points", None, {"type": int, "default": 16}),
-        ("--mc", None, {"type": int, "metavar": "N_SAMPLES"}),
+        ("--quad-points", None, {"type": _int, "default": 16}),
+        ("--mc", None, {"type": _int, "metavar": "N_SAMPLES"}),
         ("--sample", None, {"action": "store_true"}),
         ("--seed", None, {**_SEED, "help": "seed of --sample and --mc"}),
     )),
@@ -452,7 +480,7 @@ SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, Any, dict], ...]]] = {
         ("--cylinder", "cylinder", {}),
         ("--prefix", "cylinder", {}),
         ("--tail", "tail_rule", {}),
-        ("--n-max", None, {"type": int}),
+        ("--n-max", None, {"type": _int}),
     )),
     "consistency": ("marginal self-consistency check", _payload_consistency, (
         ("--marginals", "marginal_tables", {"required": True}),

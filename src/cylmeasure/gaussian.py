@@ -10,8 +10,8 @@ exp(-<xi, xi>_rho / 2) with the covariance form
 and its polynomial moments close under the pairing rule: odd moments
 vanish, even moments are sums over perfect matchings of two-point
 covariances.  Every operation here is exact given the covariance class;
-Monte Carlo enters only through seeded draws: ``sample`` and ``mc_moment``,
-the one product-moment estimator, shared by ``moment --mc-samples`` and the gate.
+Monte Carlo enters only through seeded draws (``sample``, ``mc_moment``) and
+``mc_mean``, the one estimator of every real Monte Carlo oracle and the gate.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import InputError
+from .errors import InputError, NumericError
 from .sequences import DecaySeq, FiniteSequence, require_positive
 
 if TYPE_CHECKING:
@@ -37,6 +37,7 @@ __all__ = [
     "draw_coordinates",
     "pairings",
     "wick_moment",
+    "mc_mean",
     "mc_moment",
     "positive_type_gram",
     "PAIRING_CAP",
@@ -188,6 +189,20 @@ def wick_moment(
     return contract(tuple(multiplicity.values()))
 
 
+def mc_mean(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and standard error std(ddof=1)/sqrt(n); refuses n < 2 and non-finite."""
+    n = len(values)
+    if n < 2:
+        raise InputError(f"a standard error needs at least 2 samples, got {n}")
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        est, se = float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
+    if not (math.isfinite(est) and math.isfinite(se)):
+        raise NumericError("non-finite Monte Carlo estimate", estimate=est, standard_error=se)
+    return est, se
+
+
 def mc_moment(
     cov: CovarianceSeq, xs: Sequence[FiniteSequence], n_samples: int, seed: int
 ) -> tuple[float, float]:
@@ -196,16 +211,15 @@ def mc_moment(
     One seeded draw of coordinates 1..max index; the product starts from
     ones, so no factors give the empty product 1, as in ``wick_moment``.
     """
-    if n_samples < 2:
-        raise InputError(f"a standard error needs at least 2 samples, got {n_samples}")
     import numpy as np
 
     dim = max((x.max_index for x in xs), default=1)
     coords = draw_coordinates(cov, dim, n_samples, np.random.default_rng(seed))
     prods = np.ones(n_samples)
-    for x in xs:
-        prods *= coords @ x.as_vector(dim)
-    return float(prods.mean()), float(prods.std(ddof=1) / np.sqrt(n_samples))
+    with np.errstate(over="ignore", invalid="ignore"):  # mc_mean refuses what overflows
+        for x in xs:
+            prods *= coords @ x.as_vector(dim)
+    return mc_mean(prods)
 
 
 @dataclass(frozen=True)

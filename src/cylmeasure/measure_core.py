@@ -585,6 +585,5 @@ def pushforward_integral_mc(
         raise NumericError(
             "integrand produced a non-finite value", sample=x[i].tolist(), value=float(vals[i])
         )
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-    return est, se
+    from .gaussian import mc_mean
+    return mc_mean(vals)

@@ -177,8 +177,7 @@ def criterion_rn_normalization(seed: int, full: bool) -> CheckResult:
             cov, n_coords, n_samples, np.random.default_rng(derive_seed(seed, 402, trial))
         )
         dens = transform.rn_density(x, y, cov)
-        est = float(np.mean(dens))
-        se = float(np.std(dens, ddof=1) / math.sqrt(n_samples))
+        est, se = gaussian.mc_mean(dens)
         worst = max(worst, abs(est - 1.0) / se)
         if abs(est - 1.0) > 4.0 * se:
             failures.append(
@@ -203,8 +202,7 @@ def criterion_rn_normalization(seed: int, full: bool) -> CheckResult:
     shifted = x + y.as_vector(n_coords)
     for name, f in polys:
         diff = dens * f(x) - f(shifted)
-        est = float(np.mean(diff))
-        se = float(np.std(diff, ddof=1) / math.sqrt(n_samples))
+        est, se = gaussian.mc_mean(diff)
         if abs(est) > 5.0 * se:
             failures.append(f"change of measure fails for {name}: diff {est:.4e} > 5*SE")
     notes.append("change-of-measure identity on 6 polynomials within 5*SE")

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, NumericError
-from .gaussian import CovarianceSeq
+from .gaussian import CovarianceSeq, mc_mean
 from .sequences import DecaySeq, Tabulated, require_positive, summable
 
 __all__ = [
@@ -175,7 +175,10 @@ def mc_tail_growth(
             running += block_sq @ weights[start:stop]
 
         means = np.cumsum(weights * col_sums) / n_samples
-        final_se = float(running.std(ddof=1) / math.sqrt(n_samples))
+    try:
+        final_se = mc_mean(running)[1]
+    except NumericError:  # refused below, as an overflow of the partial sums
+        final_se = math.inf
     if not (np.isfinite(means[-1]) and math.isfinite(final_se)):
         raise NumericError("the sampled partial sums of a_n^2 x_n^2 overflow")
     checkpoints = tuple((int(m), float(means[m - 1])) for m in marks)

@@ -688,6 +688,29 @@ class TestCliHardening:
             pytest.param(("moment", "--cov", CONST1, "--vectors", "e1,e\u0661"),
                          "input error: vectors[1]: expected a basis token like e1, got 'e\u0661'",
                          id="basis-token-non-ascii-digit"),
+            pytest.param(("consistency", "--marginals",
+                          '[{"indices":[1],"cells":[{"boxes":[[[0,0.5]]],"p":0.5,"p":1.0}]}]'),
+                         "input error: --marginals: invalid JSON (repeated key 'p')",
+                         id="repeated-cell-key"),
+            pytest.param(("product", "--spec", '{"indexed":{"map":{"1":{"uniform":{"a":0,"b":1}},'
+                          '"1":{"point_mass":{"c":0.25}}},"default":{"point_mass":{"c":0}}}}',
+                          "--cylinder", '{"base":[{"index":1,"boxes":[[0.0,0.5]]}]}'),
+                         "input error: --spec: invalid JSON (repeated key '1')",
+                         id="repeated-map-key"),
+            pytest.param(("bohr", "--freqs", "1_0,2", "--check-independence", "2"),
+                         "input error: --freqs: expected a plain ASCII number, got '1_0'",
+                         id="freq-digit-separator"),
+            pytest.param(("bohr", "--freqs", "\u0661,2", "--check-independence", "2"),
+                         "input error: --freqs: expected a plain ASCII number, got '\u0661'",
+                         id="freq-non-ascii-digit"),
+            pytest.param(("bohr", "--freqs", "1,2", "--integral", "char:1_0,1"),
+                         "input error: --integral: bad mode list in 'char:1_0,1'",
+                         id="integral-mode-digit-separator"),
+            pytest.param(("sample", "--cov", CONST1, "--n", "1_0", "--seed", "1"),
+                         "argument --n: invalid int value: '1_0'", id="int-digit-separator"),
+            pytest.param(("sample", "--cov", CONST1, "--n", "4", "--seed", "\u0663"),
+                         "argument --seed: expected a non-negative 64-bit integer, got '\u0663'",
+                         id="seed-non-ascii-digit"),
             *UNREAD_OPTIONS,
         ],
     )
@@ -852,9 +875,11 @@ class TestCliHardening:
              "--weights", '{"constant":{"rho":1e10}}', "--mc", "100", "100", "--seed", "1"),
             ("support", "--cov", '{"constant":{"rho":1e306}}',
              "--weights", CONST1, "--mc", "100", "100", "--seed", "1"),
+            ("moment", "--cov", '{"constant":{"rho":1e200}}', "--vectors", "e1,e1,e1,e1",
+             "--mc-samples", "10", "--seed", "1"),
         ],
         ids=["support-tabulated", "kernel-white-noise", "kernel-massive-free",
-             "support-mc-weights", "support-mc-sums"],
+             "support-mc-weights", "support-mc-sums", "moment-mc"],
     )
     def test_overflow_prints_only_the_failure(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cylmeasure.errors import InputError
+from cylmeasure.errors import InputError, NumericError
 from cylmeasure.gaussian import (
     chi,
     draw_coordinates,
     inner,
+    mc_mean,
     mc_moment,
     pairings,
     positive_type_gram,
@@ -314,6 +315,28 @@ class TestWickMoment:
         assert mc_moment(Constant(1.0), [], 3, 0) == (1.0, 0.0)
         with pytest.raises(InputError, match="at least 2 samples"):
             mc_moment(Constant(1.0), [E1], 1, 0)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63])
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_mc_mean_is_the_inline_estimator(self, n, seed):
+        values = np.random.default_rng(seed).standard_normal(n) * 3.0 + 1.0
+        expected = (float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)))
+        assert mc_mean(values) == expected
+
+    @pytest.mark.parametrize("values", [[], [1.0]], ids=["none", "one"])
+    def test_mc_mean_refuses_fewer_than_two_values(self, values):
+        with pytest.raises(InputError, match=f"at least 2 samples, got {len(values)}"):
+            mc_mean(np.array(values))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, math.inf], [-math.inf, math.inf], [math.nan, 1.0], [1e200, -1e200]],
+        ids=["inf", "inf-minus-inf", "nan", "spread-overflows"],
+    )
+    def test_mc_mean_refuses_non_finite_samples_without_a_warning(self, values):
+        with pytest.raises(NumericError, match="non-finite Monte Carlo estimate"):
+            mc_mean(np.array(values))
 
     def test_cap_enforced(self):
         with pytest.raises(InputError):
