@@ -23,8 +23,9 @@ inside the code that uses them, so a fresh process imports only what
 its subcommand runs.  ``shift-admissible``, ``hs-check``, ``chi``,
 ``moment`` without ``--mc-samples``, ``consistency``, ``equivalence``
 (which bounds its variance ratios from a few indices), ``rn-density``
-(one point, a plain sum) and ``support`` on closed-form inputs build
-no array and never load numpy.
+(one point, a plain sum) and ``support`` without ``--mc`` build no
+array and never load numpy.  The four series verdicts refuse a
+tabulated series (exit 2) before any other work.
 
 Exit codes: 0 success, 2 input error (schema violations name the
 offending key), 3 numeric failure (a tolerance that could not be

@@ -190,7 +190,12 @@ def wick_moment(
 
 
 def mc_mean(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and standard error std(ddof=1)/sqrt(n); refuses n < 2 and non-finite."""
+    """Sample mean and standard error std(ddof=1)/sqrt(n); refuses n < 2 and non-finite.
+
+    Where the squared deviations overflow although the mean is finite, the
+    spread is taken of the values divided by a power of two near their
+    largest magnitude and multiplied back, which is exact in binary.
+    """
     n = len(values)
     if n < 2:
         raise InputError(f"a standard error needs at least 2 samples, got {n}")
@@ -198,6 +203,9 @@ def mc_mean(values: np.ndarray) -> tuple[float, float]:
 
     with np.errstate(over="ignore", invalid="ignore"):
         est, se = float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
+        if math.isfinite(est) and not math.isfinite(se):
+            exp = math.frexp(float(np.abs(values).max()))[1]
+            se = float(np.ldexp(np.ldexp(values, -exp).std(ddof=1) / math.sqrt(n), exp))
     if not (math.isfinite(est) and math.isfinite(se)):
         raise NumericError("non-finite Monte Carlo estimate", estimate=est, standard_error=se)
     return est, se

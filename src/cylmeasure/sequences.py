@@ -34,8 +34,8 @@ the boundary to that test.  Coefficients enter only by their sign and by
 float equality, so no product of them can underflow to 0.
 
 ``Tabulated`` carries a finite table and no tail information; its
-``atoms()`` raises ``UndecidableError`` (callers surface that as an
-undecided/heuristic verdict).
+``atoms()`` raises ``UndecidableError``, so every series verdict refuses
+it (the CLI exits 2).
 """
 
 from __future__ import annotations
@@ -335,8 +335,8 @@ class Prefixed(_Decay):
 class Tabulated(_Decay):
     """A finite table of values with *no* tail information.
 
-    Symbolic series decisions are refused on this class; consumers report
-    heuristic/undecided verdicts built from partial sums instead.
+    Symbolic series decisions are refused on this class: its ``atoms()``
+    raises, and every series verdict reads them first.
     """
 
     values: tuple[float, ...]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, NumericError
 from .gaussian import CovarianceSeq, mc_mean
-from .sequences import DecaySeq, Tabulated, require_positive, summable
+from .sequences import DecaySeq, require_positive, summable
 
 __all__ = [
     "DiagonalOperator",
@@ -38,60 +38,43 @@ DiagonalOperator = DecaySeq
 def hilbert_schmidt_check(h: DiagonalOperator) -> bool:
     """Whether the diagonal operator with entries h_n is Hilbert-Schmidt.
 
-    Decided symbolically as convergence of sum h_n^2.  Tabulated entries
-    raise ``UndecidableError``: a finite table cannot settle a tail sum.
+    Decided symbolically as convergence of sum h_n^2.  A tabulated input
+    raises ``UndecidableError``: a finite table cannot settle a tail sum.
     """
+    atoms = h.atoms()
     require_positive(h, "diagonal operator")
-    return summable((h.atoms()[0], 2))
+    return summable((atoms[0], 2))
 
 
 class Support(str, enum.Enum):
     SUPPORTED = "supported"
     NOT_SUPPORTED = "not-supported"
-    HEURISTIC = "heuristic"
 
 
 @dataclass(frozen=True)
 class SupportReport:
     """Verdict for the weighted subspace sum a_n^2 x_n^2 < infinity.
 
-    ``series`` records the decision for sum a_n^2 rho_n.  Hard verdicts
-    come only from closed-form classes; tabulated tails yield HEURISTIC
-    with the partial sums observed over the available range.
+    ``series`` records the decision for sum a_n^2 rho_n.  ``partial_sums``
+    is always None, kept so the payload keeps its key: every verdict is
+    symbolic, and a tabulated input is refused rather than traced.
     """
 
     verdict: Support
-    series: str  # "converges" | "diverges" | "unknown"
-    partial_sums: tuple[float, ...] | None = None
-
-
-_HEURISTIC_CHECKPOINTS = 8
+    series: str  # "converges" | "diverges"
+    partial_sums: None = None
 
 
 def weighted_support_check(cov: CovarianceSeq, a: DiagonalOperator) -> SupportReport:
     """Does the weighted-l2 subspace defined by ``a`` carry full measure?
 
-    Supported iff sum a_n^2 rho_n converges.  With any tabulated input
-    the verdict is HEURISTIC and carries the partial-sum trace instead of
-    a hard answer.
+    Supported iff sum a_n^2 rho_n converges.  A tabulated input raises
+    ``UndecidableError``: a finite table cannot settle a tail sum.
     """
+    atoms_cov, atoms_a = cov.atoms(), a.atoms()
     require_positive(cov, "covariance")
     require_positive(a, "weight sequence")
-    if isinstance(cov, Tabulated) or isinstance(a, Tabulated):
-        import numpy as np
-
-        length = min(len(seq.values) for seq in (cov, a) if isinstance(seq, Tabulated))
-        with np.errstate(over="ignore"):
-            csum = np.cumsum(a.first(length) ** 2 * cov.first(length))
-        if not np.isfinite(csum[-1]):  # the terms are positive
-            raise NumericError("the partial sums of a_n^2 rho_n overflow")
-        marks = np.unique(
-            np.linspace(1, length, min(_HEURISTIC_CHECKPOINTS, length)).astype(int)
-        )
-        return SupportReport(
-            Support.HEURISTIC, "unknown", tuple(float(csum[m - 1]) for m in marks)
-        )
-    if summable((a.atoms()[0], 2), (cov.atoms()[0], 1)):
+    if summable((atoms_a[0], 2), (atoms_cov[0], 1)):
         return SupportReport(Support.SUPPORTED, "converges")
     return SupportReport(Support.NOT_SUPPORTED, "diverges")
 

@@ -34,14 +34,13 @@ from .gaussian import CovarianceSeq
 from .sequences import (
     DecaySeq,
     FiniteSequence,
-    Tabulated,
     leading_difference,
     require_positive,
     summable,
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Sequence
+    from collections.abc import Sequence
 
     import numpy as np
 
@@ -109,8 +108,9 @@ def shift_admissible(y: ShiftSpec, cov: CovarianceSeq) -> bool:
     """Whether translating by y keeps the measure equivalent to itself.
 
     True exactly when sum_n y_n^2 / rho_n converges.  Finite shifts are
-    always admissible; decay-class shifts are decided symbolically.
-    Tabulated shift tails raise ``UndecidableError``.
+    always admissible, whatever the covariance; decay-class shifts are
+    decided symbolically, and a tabulated shift or covariance then raises
+    ``UndecidableError``.
     """
     require_positive(cov, "covariance")
     if isinstance(y, FiniteSequence):
@@ -122,7 +122,6 @@ def shift_admissible(y: ShiftSpec, cov: CovarianceSeq) -> bool:
 class Equivalence(str, enum.Enum):
     EQUIVALENT = "equivalent"
     SINGULAR = "singular"
-    UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
@@ -132,18 +131,17 @@ class EquivalenceVerdict:
     ``ratio_inf``/``ratio_sup`` are the least and largest variance ratio
     a_n = rho'_n / rho_n over n <= 1000, read at a few candidate indices:
     every prefix index, both ends of the shared closed-form range and the
-    integers next to each critical point of a_n there.  Tabulated inputs
-    (up to the end of their table), and inputs with a zero, subnormal or
-    non-finite entry or ratio at a candidate, take every index and keep
-    the finite ratios; only where none is finite do the bounds report the
-    tail limit of a_n instead.  ``series`` records the symbolic decision
-    for sum (a_n - 1)^2.
+    integers next to each critical point of a_n there.  Inputs with a
+    zero, subnormal or non-finite entry or ratio at a candidate take every
+    index and keep the finite ratios; only where none is finite do the
+    bounds report the tail limit of a_n instead.  ``series`` records the
+    symbolic decision for sum (a_n - 1)^2.
     """
 
     verdict: Equivalence
     ratio_inf: float
     ratio_sup: float
-    series: str  # "converges" | "diverges" | "unknown"
+    series: str  # "converges" | "diverges"
     reason: str
 
 
@@ -281,24 +279,16 @@ def _candidate_bounds(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> tuple[float
     return (least, largest) if _NORMAL <= least and largest < math.inf else None
 
 
-def _entries(cov: CovarianceSeq, scan: int) -> Iterable[float]:
-    """s_1..s_scan; a table hands over its values."""
-    if isinstance(cov, Tabulated):
-        return cov.values[:scan]
-    return map(cov.at, range(1, scan + 1))
-
-
-def _scanned_bounds(
-    cov_a: CovarianceSeq, cov_b: CovarianceSeq, scan: int
-) -> tuple[float, float] | None:
-    """min and max of the finite ratios b_n/a_n over n <= scan, or None.
+def _scanned_bounds(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> tuple[float, float] | None:
+    """min and max of the finite ratios b_n/a_n over n <= _RATIO_SCAN, or None.
 
     Entries are positive, so a 0 is a decreasing closed-form tail that has
     underflowed, and every later entry of that tail is 0 too: the scan
     stops there, since each later ratio is 0 (already counted) or not finite.
     """
     ratios = []
-    for a, b in zip(_entries(cov_a, scan), _entries(cov_b, scan)):
+    for n in range(1, _RATIO_SCAN + 1):
+        a, b = cov_a.at(n), cov_b.at(n)
         if a:
             ratio = b / a
             if ratio < math.inf:  # inf/inf is NaN and fails too
@@ -309,18 +299,11 @@ def _scanned_bounds(
 
 
 def _ratio_bounds(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> tuple[float, float]:
-    tabulated = isinstance(cov_a, Tabulated) or isinstance(cov_b, Tabulated)
-    bounds = None if tabulated else _candidate_bounds(cov_a, cov_b)
-    if bounds is None:
-        # a table, or a tail whose entries under/overflow before index 1000, is
-        # scanned index by index; the bounds are evidence, the verdict is symbolic
-        lengths = [len(cov.values) for cov in (cov_a, cov_b) if isinstance(cov, Tabulated)]
-        scan = min([_RATIO_SCAN, *lengths])
-        bounds = _scanned_bounds(cov_a, cov_b, scan)
+    # a tail whose entries under/overflow before index 1000 is scanned index
+    # by index; the bounds are evidence, the verdict is symbolic
+    bounds = _candidate_bounds(cov_a, cov_b) or _scanned_bounds(cov_a, cov_b)
     if bounds:
         return bounds
-    if tabulated:
-        raise NumericError("every scanned variance ratio over- or underflows", scan=scan)
     # no finite entry: the tail limit of a_n stands in for the scan
     (q_a, alpha_a, k_a), (q_b, alpha_b, k_b) = cov_a.atoms()[0], cov_b.atoms()[0]
     if (q_a, alpha_a) != (q_b, alpha_b):
@@ -332,23 +315,20 @@ def _ratio_bounds(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> tuple[float, fl
 
 
 def equivalence_classify(cov_a: CovarianceSeq, cov_b: CovarianceSeq) -> EquivalenceVerdict:
-    """Equivalent / Singular / Undecided for two diagonal Gaussians.
+    """Equivalent / Singular for two diagonal Gaussians.
 
-    Decided exactly on decay-class quotients; tabulated inputs without a
-    closed-form tail are the only Undecided case.  A failed condition
-    yields Singular via the ergodic dichotomy for diagonal Gaussians
-    (both measures are ergodic under their dense shift families, so
-    non-equivalence forces mutual singularity).
+    Decided exactly on decay-class quotients.  A tabulated input raises
+    ``UndecidableError``: a finite table cannot settle a tail sum.  A
+    failed condition yields Singular via the ergodic dichotomy for
+    diagonal Gaussians (both measures are ergodic under their dense shift
+    families, so non-equivalence forces mutual singularity).
     """
+    atoms_a, atoms_b = cov_a.atoms(), cov_b.atoms()
     require_positive(cov_a, "covariance")
     require_positive(cov_b, "covariance")
     lo, hi = _ratio_bounds(cov_a, cov_b)
-    if isinstance(cov_a, Tabulated) or isinstance(cov_b, Tabulated):
-        return EquivalenceVerdict(
-            Equivalence.UNDECIDED, lo, hi, "unknown", "tabulated input carries no tail information"
-        )
-    lead_a = cov_a.atoms()[0]
-    if lead_a[:2] != cov_b.atoms()[0][:2]:
+    lead_a = atoms_a[0]
+    if lead_a[:2] != atoms_b[0][:2]:
         return EquivalenceVerdict(
             Equivalence.SINGULAR, lo, hi, "diverges",
             "variance ratio is unbounded or tends to zero",

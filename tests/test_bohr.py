@@ -99,6 +99,13 @@ class TestIndependenceCheck:
         with pytest.raises(InputError, match="budget"):
             independence_check(FrequencySet((1.0, SQRT2, math.pi, math.e)), 100)
 
+    def test_budget_edge(self):
+        # 39^5 = 90,224,199 vectors fit SEARCH_BUDGET = 10^8 and 41^5 do not
+        five = FrequencySet((1.0, SQRT2, math.pi, math.e, math.sqrt(3.0)))
+        assert independence_check(five, 19) == IndependenceResult(True, 19)
+        with pytest.raises(InputError, match=r"search space 41\^5 exceeds the budget"):
+            independence_check(five, 20)
+
     def test_bound_validation(self):
         with pytest.raises(InputError):
             independence_check(FrequencySet((1.0,)), 0)

@@ -866,8 +866,6 @@ class TestCliHardening:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("support", "--cov", '{"tabulated":{"values":[1e308,1e308]}}',
-             "--weights", '{"tabulated":{"values":[1e10,1e10]}}'),
             ("kernel", "--spec", '{"white_noise":{"sigma":1e308}}',
              "--bilinear", HUGE_GRID, HUGE_GRID),
             ("kernel", "--spec", MASSIVE_FREE, "--bilinear", HUGE_GRID, HUGE_GRID),
@@ -878,7 +876,7 @@ class TestCliHardening:
             ("moment", "--cov", '{"constant":{"rho":1e200}}', "--vectors", "e1,e1,e1,e1",
              "--mc-samples", "10", "--seed", "1"),
         ],
-        ids=["support-tabulated", "kernel-white-noise", "kernel-massive-free",
+        ids=["kernel-white-noise", "kernel-massive-free",
              "support-mc-weights", "support-mc-sums", "moment-mc"],
     )
     def test_overflow_prints_only_the_failure(self, capsys, argv):
@@ -886,6 +884,49 @@ class TestCliHardening:
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("numeric failure:")
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_spread_whose_squares_overflow_keeps_a_finite_standard_error(self, capsys):
+        # the squared deviations pass 1e308 while the estimates stay finite
+        env = run_envelope(capsys, "moment", "--cov", '{"constant":{"rho":1e100}}',
+                           "--vectors", "e1,e1,e1,e1", "--mc-samples", "1000", "--seed", "0")
+        mc = env["payload"]["mc"]
+        assert env["payload"]["moment"] == pytest.approx(3e200, rel=1e-15)
+        assert 0.0 < mc["standard_error"] < math.inf
+        assert abs(mc["estimate"] - 3e200) <= 4.0 * mc["standard_error"]
+        env = run_envelope(capsys, "support", "--cov", '{"constant":{"rho":1e200}}',
+                           "--weights", CONST1, "--mc", "100", "100", "--seed", "1")
+        growth = env["payload"]["mc"]
+        assert growth["kind"] == "slope" and 0.0 < growth["final_se"] < math.inf
+
+    TABLE = '{"tabulated":{"values":[1,0.5,0.25]}}'
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hs-check", "--weights", TABLE),
+            ("shift-admissible", "--cov", CONST1, "--shift", TABLE),
+            ("support", "--cov", CONST1, "--weights", TABLE),
+            ("support", "--cov", '{"tabulated":{"values":[1e308,1e308]}}',
+             "--weights", '{"tabulated":{"values":[1e10,1e10]}}'),
+            ("equivalence", "--cov-a", TABLE, "--cov-b", CONST1),
+            ("equivalence", "--cov-a", CONST1, "--cov-b", TABLE),
+        ],
+        ids=["hs-check", "shift-admissible", "support", "support-overflowing-table",
+             "equivalence-a", "equivalence-b"],
+    )
+    def test_a_tabulated_series_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "input error: tabulated values carry no tail information; "
+            "symbolic decision refused\n"
+        )
+
+    def test_a_finite_shift_of_a_tabulated_covariance_is_admissible(self, capsys):
+        env = run_envelope(capsys, "shift-admissible", "--cov", self.TABLE,
+                           "--shift", '{"entries":[[2,3.0]]}')
+        assert env["payload"] == {"admissible": True}
 
     def test_parser_is_built_once(self, capsys):
         run_cli(capsys, "hs-check", "--weights", CONST1)

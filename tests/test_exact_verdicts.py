@@ -211,6 +211,7 @@ FACTOR = st.tuples(
 @settings(max_examples=100, deadline=None)
 @given(st.lists(FACTOR, min_size=1, max_size=4))
 @example([("0.7", "0", 2), ("0.49", "0", -1)])
+@example([("0.7", "-0.75", 2), ("0.49", "0", -1)])  # a q tie that alpha = -1.5 decides
 @example([("1", "-1.07", 2), ("1", "-1.14", -1)])
 @example([("0.999", "0", 2), ("0.998001", "0", -1)])
 @example([("1e-300", "0", 2), ("1e-300", "0", -2)])

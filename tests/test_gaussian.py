@@ -331,12 +331,21 @@ class TestWickMoment:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "values",
-        [[1.0, math.inf], [-math.inf, math.inf], [math.nan, 1.0], [1e200, -1e200]],
-        ids=["inf", "inf-minus-inf", "nan", "spread-overflows"],
+        [[1.0, math.inf], [-math.inf, math.inf], [math.nan, 1.0], [1.7e308, 1.7e308]],
+        ids=["inf", "inf-minus-inf", "nan", "sum-overflows"],
     )
     def test_mc_mean_refuses_non_finite_samples_without_a_warning(self, values):
         with pytest.raises(NumericError, match="non-finite Monte Carlo estimate"):
             mc_mean(np.array(values))
+
+    @pytest.mark.filterwarnings("error")
+    def test_mc_mean_scales_a_spread_whose_squares_overflow(self):
+        # scaling by a power of two is exact, so the fallback keeps every bit
+        values = np.random.default_rng(5).standard_normal(1000) * 3.0 + 1.0
+        est, se = mc_mean(values)
+        assert mc_mean(values * 2.0**600) == (est * 2.0**600, se * 2.0**600)
+        assert mc_mean(np.array([1e200, -1e200])) == (0.0, pytest.approx(1e200, rel=1e-15))
+        assert mc_mean(np.array([1.7e308, -1.7e308])) == (0.0, pytest.approx(1.7e308, rel=1e-15))
 
     def test_cap_enforced(self):
         with pytest.raises(InputError):

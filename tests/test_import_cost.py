@@ -7,9 +7,10 @@ subcommand, ``kernel --fourier`` and the quick selftest leave scipy
 unloaded, and a second one runs the numeric paths with scipy blocked.
 
 numpy takes about 0.1 s to import and the symbolic subcommands build no
-array (``equivalence`` and one-point ``rn-density`` included).  A fresh
-interpreter checks that ``import cylmeasure.cli`` and those subcommands
-leave numpy unloaded and that an array path (``sample``) loads it, and
+array (``equivalence``, one-point ``rn-density`` and closed-form
+``support`` included).  A fresh interpreter checks that ``import
+cylmeasure.cli``, those subcommands and their refusals of a tabulated
+series leave numpy unloaded and that an array path (``sample``) loads it, and
 a second one runs the symbolic subcommands with numpy blocked.
 
 The package's own modules come next: ``import cylmeasure`` loads none of
@@ -191,6 +192,16 @@ SYMBOLIC = [
       "series": "diverges", "verdict": "singular"}),
     (["rn-density", "--cov", CONST, "--shift", E1, "--x", "[0.5]"],
      {"density": 1.0, "truncation": 1}),
+    (["support", "--cov", CONST, "--weights", POWER],
+     {"report": {"partial_sums": None, "series": "converges", "verdict": "supported"}}),
+]
+# every series verdict refuses a tabulated factor before any other work
+TABLE = '{"tabulated":{"values":[1,0.5,0.25]}}'
+REFUSED = [
+    ["shift-admissible", "--cov", CONST, "--shift", TABLE],
+    ["hs-check", "--weights", TABLE],
+    ["support", "--cov", CONST, "--weights", TABLE],
+    ["equivalence", "--cov-a", TABLE, "--cov-b", CONST],
 ]
 ARRAY_PATHS = [
     ["sample", "--cov", CONST, "--n", "4", "--seed", "1"],
@@ -214,14 +225,16 @@ print(json.dumps(report))
 
 
 def test_symbolic_subcommands_leave_numpy_unloaded():
-    argvs = [argv for argv, _ in SYMBOLIC] + ARRAY_PATHS
+    argvs = [argv for argv, _ in SYMBOLIC] + REFUSED + ARRAY_PATHS
     proc = _run(NUMPY_PROBE, "probe", json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report[0] == ["import", None, None, False]
     for (argv, payload), (name, code, got, loaded) in zip(SYMBOLIC, report[1:]):
         assert (name, code, got, loaded) == (argv[0], 0, payload, False)
-    for argv, (name, code, _, loaded) in zip(ARRAY_PATHS, report[len(SYMBOLIC) + 1 :]):
+    arrays = len(SYMBOLIC) + len(REFUSED) + 1
+    assert report[len(SYMBOLIC) + 1 : arrays] == [[argv[0], 2, None, False] for argv in REFUSED]
+    for argv, (name, code, _, loaded) in zip(ARRAY_PATHS, report[arrays:]):
         assert (name, code, loaded) == (argv[0], 0, True)
 
 

@@ -103,13 +103,15 @@ class TestWeightedSupport:
             if weighted_support_check(cov, a).verdict is Support.SUPPORTED:
                 assert weighted_support_check(cov, smaller).verdict is Support.SUPPORTED
 
-    def test_tabulated_yields_heuristic_with_partial_sums(self):
-        report = weighted_support_check(Constant(1.0), Tabulated((1.0, 0.5, 0.25, 0.125)))
-        assert report.verdict is Support.HEURISTIC
-        assert report.series == "unknown"
-        sums = report.partial_sums
-        assert sums is not None and all(a <= b for a, b in zip(sums, sums[1:]))
-        assert sums[-1] == pytest.approx(1.0 + 0.25 + 0.0625 + 0.015625)
+    @pytest.mark.parametrize("cov, a", [
+        (Constant(1.0), Tabulated((1.0, 0.5, 0.25, 0.125))),
+        (Tabulated((1.0, 0.5, 0.25, 0.125)), Constant(1.0)),
+        # the partial sums of this pair overflow; the refusal comes first
+        (Tabulated((1e308, 1e308)), Tabulated((1e10, 1e10))),
+    ])
+    def test_tabulated_input_is_undecidable(self, cov, a):
+        with pytest.raises(UndecidableError, match="symbolic decision refused"):
+            weighted_support_check(cov, a)
 
 
 def _prefix_matvec_oracle(cov, a, n_coords, n_samples, seed):

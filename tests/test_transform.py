@@ -201,10 +201,14 @@ class TestEquivalenceClassify:
         with pytest.raises(NumericError):
             equivalence_classify(Constant(1e-300), Constant(1e300))
 
-    def test_tabulated_is_undecided(self):
-        v = equivalence_classify(Tabulated((1.0, 1.1, 0.9)), Constant(1.0))
-        assert v.verdict is Equivalence.UNDECIDED
-        assert v.series == "unknown"
+    @pytest.mark.parametrize("a, b", [
+        (Tabulated((1.0, 1.1, 0.9)), Constant(1.0)),
+        (Constant(1.0), Tabulated((1.0, 1.1, 0.9))),
+        (Tabulated((1.0, 4.0, 2.0)), Tabulated((1.0, 4.0, 2.0))),
+    ])
+    def test_tabulated_is_undecidable(self, a, b):
+        with pytest.raises(UndecidableError, match="symbolic decision refused"):
+            equivalence_classify(a, b)
 
     @pytest.mark.parametrize(
         "a,b",
@@ -287,10 +291,14 @@ class TestRatioBounds:
         assert transform._candidate_bounds(a, b) is None
         assert transform._ratio_bounds(a, b) == scanned_ratio_bounds(a, b)
 
-    def test_a_table_is_scanned_to_its_end(self):
-        table = Tabulated(tuple(1.0 + (n % 13) / 5 for n in range(1, 1001)))
-        for a, b in ((table, Geometric(3.0, 0.99)), (Geometric(3.0, 0.99), table),
-                     (table, Tabulated(table.values[::-1]))):
+    def test_a_table_is_refused_and_a_prefix_as_long_is_scanned(self):
+        values = tuple(1.0 + (n % 13) / 5 for n in range(1, 1001))
+        head, back = Prefixed(values, Constant(1.0)), Prefixed(values[::-1], Constant(1.0))
+        for a, b in ((head, Geometric(3.0, 0.99)), (Geometric(3.0, 0.99), head), (head, back)):
+            assert transform._candidate_bounds(a, b) is None
             assert transform._ratio_bounds(a, b) == scanned_ratio_bounds(a, b)
-        short = Tabulated((1.0, 4.0, 2.0))
-        assert transform._ratio_bounds(short, Constant(2.0)) == (0.5, 2.0)
+        for a, b in ((Tabulated(values), Geometric(3.0, 0.99)),
+                     (Geometric(3.0, 0.99), Tabulated(values)),
+                     (Tabulated((1.0, 4.0, 2.0)), Constant(2.0))):
+            with pytest.raises(UndecidableError, match="symbolic decision refused"):
+                equivalence_classify(a, b)
