@@ -23,7 +23,8 @@ inside the code that uses them, so a fresh process imports only what
 its subcommand runs.  ``shift-admissible``, ``hs-check``, ``chi``,
 ``moment`` without ``--mc-samples``, ``consistency``, ``equivalence``
 (which bounds its variance ratios from a few indices), ``rn-density``
-(one point, a plain sum) and ``support`` without ``--mc`` build no
+(one point, a plain sum), ``support`` without ``--mc`` and ``product``
+(a geometric tail in closed form, a table as a plain loop) build no
 array and never load numpy.  The four series verdicts refuse a
 tabulated series (exit 2) before any other work.
 

@@ -192,8 +192,8 @@ def wick_moment(
 def mc_mean(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and standard error std(ddof=1)/sqrt(n); refuses n < 2 and non-finite.
 
-    Where the squared deviations overflow although the mean is finite, the
-    spread is taken of the values divided by a power of two near their
+    Where the sum or the squared deviations of finite values overflow, what
+    overflowed is taken of the values divided by a power of two near their
     largest magnitude and multiplied back, which is exact in binary.
     """
     n = len(values)
@@ -203,9 +203,12 @@ def mc_mean(values: np.ndarray) -> tuple[float, float]:
 
     with np.errstate(over="ignore", invalid="ignore"):
         est, se = float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
-        if math.isfinite(est) and not math.isfinite(se):
+        if not math.isfinite(se) and np.isfinite(values).all():
             exp = math.frexp(float(np.abs(values).max()))[1]
-            se = float(np.ldexp(np.ldexp(values, -exp).std(ddof=1) / math.sqrt(n), exp))
+            scaled = np.ldexp(values, -exp)
+            if not math.isfinite(est):
+                est = float(np.ldexp(scaled.mean(), exp))
+            se = float(np.ldexp(scaled.std(ddof=1) / math.sqrt(n), exp))
     if not (math.isfinite(est) and math.isfinite(se)):
         raise NumericError("non-finite Monte Carlo estimate", estimate=est, standard_error=se)
     return est, se

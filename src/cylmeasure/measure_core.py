@@ -327,8 +327,47 @@ class OneMinusGeometricTail:
         return max(0, math.ceil(a / (-math.log(self.q) * (1.0 - 2.0**-48))) - 1)
 
     def limit(self, partial: float, n_max: int | None, tol: float) -> ProductLimitReport:
+        """partial * prod_{k<=n} (1 - c q^k), n = min(count(tol), n_max).
+
+        Factors with c q^k > 1/2, below 1/2 each and so about a thousand at
+        most before underflow, are multiplied one by one, each rounded once
+        from c q^k in 256-bit fixed point: exact at k = 1, low by under k
+        units after, and capped at 1, which the float check c*q <= 1 may
+        pass.  The other m factors are exp(-S), S from ``_log_series``,
+        which the fixed-point error of r moves by at most 2 min(m, 1/(1-q))
+        k 2^-256 < 2^-190.  An underflow stops at the least k, found by
+        bisection on S.
+        """
         n_max = DEFAULT_N_MAX_CLOSED_FORM if n_max is None else n_max
-        return _multiply(partial, self.count(tol), n_max, lambda k: 1.0 - self.c * self.q**k)
+        count = self.count(tol)
+        end = min(count, n_max)
+        c_num, c_den = self.c.as_integer_ratio()
+        q_num, q_den = self.q.as_integer_ratio()
+        one, half, shift = 1 << 256, 1 << 255, q_den.bit_length() - 1
+        x = min(one, (c_num * q_num << 256) // (c_den * q_den))  # c q^(k+1) * one
+        k = 0
+        while k < end and x > half:
+            k += 1
+            partial *= float(one - x) * 2.0**-256
+            if partial <= _UNDERFLOW:
+                return _underflow(partial, k, count)
+            x = x * q_num >> shift
+        if k == end:
+            return _end(partial, k, count)
+        # the rest is prod_{j<m} (1 - r q^j) with r = c q^(k+1) <= 1/2
+        r, m = x / one, end - k
+
+        def product(j: int) -> float:
+            return partial * math.exp(-_log_series(r, self.q, j))
+
+        value = product(m)
+        if value > _UNDERFLOW:
+            return _end(value, end, count)
+        lo, hi = 0, m  # product(hi) underflows; find the least such hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if product(mid) <= _UNDERFLOW else (mid, hi)
+        return _underflow(product(hi), k + hi, count)
 
 
 @dataclass(frozen=True)
@@ -345,8 +384,12 @@ class TabulatedTail:
     def limit(self, partial: float, n_max: int | None, tol: float) -> ProductLimitReport:
         """Every listed factor enters the product; ``tol`` plays no part."""
         n_max = DEFAULT_N_MAX_TABULATED if n_max is None else n_max
-        table = self.factors
-        return _multiply(partial, len(table), n_max, lambda k: table[k[0] - 1 : k[-1]])
+        count = len(self.factors)
+        for k, f in enumerate(self.factors[:n_max], 1):
+            partial *= f
+            if partial <= _UNDERFLOW:
+                return _underflow(partial, k, count)
+        return _end(partial, min(count, n_max), count)
 
 
 # each rule's limit(partial, n_max, tol) is the limit of partial * f_1 * f_2 ...
@@ -364,29 +407,37 @@ class TailConstraints:
 # partial products are nonincreasing; below this the limit is reported as 0
 _UNDERFLOW = 1e-300
 
-# factors multiplied per vectorised step of _multiply
-_PRODUCT_BLOCK = 4096
+
+def _log_series(r: float, q: float, m: int) -> float:
+    """-log prod_{j<m} (1 - r q^j) = sum_i (r^i/i) (1 - q^(im)) / (1 - q^i), r <= 1/2.
+
+    Both differences come from ``expm1``, so each keeps full precision.
+    Term i is at most (r^i/i) min(m, 1/(1 - q^i)), so the terms from i on
+    sum to at most r^i min(m, 1/(1 - q^i)) / (i (1 - r)); the series stops
+    once that is below an ulp of the sum, within about 60 terms.
+    """
+    lq = math.log(q)
+    terms: list[float] = []
+    total, i = 0.0, 1
+    while True:
+        ri, gap = r**i, -math.expm1(i * lq)
+        if ri * min(m, 1.0 / gap) <= 2.0**-53 * total * i * (1.0 - r):
+            return math.fsum(terms)
+        terms.append(ri / i * -math.expm1(i * m * lq) / gap)
+        total += terms[-1]
+        i += 1
 
 
-def _multiply(partial: float, count: int, n_max: int, factors: Callable) -> ProductLimitReport:
-    """partial * f_1 * ... * f_m, m = min(count, n_max), where ``factors(k)``
-    is f_k on an array k of consecutive indices.  A cumulative product
-    multiplies each block in the order of a factor-by-factor loop.  The one
-    early stop is underflow, reported as 0 except at the rule's last factor."""
-    import numpy as np
+def _underflow(value: float, k: int, count: int) -> ProductLimitReport:
+    """Stop at factor k once the partial product is <= 1e-300: 0, except at
+    the rule's last factor."""
+    return ProductLimitReport(value if k == count else 0.0, k, True, "converged")
 
-    end = min(count, n_max)
-    for start in range(1, end + 1, _PRODUCT_BLOCK):
-        k = np.arange(start, min(start + _PRODUCT_BLOCK, end + 1))
-        running = np.cumprod(np.concatenate(([partial], factors(k))))[1:]
-        under = running <= _UNDERFLOW
-        if under.any():
-            first = int(np.argmax(under))
-            value = float(running[first]) if start + first == count else 0.0
-            return ProductLimitReport(value, start + first, True, "converged")
-        partial = float(running[-1])
-    done = end == count
-    return ProductLimitReport(partial, end, done, "converged" if done else "decreasing-unconverged")
+
+def _end(value: float, k: int, count: int) -> ProductLimitReport:
+    """The partial product of k of the rule's ``count`` factors."""
+    done = k == count
+    return ProductLimitReport(value, k, done, "converged" if done else "decreasing-unconverged")
 
 
 def countable_product_measure(
@@ -399,9 +450,12 @@ def countable_product_measure(
 
     The tail rule fixes the factor count: none for a constant factor
     (decided: 0 for f < 1, the prefix for f = 1), a table's length, and
-    ``OneMinusGeometricTail.count(tol)``.  An underflow below 1e-300
-    stops early, as 0.  A rule needing more than ``n_max`` factors
-    (default 10**6 geometric, 10**4 tabulated) stops there, as
+    ``OneMinusGeometricTail.count(tol)``.  A table is multiplied factor by
+    factor; a geometric tail's partial product comes in closed form from
+    its log series (``OneMinusGeometricTail.limit``), within 8 (1 + |log
+    P|) 2^-53 of the exact partial product P of its floats.  An underflow
+    below 1e-300 stops early, as 0.  A rule needing more than ``n_max``
+    factors (default 10**6 geometric, 10**4 tabulated) stops there, as
     decreasing-unconverged.
     """
     if not 0 < tol < math.inf:

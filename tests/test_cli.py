@@ -899,6 +899,16 @@ class TestCliHardening:
         growth = env["payload"]["mc"]
         assert growth["kind"] == "slope" and 0.0 < growth["final_se"] < math.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_sum_that_overflows_keeps_a_finite_mean(self, capsys):
+        # the 1,000 products sum past 1.8e308 while their mean is about 1e306
+        env = run_envelope(capsys, "moment", "--cov", '{"constant":{"rho":5.8e152}}',
+                           "--vectors", "e1,e1,e1,e1", "--mc-samples", "1000", "--seed", "0")
+        mc = env["payload"]["mc"]
+        assert env["payload"]["moment"] == pytest.approx(3 * 5.8e152**2, rel=1e-15)
+        assert mc["estimate"] == pytest.approx(1.016e306, rel=1e-3)
+        assert abs(mc["estimate"] - 3 * 5.8e152**2) <= 4.0 * mc["standard_error"]
+
     TABLE = '{"tabulated":{"values":[1,0.5,0.25]}}'
 
     @pytest.mark.parametrize(

@@ -7,11 +7,12 @@ subcommand, ``kernel --fourier`` and the quick selftest leave scipy
 unloaded, and a second one runs the numeric paths with scipy blocked.
 
 numpy takes about 0.1 s to import and the symbolic subcommands build no
-array (``equivalence``, one-point ``rn-density`` and closed-form
-``support`` included).  A fresh interpreter checks that ``import
-cylmeasure.cli``, those subcommands and their refusals of a tabulated
-series leave numpy unloaded and that an array path (``sample``) loads it, and
-a second one runs the symbolic subcommands with numpy blocked.
+array (``equivalence``, one-point ``rn-density``, closed-form ``support``
+and a ``product`` with a geometric or tabulated tail included).  A fresh
+interpreter checks that ``import cylmeasure.cli``, those subcommands and
+their refusals of a tabulated series leave numpy unloaded and that an
+array path (``sample``) loads it, and a second one runs the symbolic
+subcommands with numpy blocked.
 
 The package's own modules come next: ``import cylmeasure`` loads none of
 them, and a subcommand loads only those of ``bohr``, ``kernels``,
@@ -194,6 +195,10 @@ SYMBOLIC = [
      {"density": 1.0, "truncation": 1}),
     (["support", "--cov", CONST, "--weights", POWER],
      {"report": {"partial_sums": None, "series": "converges", "verdict": "supported"}}),
+    (["product", "--spec", UNIFORM, "--tail", '{"one_minus_geometric":{"c":1,"q":0.5}}'],
+     {"converged": True, "n_factors": 40, "value": 0.2887880950868651, "verdict": "converged"}),
+    (["product", "--spec", UNIFORM, "--tail", '{"tabulated":{"factors":[0.5,1,0.5]}}'],
+     {"converged": True, "n_factors": 3, "value": 0.25, "verdict": "converged"}),
 ]
 # every series verdict refuses a tabulated factor before any other work
 TABLE = '{"tabulated":{"values":[1,0.5,0.25]}}'

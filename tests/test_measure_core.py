@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cylmeasure.errors import InputError, NumericError
 from cylmeasure.measure_core import (
@@ -213,16 +214,31 @@ def product_by_loop(spec, constraints, n_max, tol=1e-12):
     return ProductLimitReport(partial, k, True, "converged")
 
 
+def exact_partial_products(partial, c, q, n):
+    """partial * prod_{k<=j} (1 - c q^k) for j = 0..n, of the floats c and q in
+    60 digits, each factor clamped at 0 (the float check c*q <= 1 may pass
+    an exact c q just above 1)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        cq, qd = Decimal(c), Decimal(q)
+        out = [Decimal(partial)]
+        for _ in range(n):
+            cq *= qd
+            out.append(out[-1] * max(Decimal(0), 1 - cq))
+        return out
+
+
 HALF_BOX = CylinderSet.from_boxes({1: [(0.0, 0.5)]})
 UNIFORM = ProductMeasureSpec.identical(Uniform1D(0.0, 1.0))
 
 
 class TestProductBlockScan:
-    """The block scan stops exactly where a factor-by-factor loop stops."""
+    """The product stops exactly where a factor-by-factor loop stops."""
 
     @staticmethod
     def check(tail, n_max=None):
-        """The scan's report, checked against the factor-by-factor loop."""
+        """The report, checked against the factor-by-factor loop: a table's
+        exactly, a geometric tail's value against the exact partial product."""
         constraints = TailConstraints(prefix=HALF_BOX, tail=tail)
         if n_max is None:
             tabulated = isinstance(tail, TabulatedTail)
@@ -231,9 +247,10 @@ class TestProductBlockScan:
             loop_n_max = n_max
         expected = product_by_loop(UNIFORM, constraints, loop_n_max)
         report = countable_product_measure(UNIFORM, constraints, n_max)
-        if isinstance(tail, OneMinusGeometricTail):
-            # q**k of an array and of a scalar may differ in the last bit
-            assert report.value == pytest.approx(expected.value, rel=1e-14, abs=0.0)
+        if isinstance(tail, OneMinusGeometricTail) and expected.value:
+            # the loop itself is off by up to 7e-14 on (0.01, 0.9997)
+            exact = exact_partial_products(0.5, tail.c, tail.q, expected.n_factors)[-1]
+            assert report.value == pytest.approx(float(exact), rel=1e-14, abs=0.0)
             report = dataclasses.replace(report, value=expected.value)
         assert report == expected
         return report
@@ -306,8 +323,8 @@ class TestProductBlockScan:
         "tail",
         [
             TabulatedTail((0.0,) * 10),  # exact 0 at the first factor
-            TabulatedTail((0.5,) * 2000),  # underflow inside the first block
-            TabulatedTail((0.9,) * 8000),  # underflow in the second block
+            TabulatedTail((0.5,) * 2000),  # underflow at factor 996
+            TabulatedTail((0.9,) * 8000),  # underflow at factor 6,550
         ],
     )
     def test_underflow(self, tail):
@@ -319,7 +336,7 @@ class TestProductBlockScan:
         [
             ((0.5, 1.0, 0.5), 0.125, 3),  # the interior 1.0 does not stop the product
             ((1.0, 1.0, 0.25), 0.125, 3),
-            ((0.5,) + (1.0,) * 4095 + (0.5,), 0.125, 4097),  # across a block boundary
+            ((0.5,) + (1.0,) * 4095 + (0.5,), 0.125, 4097),  # a long run of 1.0s
             ((), 0.5, 0),
         ],
     )
@@ -357,6 +374,64 @@ class TestProductBlockScan:
     def test_geometric_tail_outside_the_unit_interval_is_rejected(self, c, q, message):
         with pytest.raises(InputError, match=message):
             OneMinusGeometricTail(c, q)
+
+
+def check_closed_form(c, q, n_max):
+    """The geometric tail's report against the exact partial products of the
+    same floats: within 8 (1 + |log P|) 2^-53 of P, and on underflow at the
+    least k whose exact partial product is <= 1e-300."""
+    tail = OneMinusGeometricTail(c, q)
+    count = tail.count(1e-12)
+    end = count if n_max is None else min(count, n_max)
+    report = countable_product_measure(UNIFORM, TailConstraints(prefix=HALF_BOX, tail=tail), n_max)
+    exact = exact_partial_products(0.5, c, q, end)
+    under = next((k for k in range(1, end + 1) if exact[k] <= Decimal(1e-300)), None)
+    k = end if under is None else under
+    assert report.n_factors == k
+    assert report.converged == (under is not None or end == count)
+    assert report.verdict == ("converged" if report.converged else "decreasing-unconverged")
+    if under is not None and under != count:
+        assert report.value == 0.0
+        return report
+    p = exact[k]
+    bound = 8 * (1 + abs(float(p.ln()) if p else 0.0)) * 2.0**-53 * float(p) + 2.0**-1074
+    assert abs(Decimal(report.value) - p) <= Decimal(bound)
+    return report
+
+
+class TestClosedFormProduct:
+    """A geometric tail's partial product from its log series, against the
+    exact product of the same floats."""
+
+    @pytest.mark.parametrize(
+        "c, q, n_max, n_factors",
+        [
+            (1.0, 0.5, None, 40),  # c q = 1/2: the log series from the first factor
+            (0.01, 0.9997, None, 103_776),  # the benchmark's tail
+            (0.01, 0.9997, 1000, 1000),
+            (0.75, 0.9, None, 281),  # c q > 1/2: 3 factors multiplied directly
+            (1.9, 0.5, None, 41),
+            (1.9, 0.5, 3, 3),  # a cut inside the direct factors
+            (1.0 - 1e-12, 1.0 - 1e-9, 1, 1),  # a first factor of 1e-9, to every digit
+            (2.0, 0.5, None, 1),  # c q = 1: the first factor is 0
+            (4.0, 0.25, 5, 1),
+            (1e300, 1e-300, None, 1),  # c*q rounds to 1; the exact c q is above 1
+            (1.0, 0.999, None, 308),  # underflow among the direct factors
+            (0.5, 0.9995, None, 1_614),  # underflow inside the log series, by bisection
+            (0.5, 0.9995, 1_000, 1_000),
+            (0.4, 0.999999, 10, 10),  # 1 - q^(i m) near 1e-5: expm1 keeps its digits
+            (0.0, 0.5, None, 0),
+        ],
+    )
+    def test_value_is_the_exact_partial_product(self, c, q, n_max, n_factors):
+        assert check_closed_form(c, q, n_max).n_factors == n_factors
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.5, 1.0, exclude_max=True), st.floats(0.0, 1.0), st.integers(0, 2_000))
+    def test_any_tail_is_the_exact_partial_product(self, q, cq, n_max):
+        c = cq / q
+        assume(c * q <= 1.0)
+        check_closed_form(c, q, n_max)
 
 
 class TestIncreasingLimit:
