@@ -17,14 +17,17 @@ each under its dest in ``inputs`` (a document as parsed).  A payload
 builder gets only the mode and the decoded values, so ``inputs_digest``,
 the SHA-256 of the canonical ``inputs``, covers all a result depends on.
 
-The symbolic core loads with this module, and numpy does not: numpy,
-``kernels``, ``measure_core``, ``bohr``, ``selftest`` and ``csv`` load
-inside the code that uses them, so a fresh process imports only what
-its subcommand runs.  ``shift-admissible``, ``hs-check``, ``chi``,
+Only ``errors`` and ``jsonio`` load with this module.  A payload builder
+reaches the library through the package's lazy exports, so each model
+module (``sequences``, ``gaussian``, ``transform``, ``support``,
+``kernels``, ``measure_core``, ``bohr``, ``selftest``), numpy and
+``csv`` load inside the code that uses them, and a fresh process imports
+only what its subcommand runs.  ``shift-admissible``, ``hs-check``, ``chi``,
 ``moment`` without ``--mc-samples``, ``consistency``, ``equivalence``
 (which bounds its variance ratios from a few indices), ``rn-density``
-(one point, a plain sum), ``support`` without ``--mc`` and ``product``
-(a geometric tail in closed form, a table as a plain loop) build no
+(one point, a plain sum), ``support`` without ``--mc``, ``product``
+(a geometric tail in closed form, a table as a plain loop) and
+``kernel --at`` or ``--regularity`` on a closed-form kernel build no
 array and never load numpy.  The four series verdicts refuse a
 tabulated series (exit 2) before any other work.
 
@@ -49,13 +52,21 @@ import json
 import math
 import sys
 import time
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import gaussian, jsonio, support, transform
+from . import jsonio
 from .errors import InputError, NumericError
-from .sequences import FiniteSequence
+
+if TYPE_CHECKING:
+    from . import bohr
+    from .sequences import FiniteSequence
 
 __all__ = ["main", "build_envelope", "SUBCOMMANDS"]
+
+# the package: a builder reaches the library through its lazy exports, so a
+# call loads only the model modules it runs, and after the first call pays
+# one attribute lookup for each name
+_lib = sys.modules[__package__]
 
 
 def _reject_constant(token: str) -> None:
@@ -113,7 +124,7 @@ def _read_vectors(raw: str) -> tuple[list[FiniteSequence], Any]:
         if token[:1] != "e" or not (digits.isascii() and digits.isdigit()):
             raise InputError(f"vectors[{i}]: expected a basis token like e1, got {token!r}")
         try:
-            vecs.append(FiniteSequence.basis(int(digits)))
+            vecs.append(_lib.FiniteSequence.basis(int(digits)))
         except InputError as exc:
             raise InputError(f"vectors[{i}]: {exc}") from None
     return vecs, raw
@@ -121,10 +132,8 @@ def _read_vectors(raw: str) -> tuple[list[FiniteSequence], Any]:
 
 def _read_freqs(raw: str) -> tuple[Any, str]:
     """Comma-separated frequencies."""
-    from . import bohr
-
     try:
-        return bohr.FrequencySet(tuple(_number(v, float) for v in raw.split(","))), raw
+        return _lib.FrequencySet(tuple(_number(v, float) for v in raw.split(","))), raw
     except ValueError as exc:
         raise InputError(f"--freqs: {exc}") from None
 
@@ -152,7 +161,7 @@ def _reader(flag: str, kind: Any) -> Any:
 
 
 def _payload_sample(mode, values) -> tuple[dict, list[str]]:
-    out = gaussian.sample(values["cov"], values["n"], values["seed"])
+    out = _lib.sample(values["cov"], values["n"], values["seed"])
     payload = {
         "values": jsonio.encode_value(out.values),
         "truncation": out.truncation,
@@ -164,14 +173,14 @@ def _payload_sample(mode, values) -> tuple[dict, list[str]]:
 def _payload_chi(mode, values) -> tuple[dict, list[str]]:
     cov, xi = values["cov"], values["xi"]
     return (
-        {"chi": gaussian.chi(xi, cov), "inner": gaussian.inner(xi, xi, cov)},
+        {"chi": _lib.chi(xi, cov), "inner": _lib.inner(xi, xi, cov)},
         ["closed-form characteristic function"],
     )
 
 
 def _payload_moment(mode, values) -> tuple[dict, list[str]]:
     cov, vectors = values["cov"], values["vectors"]
-    value = gaussian.wick_moment(cov, vectors)
+    value = _lib.wick_moment(cov, vectors)
     payload: dict[str, Any] = {"moment": value, "n_vectors": len(vectors)}
     if mode is None:
         return payload, ["pairing-sum evaluation"]
@@ -179,12 +188,12 @@ def _payload_moment(mode, values) -> tuple[dict, list[str]]:
     dim = max((v.max_index for v in vectors), default=1)
     if n_samples < 2:
         raise InputError(f"--mc-samples needs at least 2 samples, got {n_samples}")
-    if n_samples * (dim + len(vectors)) > gaussian.MAX_MC_VALUES:
+    if n_samples * (dim + len(vectors)) > _lib.gaussian.MAX_MC_VALUES:
         raise InputError(
             f"{n_samples} samples x ({dim} coordinates + {len(vectors)} factors) "
-            f"exceed the budget of {gaussian.MAX_MC_VALUES} values"
+            f"exceed the budget of {_lib.gaussian.MAX_MC_VALUES} values"
         )
-    estimate, standard_error = gaussian.mc_moment(cov, vectors, n_samples, seed)
+    estimate, standard_error = _lib.mc_moment(cov, vectors, n_samples, seed)
     payload["mc"] = {"estimate": estimate, "standard_error": standard_error,
                      "n_samples": n_samples, "seed": seed}
     return payload, ["pairing-sum evaluation", "monte carlo product-moment oracle"]
@@ -193,48 +202,46 @@ def _payload_moment(mode, values) -> tuple[dict, list[str]]:
 def _payload_rn_density(mode, values) -> tuple[dict, list[str]]:
     x = values["x"]
     return (
-        {"density": transform.rn_density(x, values["shift"], values["cov"]), "truncation": len(x)},
+        {"density": _lib.rn_density(x, values["shift"], values["cov"]), "truncation": len(x)},
         ["closed-form shift density"],
     )
 
 
 def _payload_shift_admissible(mode, values) -> tuple[dict, list[str]]:
     return (
-        {"admissible": transform.shift_admissible(values["shift"], values["cov"])},
+        {"admissible": _lib.shift_admissible(values["shift"], values["cov"])},
         ["symbolic series decision"],
     )
 
 
 def _payload_equivalence(mode, values) -> tuple[dict, list[str]]:
-    verdict = transform.equivalence_classify(values["cov_a"], values["cov_b"])
+    verdict = _lib.equivalence_classify(values["cov_a"], values["cov_b"])
     return jsonio.encode_value(verdict), ["symbolic ratio classification"]
 
 
 def _payload_support(mode, values) -> tuple[dict, list[str]]:
     cov, weights = values["cov"], values["weights"]
-    report = support.weighted_support_check(cov, weights)
+    report = _lib.weighted_support_check(cov, weights)
     payload: dict[str, Any] = {"report": jsonio.encode_value(report)}
     if mode is None:
         return payload, ["symbolic weighted-series decision"]
     n_coords, n_samples = values["mc"]
-    growth = support.mc_tail_growth(cov, weights, n_coords, n_samples, values["seed"])
+    growth = _lib.mc_tail_growth(cov, weights, n_coords, n_samples, values["seed"])
     payload["mc"] = jsonio.encode_value(growth)
     return payload, ["symbolic weighted-series decision", "monte carlo tail-growth oracle"]
 
 
 def _payload_hs_check(mode, values) -> tuple[dict, list[str]]:
     return (
-        {"hilbert_schmidt": support.hilbert_schmidt_check(values["weights"])},
+        {"hilbert_schmidt": _lib.hilbert_schmidt_check(values["weights"])},
         ["symbolic series decision"],
     )
 
 
 def _payload_kernel(mode, values) -> tuple[dict, list[str]]:
-    from . import kernels
-
     if mode == "--fourier":
         m, x = values["fourier"]
-        res = kernels.kernel_fourier_quadrature(m, x, p_cutoff=values["cutoff"], tol=values["tol"])
+        res = _lib.kernel_fourier_quadrature(m, x, p_cutoff=values["cutoff"], tol=values["tol"])
         return jsonio.encode_value(res), ["gauss-legendre panels with a proved bound"]
     spec = values.get("spec")
     if spec is None:
@@ -244,19 +251,17 @@ def _payload_kernel(mode, values) -> tuple[dict, list[str]]:
         return {"value": spec.at(at), "x": at}, ["closed-form kernel evaluation"]
     if mode == "--bilinear":
         f, g = values["bilinear"]
-        return {"value": kernels.covariance_bilinear(spec, f, g)}, ["trapezoid double quadrature"]
+        return {"value": _lib.covariance_bilinear(spec, f, g)}, ["trapezoid double quadrature"]
     return {"regularity": spec.regularity.value}, ["continuity classification"]
 
 
 def _payload_bohr(mode, values) -> tuple[dict, list[str]]:
-    from . import bohr
-
     freqs = values["freqs"]
     if mode == "--check-independence":
-        res = bohr.independence_check(freqs, values["check_independence"])
+        res = _lib.independence_check(freqs, values["check_independence"])
         return jsonio.encode_value(res), ["bounded integer-relation search"]
     if mode == "--sample":
-        phases = bohr.haar_sample_batch(freqs, 1, values["seed"])[0]
+        phases = _lib.haar_sample_batch(freqs, 1, values["seed"])[0]
         return (
             {"phases": jsonio.encode_value(phases), "seed": values["seed"]},
             ["seeded haar sampler"],
@@ -265,12 +270,12 @@ def _payload_bohr(mode, values) -> tuple[dict, list[str]]:
         raise InputError("bohr --mc needs --integral")
     f = _integrand_from_catalog(values["integral"], freqs.n)
     if mode == "--mc":
-        method: bohr.Method = bohr.MCMethod(values["mc"], values["seed"])
+        method: bohr.Method = _lib.MCMethod(values["mc"], values["seed"])
         provenance = ["monte carlo haar integral"]
     else:
-        method = bohr.QuadratureMethod(values["quad_points"])
+        method = _lib.QuadratureMethod(values["quad_points"])
         provenance = ["periodic trapezoid quadrature"]
-    res = bohr.haar_cylinder_integral(freqs, f, method)
+    res = _lib.haar_cylinder_integral(freqs, f, method)
     return jsonio.encode_value(res), provenance
 
 
@@ -299,26 +304,22 @@ def _integrand_from_catalog(name: str, n_axes: int):
 
 
 def _payload_product(mode, values) -> tuple[dict, list[str]]:
-    from . import measure_core
-
     spec = values["spec"]
     if mode == "--cylinder":
         return (
-            {"probability": measure_core.cylinder_measure(spec, values["cylinder"])},
+            {"probability": _lib.cylinder_measure(spec, values["cylinder"])},
             ["finite product of component probabilities"],
         )
     # an unset --prefix is the empty cylinder, an unset --tail the full tail
-    constraints = measure_core.TailConstraints(
+    constraints = _lib.TailConstraints(
         **{key: value for key, value in values.items() if key in ("prefix", "tail")}
     )
-    report = measure_core.countable_product_measure(spec, constraints, n_max=values.get("n_max"))
+    report = _lib.countable_product_measure(spec, constraints, n_max=values.get("n_max"))
     return jsonio.encode_value(report), ["monotone partial products"]
 
 
 def _payload_consistency(mode, values) -> tuple[dict, list[str]]:
-    from . import measure_core
-
-    res = measure_core.consistency_check(values["marginals"], tol=values["tol"])
+    res = _lib.consistency_check(values["marginals"], tol=values["tol"])
     return jsonio.encode_value(res), ["chain marginalization"]
 
 
@@ -566,10 +567,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_selftest(args) -> int:
-    from . import selftest
-
-    seed = selftest.DEFAULT_SEED if args.seed is None else args.seed
-    results = selftest.run_selftest(args.level, seed)
+    seed = _lib.selftest.DEFAULT_SEED if args.seed is None else args.seed
+    results = _lib.run_selftest(args.level, seed)
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] {res.criterion}: {res.detail}")
     failed = [r for r in results if not r.passed]

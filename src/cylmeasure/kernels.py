@@ -14,7 +14,9 @@ point value ``at``, the trapezoid ``bilinear`` form on a grid and the
 ``regularity`` flag.  Grid functions use trapezoid quadrature with the
 usual O(dx^2) error model; smoothness of the inputs is the caller's
 business.  The support flag is exact for the closed forms and
-``undecided`` for a table.
+``undecided`` for a table.  numpy is imported inside the code that
+builds arrays, so ``at`` and ``regularity`` of a closed-form kernel
+never load it.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import InputError, NumericError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WhiteNoise",
@@ -75,6 +78,8 @@ class WhiteNoise:
     def bilinear(self, f: GridFunction, g: GridFunction) -> float:
         """sigma times the trapezoid L2 inner product: the delta collapses
         one integral, so no kernel matrix is involved."""
+        import numpy as np
+
         return float(self.sigma * np.sum(f.weighted() * np.asarray(g.values)))
 
 
@@ -121,11 +126,15 @@ class TabulatedKernel:
             raise InputError(
                 f"x={x} outside the tabulated range [{self.grid[0]}, {self.grid[-1]}]"
             )
+        import numpy as np
+
         return float(np.interp(x, self.grid, self.values))
 
     def bilinear(self, f: GridFunction, g: GridFunction) -> float:
         """The dense N x N matrix K((i - j) dx), read from the 2N - 1 lags
         k dx, |k| < N, which must lie in the table."""
+        import numpy as np
+
         n = f.count
         lags = f.dx * np.arange(1 - n, n)
         lo, hi = self.grid[0], self.grid[-1]
@@ -164,15 +173,21 @@ class GridFunction:
 
     @property
     def xs(self) -> np.ndarray:
+        import numpy as np
+
         return self.x0 + self.dx * np.arange(self.count)
 
     def trapezoid_weights(self) -> np.ndarray:
+        import numpy as np
+
         w = np.full(self.count, self.dx)
         w[0] = w[-1] = 0.5 * self.dx
         return w
 
     def weighted(self) -> np.ndarray:
         """The values times their trapezoid weights."""
+        import numpy as np
+
         return self.trapezoid_weights() * np.asarray(self.values)
 
 
@@ -191,7 +206,7 @@ class FourierQuadResult:
 _GAUSS_NODES = 24
 MAX_FOURIER_NODES = 2**21
 # Bernstein-ellipse parameters tried on every panel; the least valid bound counts
-_RHOS = np.array([1.25, 1.5, 2.0, 2.5, 2.9, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0])
+_RHOS = (1.25, 1.5, 2.0, 2.5, 2.9, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0)
 # multiplies every bound; above 2^-32, the relative rounding of a float sum
 # of MAX_FOURIER_NODES terms
 _INFLATE = 1.0 + 2.0**-30
@@ -200,6 +215,7 @@ _INFLATE = 1.0 + 2.0**-30
 def gauss_legendre_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights, each (panels, _GAUSS_NODES), of the Gauss-Legendre
     rule on every panel [edges[i], edges[i+1]]."""
+    import numpy as np
     from numpy.polynomial.legendre import leggauss  # not loaded by `import numpy`
 
     s, w = leggauss(_GAUSS_NODES)
@@ -224,6 +240,8 @@ def kernel_fourier_quadrature(
     below ``p_cutoff`` to where it is tol/2.  A bound that is not finite or
     exceeds ``tol``, or more than MAX_FOURIER_NODES nodes, is a NumericError.
     """
+    import numpy as np
+
     if not (m > 0 and math.isfinite(m) and math.isfinite(x)):
         raise InputError(f"need m > 0 and a finite x, got m={m}, x={x}")
     if not (p_cutoff > 0 and math.isfinite(p_cutoff)):
@@ -255,10 +273,11 @@ def kernel_fourier_quadrature(
     value = math.fsum((weights * np.cos(xi * nodes) / sq).sum(axis=1))
     # M <= cosh(xi V) / (1 + U^2 - V^2) on E_rho, as |Im t| <= V = h b and
     # |Re t| >= U = c - h a, for the semi-axes a, b of E_rho
-    a, b = (_RHOS + 1 / _RHOS) / 2, (_RHOS - 1 / _RHOS) / 2
+    rhos = np.array(_RHOS)
+    a, b = (rhos + 1 / rhos) / 2, (rhos - 1 / rhos) / 2
     den = 1.0 + np.maximum(edges[:-1, None] + half * (1.0 - a), 0.0) ** 2 - (half * b) ** 2
-    gauss = half * np.cosh(xi * half * b) * (64 / 15) * _RHOS ** (2.0 - 2 * _GAUSS_NODES)
-    gauss = np.divide(gauss / (_RHOS**2 - 1), den, out=np.full(den.shape, np.inf),
+    gauss = half * np.cosh(xi * half * b) * (64 / 15) * rhos ** (2.0 - 2 * _GAUSS_NODES)
+    gauss = np.divide(gauss / (rhos**2 - 1), den, out=np.full(den.shape, np.inf),
                       where=den > 0)
     # per term, (n + 36) u covers the panel sum, weight, cos, division and
     # node, 5 u xi (t + h) the argument xi t; 2^-1000 and 2^-1074 underflow
@@ -288,6 +307,8 @@ def _decay_scan(b: np.ndarray, r: float) -> np.ndarray:
     O(N) time and memory, and only powers r^k with k >= 0 appear, so
     nothing overflows.
     """
+    import numpy as np
+
     n = len(b)
     width = min(n, _SCAN_BLOCK)
     lag = np.arange(width)[:, None] - np.arange(width)[None, :]
@@ -324,6 +345,8 @@ def covariance_bilinear(spec: KernelSpec, f: GridFunction, g: GridFunction) -> f
         raise InputError(
             f"incompatible grids: ({f.x0}, {f.dx}, {f.count}) vs ({g.x0}, {g.dx}, {g.count})"
         )
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         value = spec.bilinear(f, g)
     if not math.isfinite(value):

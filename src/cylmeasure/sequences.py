@@ -40,7 +40,6 @@ it (the CLI exits 2).
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Union
@@ -401,17 +400,6 @@ def leading_difference(b: DecaySeq, a: DecaySeq) -> Atom | None:
     return max(live) if live else None
 
 
-# Operands are float reprs: at most 17 significant digits, decimal
-# exponents in [-324, 308].  A sum of a few of them (times small integers)
-# spans under 700 digits and a product of a few squares under 1000, so
-# every result is exact; one that is not raises Inexact, never rounds.
-_EXACT = decimal.Context(prec=1000, traps=[decimal.Inexact, decimal.InvalidOperation])
-
-
-def _decimal(x: float) -> decimal.Decimal:
-    return decimal.Decimal(repr(x))
-
-
 # The float filter in front of the exact test.  u = 2**-53 bounds both the
 # relative rounding of one float operation and the relative gap between a
 # float and the decimal its repr spells (half an ulp).  Inside
@@ -477,19 +465,27 @@ def _float_summable(powers: tuple[tuple[Atom, int], ...]) -> bool | None:
 
 
 def _exact_summable(powers: tuple[tuple[Atom, int], ...]) -> bool:
-    num = den = decimal.Decimal(1)
+    # imported here: only a tie of the float filter comes this far
+    from decimal import Context, Decimal, Inexact, InvalidOperation
+
+    # Operands are float reprs: at most 17 significant digits, decimal
+    # exponents in [-324, 308].  A sum of a few of them (times small integers)
+    # spans under 700 digits and a product of a few squares under 1000, so
+    # every result is exact; one that is not raises Inexact, never rounds.
+    exact = Context(prec=1000, traps=[Inexact, InvalidOperation])
+    num = den = Decimal(1)
     for (q, _, _), e in powers:
         if q != 1.0:
-            q_e = _EXACT.power(_decimal(q), abs(e))
+            q_e = exact.power(Decimal(repr(q)), abs(e))
             if e > 0:
-                num = _EXACT.multiply(num, q_e)
+                num = exact.multiply(num, q_e)
             else:
-                den = _EXACT.multiply(den, q_e)
+                den = exact.multiply(den, q_e)
     if num != den:
         return num < den
-    alpha = decimal.Decimal(0)
+    alpha = Decimal(0)
     for (_, a, _), e in powers:
-        alpha = _EXACT.fma(e, _decimal(a), alpha)
+        alpha = exact.fma(e, Decimal(repr(a)), alpha)
     return alpha < -1
 
 

@@ -15,10 +15,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import InputError, NumericError
-from .gaussian import CovarianceSeq, mc_mean
 from .sequences import DecaySeq, require_positive, summable
+
+if TYPE_CHECKING:
+    from .gaussian import CovarianceSeq
 
 __all__ = [
     "DiagonalOperator",
@@ -136,6 +139,8 @@ def mc_tail_growth(
     require_positive(cov, "covariance")
     require_positive(a, "weight sequence")
     import numpy as np
+
+    from .gaussian import mc_mean
 
     rng = np.random.default_rng(seed)
     marks = np.unique((np.arange(1, _N_CHECKPOINTS + 1) * n_coords) // _N_CHECKPOINTS)

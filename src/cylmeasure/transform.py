@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from .errors import InputError, NumericError
-from .gaussian import CovarianceSeq
 from .sequences import (
     DecaySeq,
     FiniteSequence,
@@ -43,6 +42,8 @@ if TYPE_CHECKING:
     from collections.abc import Sequence
 
     import numpy as np
+
+    from .gaussian import CovarianceSeq
 
 __all__ = [
     "ShiftSpec",

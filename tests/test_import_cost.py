@@ -7,17 +7,20 @@ subcommand, ``kernel --fourier`` and the quick selftest leave scipy
 unloaded, and a second one runs the numeric paths with scipy blocked.
 
 numpy takes about 0.1 s to import and the symbolic subcommands build no
-array (``equivalence``, one-point ``rn-density``, closed-form ``support``
-and a ``product`` with a geometric or tabulated tail included).  A fresh
-interpreter checks that ``import cylmeasure.cli``, those subcommands and
-their refusals of a tabulated series leave numpy unloaded and that an
-array path (``sample``) loads it, and a second one runs the symbolic
+array (``equivalence``, one-point ``rn-density``, closed-form ``support``,
+a ``product`` with a geometric or tabulated tail, and ``kernel --at`` and
+``--regularity`` on a closed-form kernel included).  A fresh interpreter
+checks that ``import cylmeasure.cli``, those subcommands and their
+refusals of a tabulated series leave numpy unloaded and that an array
+path (``sample``) loads it, and a second one runs the symbolic
 subcommands with numpy blocked.
 
 The package's own modules come next: ``import cylmeasure`` loads none of
-them, and a subcommand loads only those of ``bohr``, ``kernels``,
-``measure_core`` and ``selftest`` that it runs.  Each call gets its own
-fresh interpreter, since loaded modules accumulate.
+them, ``import cylmeasure.cli`` loads ``cli``, ``errors`` and ``jsonio``,
+and each of the twelve payload subcommands adds exactly the model modules
+its payload builder calls (``sequences`` and ``transform`` for a shift or
+equivalence question, ``gaussian`` for a moment, and so on).  Each call
+gets its own fresh interpreter, since loaded modules accumulate.
 
 ``jsonio.SCHEMA`` names its constructors, and a kind's first read loads
 the module behind them: ``import cylmeasure.jsonio`` loads no model module
@@ -112,41 +115,59 @@ def test_numeric_paths_run_with_scipy_blocked():
 LOADED = """
 import contextlib, io, json, sys
 import cylmeasure.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cylmeasure.cli.main(sys.argv[1:])
+code = None
+if len(sys.argv) > 1:  # with no argv, the modules of the import alone
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cylmeasure.cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(k for k in sys.modules if k.startswith("cylmeasure."))]))
 """
 
-HEAVY = {"bohr", "kernels", "measure_core", "selftest"}
+CLI = {"cli", "errors", "jsonio"}
 CONST = '{"constant":{"rho":1}}'
 POWER = '{"power":{"c":1,"p":1}}'
 UNIFORM = '{"identical":{"uniform":{"a":0,"b":1}}}'
+MARGINALS = '[{"indices":[1],"cells":[{"boxes":[[[0,"inf"]]],"p":1}]}]'
+E1 = '{"entries":[[1,1.0]]}'
+MASSIVE = '{"massive_free_1d":{"m":1}}'
+SHIFTS = {"sequences", "transform"}
+SUPPORT = {"sequences", "support"}
+GAUSSIAN = {"gaussian", "sequences"}
+
+# (id, argv, the modules the call adds to those of `import cylmeasure.cli`)
+MODULE_SETS = [
+    ("import", (), set()),
+    ("sample", ("sample", "--cov", CONST, "--n", "4", "--seed", "1"), GAUSSIAN),
+    ("chi", ("chi", "--cov", CONST, "--xi", E1), GAUSSIAN),
+    ("moment", ("moment", "--cov", CONST, "--vectors", "e1,e1"), GAUSSIAN),
+    ("moment-mc", ("moment", "--cov", CONST, "--vectors", "e1,e1", "--mc-samples", "10",
+                   "--seed", "1"), GAUSSIAN),
+    ("rn-density", ("rn-density", "--cov", CONST, "--shift", E1, "--x", "[0.5]"), SHIFTS),
+    ("shift-admissible", ("shift-admissible", "--cov", CONST, "--shift", POWER), SHIFTS),
+    ("equivalence", ("equivalence", "--cov-a", CONST, "--cov-b", '{"constant":{"rho":2}}'),
+     SHIFTS),
+    ("hs-check", ("hs-check", "--weights", POWER), SUPPORT),
+    ("support", ("support", "--cov", CONST, "--weights", POWER), SUPPORT),
+    # the tail-growth oracle takes its standard error from gaussian.mc_mean
+    ("support-mc", ("support", "--cov", CONST, "--weights", POWER, "--mc", "100", "100",
+                    "--seed", "1"), SUPPORT | {"gaussian"}),
+    ("kernel-at", ("kernel", "--spec", MASSIVE, "--at", "0.5"), {"kernels"}),
+    ("kernel-regularity", ("kernel", "--spec", MASSIVE, "--regularity"), {"kernels"}),
+    ("kernel-fourier", ("kernel", "--fourier", "1", "0.5"), {"kernels"}),
+    ("bohr", ("bohr", "--freqs", "1,1.4142135623730951", "--integral", "cos:1,1"), {"bohr"}),
+    ("product", ("product", "--spec", UNIFORM, "--tail", '{"constant_factor":{"f":0.5}}'),
+     {"measure_core"}),
+    ("consistency", ("consistency", "--marginals", MARGINALS), {"measure_core"}),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, loads",
-    [
-        (("shift-admissible", "--cov", CONST, "--shift", POWER), set()),
-        (("hs-check", "--weights", POWER), set()),
-        (("equivalence", "--cov-a", CONST, "--cov-b", '{"constant":{"rho":2}}'), set()),
-        (("support", "--cov", CONST, "--weights", POWER, "--mc", "100", "100", "--seed", "1"),
-         set()),
-        (("kernel", "--spec", '{"massive_free_1d":{"m":1}}', "--at", "0.5"), {"kernels"}),
-        (("product", "--spec", UNIFORM, "--tail", '{"constant_factor":{"f":0.5}}'),
-         {"measure_core"}),
-        (("consistency", "--marginals",
-          '[{"indices":[1],"cells":[{"boxes":[[[0,"inf"]]],"p":1}]}]'), {"measure_core"}),
-        (("bohr", "--freqs", "1,1.4142135623730951", "--integral", "cos:1,1"), {"bohr"}),
-    ],
-    ids=["shift-admissible", "hs-check", "equivalence", "support", "kernel", "product",
-         "consistency", "bohr"],
-)
-def test_subcommand_loads_only_the_heavy_modules_it_runs(argv, loads):
+@pytest.mark.parametrize("argv, loads", [case[1:] for case in MODULE_SETS],
+                         ids=[case[0] for case in MODULE_SETS])
+def test_subcommand_loads_only_the_modules_it_runs(argv, loads):
     proc = _run(LOADED, *argv)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
-    assert code == 0
-    assert {m.removeprefix("cylmeasure.") for m in modules} & HEAVY == loads
+    assert code == (0 if argv else None)
+    assert {m.removeprefix("cylmeasure.") for m in modules} == CLI | loads
 
 
 EXPORTS = """
@@ -178,9 +199,6 @@ def test_import_loads_no_submodule_and_every_export_resolves():
     assert report["submodules"] == ["module"]
 
 
-MARGINALS = '[{"indices":[1],"cells":[{"boxes":[[[0,"inf"]]],"p":1}]}]'
-E1 = '{"entries":[[1,1.0]]}'
-
 # the subcommands that build no array, each with its payload
 SYMBOLIC = [
     (["shift-admissible", "--cov", CONST, "--shift", POWER], {"admissible": True}),
@@ -193,6 +211,9 @@ SYMBOLIC = [
       "series": "diverges", "verdict": "singular"}),
     (["rn-density", "--cov", CONST, "--shift", E1, "--x", "[0.5]"],
      {"density": 1.0, "truncation": 1}),
+    (["kernel", "--spec", MASSIVE, "--at", "0.5"], {"value": math.exp(-0.5) / 2.0, "x": 0.5}),
+    (["kernel", "--spec", '{"white_noise":{"sigma":1}}', "--regularity"],
+     {"regularity": "nowhere-signed-measure"}),
     (["support", "--cov", CONST, "--weights", POWER],
      {"report": {"partial_sums": None, "series": "converges", "verdict": "supported"}}),
     (["product", "--spec", UNIFORM, "--tail", '{"one_minus_geometric":{"c":1,"q":0.5}}'],
