@@ -9,12 +9,30 @@ quadrature oracle in the test suite and the ``selftest`` gate.
 
 ``import cylmeasure`` loads no submodule: each name below, and each
 submodule, is imported on first use (PEP 562), so a CLI call pays only
-for the modules its subcommand runs.
+for the modules its subcommand runs.  numpy is loaded the same way: every
+module that builds arrays does ``from . import _np as np`` at the top, and
+``_np`` imports numpy on its first attribute read, then keeps each
+attribute it reads, so a call that builds no array never loads numpy.
 """
 
 import importlib
 
 __version__ = "0.1.0"
+
+
+class _LazyNumpy:
+    """numpy, imported on the first attribute read; each attribute read is
+    stored on the handle, so a later read is a plain lookup."""
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+_np = _LazyNumpy()
 
 # submodule -> the names the package re-exports from it
 _EXPORTS = {

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-import numpy as np
-
+from . import _np as np
 from .errors import InputError, NumericError
 
 __all__ = [

@@ -20,16 +20,17 @@ the SHA-256 of the canonical ``inputs``, covers all a result depends on.
 Only ``errors`` and ``jsonio`` load with this module.  A payload builder
 reaches the library through the package's lazy exports, so each model
 module (``sequences``, ``gaussian``, ``transform``, ``support``,
-``kernels``, ``measure_core``, ``bohr``, ``selftest``), numpy and
-``csv`` load inside the code that uses them, and a fresh process imports
+``kernels``, ``measure_core``, ``bohr``, ``selftest``) and ``csv`` load
+inside the code that uses them, numpy (through the package's handle
+``_np``) at the first array a call builds, and a fresh process imports
 only what its subcommand runs.  ``shift-admissible``, ``hs-check``, ``chi``,
 ``moment`` without ``--mc-samples``, ``consistency``, ``equivalence``
 (which bounds its variance ratios from a few indices), ``rn-density``
 (one point, a plain sum), ``support`` without ``--mc``, ``product``
-(a geometric tail in closed form, a table as a plain loop) and
-``kernel --at`` or ``--regularity`` on a closed-form kernel build no
-array and never load numpy.  The four series verdicts refuse a
-tabulated series (exit 2) before any other work.
+(a geometric tail in closed form, a table as a plain loop), ``kernel
+--at`` and ``kernel --regularity`` build no array and never load numpy.
+The four series verdicts refuse a tabulated series (exit 2) before any
+other work.
 
 Exit codes: 0 success, 2 input error (schema violations name the
 offending key), 3 numeric failure (a tolerance that could not be
@@ -54,6 +55,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Any
 
+from . import _np as np
 from . import jsonio
 from .errors import InputError, NumericError
 
@@ -281,8 +283,6 @@ def _payload_bohr(mode, values) -> tuple[dict, list[str]]:
 
 def _integrand_from_catalog(name: str, n_axes: int):
     """Named integrands: ``one``, ``char:m1,...,mn``, ``cos:m1,...,mn``."""
-    import numpy as np
-
     if name == "one":
         return lambda th: np.ones(th.shape[0], dtype=complex)
     for prefix, builder in (

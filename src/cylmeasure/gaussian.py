@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
+from . import _np as np
 from .errors import InputError, NumericError
 from .sequences import DecaySeq, FiniteSequence, require_positive
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CovarianceSeq",
@@ -92,8 +90,6 @@ def draw_coordinates(
     cov: CovarianceSeq, n_coords: int, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n_samples, n_coords) matrix of independent centered Gaussians."""
-    import numpy as np
-
     sd = np.sqrt(require_positive(cov, "covariance").first(n_coords))
     return rng.standard_normal((n_samples, n_coords)) * sd
 
@@ -106,8 +102,6 @@ def sample(cov: CovarianceSeq, n_coords: int, seed: int) -> GaussianSample:
         raise InputError(
             f"truncation {n_coords} exceeds the budget of {MAX_SAMPLE_COORDS} coordinates"
         )
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     values = draw_coordinates(cov, n_coords, 1, rng)[0]
     return GaussianSample(truncation=n_coords, values=values, seed=seed, cov=cov)
@@ -199,8 +193,6 @@ def mc_mean(values: np.ndarray) -> tuple[float, float]:
     n = len(values)
     if n < 2:
         raise InputError(f"a standard error needs at least 2 samples, got {n}")
-    import numpy as np
-
     with np.errstate(over="ignore", invalid="ignore"):
         est, se = float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
         if not math.isfinite(se) and np.isfinite(values).all():
@@ -222,8 +214,6 @@ def mc_moment(
     One seeded draw of coordinates 1..max index; the product starts from
     ones, so no factors give the empty product 1, as in ``wick_moment``.
     """
-    import numpy as np
-
     dim = max((x.max_index for x in xs), default=1)
     coords = draw_coordinates(cov, dim, n_samples, np.random.default_rng(seed))
     prods = np.ones(n_samples)
@@ -263,8 +253,6 @@ def positive_type_gram(
         raise InputError(f"{m} points exceed the limit {max_points}")
     if len(set(points)) != m:
         raise InputError("points must be distinct")
-    import numpy as np
-
     gram = np.empty((m, m), dtype=complex)
     for a in range(m):
         for b in range(m):

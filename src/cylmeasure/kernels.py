@@ -14,22 +14,21 @@ point value ``at``, the trapezoid ``bilinear`` form on a grid and the
 ``regularity`` flag.  Grid functions use trapezoid quadrature with the
 usual O(dx^2) error model; smoothness of the inputs is the caller's
 business.  The support flag is exact for the closed forms and
-``undecided`` for a table.  numpy is imported inside the code that
-builds arrays, so ``at`` and ``regularity`` of a closed-form kernel
-never load it.
+``undecided`` for a table.  numpy loads at the first array the code
+builds, so ``at`` (on a table, a bisection of its grid) and
+``regularity`` never load it.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
+from . import _np as np
 from .errors import InputError, NumericError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "WhiteNoise",
@@ -78,8 +77,6 @@ class WhiteNoise:
     def bilinear(self, f: GridFunction, g: GridFunction) -> float:
         """sigma times the trapezoid L2 inner product: the delta collapses
         one integral, so no kernel matrix is involved."""
-        import numpy as np
-
         return float(self.sigma * np.sum(f.weighted() * np.asarray(g.values)))
 
 
@@ -121,20 +118,25 @@ class TabulatedKernel:
             raise InputError("tabulated kernel grid must be strictly increasing")
 
     def at(self, x: float) -> float:
-        """Linear interpolation; a point outside the grid is an InputError."""
-        if not (self.grid[0] <= x <= self.grid[-1]):
-            raise InputError(
-                f"x={x} outside the tabulated range [{self.grid[0]}, {self.grid[-1]}]"
-            )
-        import numpy as np
-
-        return float(np.interp(x, self.grid, self.values))
+        """Linear interpolation by the rule of ``np.interp``, whose value it
+        equals bit for bit; a point outside the grid is an InputError."""
+        grid, values = self.grid, self.values
+        if not (grid[0] <= x <= grid[-1]):
+            raise InputError(f"x={x} outside the tabulated range [{grid[0]}, {grid[-1]}]")
+        j = bisect.bisect_right(grid, x) - 1
+        if grid[j] == x:
+            return values[j]
+        slope = (values[j + 1] - values[j]) / (grid[j + 1] - grid[j])
+        value = slope * (x - grid[j]) + values[j]
+        if math.isnan(value):  # an overflow on one side: interpolate from the other
+            value = slope * (x - grid[j + 1]) + values[j + 1]
+            if math.isnan(value) and values[j] == values[j + 1]:
+                value = values[j]
+        return value
 
     def bilinear(self, f: GridFunction, g: GridFunction) -> float:
         """The dense N x N matrix K((i - j) dx), read from the 2N - 1 lags
         k dx, |k| < N, which must lie in the table."""
-        import numpy as np
-
         n = f.count
         lags = f.dx * np.arange(1 - n, n)
         lo, hi = self.grid[0], self.grid[-1]
@@ -173,21 +175,15 @@ class GridFunction:
 
     @property
     def xs(self) -> np.ndarray:
-        import numpy as np
-
         return self.x0 + self.dx * np.arange(self.count)
 
     def trapezoid_weights(self) -> np.ndarray:
-        import numpy as np
-
         w = np.full(self.count, self.dx)
         w[0] = w[-1] = 0.5 * self.dx
         return w
 
     def weighted(self) -> np.ndarray:
         """The values times their trapezoid weights."""
-        import numpy as np
-
         return self.trapezoid_weights() * np.asarray(self.values)
 
 
@@ -215,10 +211,7 @@ _INFLATE = 1.0 + 2.0**-30
 def gauss_legendre_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights, each (panels, _GAUSS_NODES), of the Gauss-Legendre
     rule on every panel [edges[i], edges[i+1]]."""
-    import numpy as np
-    from numpy.polynomial.legendre import leggauss  # not loaded by `import numpy`
-
-    s, w = leggauss(_GAUSS_NODES)
+    s, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     return edges[:-1, None] + half * (1.0 + s), half * w
 
@@ -240,14 +233,12 @@ def kernel_fourier_quadrature(
     below ``p_cutoff`` to where it is tol/2.  A bound that is not finite or
     exceeds ``tol``, or more than MAX_FOURIER_NODES nodes, is a NumericError.
     """
-    import numpy as np
-
     if not (m > 0 and math.isfinite(m) and math.isfinite(x)):
         raise InputError(f"need m > 0 and a finite x, got m={m}, x={x}")
     if not (p_cutoff > 0 and math.isfinite(p_cutoff)):
         raise InputError(f"need a finite cutoff > 0, got {p_cutoff}")
-    if tol <= 0:
-        raise InputError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tol}")
     xi, scale = m * abs(x), 1.0 / (math.pi * m)
     t_max = min(p_cutoff / m, 2.0**500)  # keeps t^2 a float
     tail = math.atan2(1.0, t_max)
@@ -307,8 +298,6 @@ def _decay_scan(b: np.ndarray, r: float) -> np.ndarray:
     O(N) time and memory, and only powers r^k with k >= 0 appear, so
     nothing overflows.
     """
-    import numpy as np
-
     n = len(b)
     width = min(n, _SCAN_BLOCK)
     lag = np.arange(width)[:, None] - np.arange(width)[None, :]
@@ -345,8 +334,6 @@ def covariance_bilinear(spec: KernelSpec, f: GridFunction, g: GridFunction) -> f
         raise InputError(
             f"incompatible grids: ({f.x0}, {f.dx}, {f.count}) vs ({g.x0}, {g.dx}, {g.count})"
         )
-    import numpy as np
-
     with np.errstate(over="ignore", invalid="ignore"):
         value = spec.bilinear(f, g)
     if not math.isfinite(value):

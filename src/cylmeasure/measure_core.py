@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
+from . import _np as np
 from .errors import InputError, NumericError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Interval",
@@ -198,8 +196,6 @@ class PointMass1D:
         return 1.0 if iv.lo <= self.c <= iv.hi else 0.0
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        import numpy as np
-
         return np.full(size, self.c)
 
 
@@ -552,6 +548,8 @@ def consistency_check(
     marginalized over its extra indices, must reproduce the smaller table
     within ``tol``; the first violation found is reported.
     """
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tol}")
     if not marginals:
         raise InputError("consistency_check needs at least one table")
     tables = sorted(marginals, key=lambda t: len(t.indices))
@@ -601,8 +599,6 @@ class ProductSampler:
         self.n_coords = n_coords
 
     def draw(self, rng: np.random.Generator, n_samples: int) -> np.ndarray:
-        import numpy as np
-
         out = np.empty((n_samples, self.n_coords))
         for j in range(self.n_coords):
             out[:, j] = self.spec.component(j + 1).draw(rng, n_samples)
@@ -625,8 +621,6 @@ def pushforward_integral_mc(
     """
     if n_samples < 2:
         raise InputError(f"need n_samples >= 2, got {n_samples}")
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     x = sampler.draw(rng, n_samples)
     u = np.asarray(phi(x))

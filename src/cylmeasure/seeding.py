@@ -14,7 +14,7 @@ counts.
 
 from __future__ import annotations
 
-import numpy as np
+from . import _np as np
 
 __all__ = ["derive_seed"]
 

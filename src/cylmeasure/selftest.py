@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from . import _np as np
 from . import bohr, gaussian, jsonio, kernels, measure_core, support, transform
 from .seeding import derive_seed
 from .sequences import (

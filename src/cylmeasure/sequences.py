@@ -42,12 +42,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import Iterable, Union
 
+from . import _np as np
 from .errors import InputError, UndecidableError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "FiniteSequence",
@@ -138,8 +136,6 @@ class FiniteSequence:
             raise InputError(
                 f"sequence support reaches index {self.max_index}, beyond length {length}"
             )
-        import numpy as np
-
         out = np.zeros(length)
         for idx, val in self.entries:
             out[idx - 1] = val
@@ -177,8 +173,6 @@ class _Decay:
 
     def _first(self, n_max: int) -> np.ndarray:
         """The sum of the atoms k * n**alpha * q**n, each factor of 1 left out."""
-        import numpy as np
-
         n = np.arange(1, n_max + 1, dtype=float)
         total = None
         for q, alpha, k in self.atoms():
@@ -316,8 +310,6 @@ class Prefixed(_Decay):
         return self.tail.at(n)
 
     def _first(self, n_max: int) -> np.ndarray:
-        import numpy as np
-
         head = np.asarray(self.prefix[:n_max])
         if n_max <= len(self.prefix):
             return head
@@ -359,8 +351,6 @@ class Tabulated(_Decay):
             raise InputError(
                 f"tabulated sequence has {len(self.values)} entries, {n_max} requested"
             )
-        import numpy as np
-
         return np.asarray(self.values[:n_max])
 
     def is_positive(self) -> bool:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import _np as np
 from .errors import InputError, NumericError
 from .sequences import DecaySeq, require_positive, summable
 
@@ -138,8 +139,6 @@ def mc_tail_growth(
         )
     require_positive(cov, "covariance")
     require_positive(a, "weight sequence")
-    import numpy as np
-
     from .gaussian import mc_mean
 
     rng = np.random.default_rng(seed)

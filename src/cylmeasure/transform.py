@@ -29,6 +29,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
+from . import _np as np
 from .errors import InputError, NumericError
 from .sequences import (
     DecaySeq,
@@ -40,8 +41,6 @@ from .sequences import (
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
-
-    import numpy as np
 
     from .gaussian import CovarianceSeq
 
@@ -74,8 +73,6 @@ def rn_density(
     except TypeError:  # a scalar
         point = False
     if not point:
-        import numpy as np
-
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise InputError(f"x must be a vector or a batch of vectors, got ndim={x.ndim}")
@@ -96,8 +93,6 @@ def rn_density(
             return math.exp(exponent)
         except OverflowError:  # left as inf for the caller to reject (the CLI exits 3)
             return math.inf
-    import numpy as np
-
     if not weights:
         return np.ones(x.shape[0])
     exponent = x[:, [n - 1 for n in y.support]] @ np.array(weights) - 0.5 * quad

@@ -467,6 +467,18 @@ class TestCliContracts:
         assert lines[0] == "index,value"
         assert len(lines) == 4
 
+    def test_csv_emission_for_bohr_sample(self, capsys):
+        argv = ("bohr", "--freqs", "1,1.4142135623730951,0.5", "--sample", "--seed", "3")
+        code, out, _ = run_cli(capsys, *argv, "--out", "csv")
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "axis,phase"
+        phases = run_envelope(capsys, *argv)["payload"]["phases"]
+        assert [row.split(",") for row in rows] == [
+            [str(axis), repr(phase)] for axis, phase in enumerate(phases, 1)
+        ]
+        assert len(rows) == 3  # one row per frequency
+
     def test_csv_emission_for_mc_trace(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -534,6 +534,17 @@ class TestConsistency:
         with pytest.raises(InputError, match="chain"):
             consistency_check([t1, t2])
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # a (1,)-table of 0.9/0.1 against a (1, 2)-table whose marginal is 0.5/0.5:
+        # a nan tolerance once made every comparison false and called them consistent
+        p1, p2 = self.partitions[1], self.partitions[2]
+        small = MarginalTable((1,), (((p1[0],), 0.9), ((p1[1],), 0.1)))
+        large = MarginalTable((1, 2), tuple(((a, b), 0.25) for a in p1 for b in p2))
+        assert not consistency_check([small, large]).consistent
+        with pytest.raises(InputError, match="positive and finite"):
+            consistency_check([small, large], tol=tol)
+
 
 def gaussian_poly_moment(mean, var, degree):
     """E[u^degree] for u ~ N(mean, var), degree <= 4."""
