@@ -16,6 +16,7 @@ attribute it reads, so a call that builds no array never loads numpy.
 """
 
 import importlib
+from typing import TYPE_CHECKING
 
 __version__ = "0.1.0"
 
@@ -25,14 +26,15 @@ class _LazyNumpy:
     stored on the handle, so a later read is a plain lookup."""
 
     def __getattr__(self, name: str):
-        import numpy
-
-        value = getattr(numpy, name)
+        value = getattr(importlib.import_module("numpy"), name)
         setattr(self, name, value)
         return value
 
 
-_np = _LazyNumpy()
+if TYPE_CHECKING:  # annotations such as np.ndarray keep numpy's types
+    import numpy as _np
+else:
+    _np = _LazyNumpy()
 
 # submodule -> the names the package re-exports from it
 _EXPORTS = {

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ``InputError`` (and its subclasses)
 exits with 2, ``NumericError`` with 3.
 """
 
+import math
+
 
 class InputError(ValueError):
     """Malformed or out-of-contract input."""
@@ -29,3 +31,9 @@ class NumericError(RuntimeError):
     def __init__(self, message: str, **context):
         super().__init__(message)
         self.context = context
+
+
+def require_tolerance(tol: float) -> None:
+    """Refuse a tolerance that is not positive and finite (nan included)."""
+    if not 0 < tol < math.inf:
+        raise InputError(f"tolerance must be positive and finite, got {tol}")

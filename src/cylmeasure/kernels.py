@@ -15,20 +15,19 @@ point value ``at``, the trapezoid ``bilinear`` form on a grid and the
 usual O(dx^2) error model; smoothness of the inputs is the caller's
 business.  The support flag is exact for the closed forms and
 ``undecided`` for a table.  numpy loads at the first array the code
-builds, so ``at`` (on a table, a bisection of its grid) and
-``regularity`` never load it.
+builds, so ``at`` and ``regularity`` of a closed-form kernel never load
+it.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
 from typing import Union
 
 from . import _np as np
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_tolerance
 
 __all__ = [
     "WhiteNoise",
@@ -118,21 +117,12 @@ class TabulatedKernel:
             raise InputError("tabulated kernel grid must be strictly increasing")
 
     def at(self, x: float) -> float:
-        """Linear interpolation by the rule of ``np.interp``, whose value it
-        equals bit for bit; a point outside the grid is an InputError."""
-        grid, values = self.grid, self.values
-        if not (grid[0] <= x <= grid[-1]):
-            raise InputError(f"x={x} outside the tabulated range [{grid[0]}, {grid[-1]}]")
-        j = bisect.bisect_right(grid, x) - 1
-        if grid[j] == x:
-            return values[j]
-        slope = (values[j + 1] - values[j]) / (grid[j + 1] - grid[j])
-        value = slope * (x - grid[j]) + values[j]
-        if math.isnan(value):  # an overflow on one side: interpolate from the other
-            value = slope * (x - grid[j + 1]) + values[j + 1]
-            if math.isnan(value) and values[j] == values[j + 1]:
-                value = values[j]
-        return value
+        """Linear interpolation; a point outside the grid is an InputError."""
+        if not (self.grid[0] <= x <= self.grid[-1]):
+            raise InputError(
+                f"x={x} outside the tabulated range [{self.grid[0]}, {self.grid[-1]}]"
+            )
+        return float(np.interp(x, self.grid, self.values))
 
     def bilinear(self, f: GridFunction, g: GridFunction) -> float:
         """The dense N x N matrix K((i - j) dx), read from the 2N - 1 lags
@@ -237,8 +227,7 @@ def kernel_fourier_quadrature(
         raise InputError(f"need m > 0 and a finite x, got m={m}, x={x}")
     if not (p_cutoff > 0 and math.isfinite(p_cutoff)):
         raise InputError(f"need a finite cutoff > 0, got {p_cutoff}")
-    if not 0 < tol < math.inf:
-        raise InputError(f"tolerance must be positive and finite, got {tol}")
+    require_tolerance(tol)
     xi, scale = m * abs(x), 1.0 / (math.pi * m)
     t_max = min(p_cutoff / m, 2.0**500)  # keeps t^2 a float
     tail = math.atan2(1.0, t_max)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
 from . import _np as np
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_tolerance
 
 __all__ = [
     "Interval",
@@ -454,8 +454,7 @@ def countable_product_measure(
     factors (default 10**6 geometric, 10**4 tabulated) stops there, as
     decreasing-unconverged.
     """
-    if not 0 < tol < math.inf:
-        raise InputError(f"tolerance must be positive and finite, got {tol}")
+    require_tolerance(tol)
     if n_max is not None and n_max < 0:
         raise InputError(f"n_max must be non-negative, got {n_max}")
     partial = cylinder_measure(spec, constraints.prefix)
@@ -548,8 +547,7 @@ def consistency_check(
     marginalized over its extra indices, must reproduce the smaller table
     within ``tol``; the first violation found is reported.
     """
-    if not 0 < tol < math.inf:
-        raise InputError(f"tolerance must be positive and finite, got {tol}")
+    require_tolerance(tol)
     if not marginals:
         raise InputError("consistency_check needs at least one table")
     tables = sorted(marginals, key=lambda t: len(t.indices))

@@ -887,9 +887,12 @@ class TestCliHardening:
              "--weights", CONST1, "--mc", "100", "100", "--seed", "1"),
             ("moment", "--cov", '{"constant":{"rho":1e200}}', "--vectors", "e1,e1,e1,e1",
              "--mc-samples", "10", "--seed", "1"),
+            # the interpolation slope (1e308 - -1e308) / 1 overflows to inf
+            ("kernel", "--spec", '{"tabulated":{"grid":[-1,0,1],"values":[1e308,-1e308,1e308]}}',
+             "--at", "0.5"),
         ],
         ids=["kernel-white-noise", "kernel-massive-free",
-             "support-mc-weights", "support-mc-sums", "moment-mc"],
+             "support-mc-weights", "support-mc-sums", "moment-mc", "kernel-tabulated-at"],
     )
     def test_overflow_prints_only_the_failure(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

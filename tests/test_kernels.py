@@ -1,12 +1,10 @@
 import json
 import math
-import struct
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from cylmeasure import cli, jsonio
@@ -69,32 +67,6 @@ class TestKernelEval:
         assert tab.at(0.5) == 1.0
         with pytest.raises(InputError):
             tab.at(3.0)
-
-    @settings(max_examples=400, deadline=None)
-    @given(
-        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=6,
-                 unique=True),
-        st.lists(st.floats(allow_nan=False) | st.sampled_from([1e308, -1e308, 1.7e308]),
-                 min_size=6, max_size=6),
-        st.data(),
-    )
-    def test_tabulated_at_is_np_interp_bit_for_bit(self, grid, values, data):
-        # `at` bisects the grid in pure Python and applies numpy's rule; values
-        # near +-1e308 overflow the slope or one side of the interpolation
-        grid = sorted(grid)
-        tab = TabulatedKernel(tuple(grid), tuple(values[: len(grid)]))
-        mids = [a + (b - a) / 2 if math.isfinite(b - a) else a / 2 + b / 2
-                for a, b in zip(grid, grid[1:])]
-        xs = [*grid, *mids, *data.draw(st.lists(st.floats(grid[0], grid[-1]), max_size=4))]
-        for x in xs:
-            want = float(np.interp(x, tab.grid, tab.values))
-            assert struct.pack("<d", tab.at(x)) == struct.pack("<d", want), x
-
-    def test_tabulated_at_whose_slope_overflows_is_a_numeric_failure(self, capsys):
-        spec = '{"tabulated":{"grid":[-1,0,1],"values":[1e308,-1e308,1e308]}}'
-        assert TabulatedKernel((-1.0, 0.0, 1.0), (1e308, -1e308, 1e308)).at(0.5) == math.inf
-        assert cli.main(["kernel", "--spec", spec, "--at", "0.5"]) == 3
-        assert capsys.readouterr().err.startswith("numeric failure:")
 
 
 class TestFourierQuadrature:
