@@ -87,8 +87,21 @@ def _object(pairs: list) -> dict:
 
 _STRICT_JSON = json.JSONDecoder(parse_constant=_reject_constant, object_pairs_hook=_object)
 # the canonical form the inputs digest hashes: what json.dumps(inputs,
-# sort_keys=True, separators=(",", ":")) prints, without a new encoder per call
+# sort_keys=True, separators=(",", ":")) prints
 _CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# its chunks, from one C encoder built here (JSONEncoder.encode builds a new one
+# per call), called as (document, 0).  markers=None: a markers dict reused after
+# a failed call would keep stale entries and call every later document circular.
+# Without the _json accelerator, iterencode(document, 0) prints the same text.
+if json.encoder.c_make_encoder is None:
+    _canonical_chunks = _CANONICAL_JSON.iterencode
+else:
+    _canonical_chunks = json.encoder.c_make_encoder(
+        None, _CANONICAL_JSON.default, json.encoder.encode_basestring_ascii,
+        _CANONICAL_JSON.indent, _CANONICAL_JSON.key_separator,
+        _CANONICAL_JSON.item_separator, _CANONICAL_JSON.sort_keys,
+        _CANONICAL_JSON.skipkeys, _CANONICAL_JSON.allow_nan,
+    )
 
 
 def _load_json_arg(raw: str, what: str) -> Any:
@@ -99,6 +112,12 @@ def _load_json_arg(raw: str, what: str) -> Any:
                 text = fh.read()
         except OSError as exc:
             raise InputError(f"{what}: cannot read {raw[1:]}: {exc}") from None
+    try:  # one scanner call when the document fills the text; decode() words the rest
+        value, end = _STRICT_JSON.raw_decode(text)
+        if end == len(text):
+            return value
+    except ValueError:
+        pass
     try:
         return _STRICT_JSON.decode(text)
     except ValueError as exc:
@@ -250,7 +269,7 @@ def _payload_kernel(mode, values) -> tuple[dict, list[str]]:
         raise InputError("kernel --at, --bilinear and --regularity need --spec")
     if mode == "--at":
         at = values["at"]
-        return {"value": spec.at(at), "x": at}, ["closed-form kernel evaluation"]
+        return {"value": spec.at(at), "x": at}, [spec.at_method]
     if mode == "--bilinear":
         f, g = values["bilinear"]
         return {"value": _lib.covariance_bilinear(spec, f, g)}, ["trapezoid double quadrature"]
@@ -333,7 +352,7 @@ def build_envelope(args) -> dict:
         if raw is not None:
             values[dest], inputs[dest] = read(raw)
     payload, provenance = SUBCOMMANDS[args.subcommand][1](mode, values)
-    digest = hashlib.sha256(_CANONICAL_JSON.encode(inputs).encode()).hexdigest()
+    digest = hashlib.sha256("".join(_canonical_chunks(inputs, 0)).encode()).hexdigest()
     return {
         "subcommand": args.subcommand,
         "inputs": inputs,

@@ -10,7 +10,8 @@ is the Fourier integral
 
 whose 1/(2m) normalization this module pins by quadrature rather than
 taking on faith.  Each kernel class carries its own operations: the
-point value ``at``, the trapezoid ``bilinear`` form on a grid and the
+point value ``at`` with ``at_method``, the method a result names as its
+provenance, the trapezoid ``bilinear`` form on a grid and the
 ``regularity`` flag.  Grid functions use trapezoid quadrature with the
 usual O(dx^2) error model; smoothness of the inputs is the caller's
 business.  The support flag is exact for the closed forms and
@@ -64,6 +65,7 @@ class WhiteNoise:
 
     sigma: float
     regularity = KernelRegularity.NOWHERE_SIGNED_MEASURE
+    at_method = "closed-form kernel evaluation"
 
     def __post_init__(self):
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
@@ -85,6 +87,7 @@ class MassiveFree1D:
 
     m: float
     regularity = KernelRegularity.CONTINUOUS_KERNEL
+    at_method = "closed-form kernel evaluation"
 
     def __post_init__(self):
         if not (self.m > 0 and math.isfinite(self.m)):
@@ -107,6 +110,7 @@ class TabulatedKernel:
     grid: tuple[float, ...]
     values: tuple[float, ...]
     regularity = KernelRegularity.UNDECIDED
+    at_method = "linear interpolation of the table"
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))

@@ -203,16 +203,37 @@ def _integers_near(c: float, d: float, e: float, lo: int, hi: int) -> tuple[int,
 
 
 def _sign_change(g, m0: int, m1: int) -> tuple[int, ...]:
-    """The integers on either side of the sign change of a monotone g on [m0, m1]."""
-    below = g(m0) < 0.0
-    if below == (g(m1) < 0.0):
+    """The integers on either side of the sign change of a monotone g on [m0, m1].
+
+    Illinois false position on the integers: the next point is the
+    secant root rounded into the bracket, and an end kept twice running
+    has its value halved.  A step that leaves more than half the bracket
+    is followed by a bisection step, so the evaluations stay within
+    2 ceil(log2(m1 - m0)) + 2.
+    """
+    g0, g1 = g(m0), g(m1)
+    below = g0 < 0.0
+    if below == (g1 < 0.0):
         return ()
+    kept, bisect = None, False  # kept: the end (0 or 1) the last step kept
     while m1 - m0 > 1:
-        mid = (m0 + m1) // 2
-        if (g(mid) < 0.0) == below:
-            m0 = mid
+        width = m1 - m0
+        if bisect or g0 == g1:  # equal only where halving underflowed to zero
+            mid = (m0 + m1) // 2
         else:
-            m1 = mid
+            mid = min(max(m0 + round(width * (g0 / (g0 - g1))), m0 + 1), m1 - 1)
+        value = g(mid)
+        if (value < 0.0) == below:
+            m0, g0 = mid, value
+            if kept == 1:
+                g1 /= 2.0
+            kept = 1
+        else:
+            m1, g1 = mid, value
+            if kept == 0:
+                g0 /= 2.0
+            kept = 0
+        bisect = not bisect and 2 * (m1 - m0) > width
     return m0, m1
 
 
@@ -221,8 +242,8 @@ def _critical_indices(a: _Shape, b: _Shape, lo: int, hi: int) -> tuple[int, ...]
 
     A two-term equation has its root in closed form.  A three-term one
     has a derivative with one closed-form root; g is monotone on either
-    side of it, so each side holds at most one root, found by bisection
-    on the integers.
+    side of it, so each side holds at most one root, found by false
+    position on the integers.
     """
     c1, e1, c2, e2, c3 = _critical_equation(a, b)
     if e1 == e2:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -6,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylmeasure import cli, jsonio, kernels, measure_core
 from cylmeasure.cli import main
@@ -260,6 +262,16 @@ class TestCliSubcommands:
             capsys, "kernel", "--spec", '{"massive_free_1d": {"m": 1.0}}', "--at", "0"
         )
         assert env["payload"]["value"] == 0.5
+
+    @pytest.mark.parametrize("spec, value, provenance", [
+        (MASSIVE_FREE, math.exp(-0.25) / 2, "closed-form kernel evaluation"),
+        ('{"tabulated":{"grid":[-1,0,1],"values":[0.5,1,0.5]}}', 0.875,
+         "linear interpolation of the table"),
+    ], ids=["massive-free", "tabulated"])
+    def test_kernel_at_provenance_names_the_method(self, capsys, spec, value, provenance):
+        env = run_envelope(capsys, "kernel", "--spec", spec, "--at", "0.25")
+        assert env["payload"] == {"value": value, "x": 0.25}
+        assert env["provenance"] == [provenance]
 
     def test_kernel_regularity(self, capsys):
         env = run_envelope(
@@ -965,3 +977,112 @@ class TestCliHardening:
 
         assert takes("--seed") == {"sample", "moment", "support", "bohr", "selftest"}
         assert takes("--tol") == {"kernel", "consistency"}
+
+
+def canonical_digest(inputs):
+    """The ``inputs_digest`` formula: SHA-256 of json.dumps(inputs, sort_keys=True,
+    separators=(",", ":"))."""
+    text = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# documents at the edges of the canonical form: escapes, non-ASCII and lone
+# surrogates, the float and integer extremes, nesting
+DIGEST_DOCUMENTS = {
+    "non-ascii": r'{"z": "\u00e9 é \u2028 😀", "a": "\ud83d\ude00 \ud800"}',
+    "escapes": '["\\"\\\\\\/\\b\\f\\n\\r\\t\\u0000\\u001f", "\\u0069nf"]',
+    "float-extremes": "[5e-324, 1.7976931348623157e308, -0.0, 2.2250738585072014e-308, 1E2]",
+    "big-integers": "[9223372036854775808, -18446744073709551617, 100000000000000000000000000000]",
+    "nested": '[[[[]]], [{}], {"b": [1, [2, [3, {"a": []}]]], "a": {"c": {"b": null}}}]',
+}
+
+# JSON values printed with any indentation and separators, with or without
+# ASCII escaping, inside whitespace, some with a flaw: trailing data, a
+# repeated key, a NaN or Infinity token, or no document at all
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def json_texts(draw):
+    text = json.dumps(
+        draw(JSON_VALUES),
+        indent=draw(st.sampled_from([None, 0, 2, "\t"])),
+        separators=draw(st.sampled_from([None, (",", ":"), (", ", ": "), (" ,", " :\n")])),
+        ensure_ascii=draw(st.booleans()),
+    )
+    flaw = draw(st.sampled_from(["none", "trailing", "repeated", "constant", "empty"]))
+    if flaw == "trailing":
+        text += draw(st.sampled_from(["x", " 1", "0", "]", "{}", "\x0c", "\u00a0", " /"]))
+    elif flaw == "repeated":
+        key = json.dumps(draw(st.text(max_size=3)))
+        text = f"{{{key}: {text}, {key}: 1}}"
+    elif flaw == "constant":
+        text = f"[{text}, {draw(st.sampled_from(['NaN', 'Infinity', '-Infinity']))}]"
+    elif flaw == "empty":
+        text = ""
+    space = st.text(alphabet=" \t\n\r", max_size=3)
+    return draw(space) + text + draw(space)
+
+
+class TestEnvelopeJsonPath:
+    @pytest.mark.parametrize("argv", REPLAYED.values(), ids=REPLAYED.keys())
+    def test_digest_is_the_documented_formula(self, capsys, argv):
+        env = run_envelope(capsys, *argv)
+        assert env["inputs_digest"] == canonical_digest(env["inputs"])
+
+    @pytest.fixture
+    def echo_weights(self, monkeypatch):
+        """hs-check with a decoder and payload builder that take any document, so a call
+        echoes its --weights document as parsed."""
+        help_text, _, options = cli.SUBCOMMANDS["hs-check"]
+        monkeypatch.setitem(cli.SUBCOMMANDS, "hs-check",
+                            (help_text, lambda mode, values: ({}, []), options))
+        monkeypatch.setattr(jsonio, "decode", lambda kind, doc, name: doc)
+
+    @pytest.mark.parametrize("doc", DIGEST_DOCUMENTS.values(), ids=DIGEST_DOCUMENTS.keys())
+    def test_digest_of_edge_documents(self, capsys, echo_weights, doc):
+        env = run_envelope(capsys, "hs-check", "--weights", doc)
+        assert env["inputs"] == {"weights": json.loads(doc)}
+        assert env["inputs_digest"] == canonical_digest({"weights": json.loads(doc)})
+        assert env["inputs_digest"] == canonical_digest(env["inputs"])
+
+    def test_digest_of_a_file_document(self, capsys, echo_weights, tmp_path):
+        path = tmp_path / "weights.json"
+        path.write_text(DIGEST_DOCUMENTS["non-ascii"], encoding="utf-8")
+        env = run_envelope(capsys, "hs-check", "--weights", f"@{path}")
+        assert env["inputs_digest"] == canonical_digest(
+            {"weights": json.loads(DIGEST_DOCUMENTS["non-ascii"])})
+
+    @pytest.mark.parametrize("doc", DIGEST_DOCUMENTS.values(), ids=DIGEST_DOCUMENTS.keys())
+    def test_canonical_chunks_print_what_json_dumps_prints(self, doc):
+        value = json.loads(doc)
+        want = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        assert "".join(cli._canonical_chunks(value, 0)) == want
+        # what the same name binds to without the _json accelerator
+        assert "".join(cli._CANONICAL_JSON.iterencode(value, 0)) == want
+
+    def test_a_failed_encoding_leaves_no_stale_state(self):
+        doc = {"a": [object()]}
+        with pytest.raises(TypeError):
+            cli._canonical_chunks(doc, 0)
+        doc["a"] = [1]  # the same dict again: a kept markers entry would call it circular
+        assert "".join(cli._canonical_chunks(doc, 0)) == '{"a":[1]}'
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_texts())
+    def test_reads_agree_with_decode(self, text):
+        try:
+            want = ("value", repr(cli._STRICT_JSON.decode(text)))
+        except ValueError as exc:
+            want = ("error", f"--x: invalid JSON ({exc})")
+        try:
+            got = ("value", repr(cli._load_json_arg(text, "--x")))
+        except InputError as exc:
+            got = ("error", str(exc))
+        assert got == want

@@ -257,6 +257,94 @@ COVARIANCES = st.one_of(
 )
 
 
+def bisection_sign_change(g, m0, m1):
+    """The oracle: the integers either side of the sign change of a monotone g, by bisection."""
+    below = g(m0) < 0.0
+    if below == (g(m1) < 0.0):
+        return ()
+    while m1 - m0 > 1:
+        mid = (m0 + m1) // 2
+        if (g(mid) < 0.0) == below:
+            m0 = mid
+        else:
+            m1 = mid
+    return m0, m1
+
+
+def counted(g):
+    """g and a list whose length is the number of its evaluations."""
+    calls = []
+    return (lambda t: calls.append(t) or g(t)), calls
+
+
+# monotone three-term pieces c1 t^e1 + c2 t^e2 + c3 on [m0, m1], t >= 1: c1 e1
+# and c2 e2 share a sign, and c3 puts a root at m0 + frac (m1 - m0) (at least
+# 0.5), which may lie outside the piece
+THREE_TERM_PIECES = st.tuples(
+    st.floats(0.01, 3.0), st.floats(-3.0, 3.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+    st.booleans(), st.integers(1, 500), st.integers(1, 2000), st.floats(-0.2, 1.2),
+)
+
+
+class TestSignChange:
+    @settings(max_examples=300, deadline=None)
+    @given(THREE_TERM_PIECES)
+    @example((2.58, 0.04, 0.3, 0.0, True, 11, 989, 0.999))
+    @example((1.0, 1.0, 0.0, 0.0, False, 1, 1, 0.5))
+    # a piece where false position without the bisection guard takes 9 too many
+    @example((0.037364881478170756, -2.8480880474081456, -2.934594760723307,
+              4.885220727454538, False, 1, 1321, 0.54814586327867))
+    def test_false_position_finds_the_bisection_bracket(self, piece):
+        e1, e2, log_c1, log_c2, rising, m0, width, frac = piece
+        c1 = 10.0**log_c1 if rising else -(10.0**log_c1)
+        c2 = math.copysign(10.0**log_c2, c1 * e1 * e2)
+        m1 = m0 + width
+        root = max(m0 + frac * width, 0.5)
+        c3 = -(c1 * root**e1 + c2 * root**e2)
+
+        def g(t):
+            return c1 * t**e1 + c2 * t**e2 + c3
+
+        g_counted, calls = counted(g)
+        got = transform._sign_change(g_counted, m0, m1)
+        assert got == bisection_sign_change(g, m0, m1)
+        assert len(calls) <= 2 * math.ceil(math.log2(width)) + 2
+
+    def test_a_halved_end_that_underflows_takes_a_bisection_step(self):
+        # the kept end -5e-324 halves to -0.0, equal to the other end's 0.0: no secant
+        def g(t):
+            return 0.0 if t < 700 else -5e-324
+
+        assert transform._sign_change(g, 1, 1000) == (699, 700)
+
+    def test_critical_indices_match_bisection_in_fewer_evaluations(self, monkeypatch):
+        # the three-term equations of constant_plus_power pairs, as equivalence meets them
+        shapes = [transform._tail_shape(ConstantPlusPower(base, base * f, p))
+                  for base in (1.0, 2.0) for f in (-0.5, 1.0, 2.0)
+                  for p in (0.05, 0.3, 0.7, 1.1, 1.6, 2.2, 2.9)]
+        real = transform._sign_change
+
+        def run(rule):
+            evaluations = []
+
+            def counting(g, m0, m1):
+                g_counted, calls = counted(g)
+                found = rule(g_counted, m0, m1)
+                if found:
+                    evaluations.append(len(calls))
+                return found
+
+            monkeypatch.setattr(transform, "_sign_change", counting)
+            return [transform._critical_indices(a, b, 1, 1000)
+                    for a in shapes for b in shapes], evaluations
+
+        found, evaluations = run(real)
+        want, bisections = run(bisection_sign_change)
+        assert found == want
+        assert len(evaluations) == len(bisections) == 800
+        assert sum(evaluations) <= 0.7 * sum(bisections)
+
+
 class TestRatioBounds:
     @settings(max_examples=200, deadline=None)
     @given(COVARIANCES, COVARIANCES)
