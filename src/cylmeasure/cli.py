@@ -10,10 +10,14 @@ the few subcommands that produce them.
 
 ``SUBCOMMANDS`` declares each subcommand's options with the SCHEMA kind
 (or reader) of each, and ``_MODES`` the modes in precedence order with
-what each reads.  ``build_envelope`` alone reads a call's options: it
-picks the mode, refuses an option the mode would not read before reading
-any input, then reads the mode's options in declared order and records
-each under its dest in ``inputs`` (a document as parsed).  A payload
+what each reads and which of those it cannot run without.
+``build_envelope`` alone reads a call's options: it picks the mode and,
+before reading any input, refuses an option the mode would not read and
+a missing option the mode cannot run without (the ``--seed`` of a
+sampling mode, the ``--spec`` of a kernel mode other than ``--fourier``,
+the ``--integral`` of ``bohr --mc``).  Then it reads the mode's options
+in declared order and records each under its dest in ``inputs`` (a
+document as parsed).  A payload
 builder gets only the mode and the decoded values, so ``inputs_digest``,
 the SHA-256 of the canonical ``inputs``, covers all a result depends on.
 
@@ -264,9 +268,7 @@ def _payload_kernel(mode, values) -> tuple[dict, list[str]]:
         m, x = values["fourier"]
         res = _lib.kernel_fourier_quadrature(m, x, p_cutoff=values["cutoff"], tol=values["tol"])
         return jsonio.encode_value(res), ["gauss-legendre panels with a proved bound"]
-    spec = values.get("spec")
-    if spec is None:
-        raise InputError("kernel --at, --bilinear and --regularity need --spec")
+    spec = values["spec"]
     if mode == "--at":
         at = values["at"]
         return {"value": spec.at(at), "x": at}, [spec.at_method]
@@ -287,8 +289,6 @@ def _payload_bohr(mode, values) -> tuple[dict, list[str]]:
             {"phases": jsonio.encode_value(phases), "seed": values["seed"]},
             ["seeded haar sampler"],
         )
-    if "integral" not in values:
-        raise InputError("bohr --mc needs --integral")
     f = _integrand_from_catalog(values["integral"], freqs.n)
     if mode == "--mc":
         method: bohr.Method = _lib.MCMethod(values["mc"], values["seed"])
@@ -515,58 +515,70 @@ SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, Any, dict], ...]]] = {
 }
 
 # subcommand -> its modes in precedence order: the flag that picks a mode (None
-# for the default mode) -> the other options that mode reads.  An option no mode
-# names is read by every call, and a mode that reads --seed needs it.  This is
-# the only place that orders the modes: a builder is handed the mode picked here.
+# for the default mode) -> the other options that mode reads, each marked "!"
+# that the mode cannot run without.  An option no mode names is read by every
+# call.  This is the only place that orders the modes: a builder is handed the
+# mode picked here.
 _MODES: dict[str, dict[str | None, str]] = {
-    "moment": {"--mc-samples": "--seed", None: ""},
-    "support": {"--mc": "--seed", None: ""},
-    "kernel": {"--fourier": "--cutoff --tol", "--at": "--spec", "--bilinear": "--spec",
-               "--regularity": "--spec"},
-    "bohr": {"--check-independence": "", "--sample": "--seed", "--mc": "--integral --seed",
+    "moment": {"--mc-samples": "--seed!", None: ""},
+    "support": {"--mc": "--seed!", None: ""},
+    "kernel": {"--fourier": "--cutoff --tol", "--at": "--spec!", "--bilinear": "--spec!",
+               "--regularity": "--spec!"},
+    "bohr": {"--check-independence": "", "--sample": "--seed!", "--mc": "--integral! --seed!",
              "--integral": "--quad-points"},
     "product": {"--cylinder": "", "--prefix": "--tail --n-max", "--tail": "--prefix --n-max"},
 }
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _mode_table(name: str) -> dict[str | None, tuple]:
+    """Mode -> (the flags it reads, (flag, dest) of each it cannot run without,
+    (dest, reader) of each option it reads in declared order: its flag, its
+    reads and every option that no mode names)."""
+    modes = _MODES.get(name, {None: ""})
+    reads = {mode: (mode, *marked.replace("!", "").split()) for mode, marked in modes.items()}
+    named = {flag for flags in reads.values() for flag in flags}
+    options = SUBCOMMANDS[name][2]
+    return {mode: (reads[mode],
+                   tuple((f[:-1], _dest(f[:-1])) for f in marked.split() if f[-1] == "!"),
+                   tuple((_dest(flag), _reader(flag, kind)) for flag, kind, _ in options
+                         if flag in reads[mode] or flag not in named))
+            for mode, marked in modes.items()}
+
+
+_TABLE = {name: _mode_table(name) for name in SUBCOMMANDS}
 # subcommand -> (flag, dest, default) of each option its modes name, in declared order
-_NAMED = {name: tuple((flag, flag[2:].replace("-", "_"),
+_NAMED = {name: tuple((flag, _dest(flag),
                        keywords.get("default", False if "action" in keywords else None))
                       for flag, _, keywords in SUBCOMMANDS[name][2]
-                      if any(flag in (mode, *reads.split()) for mode, reads in modes.items()))
-          for name, modes in _MODES.items()}
-
-
-def _mode_reads(name: str) -> dict[str | None, tuple]:
-    """Mode -> (dest, reader) of each option it reads, in declared order:
-    its flag, its reads and every option that no mode names."""
-    modes = _MODES.get(name, {None: ""})
-    named = {flag for mode, reads in modes.items() for flag in (mode, *reads.split())}
-    return {mode: tuple((flag[2:].replace("-", "_"), _reader(flag, kind))
-                        for flag, kind, _ in SUBCOMMANDS[name][2]
-                        if flag in (mode, *reads.split()) or flag not in named)
-            for mode, reads in modes.items()}
-
-
-_READS = {name: _mode_reads(name) for name in SUBCOMMANDS}
+                      if any(flag in reads for reads, _, _ in _TABLE[name].values()))
+          for name in _MODES}
 
 
 def _check_mode(args) -> tuple[str | None, tuple]:
     """The call's mode and the options it reads; refuse a set option it would not
-    read, or a missing --seed."""
-    modes = _MODES.get(args.subcommand)
-    if modes is None:  # the one mode None
-        return None, _READS[args.subcommand][None]
-    given = [f for f, dest, default in _NAMED[args.subcommand] if getattr(args, dest) != default]
-    mode = next(filter(given.__contains__, modes), None)  # None: the default mode, if any
-    if mode not in modes:
-        raise InputError(f"{args.subcommand} needs one of {', '.join(modes)}")
-    reads = (mode, *modes[mode].split())
+    read, or an unset one it cannot run without."""
+    named = _NAMED.get(args.subcommand)
+    if named is None:  # the one mode None
+        return None, _TABLE[args.subcommand][None][2]
+    given = [f for f, dest, default in named if getattr(args, dest) != default]
+    table = _TABLE[args.subcommand]
+    mode = next(filter(given.__contains__, table), None)  # None: the default mode, if any
+    if mode not in table:
+        raise InputError(f"{args.subcommand} needs one of {', '.join(table)}")
+    reads, needs, options = table[mode]
     unread = [flag for flag in given if flag not in reads]
     if unread:
         verb = "does" if len(unread) == 1 else "do"
         raise InputError(f"{', '.join(unread)} {verb} not apply to this {args.subcommand} call")
-    if "--seed" in reads and args.seed is None:
-        raise InputError(f"{args.subcommand} {mode} needs an explicit --seed")
-    return mode, _READS[args.subcommand][mode]
+    for flag, dest in needs:
+        if getattr(args, dest) is None:
+            what = "an explicit --seed" if flag == "--seed" else flag
+            raise InputError(f"{args.subcommand} {mode} needs {what}")
+    return mode, options
 
 
 @functools.cache

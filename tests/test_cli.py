@@ -3,9 +3,12 @@ import hashlib
 import json
 import math
 import re
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,14 +34,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _reject_constant(token):
-    raise ValueError(f"{token} is not RFC 8259 JSON")
-
-
 def run_envelope(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    return json.loads(out, parse_constant=_reject_constant)
+    return oracles.strict_json(out)
 
 
 UNIFORM = '{"identical": {"uniform": {"a": 0, "b": 1}}}'
@@ -773,14 +772,18 @@ class TestCliHardening:
              "bohr needs one of --check-independence, --sample, --mc, --integral"),
             (("product", "--spec", "@/nonexistent"),
              "product needs one of --cylinder, --prefix, --tail"),
-            (("kernel", "--at", "0"), "kernel --at, --bilinear and --regularity need --spec"),
+            (("kernel", "--at", "0"), "kernel --at needs --spec"),
             (("bohr", "--freqs", "1.0", "--mc", "10", "--seed", "1"), "bohr --mc needs --integral"),
+            (("bohr", "--freqs", "x", "--mc", "10", "--seed", "1"), "bohr --mc needs --integral"),
+            (("kernel", "--bilinear", "@/nonexistent", "@/nonexistent"),
+             "kernel --bilinear needs --spec"),
         ],
         ids=["spec-with-unmet-fourier-tolerance", "spec-and-at-with-fourier-over-budget",
              "moment-mc-samples-without-seed", "support-mc-without-seed",
              "bohr-sample-without-seed", "bohr-mc-without-seed", "kernel-without-mode",
              "bohr-without-mode", "product-without-mode", "kernel-at-without-spec",
-             "bohr-mc-without-integral"],
+             "bohr-mc-without-integral", "bohr-mc-without-integral-before-freqs",
+             "kernel-bilinear-without-spec-before-documents"],
     )
     def test_mode_check_comes_first_and_prints_one_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -1086,3 +1089,42 @@ class TestEnvelopeJsonPath:
         except InputError as exc:
             got = ("error", str(exc))
         assert got == want
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading, fence):
+    """The text of the first ``fence`` block after ``heading`` in the README."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(heading, 1)[1].split(fence, 1)[1].split("```", 1)[0]
+
+
+# every command of the README's CLI examples, without the program name
+EXAMPLES = [shlex.split(line)[1:] for line in
+            readme_block("## CLI examples", "```bash").replace("\\\n", " ").splitlines()
+            if line.startswith("cylmeasure ")]
+# the README's refusals: each command, then its stderr line
+REFUSALS = readme_block("these exits `2`:", "```text").strip("\n").splitlines()
+
+
+class TestReadmeExamples:
+    def test_every_block_is_found(self):
+        assert len(EXAMPLES) == 14 and len(REFUSALS) == 12
+
+    @pytest.mark.parametrize("argv", EXAMPLES, ids=[f"{i}-{a[0]}" for i, a in enumerate(EXAMPLES)])
+    def test_example_runs_and_replays(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        if "--out" in argv:  # a CSV trace has no envelope to replay
+            assert out.splitlines()[0] == "n,mean_partial_sum"
+            return
+        env = oracles.strict_json(out)
+        assert env["inputs_digest"] == canonical_digest(env["inputs"])
+        again = run_envelope(capsys, *replay_argv(env))
+        assert (again["payload"], again["inputs_digest"]) == (env["payload"], env["inputs_digest"])
+
+    @pytest.mark.parametrize("command, line", list(zip(REFUSALS[::2], REFUSALS[1::2])),
+                             ids=[f"{i}-{c.split()[1]}" for i, c in enumerate(REFUSALS[::2])])
+    def test_refusal_prints_its_line(self, capsys, command, line):
+        assert run_cli(capsys, *shlex.split(command)[1:]) == (2, "", line.strip() + "\n")

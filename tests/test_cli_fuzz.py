@@ -15,12 +15,18 @@ with exit 2, never ignored.  For each call it accepts, the envelope's
 ``inputs`` holds exactly the options set among those the call's mode
 reads by ``cli._MODES``: its flag, its reads and every option no mode
 names.
+A third test writes each scalar option of such calls (``--n``, ``--seed``,
+``--at``, ``--mc-samples``, ``--mc``, ``--quad-points``,
+``--check-independence``, ``--fourier``, ``--cutoff``, ``--tol`` and
+``--n-max``) as a text drawn from a fixed list of edge values, each either
+refused or cheap to run, and checks the same contract.
 """
 
 import contextlib
 import io
 import json
 
+import oracles
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cylmeasure import cli
@@ -94,8 +100,19 @@ def mutate(doc, data, depth=0):
     return [doc]
 
 
-def reject_constant(token):
-    raise ValueError(f"non-RFC 8259 token {token}")
+def check_contract(argv):
+    """Run ``cli.main(argv)`` and check the CLI contract; the envelope on exit 0, else None."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # an exception escaping here is a traceback for a shell user
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue() == "" and err.getvalue().strip(), argv
+        return None
+    envelope = oracles.strict_json(out.getvalue())
+    assert envelope["subcommand"] == argv[0]
+    return envelope
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -109,21 +126,14 @@ def test_cli_contract_holds_for_mutated_documents(data):
             doc = mutate(doc, data)
         argv += [option, json.dumps(doc)]
     argv += data.draw(SCALAR_OPTIONS.get(subcommand, st.just([])))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)  # an exception escaping here is a traceback for a shell user
-    assert code in (0, 2, 3), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    if code == 0:
-        envelope = json.loads(out.getvalue(), parse_constant=reject_constant)
-        assert envelope["subcommand"] == subcommand
-    else:
-        assert out.getvalue() == "" and err.getvalue().strip(), argv
+    check_contract(argv)
 
 
 # flag -> small valid values; a flag with no values is a store_true switch
 KERNEL = [json.dumps({"massive_free_1d": {"m": 1.0}}), json.dumps({"white_noise": {"sigma": 2.0}}),
           json.dumps({"tabulated": {"grid": [-1.0, 0.0, 1.0], "values": [0.5, 1.0, 0.5]}})]
+UNIFORM = '{"identical":{"uniform":{"a":0,"b":1}}}'
+GEOMETRIC_TAIL = '{"one_minus_geometric":{"c":1.0,"q":0.5}}'
 GRID = json.dumps({"x0": -0.5, "dx": 0.25, "count": 5, "values": [0.0, 0.5, 1.0, 0.5, 0.0]})
 OPTION_VALUES = {
     "kernel": {
@@ -137,10 +147,10 @@ OPTION_VALUES = {
         "--quad-points": [["4"], ["16"]], "--mc": [["50"]], "--sample": [], "--seed": [["1"]],
     },
     "product": {
-        "--spec": [['{"identical":{"uniform":{"a":0,"b":1}}}']],
+        "--spec": [[UNIFORM]],
         "--cylinder": [['{"base":[{"index":1,"boxes":[[0.0,0.5]]}]}'], ['{"base":[]}']],
         "--prefix": [['{"base":[]}']],
-        "--tail": [['{"one_minus_geometric":{"c":1.0,"q":0.5}}'], ['{"full":{}}']],
+        "--tail": [[GEOMETRIC_TAIL], ['{"full":{}}']],
         "--n-max": [["5"], ["1000"]],
     },
     "moment": {
@@ -168,8 +178,8 @@ def expected_inputs(argv):
     args = cli._build_parser().parse_args(argv)
     modes = cli._MODES[args.subcommand]
     mode = next(m for m in modes if m is None or is_set(getattr(args, dest(m))))
-    named = {f for m, reads in modes.items() for f in (m, *reads.split())}
-    reads = {mode, *modes[mode].split()}
+    named = {f for m, reads in modes.items() for f in (m, *reads.replace("!", "").split())}
+    reads = {mode, *modes[mode].replace("!", "").split()}
     return {dest(flag) for flag, *_ in cli.SUBCOMMANDS[args.subcommand][2]
             if (flag in reads or flag not in named) and vars(args)[dest(flag)] is not None}
 
@@ -193,13 +203,36 @@ def test_cli_contract_holds_for_option_combinations(data):
         if flag in chosen:
             values = OPTION_VALUES[subcommand][flag]
             argv += [flag, *(data.draw(st.sampled_from(values)) if values else [])]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 2, 3), (argv, code, err.getvalue())
-    if code == 0:
-        envelope = json.loads(out.getvalue(), parse_constant=reject_constant)
-        assert envelope["subcommand"] == subcommand
+    envelope = check_contract(argv)
+    if envelope is not None:
         assert set(envelope["inputs"]) == expected_inputs(argv), argv
-    else:
-        assert out.getvalue() == "" and err.getvalue().strip(), argv
+
+
+# the text of every scalar option in the third test: separators, non-ASCII
+# digits, non-finite and overflowing numerals, blanks, and 2^64
+EDGES = ["0", "-1", "1_0", "\u0661", "nan", "inf", "1e400", "", " 1", "18446744073709551616"]
+# a call that reads scalar options -> the number of values each takes
+SCALAR_CALLS = [
+    (["sample", "--cov", json.dumps(DECAYS[1])], {"--n": 1, "--seed": 1}),
+    (["moment", "--cov", json.dumps(DECAYS[0]), "--vectors", "e1,e2"],
+     {"--mc-samples": 1, "--seed": 1}),
+    (["support", "--cov", json.dumps(DECAYS[0]), "--weights", json.dumps(DECAYS[1])],
+     {"--mc": 2, "--seed": 1}),
+    (["kernel", "--spec", KERNEL[0]], {"--at": 1}),
+    (["kernel"], {"--fourier": 2, "--cutoff": 1, "--tol": 1}),
+    (["bohr", "--freqs", "1.0,1.4142135623730951"], {"--check-independence": 1}),
+    (["bohr", "--freqs", "1.0,2.0", "--integral", "cos:1,1"], {"--quad-points": 1}),
+    (["bohr", "--freqs", "1.0,2.0", "--integral", "char:1,-1"], {"--mc": 1, "--seed": 1}),
+    (["product", "--spec", UNIFORM, "--tail", GEOMETRIC_TAIL], {"--n-max": 1}),
+    (["consistency", "--marginals", json.dumps(MARGINALS[1])], {"--tol": 1}),
+]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_cli_contract_holds_for_edge_scalar_values(data):
+    argv, scalars = data.draw(st.sampled_from(SCALAR_CALLS))
+    argv = list(argv)
+    for flag, count in scalars.items():
+        argv += [flag, *(data.draw(st.sampled_from(EDGES)) for _ in range(count))]
+    check_contract(argv)

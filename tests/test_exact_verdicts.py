@@ -1,91 +1,33 @@
 """Series verdicts against an exact rational oracle.
 
-The oracle keeps whole tails as maps (q, alpha) -> coefficient in
-``Fraction``s built from the decimals a user types, and multiplies and
-subtracts them term by term; the program under test decides from
-leading atoms only.  The cases sit on the convergence boundary, where a
-floating exponent sum can miss -1, and at coefficients whose floating
-products underflow to 0.
+The oracle, ``bench/oracles.py``, keeps whole tails as maps (alpha, q) ->
+coefficient in ``Fraction``s built from the decimals a user types, and
+multiplies and subtracts them term by term; the program under test decides
+from leading atoms only.  Each case is a decay document whose numbers are
+those decimals, read by the program through ``jsonio`` and by the oracle
+as written.  The cases sit on the convergence boundary, where a floating
+exponent sum can miss -1, and at coefficients whose floating products
+underflow to 0.
 """
 
 import json
 from fractions import Fraction
 
+import oracles
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cylmeasure import cli, sequences
-from cylmeasure.sequences import (
-    Constant,
-    ConstantPlusPower,
-    Geometric,
-    PowerDecay,
-    Prefixed,
-    summable,
-)
+from cylmeasure import cli, jsonio, sequences
+from cylmeasure.sequences import Constant, Geometric, PowerDecay, Prefixed, summable
 from cylmeasure.support import hilbert_schmidt_check, weighted_support_check
 from cylmeasure.transform import equivalence_classify, shift_admissible
 
 ONE = Fraction(1)
 
 
-def build(spec):
-    """(decay object, exact tail) from ("kind", decimal strings...)."""
-    kind, *args = spec
-    if kind == "prefixed":
-        tail, exact = build(args[1])
-        return Prefixed((float(args[0]),), tail), exact
-    x = [Fraction(a) for a in args]
-    if kind == "constant":
-        cls, exact = Constant, {(ONE, 0): x[0]}
-    elif kind == "power":
-        cls, exact = PowerDecay, {(ONE, -x[1]): x[0]}
-    elif kind == "geometric":
-        cls, exact = Geometric, {(x[1], 0): x[0]}
-    else:
-        cls, exact = ConstantPlusPower, {(ONE, 0): x[0], (ONE, -x[2]): x[1]}
-    return cls(*(float(a) for a in args)), {key: k for key, k in exact.items() if k}
-
-
-def mul(a, b):
-    out = {}
-    for (q1, al1), k1 in a.items():
-        for (q2, al2), k2 in b.items():
-            key = (q1 * q2, al1 + al2)
-            out[key] = out.get(key, 0) + k1 * k2
-    return {key: k for key, k in out.items() if k}
-
-
-def sub(a, b):
-    out = dict(a)
-    for key, k in b.items():
-        out[key] = out.get(key, 0) - k
-    return {key: k for key, k in out.items() if k}
-
-
-def ratio_summable(numer, denom):
-    """sum numer_n / denom_n < inf, both eventually positive."""
-    if not numer:
-        return True
-    q_n, al_n = max(numer)
-    q_d, al_d = max(denom)
-    q, alpha = q_n / q_d, al_n - al_d
-    return q < 1 or (q == 1 and alpha < -1)
-
-
-def oracle_equivalence(a, b):
-    if max(a) != max(b):
-        return "singular", "diverges"
-    delta = sub(b, a)
-    if ratio_summable(mul(delta, delta), mul(a, a)):
-        return "equivalent", "converges"
-    return "singular", "diverges"
-
-
-def oracle_support(cov, weights):
-    if ratio_summable(mul(mul(weights, weights), cov), {(ONE, 0): ONE}):
-        return "supported", "converges"
-    return "not-supported", "diverges"
+def decoded(doc):
+    """The decay object the program reads from ``doc``, whose leaves are decimal strings."""
+    return jsonio.decode("decay", oracles.strict_json(oracles.to_json(doc)), "cov")
 
 
 GRID = [f"{i / 100:.2f}" for i in range(1, 300)]
@@ -101,9 +43,8 @@ BOUNDARY_PAIRS = [
 def test_power_grid_boundary_matches_exact_truth():
     mismatches = []
     for py, pc in BOUNDARY_PAIRS:
-        (y, y_atoms), (cov, cov_atoms) = build(("power", "1", py)), build(("power", "1", pc))
-        expected = ratio_summable(mul(y_atoms, y_atoms), cov_atoms)
-        if shift_admissible(y, cov) is not expected:
+        y, cov = {"power": {"c": "1", "p": py}}, {"power": {"c": "1", "p": pc}}
+        if shift_admissible(decoded(y), decoded(cov)) is not oracles.shift_admissible(y, cov):
             mismatches.append((py, pc))
     assert len(BOUNDARY_PAIRS) > 400
     # includes the pairs whose float exponent sum misses -1, e.g. (1.1, 1.2)
@@ -221,7 +162,7 @@ def test_summable_matches_a_fraction_oracle(factors):
     for (qf, af, _), e in powers:
         q *= Fraction(repr(qf)) ** e
         alpha += e * Fraction(repr(af))
-    expected = q < 1 or (q == 1 and alpha < -1)
+    expected = oracles.ratio_summable({(alpha, q): ONE}, {(0, ONE): ONE})
     assert summable(*powers) is expected
     assert sequences._exact_summable(powers) is expected
 
@@ -267,36 +208,38 @@ SIGNED = st.sampled_from(["1", "-0.5", "0.25", "-0.1", "1e-170", "-1e-200", "5e-
 POWERS = st.one_of(st.sampled_from(["0.1", "0.25", "0.35", "0.5", "1", "1.1"]), st.sampled_from(GRID))
 RATIOS = st.sampled_from(["0.5", "0.25", "0.3", "0.09", "0.7", "0.49", "0.9", "0.81"])
 CLOSED = st.one_of(
-    st.tuples(st.just("constant"), COEFFS),
-    st.tuples(st.just("power"), COEFFS, POWERS),
-    st.tuples(st.just("geometric"), COEFFS, RATIOS),
-    st.tuples(st.just("constant_plus_power"), COEFFS, SIGNED, POWERS),
+    st.builds(lambda rho: {"constant": {"rho": rho}}, COEFFS),
+    st.builds(lambda c, p: {"power": {"c": c, "p": p}}, COEFFS, POWERS),
+    st.builds(lambda c, q: {"geometric": {"c": c, "q": q}}, COEFFS, RATIOS),
+    st.builds(lambda base, c, p: {"constant_plus_power": {"base": base, "c": c, "p": p}},
+              COEFFS, SIGNED, POWERS),
 )
-DECAY = st.one_of(CLOSED, st.tuples(st.just("prefixed"), st.just("2"), CLOSED))
+DECAY = st.one_of(CLOSED, CLOSED.map(lambda tail: {"prefixed": {"prefix": ["2"], "tail": tail}}))
 
 
-def positive(spec):
-    seq, atoms = build(spec)
+def positive(doc):
+    seq = decoded(doc)
     assume(seq.is_positive())
-    return seq, atoms
+    return seq
 
 
 @settings(max_examples=200, deadline=None)
 @given(DECAY, DECAY)
-@example(("constant", "1"), ("constant_plus_power", "1", "1e-170", "0.2"))
-@example(("constant", "1"), ("constant_plus_power", "1", "5e-324", "0.2"))
-@example(("constant_plus_power", "2", "1", "0.25"), ("constant_plus_power", "2", "-0.1", "0.5"))
-def test_equivalence_matches_exact_oracle(spec_a, spec_b):
-    (a, atoms_a), (b, atoms_b) = positive(spec_a), positive(spec_b)
-    verdict = equivalence_classify(a, b)
-    assert (verdict.verdict.value, verdict.series) == oracle_equivalence(atoms_a, atoms_b)
+@example({"constant": {"rho": "1"}},
+         {"constant_plus_power": {"base": "1", "c": "1e-170", "p": "0.2"}})
+@example({"constant": {"rho": "1"}},
+         {"constant_plus_power": {"base": "1", "c": "5e-324", "p": "0.2"}})
+@example({"constant_plus_power": {"base": "2", "c": "1", "p": "0.25"}},
+         {"constant_plus_power": {"base": "2", "c": "-0.1", "p": "0.5"}})
+def test_equivalence_matches_exact_oracle(doc_a, doc_b):
+    verdict = equivalence_classify(positive(doc_a), positive(doc_b))
+    assert (verdict.verdict.value, verdict.series) == oracles.equivalence(doc_a, doc_b)
 
 
 @settings(max_examples=200, deadline=None)
 @given(DECAY, DECAY)
-@example(("constant", "1e-200"), ("constant", "1e-200"))
-@example(("power", "1", "0.5"), ("power", "1e-170", "0.25"))
-def test_weighted_support_matches_exact_oracle(spec_cov, spec_weights):
-    (cov, atoms_cov), (weights, atoms_w) = positive(spec_cov), positive(spec_weights)
-    report = weighted_support_check(cov, weights)
-    assert (report.verdict.value, report.series) == oracle_support(atoms_cov, atoms_w)
+@example({"constant": {"rho": "1e-200"}}, {"constant": {"rho": "1e-200"}})
+@example({"power": {"c": "1", "p": "0.5"}}, {"power": {"c": "1e-170", "p": "0.25"}})
+def test_weighted_support_matches_exact_oracle(doc_cov, doc_weights):
+    report = weighted_support_check(positive(doc_cov), positive(doc_weights))
+    assert (report.verdict.value, report.series) == oracles.support(doc_cov, doc_weights)

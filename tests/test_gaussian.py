@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,14 +35,6 @@ def inline_mc_moment(cov, vs, n_samples, seed):
     x = draw_coordinates(cov, dim, n_samples, np.random.default_rng(seed))
     prods = np.prod(np.stack([x @ v.as_vector(dim) for v in vs], axis=1), axis=1)
     return float(prods.mean()), float(prods.std(ddof=1) / math.sqrt(len(prods)))
-
-
-def double_factorial(n):
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 finite_seqs = st.builds(
@@ -146,7 +139,7 @@ class TestSample:
 class TestPairings:
     @pytest.mark.parametrize("two_n", [0, 2, 4, 6, 8])
     def test_count_matches_double_factorial(self, two_n):
-        assert len(pairings(two_n)) == double_factorial(two_n - 1)
+        assert len(pairings(two_n)) == oracles.double_factorial(two_n - 1)
 
     def test_each_pairing_is_a_perfect_matching(self):
         for p in pairings(6):

@@ -8,12 +8,12 @@ unloaded, and a second one runs the numeric paths with scipy blocked.
 
 numpy takes about 0.1 s to import and the symbolic subcommands build no
 array (``equivalence``, one-point ``rn-density``, closed-form ``support``,
-a ``product`` with a geometric or tabulated tail, and ``kernel --at`` and
-``--regularity`` on a closed-form kernel included).  A fresh interpreter
-checks that ``import cylmeasure.cli``, those subcommands and their
-refusals of a tabulated series leave numpy unloaded and that an array
-path (``sample``) loads it, and a second one runs the symbolic
-subcommands with numpy blocked.  Every module reads numpy through the
+a ``product`` of a cylinder or with a full, constant, geometric or
+tabulated tail, and ``kernel --at`` and ``--regularity`` on a closed-form
+kernel included).  A fresh interpreter checks that ``import
+cylmeasure.cli``, those subcommands and their refusals of a tabulated
+series leave numpy unloaded and that an array path (``sample``) loads it,
+and a second one runs the symbolic subcommands with numpy blocked.  Every module reads numpy through the
 package's lazy handle ``_np``, and a static check finds no other
 ``import numpy`` in the package.
 
@@ -219,6 +219,12 @@ SYMBOLIC = [
      {"regularity": "nowhere-signed-measure"}),
     (["support", "--cov", CONST, "--weights", POWER],
      {"report": {"partial_sums": None, "series": "converges", "verdict": "supported"}}),
+    (["product", "--spec", UNIFORM, "--cylinder", '{"base":[{"index":1,"boxes":[[0.0,0.5]]}]}'],
+     {"probability": 0.5}),
+    (["product", "--spec", UNIFORM, "--tail", '{"full":{}}'],
+     {"converged": True, "n_factors": 0, "value": 1.0, "verdict": "converged"}),
+    (["product", "--spec", UNIFORM, "--tail", '{"constant_factor":{"f":0.5}}'],
+     {"converged": True, "n_factors": 0, "value": 0.0, "verdict": "converged"}),
     (["product", "--spec", UNIFORM, "--tail", '{"one_minus_geometric":{"c":1,"q":0.5}}'],
      {"converged": True, "n_factors": 40, "value": 0.2887880950868651, "verdict": "converged"}),
     (["product", "--spec", UNIFORM, "--tail", '{"tabulated":{"factors":[0.5,1,0.5]}}'],

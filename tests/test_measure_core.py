@@ -5,6 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -36,19 +37,12 @@ from cylmeasure.measure_core import (
 )
 
 # prod_{k>=1} (1 - 2^-k), frozen from the pentagonal-number expansion
-# sum_k (-1)^k (q^{k(3k-1)/2} + q^{k(3k+1)/2}) evaluated below
+# sum_k (-1)^k (q^{k(3k-1)/2} + q^{k(3k+1)/2}) of oracles.euler_product
 EULER_HALF = 0.2887880950866024
 
 
-def pentagonal_product(q: float, terms: int = 60) -> float:
-    total = 1.0
-    for k in range(1, terms):
-        total += (-1) ** k * (q ** (k * (3 * k - 1) // 2) + q ** (k * (3 * k + 1) // 2))
-    return total
-
-
 def test_frozen_euler_constant_matches_its_oracle():
-    assert pentagonal_product(0.5) == EULER_HALF
+    assert float(oracles.euler_product("0.5")) == EULER_HALF
 
 
 class TestComponents:
