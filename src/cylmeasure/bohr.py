@@ -11,16 +11,19 @@ on trigonometric integrands) or on the seeded draws of ``MCMethod``.
 
 True rational independence is not decidable in floating point; the
 certificate is an exhaustive search up to a named coefficient bound.
+That bound and the node and sample counts of the methods must be
+``int``s.  Frequency sets, methods and results are frozen records
+(``_record.Record``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from . import _np as np
-from .errors import InputError, NumericError
+from ._record import Record
+from .errors import InputError, NumericError, require_integer
 
 __all__ = [
     "FrequencySet",
@@ -40,8 +43,7 @@ SEARCH_BUDGET = 10**8
 _REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FrequencySet:
+class FrequencySet(Record):
     """Distinct nonzero real frequencies k_1..k_n, n >= 1."""
 
     freqs: tuple[float, ...]
@@ -60,8 +62,7 @@ class FrequencySet:
         return len(self.freqs)
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
+class IndependenceResult(Record):
     """Outcome of the bounded integer-relation search.
 
     ``independent`` certifies no relation with coefficients bounded by
@@ -113,6 +114,7 @@ def independence_check(gamma: FrequencySet, bound: int) -> IndependenceResult:
     of the rest, so only pairs whose total lies within the tolerance
     window are tested, at about (2*bound+1)^ceil(n/2) * log cost.
     """
+    require_integer(bound, "coefficient bound")
     if bound < 1:
         raise InputError(f"coefficient bound must be >= 1, got {bound}")
     n = gamma.n
@@ -185,8 +187,7 @@ MAX_MC_DRAWS = 10**7
 MAX_QUAD_NODES = 2**21
 
 
-@dataclass(frozen=True)
-class HaarIntegralResult:
+class HaarIntegralResult(Record):
     value: complex
     error_bound: float
     method: str
@@ -223,8 +224,7 @@ def _grid_means(f: Callable, n_axes: int, points: int) -> tuple[complex, complex
     return complex(vals.mean()), complex(np.ascontiguousarray(even).mean())
 
 
-@dataclass(frozen=True)
-class QuadratureMethod:
+class QuadratureMethod(Record):
     """Periodic trapezoid rule with points_per_axis nodes per angle, on n <= 4
     axes: exact on trigonometric polynomials below the node count, and the
     reported bound is the change under doubling the nodes."""
@@ -232,6 +232,7 @@ class QuadratureMethod:
     points_per_axis: int = 16
 
     def __post_init__(self):
+        require_integer(self.points_per_axis, "points per axis")
         if self.points_per_axis < 2:
             raise InputError("quadrature needs at least 2 points per axis")
 
@@ -252,14 +253,14 @@ class QuadratureMethod:
         return HaarIntegralResult(fine, bound, f"quadrature({self.points_per_axis}x2)")
 
 
-@dataclass(frozen=True)
-class MCMethod:
+class MCMethod(Record):
     """Seeded Monte Carlo; the reported bound is the standard error of the mean."""
 
     n_samples: int
     seed: int
 
     def __post_init__(self):
+        require_integer(self.n_samples, "n_samples")
         if self.n_samples < 2:
             raise InputError(f"need n_samples >= 2, got {self.n_samples}")
 

@@ -37,3 +37,9 @@ def require_tolerance(tol: float) -> None:
     """Refuse a tolerance that is not positive and finite (nan included)."""
     if not 0 < tol < math.inf:
         raise InputError(f"tolerance must be positive and finite, got {tol}")
+
+
+def require_integer(value, what: str) -> None:
+    """Refuse a count or bound that is not an ``int``; a ``bool`` is refused too."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")

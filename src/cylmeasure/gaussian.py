@@ -12,15 +12,17 @@ vanish, even moments are sums over perfect matchings of two-point
 covariances.  Every operation here is exact given the covariance class;
 Monte Carlo enters only through seeded draws (``sample``, ``mc_moment``) and
 ``mc_mean``, the one estimator of every real Monte Carlo oracle and the gate.
+``GaussianSample`` and ``GramReport`` are frozen records
+(``_record.Record``); a sample holds an array and compares by identity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import _np as np
+from ._record import Record
 from .errors import InputError, NumericError
 from .sequences import DecaySeq, FiniteSequence, require_positive
 
@@ -76,8 +78,7 @@ def chi(xi: FiniteSequence, cov: CovarianceSeq) -> float:
     return math.exp(-0.5 * inner(xi, xi, cov))
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianSample:
+class GaussianSample(Record, eq=False):
     """A truncated draw: independent N(0, rho_n) for n = 1..truncation."""
 
     truncation: int
@@ -223,8 +224,7 @@ def mc_moment(
     return mc_mean(prods)
 
 
-@dataclass(frozen=True)
-class GramReport:
+class GramReport(Record):
     min_eigenvalue: float
     psd: bool
     size: int

@@ -33,13 +33,13 @@ offending path.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import math
 import sys
 from typing import TYPE_CHECKING, Any, NamedTuple
 
+from ._record import Record
 from .errors import InputError
 
 if TYPE_CHECKING:
@@ -407,7 +407,10 @@ def encode_value(value: Any) -> Any:
             return encode_value(float(value))
         if isinstance(value, np.ndarray):
             return [encode_value(v) for v in value.tolist()]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    if isinstance(value, Record):
+        return {name: encode_value(getattr(value, name)) for name in value._fields}
+    dataclasses = sys.modules.get("dataclasses")  # nor a foreign dataclass without it
+    if dataclasses is not None and dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             field.name: encode_value(getattr(value, field.name))
             for field in dataclasses.fields(value)

@@ -18,16 +18,18 @@ business.  The support flag is exact for the closed forms and
 ``undecided`` for a table.  numpy loads at the first array the code
 builds, so ``at`` and ``regularity`` of a closed-form kernel never load
 it.
+The kernels, ``GridFunction`` and ``FourierQuadResult`` are frozen
+records (``_record.Record``).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Union
 
 from . import _np as np
+from ._record import Record
 from .errors import InputError, NumericError, require_tolerance
 
 __all__ = [
@@ -59,8 +61,7 @@ class KernelRegularity(str, enum.Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class WhiteNoise:
+class WhiteNoise(Record):
     """Covariance sigma * identity; kernel sigma * delta."""
 
     sigma: float
@@ -81,8 +82,7 @@ class WhiteNoise:
         return float(self.sigma * np.sum(f.weighted() * np.asarray(g.values)))
 
 
-@dataclass(frozen=True)
-class MassiveFree1D:
+class MassiveFree1D(Record):
     """Kernel exp(-m|x|)/(2m) of the inverse of (m^2 - d^2/dx^2)."""
 
     m: float
@@ -103,8 +103,7 @@ class MassiveFree1D:
         return _semiseparable_form(f.weighted(), g.weighted(), r) / (2.0 * self.m)
 
 
-@dataclass(frozen=True)
-class TabulatedKernel:
+class TabulatedKernel(Record):
     """Kernel values on a strictly increasing grid, interpolated linearly."""
 
     grid: tuple[float, ...]
@@ -147,8 +146,7 @@ class TabulatedKernel:
 KernelSpec = Union[WhiteNoise, MassiveFree1D, TabulatedKernel]
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(Record):
     """Values on the uniform grid x0 + i*dx, i = 0..count-1."""
 
     x0: float
@@ -181,8 +179,7 @@ class GridFunction:
         return self.trapezoid_weights() * np.asarray(self.values)
 
 
-@dataclass(frozen=True)
-class FourierQuadResult:
+class FourierQuadResult(Record):
     """Value of the truncated Fourier integral with a proved error bound."""
 
     value: float  # (1/2pi) int_{-A}^{A} cos(px)/(m^2 + p^2) dp by the panel rule

@@ -9,15 +9,18 @@ monotone limits of partial products.
 Borel sets richer than finite interval unions are deliberately not
 representable: interval unions give exact probabilities through 1-D
 distribution functions, which is all the downstream diagnostics need.
+
+Intervals, sets, component measures, tail rules and reports are frozen
+records (``_record.Record``): compared, hashed and printed by value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
 from . import _np as np
+from ._record import Record
 from .errors import InputError, NumericError, require_tolerance
 
 __all__ = [
@@ -54,8 +57,7 @@ _SQRT2 = math.sqrt(2.0)
 # intervals and cylinder sets
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """A closed interval [lo, hi]; either end may be infinite."""
 
     lo: float
@@ -99,8 +101,7 @@ def box_contains(inner: Box, outer: Box) -> bool:
 _FULL_BOX: Box = (Interval(-math.inf, math.inf),)
 
 
-@dataclass(frozen=True)
-class CylinderSet:
+class CylinderSet(Record):
     """Finitely many constrained coordinates, each to a union of intervals."""
 
     base: tuple[tuple[int, Box], ...] = ()
@@ -143,8 +144,7 @@ class CylinderSet:
 # one-dimensional component measures
 
 
-@dataclass(frozen=True)
-class Gaussian1D:
+class Gaussian1D(Record):
     """Centered Gaussian with variance rho."""
 
     rho: float
@@ -162,8 +162,7 @@ class Gaussian1D:
         return rng.standard_normal(size) * math.sqrt(self.rho)
 
 
-@dataclass(frozen=True)
-class Uniform1D:
+class Uniform1D(Record):
     """Uniform on [a, b]."""
 
     a: float
@@ -182,8 +181,7 @@ class Uniform1D:
         return rng.uniform(self.a, self.b, size)
 
 
-@dataclass(frozen=True)
-class PointMass1D:
+class PointMass1D(Record):
     """Unit mass at the point c (closed intervals contain their ends)."""
 
     c: float
@@ -207,8 +205,7 @@ def box_prob(component: Component1D, box: Box) -> float:
     return float(sum(component.interval_prob(iv) for iv in box))
 
 
-@dataclass(frozen=True)
-class ProductMeasureSpec:
+class ProductMeasureSpec(Record):
     """Assignment of a component measure to every coordinate.
 
     Either one component everywhere, or per-index overrides on top of a
@@ -262,8 +259,7 @@ def cylinder_measure(spec: ProductMeasureSpec, cyl: CylinderSet) -> float:
     return min(1.0, max(0.0, prob))
 
 
-@dataclass(frozen=True)
-class ProductLimitReport:
+class ProductLimitReport(Record):
     """Monotone-limit report for a countable product of factors <= 1."""
 
     value: float
@@ -276,16 +272,14 @@ DEFAULT_N_MAX_CLOSED_FORM = 10**6
 DEFAULT_N_MAX_TABULATED = 10**4
 
 
-@dataclass(frozen=True)
-class FullTail:
+class FullTail(Record):
     """All remaining factors are the whole line (probability 1)."""
 
     def limit(self, partial: float, n_max: int | None, tol: float) -> ProductLimitReport:
         return ProductLimitReport(partial, 0, True, "converged")
 
 
-@dataclass(frozen=True)
-class ConstantFactorTail:
+class ConstantFactorTail(Record):
     """Factor probability f for every remaining constraint."""
 
     f: float
@@ -298,8 +292,7 @@ class ConstantFactorTail:
         return ProductLimitReport(partial if self.f == 1.0 else 0.0, 0, True, "converged")
 
 
-@dataclass(frozen=True)
-class OneMinusGeometricTail:
+class OneMinusGeometricTail(Record):
     """Factor probabilities 1 - c*q**k, k = 1, 2, ..."""
 
     c: float
@@ -366,8 +359,7 @@ class OneMinusGeometricTail:
         return _underflow(product(hi), k + hi, count)
 
 
-@dataclass(frozen=True)
-class TabulatedTail:
+class TabulatedTail(Record):
     """Explicit factor list; constraints beyond the list are trivial."""
 
     factors: tuple[float, ...]
@@ -392,8 +384,7 @@ class TabulatedTail:
 TailRule = Union[FullTail, ConstantFactorTail, OneMinusGeometricTail, TabulatedTail]
 
 
-@dataclass(frozen=True)
-class TailConstraints:
+class TailConstraints(Record):
     """A finite explicit prefix of boxes plus a countable tail of factors."""
 
     prefix: CylinderSet = CylinderSet()
@@ -461,8 +452,7 @@ def countable_product_measure(
     return constraints.tail.limit(partial, n_max, tol)
 
 
-@dataclass(frozen=True)
-class IncreasingLimitReport:
+class IncreasingLimitReport(Record):
     """sup over an increasing chain: the last element's measure."""
 
     value: float
@@ -500,8 +490,7 @@ def increasing_limit(
 # marginal self-consistency
 
 
-@dataclass(frozen=True)
-class MarginalTable:
+class MarginalTable(Record):
     """A finite-dimensional box-measure table over an index set.
 
     Each cell pairs one box per index (aligned with ``indices``) with its
@@ -532,8 +521,7 @@ class MarginalTable:
         return out
 
 
-@dataclass(frozen=True)
-class ConsistencyResult:
+class ConsistencyResult(Record):
     consistent: bool
     violation: str | None = None
 

@@ -6,17 +6,18 @@ criterion; ``full`` adds the Monte Carlo oracle suite at production
 sample sizes.  The pytest acceptance module and the CLI ``selftest``
 subcommand both dispatch here, so there is exactly one definition of
 "passing".
+``CheckResult`` is a frozen record (``_record.Record``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from . import _np as np
 from . import bohr, gaussian, jsonio, kernels, measure_core, support, transform
+from ._record import Record
 from .seeding import derive_seed
 from .sequences import (
     Constant,
@@ -32,8 +33,7 @@ __all__ = ["CheckResult", "run_selftest", "CRITERIA", "DEFAULT_SEED"]
 DEFAULT_SEED = 20240901
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     criterion: str
     passed: bool
     detail: str

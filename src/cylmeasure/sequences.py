@@ -36,15 +36,18 @@ float equality, so no product of them can underflow to 0.
 ``Tabulated`` carries a finite table and no tail information; its
 ``atoms()`` raises ``UndecidableError``, so every series verdict refuses
 it (the CLI exits 2).
+
+``FiniteSequence`` and the decay classes are frozen records
+(``_record.Record``), compared and hashed by their fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from . import _np as np
+from ._record import Record
 from .errors import InputError, UndecidableError
 
 __all__ = [
@@ -67,8 +70,7 @@ __all__ = [
 # finitely supported sequences
 
 
-@dataclass(frozen=True)
-class FiniteSequence:
+class FiniteSequence(Record):
     """A real sequence over indices 1, 2, ... with finite support.
 
     Stored canonically: strictly increasing indices, no explicit zeros.
@@ -153,7 +155,7 @@ def _atom(q: float, alpha: float, k: float) -> tuple[Atom, ...]:
     return ((q, alpha, k),) if k != 0.0 else ()
 
 
-class _Decay:
+class _Decay(Record):
     """Index checks and ``first`` from the atoms, shared by the decay classes; n starts at 1."""
 
     def at(self, n: int) -> float:
@@ -183,7 +185,6 @@ class _Decay:
         return np.full(n_max, 0.0 if total is None else total)
 
 
-@dataclass(frozen=True)
 class Constant(_Decay):
     """s_n = value for every n."""
 
@@ -203,7 +204,6 @@ class Constant(_Decay):
         return _atom(1.0, 0.0, self.value)
 
 
-@dataclass(frozen=True)
 class PowerDecay(_Decay):
     """s_n = c * n**(-p) with p > 0."""
 
@@ -226,7 +226,6 @@ class PowerDecay(_Decay):
         return _atom(1.0, -self.p, self.c)
 
 
-@dataclass(frozen=True)
 class Geometric(_Decay):
     """s_n = c * q**n with 0 < q < 1."""
 
@@ -249,7 +248,6 @@ class Geometric(_Decay):
         return _atom(self.q, 0.0, self.c)
 
 
-@dataclass(frozen=True)
 class ConstantPlusPower(_Decay):
     """s_n = base + c * n**(-p) with base != 0, p > 0.
 
@@ -283,7 +281,6 @@ class ConstantPlusPower(_Decay):
         return ((1.0, 0.0, self.base), (1.0, -self.p, self.c))
 
 
-@dataclass(frozen=True)
 class Prefixed(_Decay):
     """Finitely many explicit values, then a closed-form tail.
 
@@ -322,7 +319,6 @@ class Prefixed(_Decay):
         return self.tail.atoms()
 
 
-@dataclass(frozen=True)
 class Tabulated(_Decay):
     """A finite table of values with *no* tail information.
 

@@ -8,16 +8,17 @@ independent a_n^2 x_n^2 with mean a_n^2 rho_n, so the weighted tail sum
 is almost surely finite or almost surely infinite with it.  Both checks
 are symbolic on decay classes; ``mc_tail_growth`` is the empirical
 cross-check that watches the partial sums themselves.
+Both reports are frozen records (``_record.Record``).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import _np as np
+from ._record import Record
 from .errors import InputError, NumericError
 from .sequences import DecaySeq, require_positive, summable
 
@@ -55,8 +56,7 @@ class Support(str, enum.Enum):
     NOT_SUPPORTED = "not-supported"
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(Record):
     """Verdict for the weighted subspace sum a_n^2 x_n^2 < infinity.
 
     ``series`` records the decision for sum a_n^2 rho_n.  ``partial_sums``
@@ -83,8 +83,7 @@ def weighted_support_check(cov: CovarianceSeq, a: DiagonalOperator) -> SupportRe
     return SupportReport(Support.NOT_SUPPORTED, "diverges")
 
 
-@dataclass(frozen=True)
-class TailGrowthReport:
+class TailGrowthReport(Record):
     """Empirical growth of S_N = sum_{n<=N} a_n^2 x_n^2 under sampling.
 
     ``kind`` is "slope" with the fitted linear rate when the mean partial

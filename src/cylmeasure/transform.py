@@ -18,6 +18,8 @@ Ergodicity under shifts needs no function: a Gaussian measure is ergodic
 under the shifts along a subspace of its Cameron-Martin space H exactly
 when that subspace is dense in H (Bogachev, Gaussian Measures, 1998), and
 every subspace of H that holds the finitely supported shifts is dense.
+
+``EquivalenceVerdict`` is a frozen record (``_record.Record``).
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import enum
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from . import _np as np
+from ._record import Record
 from .errors import InputError, NumericError
 from .sequences import (
     DecaySeq,
@@ -120,8 +122,7 @@ class Equivalence(str, enum.Enum):
     SINGULAR = "singular"
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
+class EquivalenceVerdict(Record):
     """Classification plus the evidence it rests on.
 
     ``ratio_inf``/``ratio_sup`` are the least and largest variance ratio

@@ -110,6 +110,13 @@ class TestIndependenceCheck:
         with pytest.raises(InputError):
             independence_check(FrequencySet((1.0,)), 0)
 
+    @pytest.mark.parametrize("bound", [2.5, True], ids=["2.5", "True"])
+    def test_bound_must_be_an_int(self, bound):
+        # 2.5 searched half-integer coefficients and missed the relation (2, -1);
+        # True was echoed back as the bound
+        with pytest.raises(InputError, match=r"^coefficient bound must be an integer, got "):
+            independence_check(FrequencySet((1.0, 2.0)), bound)
+
     @pytest.mark.parametrize(
         "freqs, bound", [((1e308, 1.5), 3), ((1.7e308, -8.5e307), 1)], ids=["3e308", "2.55e308"]
     )
@@ -203,6 +210,17 @@ class TestHaarIntegral:
     def test_scalar_integrand_is_refused(self, method):
         with pytest.raises(InputError, match=r"shape \(\d+,\), got \(\)"):
             haar_cylinder_integral(self.gamma2, lambda th: 1.0, method)
+
+    @pytest.mark.parametrize(
+        "make, what",
+        [(lambda: QuadratureMethod(3.5), "points per axis"),
+         (lambda: MCMethod(10.5, 1), "n_samples")],
+        ids=["quadrature", "mc"],
+    )
+    def test_method_counts_must_be_ints(self, make, what):
+        # a float count used to reach numpy as a shape and fail with a bare TypeError
+        with pytest.raises(InputError, match=rf"^{what} must be an integer, got "):
+            make()
 
     @pytest.mark.parametrize("points", [2, 3, 8, 10])
     @pytest.mark.parametrize("n_axes", [1, 2, 3, 4])

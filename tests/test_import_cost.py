@@ -18,11 +18,18 @@ package's lazy handle ``_np``, and a static check finds no other
 ``import numpy`` in the package.
 
 The package's own modules come next: ``import cylmeasure`` loads none of
-them, ``import cylmeasure.cli`` loads ``cli``, ``errors`` and ``jsonio``,
+them, ``import cylmeasure.cli`` loads ``cli``, ``errors``, ``jsonio`` and
+the record base ``_record``,
 and each of the twelve payload subcommands adds exactly the model modules
 its payload builder calls (``sequences`` and ``transform`` for a shift or
 equivalence question, ``gaussian`` for a moment, and so on).  Each call
 gets its own fresh interpreter, since loaded modules accumulate.
+
+``dataclasses`` takes about 4 ms to import, most of it ``inspect``, and
+the package's records derive from ``_record.Record`` instead.  A fresh
+interpreter checks that ``import cylmeasure.cli`` and the symbolic
+subcommands leave both unloaded, and a static check finds no
+module-level ``import dataclasses`` in the package.
 
 ``jsonio.SCHEMA`` names its constructors, and a kind's first read loads
 the module behind them: ``import cylmeasure.jsonio`` loads no model module
@@ -125,7 +132,7 @@ if len(sys.argv) > 1:  # with no argv, the modules of the import alone
 print(json.dumps([code, sorted(k for k in sys.modules if k.startswith("cylmeasure."))]))
 """
 
-CLI = {"cli", "errors", "jsonio"}
+CLI = {"_record", "cli", "errors", "jsonio"}
 CONST = '{"constant":{"rho":1}}'
 POWER = '{"power":{"c":1,"p":1}}'
 UNIFORM = '{"identical":{"uniform":{"a":0,"b":1}}}'
@@ -273,6 +280,31 @@ def test_symbolic_subcommands_leave_numpy_unloaded():
         assert (name, code, loaded) == (argv[0], 0, True)
 
 
+STDLIB_PROBE = """
+import contextlib, io, json, sys
+import cylmeasure.cli
+
+def loaded():
+    return sorted({"dataclasses", "inspect"} & set(sys.modules))
+
+report = [[None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        report.append([cylmeasure.cli.main(argv), loaded()])
+print(json.dumps(report))
+"""
+
+
+def test_symbolic_subcommands_leave_dataclasses_and_inspect_unloaded():
+    # one interpreter for every call: a module loaded by one call stays in
+    # sys.modules, so the first call that loads it shows in its row
+    proc = _run(STDLIB_PROBE, json.dumps([argv for argv, _ in SYMBOLIC] + REFUSED))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == (
+        [[None, []]] + [[0, []]] * len(SYMBOLIC) + [[2, []]] * len(REFUSED)
+    )
+
+
 def test_symbolic_subcommands_run_with_numpy_blocked():
     proc = _run(NUMPY_PROBE, "block", json.dumps([argv for argv, _ in SYMBOLIC]))
     assert proc.returncode == 0, proc.stderr
@@ -352,3 +384,30 @@ def test_numpy_is_imported_only_by_the_package_handle():
             if any(name == "numpy" or name.startswith("numpy.") for name in names):
                 imports.append((path.name, node.lineno))
     assert {name for name, _ in imports} == {"__init__.py"}, imports
+
+
+def _import_time_nodes(node):
+    """The nodes that run when the module is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def test_no_module_imports_dataclasses_at_import_time():
+    # the record base loads dataclasses only inside the functions that need
+    # it: raising FrozenInstanceError and answering dataclasses.fields
+    imports = []
+    paths = sorted((SRC / "cylmeasure").glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in _import_time_nodes(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if "dataclasses" in names:
+                imports.append((path.name, node.lineno))
+    assert imports == []
