@@ -168,6 +168,7 @@ def independence_check(gamma: FrequencySet, bound: int) -> IndependenceResult:
 
 def haar_sample_batch(gamma: FrequencySet, n_samples: int, seed: int) -> np.ndarray:
     """(n_samples, n) matrix of independent Haar draws."""
+    require_integer(n_samples, "n_samples")
     if n_samples < 1:
         raise InputError(f"need n_samples >= 1, got {n_samples}")
     if n_samples * gamma.n > MAX_MC_DRAWS:

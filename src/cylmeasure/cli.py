@@ -33,6 +33,8 @@ only what its subcommand runs.  ``shift-admissible``, ``hs-check``, ``chi``,
 (one point, a plain sum), ``support`` without ``--mc``, ``product``
 (a geometric tail in closed form, a table as a plain loop), ``kernel
 --at`` and ``kernel --regularity`` build no array and never load numpy.
+A mode that builds arrays loads numpy's core, plus ``numpy.random`` when
+it draws, and no other numpy subpackage.
 The four series verdicts refuse a tabulated series (exit 2) before any
 other work.
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_integer
 from .sequences import DecaySeq, FiniteSequence, require_positive
 
 __all__ = [
@@ -91,6 +91,8 @@ def draw_coordinates(
     cov: CovarianceSeq, n_coords: int, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n_samples, n_coords) matrix of independent centered Gaussians."""
+    require_integer(n_coords, "n_coords")
+    require_integer(n_samples, "n_samples")
     sd = np.sqrt(require_positive(cov, "covariance").first(n_coords))
     return rng.standard_normal((n_samples, n_coords)) * sd
 

@@ -17,7 +17,9 @@ usual O(dx^2) error model; smoothness of the inputs is the caller's
 business.  The support flag is exact for the closed forms and
 ``undecided`` for a table.  numpy loads at the first array the code
 builds, so ``at`` and ``regularity`` of a closed-form kernel never load
-it.
+it, and then only numpy's core: the 24-point Gauss-Legendre rule of the
+Fourier quadrature is a literal table, so no call imports
+``numpy.polynomial``.
 The kernels, ``GridFunction`` and ``FourierQuadResult`` are frozen
 records (``_record.Record``).
 """
@@ -199,10 +201,32 @@ _RHOS = (1.25, 1.5, 2.0, 2.5, 2.9, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0)
 _INFLATE = 1.0 + 2.0**-30
 
 
+# the _GAUSS_NODES-point Gauss-Legendre rule on [-1, 1]: its positive nodes
+# in increasing order and their weights, as numpy.polynomial.legendre.leggauss
+# gives them; that function symmetrises its output, so the other nodes are
+# the exact negatives of these and carry the same weights
+_GAUSS_HALF_NODES = (
+    0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+    0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+    0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
+)
+_GAUSS_HALF_WEIGHTS = (
+    0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+    0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+    0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
+)
+
+
+def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The rule's nodes on [-1, 1], in increasing order, and its weights."""
+    nodes, weights = np.array(_GAUSS_HALF_NODES), np.array(_GAUSS_HALF_WEIGHTS)
+    return np.concatenate((-nodes[::-1], nodes)), np.concatenate((weights[::-1], weights))
+
+
 def gauss_legendre_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights, each (panels, _GAUSS_NODES), of the Gauss-Legendre
     rule on every panel [edges[i], edges[i+1]]."""
-    s, w = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    s, w = _gauss_legendre_rule()
     half = 0.5 * np.diff(edges)[:, None]
     return edges[:-1, None] + half * (1.0 + s), half * w
 

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_tolerance
+from .errors import InputError, NumericError, require_integer, require_tolerance
 
 __all__ = [
     "Interval",
@@ -446,8 +446,10 @@ def countable_product_measure(
     decreasing-unconverged.
     """
     require_tolerance(tol)
-    if n_max is not None and n_max < 0:
-        raise InputError(f"n_max must be non-negative, got {n_max}")
+    if n_max is not None:
+        require_integer(n_max, "n_max")
+        if n_max < 0:
+            raise InputError(f"n_max must be non-negative, got {n_max}")
     partial = cylinder_measure(spec, constraints.prefix)
     return constraints.tail.limit(partial, n_max, tol)
 

@@ -7,7 +7,9 @@ exactly when sum a_n^2 rho_n converges — the coordinates contribute
 independent a_n^2 x_n^2 with mean a_n^2 rho_n, so the weighted tail sum
 is almost surely finite or almost surely infinite with it.  Both checks
 are symbolic on decay classes; ``mc_tail_growth`` is the empirical
-cross-check that watches the partial sums themselves.
+cross-check that watches the partial sums themselves.  It loads numpy's
+core and ``numpy.random`` only: its checkpoint counts are plain ints,
+not ``np.unique`` of an array, which would import ``numpy.ma``.
 Both reports are frozen records (``_record.Record``).
 """
 
@@ -19,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_integer
 from .sequences import DecaySeq, require_positive, summable
 
 if TYPE_CHECKING:
@@ -110,6 +112,15 @@ _GROWTH_RATIO = 1.5  # mean S_N / mean S_{N/2} above this counts as growing
 MAX_MC_DRAWS = 10**9
 
 
+def _checkpoint_marks(n_coords: int) -> list[int]:
+    """The coordinate counts k n_coords // _N_CHECKPOINTS, k = 1.._N_CHECKPOINTS.
+
+    For n_coords >= _N_CHECKPOINTS they are distinct and increasing, so they
+    equal np.unique of the same products, which would import numpy.ma.
+    """
+    return [k * n_coords // _N_CHECKPOINTS for k in range(1, _N_CHECKPOINTS + 1)]
+
+
 def mc_tail_growth(
     cov: CovarianceSeq,
     a: DiagonalOperator,
@@ -127,6 +138,8 @@ def mc_tail_growth(
     instance logarithmic) will read as a plateau at these depths; the
     checkpoint trace is returned so callers can look for themselves.
     """
+    require_integer(n_coords, "n_coords")
+    require_integer(n_samples, "n_samples")
     if n_coords < 100:
         raise InputError(f"need n_coords >= 100, got {n_coords}")
     if n_samples < 100:
@@ -141,7 +154,7 @@ def mc_tail_growth(
     from .gaussian import mc_mean
 
     rng = np.random.default_rng(seed)
-    marks = np.unique((np.arange(1, _N_CHECKPOINTS + 1) * n_coords) // _N_CHECKPOINTS)
+    marks = _checkpoint_marks(n_coords)
     with np.errstate(over="ignore", invalid="ignore"):
         weights = a.first(n_coords) ** 2 * cov.first(n_coords)
         if not np.isfinite(weights).all():  # refused before anything is drawn
@@ -167,7 +180,7 @@ def mc_tail_growth(
         final_se = math.inf
     if not (np.isfinite(means[-1]) and math.isfinite(final_se)):
         raise NumericError("the sampled partial sums of a_n^2 x_n^2 overflow")
-    checkpoints = tuple((int(m), float(means[m - 1])) for m in marks)
+    checkpoints = tuple((m, float(means[m - 1])) for m in marks)
     half = checkpoints[len(checkpoints) // 2 - 1][1]
     final = checkpoints[-1][1]
     kind, value = "plateau", final

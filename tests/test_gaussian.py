@@ -5,6 +5,7 @@ import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cylmeasure as cm
 from cylmeasure.errors import InputError, NumericError
 from cylmeasure.gaussian import (
     chi,
@@ -409,3 +410,26 @@ class TestPositiveTypeGram:
         points = [FiniteSequence(((i + 1, 1.0),)) for i in range(65)]
         with pytest.raises(InputError):
             positive_type_gram(lambda xi: 1.0, points)
+
+
+_COV = Constant(1.0)
+_TABLE_TAIL = cm.TailConstraints(tail=cm.TabulatedTail((0.5, 0.5)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cm.haar_sample_batch(cm.FrequencySet((1.0, 2.0)), 10.5, 1),
+    lambda: sample(_COV, 3.5, 1),
+    lambda: sample(_COV, True, 1),
+    lambda: draw_coordinates(_COV, 2, 10.5, np.random.default_rng(1)),
+    lambda: mc_moment(_COV, [E1, E1], 10.5, 1),
+    lambda: cm.countable_product_measure(
+        cm.ProductMeasureSpec(cm.Uniform1D(0.0, 1.0)), _TABLE_TAIL, n_max=1.5),
+    lambda: cm.mc_tail_growth(_COV, PowerDecay(1.0, 1.0), 100.5, 100, 1),
+    lambda: cm.mc_tail_growth(_COV, PowerDecay(1.0, 1.0), 100, 100.5, 1),
+], ids=["haar-sample-batch", "sample", "sample-bool", "draw-coordinates", "mc-moment",
+        "countable-product-tabulated", "mc-tail-growth-coords", "mc-tail-growth-samples"])
+def test_public_counts_refuse_a_non_integer(call):
+    # a float once failed with a bare TypeError from numpy or a slice, and
+    # a bool was read as 1
+    with pytest.raises(InputError, match="must be an integer"):
+        call()

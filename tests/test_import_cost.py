@@ -17,6 +17,14 @@ and a second one runs the symbolic subcommands with numpy blocked.  Every module
 package's lazy handle ``_np``, and a static check finds no other
 ``import numpy`` in the package.
 
+A call that does build arrays loads numpy's core and nothing more:
+beyond the modules of a bare ``import numpy``, each numpy mode (``sample``,
+``moment --mc-samples``, ``support --mc`` with a plateau and with a slope,
+``kernel --fourier``, ``--bilinear`` and ``--at`` on a table, the four
+``bohr`` modes and the quick selftest) adds none, or only
+``numpy.random`` when it draws.  ``np.unique`` would add ``numpy.ma`` and
+``leggauss`` ``numpy.polynomial``, so the package uses neither.
+
 The package's own modules come next: ``import cylmeasure`` loads none of
 them, ``import cylmeasure.cli`` loads ``cli``, ``errors``, ``jsonio`` and
 the record base ``_record``,
@@ -125,11 +133,16 @@ def test_numeric_paths_run_with_scipy_blocked():
 LOADED = """
 import contextlib, io, json, sys
 import cylmeasure.cli
-code = None
+code, buf = None, io.StringIO()
 if len(sys.argv) > 1:  # with no argv, the modules of the import alone
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(buf):
         code = cylmeasure.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(k for k in sys.modules if k.startswith("cylmeasure."))]))
+print(json.dumps([
+    code,
+    sorted(k for k in sys.modules if k.startswith("cylmeasure.")),
+    sorted(k for k in sys.modules if k == "numpy" or k.startswith("numpy.")),
+    buf.getvalue(),
+]))
 """
 
 CLI = {"_record", "cli", "errors", "jsonio"}
@@ -175,9 +188,63 @@ MODULE_SETS = [
 def test_subcommand_loads_only_the_modules_it_runs(argv, loads):
     proc = _run(LOADED, *argv)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
+    code, modules, _, _ = json.loads(proc.stdout)
     assert code == (0 if argv else None)
     assert {m.removeprefix("cylmeasure.") for m in modules} == CLI | loads
+
+
+BARE_NUMPY = """
+import json, sys
+import numpy
+print(json.dumps(sorted(k for k in sys.modules if k == "numpy" or k.startswith("numpy."))))
+"""
+
+TABLE_KERNEL = '{"tabulated":{"grid":[-1,0,1],"values":[0,1,0]}}'
+BUMP = '{"x0":-1,"dx":0.5,"count":5,"values":[0,1,1,1,0]}'
+FREQS = ("bohr", "--freqs", "1.0,1.4142135623730951")
+
+# (id, argv, whether the mode draws): every mode that builds an array
+NUMPY_MODES = [
+    ("sample", ("sample", "--cov", CONST, "--n", "4", "--seed", "1"), True),
+    ("moment-mc", ("moment", "--cov", CONST, "--vectors", "e1,e1", "--mc-samples", "10",
+                   "--seed", "1"), True),
+    ("support-mc-plateau", ("support", "--cov", CONST, "--weights", POWER, "--mc", "1000",
+                            "100", "--seed", "1"), True),
+    # a slope runs np.polyfit on the second half of the checkpoints
+    ("support-mc-slope", ("support", "--cov", CONST, "--weights", CONST, "--mc", "1000",
+                          "100", "--seed", "1"), True),
+    ("kernel-fourier", ("kernel", "--fourier", "1", "0.5"), False),
+    ("kernel-bilinear", ("kernel", "--spec", MASSIVE, "--bilinear", BUMP, BUMP), False),
+    ("kernel-at-tabulated", ("kernel", "--spec", TABLE_KERNEL, "--at", "0.5"), False),
+    ("bohr-check-independence", (*FREQS, "--check-independence", "10"), False),
+    ("bohr-sample", (*FREQS, "--sample", "--seed", "1"), True),
+    ("bohr-integral", (*FREQS, "--integral", "cos:1,1"), False),
+    ("bohr-mc", (*FREQS, "--integral", "cos:1,1", "--mc", "100", "--seed", "1"), True),
+    ("selftest-quick", ("selftest", "--level", "quick"), True),
+]
+
+
+@pytest.fixture(scope="module")
+def bare_numpy():
+    proc = _run(BARE_NUMPY)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("name, argv, draws", NUMPY_MODES, ids=[case[0] for case in NUMPY_MODES])
+def test_numpy_mode_loads_only_numpys_core(bare_numpy, name, argv, draws):
+    # beyond a bare `import numpy`, a mode loads nothing, or numpy.random
+    # when it draws; np.unique would add numpy.ma and leggauss
+    # numpy.polynomial
+    proc = _run(LOADED, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, _, numpy_modules, out = json.loads(proc.stdout)
+    assert code == 0, out
+    extra = set(numpy_modules) - bare_numpy
+    assert {m for m in extra if not m.startswith("numpy.random")} == set()
+    assert ("numpy.random" in extra) is draws
+    if name.startswith("support-mc-"):
+        assert json.loads(out)["payload"]["mc"]["kind"] == name.removeprefix("support-mc-")
 
 
 EXPORTS = """

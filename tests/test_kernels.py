@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cylmeasure import cli, jsonio
+from cylmeasure import cli, jsonio, kernels
 from cylmeasure.errors import InputError, NumericError
 from cylmeasure.kernels import (
     GridFunction,
@@ -148,6 +148,41 @@ class TestFourierQuadrature:
     def test_node_budget_is_checked_before_allocation(self):
         with pytest.raises(NumericError, match="exceed the budget"):
             kernel_fourier_quadrature(1e-3, 1e12)
+
+
+class TestGaussLegendreTable:
+    """The 24-point rule is a literal table, checked here against
+    ``numpy.polynomial.legendre.leggauss`` and the exact moments of [-1, 1]."""
+
+    def test_rule_is_exactly_symmetric(self):
+        nodes, weights = kernels._gauss_legendre_rule()
+        assert nodes.shape == weights.shape == (24,)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        assert (np.diff(nodes) > 0).all() and (weights > 0).all()
+
+    def test_rule_matches_leggauss(self):
+        # a tolerance, not equality: another numpy or LAPACK build may
+        # differ from the one the table was read from in the last bit
+        nodes, weights = kernels._gauss_legendre_rule()
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(24)
+        np.testing.assert_array_max_ulp(nodes, want_nodes, maxulp=4)
+        np.testing.assert_array_max_ulp(weights, want_weights, maxulp=4)
+
+    @pytest.mark.parametrize("k", range(48))
+    def test_rule_integrates_monomials_to_degree_47(self, k):
+        # leggauss's weights, kept for byte-identical values, sit up to about
+        # 1.1e3 ulps off the exact Gauss weights (the outermost one), so the
+        # even moments agree to about 2^-44 of sum |w t^k|; odd terms cancel
+        # in pairs, exactly
+        nodes, weights = kernels._gauss_legendre_rule()
+        terms = [w * t**k for t, w in zip(nodes.tolist(), weights.tolist())]
+        got = math.fsum(terms)
+        if k % 2:
+            assert got == 0.0
+        else:
+            bound = 2.0**-42 * math.fsum(map(abs, terms))
+            assert abs(Fraction(got) - Fraction(2, k + 1)) <= bound
 
 
 class TestCovarianceBilinear:

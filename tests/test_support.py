@@ -11,6 +11,7 @@ from cylmeasure.sequences import (
     Prefixed,
     Tabulated,
 )
+from cylmeasure import support
 from cylmeasure.support import (
     Support,
     TailGrowthReport,
@@ -223,6 +224,16 @@ class TestMcTailGrowth:
         assert [m for m, _ in report.checkpoints] == [m for m, _ in expected.checkpoints]
         for (_, got), (_, want) in zip(report.checkpoints, expected.checkpoints):
             assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_checkpoint_marks_match_np_unique(self):
+        # the marks are plain ints, without np.unique (which imports numpy.ma)
+        for n_coords in range(100, 2001):
+            want = np.unique((np.arange(1, 17) * n_coords) // 16).tolist()
+            assert support._checkpoint_marks(n_coords) == want, n_coords
+        report = mc_tail_growth(Constant(1.0), Constant(1.0), 1234, 100, seed=5)
+        marks = [m for m, _ in report.checkpoints]
+        assert marks == support._checkpoint_marks(1234)
+        assert all(type(m) is int for m in marks)
 
     def test_input_floors(self):
         with pytest.raises(InputError):
