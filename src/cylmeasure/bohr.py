@@ -23,7 +23,7 @@ from typing import Callable, Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_integer
+from .errors import InputError, NumericError, require_count
 
 __all__ = [
     "FrequencySet",
@@ -114,9 +114,7 @@ def independence_check(gamma: FrequencySet, bound: int) -> IndependenceResult:
     of the rest, so only pairs whose total lies within the tolerance
     window are tested, at about (2*bound+1)^ceil(n/2) * log cost.
     """
-    require_integer(bound, "coefficient bound")
-    if bound < 1:
-        raise InputError(f"coefficient bound must be >= 1, got {bound}")
+    require_count(bound, "coefficient bound", 1)
     n = gamma.n
     width = 2 * bound + 1
     if width**n > SEARCH_BUDGET:
@@ -168,9 +166,7 @@ def independence_check(gamma: FrequencySet, bound: int) -> IndependenceResult:
 
 def haar_sample_batch(gamma: FrequencySet, n_samples: int, seed: int) -> np.ndarray:
     """(n_samples, n) matrix of independent Haar draws."""
-    require_integer(n_samples, "n_samples")
-    if n_samples < 1:
-        raise InputError(f"need n_samples >= 1, got {n_samples}")
+    require_count(n_samples, "n_samples", 1)
     if n_samples * gamma.n > MAX_MC_DRAWS:
         raise InputError(
             f"{n_samples} samples x {gamma.n} phases exceed the budget of {MAX_MC_DRAWS} draws"
@@ -233,9 +229,7 @@ class QuadratureMethod(Record):
     points_per_axis: int = 16
 
     def __post_init__(self):
-        require_integer(self.points_per_axis, "points per axis")
-        if self.points_per_axis < 2:
-            raise InputError("quadrature needs at least 2 points per axis")
+        require_count(self.points_per_axis, "points per axis", 2)
 
     def integrate(self, gamma: FrequencySet, f: Callable) -> HaarIntegralResult:
         if gamma.n > QUADRATURE_MAX_AXES:
@@ -261,9 +255,7 @@ class MCMethod(Record):
     seed: int
 
     def __post_init__(self):
-        require_integer(self.n_samples, "n_samples")
-        if self.n_samples < 2:
-            raise InputError(f"need n_samples >= 2, got {self.n_samples}")
+        require_count(self.n_samples, "n_samples", 2)
 
     def integrate(self, gamma: FrequencySet, f: Callable) -> HaarIntegralResult:
         points = haar_sample_batch(gamma, self.n_samples, self.seed)

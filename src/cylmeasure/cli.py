@@ -41,7 +41,8 @@ other work.
 Exit codes: 0 success, 2 input error (schema violations name the
 offending key), 3 numeric failure (a tolerance that could not be
 reached, or a result that is not finite).  A failing selftest exits 1
-naming the first failed criterion.
+naming the first failed criterion; so does a call whose reader closed
+stdout early, quietly.
 
 Payload determinism contract: the ``payload`` object is serialized
 canonically (sorted keys, no volatile fields), so identical invocations
@@ -57,6 +58,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import time
 from typing import TYPE_CHECKING, Any
@@ -440,7 +442,7 @@ _SEED = {"type": _seed, "help": "non-negative 64-bit seed"}
 # name -> (help, payload builder, options as (flag, kind, add_argument keywords)).
 # An option's kind is the SCHEMA kind of its JSON document, its own reader (a
 # function from the argument to its value and echo), or None for an argparse value.
-# Every subcommand also takes --out; selftest prints a report, not a payload.
+# Every subcommand but selftest, which prints a report, also takes --out.
 SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, Any, dict], ...]]] = {
     "sample": ("draw a truncated gaussian sample", _payload_sample, (
         ("--cov", "decay", {"required": True}),
@@ -591,11 +593,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Desk-scale measure theory on sequence spaces.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, _, options) in SUBCOMMANDS.items():
+    for name, (help_text, builder, options) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, _, keywords in options:
             p.add_argument(flag, **keywords)
-        p.add_argument("--out", choices=("json", "csv"), default="json")
+        if builder is not None:
+            p.add_argument("--out", choices=("json", "csv"), default="json")
     return parser
 
 
@@ -623,7 +626,13 @@ def main(argv: list[str] | None = None) -> int:
             return _run_selftest(args)
         envelope = build_envelope(args)
         print(_emit(envelope, args.out))
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
         return 0
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered nowhere, so the
+        # flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -39,7 +39,22 @@ def require_tolerance(tol: float) -> None:
         raise InputError(f"tolerance must be positive and finite, got {tol}")
 
 
-def require_integer(value, what: str) -> None:
-    """Refuse a count or bound that is not an ``int``; a ``bool`` is refused too."""
+def require_count(value, what: str, least: int = 0) -> None:
+    """Refuse a count or bound that is not an ``int`` (a ``bool`` is refused
+    too) or is below ``least``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise InputError(f"{what} must be >= {least}, got {value}")
+
+
+def require_indices(indices, what: str) -> None:
+    """Refuse an index that is not a natural >= 1 (an ``int``, not a ``bool``)
+    or that repeats."""
+    seen = set()
+    for i in indices:
+        if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+            raise InputError(f"{what} must be a natural >= 1, got {i!r}")
+        if i in seen:
+            raise InputError(f"duplicate {what} {i}")
+        seen.add(i)

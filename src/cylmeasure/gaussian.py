@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_integer
+from .errors import InputError, NumericError, require_count
 from .sequences import DecaySeq, FiniteSequence, require_positive
 
 __all__ = [
@@ -91,16 +91,15 @@ def draw_coordinates(
     cov: CovarianceSeq, n_coords: int, n_samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n_samples, n_coords) matrix of independent centered Gaussians."""
-    require_integer(n_coords, "n_coords")
-    require_integer(n_samples, "n_samples")
+    require_count(n_coords, "n_coords", 1)
+    require_count(n_samples, "n_samples")
     sd = np.sqrt(require_positive(cov, "covariance").first(n_coords))
     return rng.standard_normal((n_samples, n_coords)) * sd
 
 
 def sample(cov: CovarianceSeq, n_coords: int, seed: int) -> GaussianSample:
     """One truncated sample, reproducible from (seed, n_coords, cov)."""
-    if n_coords < 1:
-        raise InputError(f"need a truncation >= 1, got {n_coords}")
+    require_count(n_coords, "truncation", 1)
     if n_coords > MAX_SAMPLE_COORDS:
         raise InputError(
             f"truncation {n_coords} exceeds the budget of {MAX_SAMPLE_COORDS} coordinates"
@@ -117,7 +116,8 @@ def pairings(two_n: int, cap: int = PAIRING_CAP) -> list[Pairing]:
     the list enumerates the smallest free label against each partner in
     increasing order, recursively.  There are (two_n - 1)!! of them.
     """
-    if two_n < 0 or two_n % 2 != 0:
+    require_count(two_n, "label count")
+    if two_n % 2 != 0:
         raise InputError(f"pairings are defined for even nonnegative counts, got {two_n}")
     if two_n > cap:
         raise InputError(f"{two_n} labels exceed the pairing cap {cap}")

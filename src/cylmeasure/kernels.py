@@ -32,7 +32,7 @@ from typing import Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_tolerance
+from .errors import InputError, NumericError, require_count, require_tolerance
 
 __all__ = [
     "WhiteNoise",
@@ -158,8 +158,7 @@ class GridFunction(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.count < 2:
-            raise InputError(f"grid needs count >= 2, got {self.count}")
+        require_count(self.count, "grid count", 2)
         if not (self.dx > 0 and math.isfinite(self.dx)):
             raise InputError(f"grid needs dx > 0, got {self.dx}")
         if len(self.values) != self.count:

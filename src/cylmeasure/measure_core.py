@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_integer, require_tolerance
+from .errors import InputError, NumericError, require_count, require_indices, require_tolerance
 
 __all__ = [
     "Interval",
@@ -107,16 +107,9 @@ class CylinderSet(Record):
     base: tuple[tuple[int, Box], ...] = ()
 
     def __post_init__(self):
-        seen = set()
-        canonical = []
-        for index, box in self.base:
-            if not isinstance(index, int) or index < 1:
-                raise InputError(f"cylinder index must be a natural >= 1, got {index!r}")
-            if index in seen:
-                raise InputError(f"duplicate cylinder index {index}")
-            seen.add(index)
-            canonical.append((index, normalize_box(tuple(box))))
-        object.__setattr__(self, "base", tuple(sorted(canonical)))
+        require_indices([index for index, _ in self.base], "cylinder index")
+        canonical = sorted((index, normalize_box(tuple(box))) for index, box in self.base)
+        object.__setattr__(self, "base", tuple(canonical))
 
     @classmethod
     def from_boxes(cls, boxes: Mapping[int, Sequence[tuple[float, float]]]) -> "CylinderSet":
@@ -216,13 +209,7 @@ class ProductMeasureSpec(Record):
     overrides: tuple[tuple[int, Component1D], ...] = ()
 
     def __post_init__(self):
-        seen = set()
-        for idx, _ in self.overrides:
-            if not isinstance(idx, int) or idx < 1:
-                raise InputError(f"override index must be a natural >= 1, got {idx!r}")
-            if idx in seen:
-                raise InputError(f"duplicate override index {idx}")
-            seen.add(idx)
+        require_indices([idx for idx, _ in self.overrides], "override index")
         object.__setattr__(self, "overrides", tuple(sorted(self.overrides)))
 
     @classmethod
@@ -447,9 +434,7 @@ def countable_product_measure(
     """
     require_tolerance(tol)
     if n_max is not None:
-        require_integer(n_max, "n_max")
-        if n_max < 0:
-            raise InputError(f"n_max must be non-negative, got {n_max}")
+        require_count(n_max, "n_max")
     partial = cylinder_measure(spec, constraints.prefix)
     return constraints.tail.limit(partial, n_max, tol)
 
@@ -503,8 +488,9 @@ class MarginalTable(Record):
     cells: tuple[tuple[tuple[Box, ...], float], ...]
 
     def __post_init__(self):
-        if len(set(self.indices)) != len(self.indices):
-            raise InputError("marginal table has duplicate indices")
+        if not self.indices:
+            raise InputError("marginal table needs at least one index")
+        require_indices(self.indices, "marginal table index")
         first: dict[tuple[Box, ...], int] = {}
         for j, (boxes, _) in enumerate(self.cells):
             if len(boxes) != len(self.indices):
@@ -581,8 +567,7 @@ class ProductSampler:
     """Seedable sampler for the first ``n_coords`` coordinates of a spec."""
 
     def __init__(self, spec: ProductMeasureSpec, n_coords: int):
-        if n_coords < 1:
-            raise InputError(f"need n_coords >= 1, got {n_coords}")
+        require_count(n_coords, "n_coords", 1)
         self.spec = spec
         self.n_coords = n_coords
 
@@ -607,8 +592,7 @@ def pushforward_integral_mc(
     exercises both routes.  ``phi`` maps an (M, N) sample block to (M, K)
     and ``f`` maps (M, K) to (M,).  Returns (estimate, standard error).
     """
-    if n_samples < 2:
-        raise InputError(f"need n_samples >= 2, got {n_samples}")
+    require_count(n_samples, "n_samples", 2)
     rng = np.random.default_rng(seed)
     x = sampler.draw(rng, n_samples)
     u = np.asarray(phi(x))

@@ -48,7 +48,7 @@ from typing import Iterable, Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, UndecidableError
+from .errors import InputError, UndecidableError, require_count, require_indices
 
 __all__ = [
     "FiniteSequence",
@@ -80,13 +80,8 @@ class FiniteSequence(Record):
     entries: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self):
-        seen = set()
+        require_indices([idx for idx, _ in self.entries], "sequence index")
         for idx, val in self.entries:
-            if not isinstance(idx, int) or idx < 1:
-                raise InputError(f"sequence index must be a natural >= 1, got {idx!r}")
-            if idx in seen:
-                raise InputError(f"duplicate sequence index {idx}")
-            seen.add(idx)
             if not math.isfinite(val):
                 raise InputError(f"sequence value at index {idx} is not finite")
         canonical = tuple(sorted((i, float(v)) for i, v in self.entries if v != 0.0))
@@ -169,8 +164,7 @@ class _Decay(Record):
 
     def first(self, n_max: int) -> np.ndarray:
         """Entries s_1..s_{n_max} as a dense vector."""
-        if n_max < 1:
-            raise InputError(f"need n_max >= 1, got {n_max}")
+        require_count(n_max, "n_max", 1)
         return self._first(n_max)
 
     def _first(self, n_max: int) -> np.ndarray:

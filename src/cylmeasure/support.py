@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_integer
+from .errors import InputError, NumericError, require_count
 from .sequences import DecaySeq, require_positive, summable
 
 if TYPE_CHECKING:
@@ -138,12 +138,8 @@ def mc_tail_growth(
     instance logarithmic) will read as a plateau at these depths; the
     checkpoint trace is returned so callers can look for themselves.
     """
-    require_integer(n_coords, "n_coords")
-    require_integer(n_samples, "n_samples")
-    if n_coords < 100:
-        raise InputError(f"need n_coords >= 100, got {n_coords}")
-    if n_samples < 100:
-        raise InputError(f"need n_samples >= 100, got {n_samples}")
+    require_count(n_coords, "n_coords", 100)
+    require_count(n_samples, "n_samples", 100)
     if n_coords * n_samples > MAX_MC_DRAWS:
         raise InputError(
             f"{n_coords} coordinates x {n_samples} samples exceed "

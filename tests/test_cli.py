@@ -2,8 +2,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -312,7 +315,7 @@ class TestCliSubcommands:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("input error:") and "n_max must be non-negative" in err
+        assert err.startswith("input error:") and "n_max must be >= 0, got -3" in err
 
     def test_consistency_subcommand(self, capsys):
         doc = json.dumps(
@@ -514,6 +517,28 @@ class TestCliContracts:
         code, out, _ = run_cli(capsys, "selftest", "--level", "quick", "--seed", "7")
         assert code == 0
         assert out.count("[PASS]") == 11
+
+    def test_selftest_refuses_out(self, capsys):
+        # --out was once accepted on selftest and ignored
+        code, out, err = run_cli(capsys, "selftest", "--out", "csv")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --out csv" in err
+
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        # a reader that stops early, as `| head -c 100` does; the envelope is
+        # megabytes, so the writer is still writing when the pipe closes
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cylmeasure", "sample", "--cov", '{"constant":{"rho":1}}',
+             "--n", "200000", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=300) == 1
+        assert "Traceback" not in err, err
 
     def test_file_input_via_at_path(self, capsys, tmp_path):
         path = tmp_path / "cov.json"

@@ -426,8 +426,17 @@ _TABLE_TAIL = cm.TailConstraints(tail=cm.TabulatedTail((0.5, 0.5)))
         cm.ProductMeasureSpec(cm.Uniform1D(0.0, 1.0)), _TABLE_TAIL, n_max=1.5),
     lambda: cm.mc_tail_growth(_COV, PowerDecay(1.0, 1.0), 100.5, 100, 1),
     lambda: cm.mc_tail_growth(_COV, PowerDecay(1.0, 1.0), 100, 100.5, 1),
+    lambda: pairings(4.0),
+    lambda: _COV.first(2.5),
+    lambda: _COV.first(np.int64(3)),
+    lambda: cm.ProductSampler(cm.ProductMeasureSpec(cm.Gaussian1D(1.0)), 2.5),
+    lambda: cm.pushforward_integral_mc(
+        cm.ProductSampler(cm.ProductMeasureSpec(cm.Gaussian1D(1.0)), 1),
+        lambda x: x, lambda u: u[:, 0], 10.5, 1),
+    lambda: cm.GridFunction(0.0, 0.1, 2.0, (1.0, 2.0)),
 ], ids=["haar-sample-batch", "sample", "sample-bool", "draw-coordinates", "mc-moment",
-        "countable-product-tabulated", "mc-tail-growth-coords", "mc-tail-growth-samples"])
+        "countable-product-tabulated", "mc-tail-growth-coords", "mc-tail-growth-samples",
+        "pairings", "first", "first-numpy", "product-sampler", "pushforward", "grid-count"])
 def test_public_counts_refuse_a_non_integer(call):
     # a float once failed with a bare TypeError from numpy or a slice, and
     # a bool was read as 1

@@ -262,7 +262,7 @@ class TestProductBlockScan:
 
     def test_negative_n_max_is_rejected(self):
         constraints = TailConstraints(prefix=HALF_BOX, tail=ConstantFactorTail(0.5))
-        with pytest.raises(InputError, match="n_max must be non-negative, got -3"):
+        with pytest.raises(InputError, match="n_max must be >= 0, got -3"):
             countable_product_measure(UNIFORM, constraints, n_max=-3)
 
     def test_table_longer_than_n_max(self):
@@ -490,6 +490,13 @@ def product_tables(spec, partitions):
     return tables
 
 
+def interval_box(lo, hi):
+    return normalize_box((Interval(lo, hi),))
+
+
+REAL_LINE = interval_box(-math.inf, math.inf)
+
+
 class TestConsistency:
     def setup_method(self):
         self.spec = ProductMeasureSpec.identical(Gaussian1D(1.0))
@@ -527,6 +534,27 @@ class TestConsistency:
         t2 = MarginalTable((2,), (((p2[0],), 0.8), ((p2[1],), 0.2)))
         with pytest.raises(InputError, match="chain"):
             consistency_check([t1, t2])
+
+    # two families that are inconsistent under any reading of their cells: one
+    # table puts mass on [2, 3] in coordinate 1, the other puts none there
+    def test_cell_missing_from_the_marginal_is_reported(self):
+        small = MarginalTable((1,), (((interval_box(2, 3),), 0.1), ((interval_box(0, 1),), 0.9)))
+        large = MarginalTable((1, 2), (((interval_box(0, 1), REAL_LINE), 1.0),))
+        res = consistency_check([small, large])
+        assert not res.consistent
+        assert res.violation.endswith("of table (1,) missing from marginalized table (1, 2)")
+        assert "2.0" in res.violation and "3.0" in res.violation
+
+    def test_extra_marginal_mass_is_reported(self):
+        small = MarginalTable((1,), (((interval_box(0, 1),), 0.9),))
+        large = MarginalTable(
+            (1, 2),
+            (((interval_box(0, 1), REAL_LINE), 0.9), ((interval_box(2, 3), REAL_LINE), 0.1)),
+        )
+        res = consistency_check([small, large])
+        assert not res.consistent
+        assert res.violation.startswith("marginalized table (1, 2) carries extra mass 0.1 on cell")
+        assert res.violation.endswith("absent from table (1,)")
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, tol):
