@@ -23,7 +23,7 @@ from typing import Callable, Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_count
+from .errors import InputError, NumericError, require_budget, require_count
 
 __all__ = [
     "FrequencySet",
@@ -36,6 +36,7 @@ __all__ = [
     "haar_cylinder_integral",
     "SEARCH_BUDGET",
     "MAX_MC_DRAWS",
+    "QUADRATURE_MAX_AXES",
     "MAX_QUAD_NODES",
 ]
 
@@ -116,12 +117,7 @@ def independence_check(gamma: FrequencySet, bound: int) -> IndependenceResult:
     """
     require_count(bound, "coefficient bound", 1)
     n = gamma.n
-    width = 2 * bound + 1
-    if width**n > SEARCH_BUDGET:
-        raise InputError(
-            f"search space {width}^{n} exceeds the budget {SEARCH_BUDGET}; "
-            "use a smaller coefficient bound"
-        )
+    require_budget((2 * bound + 1) ** n, SEARCH_BUDGET, "search space")
     if n == 1:
         # m * k = 0 with k != 0 forces m = 0
         return IndependenceResult(True, bound)
@@ -167,19 +163,17 @@ def independence_check(gamma: FrequencySet, bound: int) -> IndependenceResult:
 def haar_sample_batch(gamma: FrequencySet, n_samples: int, seed: int) -> np.ndarray:
     """(n_samples, n) matrix of independent Haar draws."""
     require_count(n_samples, "n_samples", 1)
-    if n_samples * gamma.n > MAX_MC_DRAWS:
-        raise InputError(
-            f"{n_samples} samples x {gamma.n} phases exceed the budget of {MAX_MC_DRAWS} draws"
-        )
+    require_budget(n_samples * gamma.n, MAX_MC_DRAWS, "samples x phases")
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 2.0 * math.pi, (n_samples, gamma.n))
 
 
 QUADRATURE_MAX_AXES = 4
 
-# phases held by one Monte Carlo integral (samples x axes), and nodes of
-# the finer quadrature grid, (2 * points_per_axis)^n; the default 16
-# points on 4 axes is 2^20 nodes
+# phases one Monte Carlo integral holds at once (samples x axes), where
+# support.MAX_MC_DRAWS bounds the time of a tail-growth run that draws in
+# chunks; and nodes of the finer quadrature grid, (2 * points_per_axis)^n,
+# where the default 16 points on 4 axes is 2^20 nodes
 MAX_MC_DRAWS = 10**7
 MAX_QUAD_NODES = 2**21
 
@@ -232,17 +226,8 @@ class QuadratureMethod(Record):
         require_count(self.points_per_axis, "points per axis", 2)
 
     def integrate(self, gamma: FrequencySet, f: Callable) -> HaarIntegralResult:
-        if gamma.n > QUADRATURE_MAX_AXES:
-            raise InputError(
-                f"quadrature supports up to {QUADRATURE_MAX_AXES} axes, got {gamma.n}; "
-                "use Monte Carlo"
-            )
-        nodes = (2 * self.points_per_axis) ** gamma.n
-        if nodes > MAX_QUAD_NODES:
-            raise InputError(
-                f"{2 * self.points_per_axis}^{gamma.n} quadrature nodes exceed "
-                f"the budget of {MAX_QUAD_NODES}"
-            )
+        require_budget(gamma.n, QUADRATURE_MAX_AXES, "quadrature axes")
+        require_budget((2 * self.points_per_axis) ** gamma.n, MAX_QUAD_NODES, "quadrature nodes")
         fine, coarse = _grid_means(f, gamma.n, self.points_per_axis)
         bound = abs(fine - coarse) + 1e-14
         return HaarIntegralResult(fine, bound, f"quadrature({self.points_per_axis}x2)")

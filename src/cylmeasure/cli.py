@@ -2,7 +2,7 @@
 
 Inputs are strict RFC 8259 JSON documents, inline or ``@path``, whose
 objects name each key once; a number given as an argument is plain ASCII
-without ``_``.  Every
+without ``_``, and an option is spelled in full (no prefix is read).  Every
 stochastic mode requires an explicit non-negative ``--seed`` and its
 result envelope carries (estimate, standard error, n_samples, seed).
 Output is a strict JSON envelope; ``--out csv`` emits tabular traces for
@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, Any
 
 from . import _np as np
 from . import jsonio
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_budget
 
 if TYPE_CHECKING:
     from . import bohr
@@ -217,11 +217,8 @@ def _payload_moment(mode, values) -> tuple[dict, list[str]]:
     dim = max((v.max_index for v in vectors), default=1)
     if n_samples < 2:
         raise InputError(f"--mc-samples needs at least 2 samples, got {n_samples}")
-    if n_samples * (dim + len(vectors)) > _lib.gaussian.MAX_MC_VALUES:
-        raise InputError(
-            f"{n_samples} samples x ({dim} coordinates + {len(vectors)} factors) "
-            f"exceed the budget of {_lib.gaussian.MAX_MC_VALUES} values"
-        )
+    require_budget(n_samples * (dim + len(vectors)), _lib.gaussian.MAX_MC_VALUES,
+                   "samples x (coordinates + factors)")
     estimate, standard_error = _lib.mc_moment(cov, vectors, n_samples, seed)
     payload["mc"] = {"estimate": estimate, "standard_error": standard_error,
                      "n_samples": n_samples, "seed": seed}
@@ -351,8 +348,10 @@ def build_envelope(args) -> dict:
     start = time.perf_counter()
     values: dict[str, Any] = {}
     inputs: dict[str, Any] = {}
-    for dest, read in options:  # an option left at None is not read
+    for dest, read, default in options:  # an option unset and without a default is not read
         raw = getattr(args, dest)
+        if raw is None:
+            raw = default
         if raw is not None:
             values[dest], inputs[dest] = read(raw)
     payload, provenance = SUBCOMMANDS[args.subcommand][1](mode, values)
@@ -540,24 +539,25 @@ def _dest(flag: str) -> str:
 
 def _mode_table(name: str) -> dict[str | None, tuple]:
     """Mode -> (the flags it reads, (flag, dest) of each it cannot run without,
-    (dest, reader) of each option it reads in declared order: its flag, its
-    reads and every option that no mode names)."""
+    (dest, reader, declared default) of each option it reads in declared order:
+    its flag, its reads and every option that no mode names)."""
     modes = _MODES.get(name, {None: ""})
     reads = {mode: (mode, *marked.replace("!", "").split()) for mode, marked in modes.items()}
     named = {flag for flags in reads.values() for flag in flags}
     options = SUBCOMMANDS[name][2]
     return {mode: (reads[mode],
                    tuple((f[:-1], _dest(f[:-1])) for f in marked.split() if f[-1] == "!"),
-                   tuple((_dest(flag), _reader(flag, kind)) for flag, kind, _ in options
+                   tuple((_dest(flag), _reader(flag, kind), keywords.get("default"))
+                         for flag, kind, keywords in options
                          if flag in reads[mode] or flag not in named))
             for mode, marked in modes.items()}
 
 
 _TABLE = {name: _mode_table(name) for name in SUBCOMMANDS}
-# subcommand -> (flag, dest, default) of each option its modes name, in declared order
-_NAMED = {name: tuple((flag, _dest(flag),
-                       keywords.get("default", False if "action" in keywords else None))
-                      for flag, _, keywords in SUBCOMMANDS[name][2]
+# subcommand -> (flag, dest) of each option its modes name, in declared order.
+# The parser gives these no default, so one is None exactly when it was not
+# typed; the reading step fills in a declared default.
+_NAMED = {name: tuple((flag, _dest(flag)) for flag, _, _ in SUBCOMMANDS[name][2]
                       if any(flag in reads for reads, _, _ in _TABLE[name].values()))
           for name in _MODES}
 
@@ -568,7 +568,7 @@ def _check_mode(args) -> tuple[str | None, tuple]:
     named = _NAMED.get(args.subcommand)
     if named is None:  # the one mode None
         return None, _TABLE[args.subcommand][None][2]
-    given = [f for f, dest, default in named if getattr(args, dest) != default]
+    given = [f for f, dest in named if getattr(args, dest) is not None]
     table = _TABLE[args.subcommand]
     mode = next(filter(given.__contains__, table), None)  # None: the default mode, if any
     if mode not in table:
@@ -591,12 +591,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cylmeasure",
         description="Desk-scale measure theory on sequence spaces.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, builder, options) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        named = {flag for flag, _ in _NAMED.get(name, ())}
         for flag, _, keywords in options:
-            p.add_argument(flag, **keywords)
+            p.add_argument(flag, **(dict(keywords, default=None) if flag in named else keywords))
         if builder is not None:
             p.add_argument("--out", choices=("json", "csv"), default="json")
     return parser

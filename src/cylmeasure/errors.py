@@ -48,6 +48,15 @@ def require_count(value, what: str, least: int = 0) -> None:
         raise InputError(f"{what} must be >= {least}, got {value}")
 
 
+def require_budget(cost: int, budget: int, what: str) -> None:
+    """Refuse a size ``cost`` above ``budget``; called before anything of that
+    size is allocated.  A cost of 30 digits or more is shown as a power of ten,
+    since Python refuses to print an int of more than 4,300 digits."""
+    if cost > budget:
+        shown = cost if cost < 10**30 else f"about 10^{math.log10(cost):.0f}"
+        raise InputError(f"{what} {shown} exceeds the budget of {budget}")
+
+
 def require_indices(indices, what: str) -> None:
     """Refuse an index that is not a natural >= 1 (an ``int``, not a ``bool``)
     or that repeats."""

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_count
+from .errors import InputError, NumericError, require_budget, require_count
 from .sequences import DecaySeq, FiniteSequence, require_positive
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "PAIRING_CAP",
     "MAX_SAMPLE_COORDS",
     "MAX_MC_VALUES",
+    "MAX_GRAM_POINTS",
 ]
 
 # A covariance is any positive decay class; the alias names the role.
@@ -57,6 +58,9 @@ MAX_SAMPLE_COORDS = 10**6
 # the CLI's cap on a ``moment --mc-samples`` call, samples x (coordinates
 # drawn + factors), 80 MB of float64; ``mc_moment`` itself has no budget
 MAX_MC_VALUES = 10**7
+
+# points of one positive_type_gram matrix, a diagnostic at desk scale
+MAX_GRAM_POINTS = 64
 
 Pairing = tuple[tuple[int, int], ...]
 
@@ -100,16 +104,13 @@ def draw_coordinates(
 def sample(cov: CovarianceSeq, n_coords: int, seed: int) -> GaussianSample:
     """One truncated sample, reproducible from (seed, n_coords, cov)."""
     require_count(n_coords, "truncation", 1)
-    if n_coords > MAX_SAMPLE_COORDS:
-        raise InputError(
-            f"truncation {n_coords} exceeds the budget of {MAX_SAMPLE_COORDS} coordinates"
-        )
+    require_budget(n_coords, MAX_SAMPLE_COORDS, "truncation")
     rng = np.random.default_rng(seed)
     values = draw_coordinates(cov, n_coords, 1, rng)[0]
     return GaussianSample(truncation=n_coords, values=values, seed=seed, cov=cov)
 
 
-def pairings(two_n: int, cap: int = PAIRING_CAP) -> list[Pairing]:
+def pairings(two_n: int) -> list[Pairing]:
     """All perfect matchings of the labels 1..two_n, in canonical order.
 
     Each pairing stores pairs (i, j) with i < j, sorted by first element;
@@ -119,8 +120,7 @@ def pairings(two_n: int, cap: int = PAIRING_CAP) -> list[Pairing]:
     require_count(two_n, "label count")
     if two_n % 2 != 0:
         raise InputError(f"pairings are defined for even nonnegative counts, got {two_n}")
-    if two_n > cap:
-        raise InputError(f"{two_n} labels exceed the pairing cap {cap}")
+    require_budget(two_n, PAIRING_CAP, "label count")
 
     def rec(labels: tuple[int, ...]) -> list[Pairing]:
         if not labels:
@@ -136,9 +136,7 @@ def pairings(two_n: int, cap: int = PAIRING_CAP) -> list[Pairing]:
     return rec(tuple(range(1, two_n + 1)))
 
 
-def wick_moment(
-    cov: CovarianceSeq, xs: Sequence[FiniteSequence], cap: int = PAIRING_CAP
-) -> float:
+def wick_moment(cov: CovarianceSeq, xs: Sequence[FiniteSequence]) -> float:
     """Gaussian moment E[phi(x_1) ... phi(x_k)] by the pairing rule.
 
     Zero for odd k.  For even k the sum over all perfect matchings of
@@ -151,8 +149,7 @@ def wick_moment(
     is the recursion over sets of remaining labels.
     """
     k = len(xs)
-    if k > cap:
-        raise InputError(f"{k} factors exceed the pairing cap {cap}")
+    require_budget(k, PAIRING_CAP, "factor count")
     if k % 2 != 0:
         return 0.0
     if k == 0:
@@ -236,7 +233,6 @@ def positive_type_gram(
     chi_fn: Callable[[FiniteSequence], complex],
     points: Sequence[FiniteSequence],
     tol: float = 1e-10,
-    max_points: int = 64,
 ) -> GramReport:
     """Positive-type diagnostic: spectrum of the matrix chi(xi_k - xi_l).
 
@@ -251,8 +247,7 @@ def positive_type_gram(
     m = len(points)
     if m == 0:
         raise InputError("positive_type_gram needs at least one point")
-    if m > max_points:
-        raise InputError(f"{m} points exceed the limit {max_points}")
+    require_budget(m, MAX_GRAM_POINTS, "point count")
     if len(set(points)) != m:
         raise InputError("points must be distinct")
     gram = np.empty((m, m), dtype=complex)

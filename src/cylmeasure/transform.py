@@ -108,12 +108,13 @@ def shift_admissible(y: ShiftSpec, cov: CovarianceSeq) -> bool:
     True exactly when sum_n y_n^2 / rho_n converges.  Finite shifts are
     always admissible, whatever the covariance; decay-class shifts are
     decided symbolically, and a tabulated shift or covariance then raises
-    ``UndecidableError``.
+    ``UndecidableError`` before any other check, as in the other verdicts.
     """
-    require_positive(cov, "covariance")
     if isinstance(y, FiniteSequence):
+        require_positive(cov, "covariance")
         return True
     y_atoms, cov_atoms = y.atoms(), cov.atoms()
+    require_positive(cov, "covariance")
     return not y_atoms or summable((y_atoms[0], 2), (cov_atoms[0], -1))
 
 

@@ -103,7 +103,8 @@ class TestIndependenceCheck:
         # 39^5 = 90,224,199 vectors fit SEARCH_BUDGET = 10^8 and 41^5 do not
         five = FrequencySet((1.0, SQRT2, math.pi, math.e, math.sqrt(3.0)))
         assert independence_check(five, 19) == IndependenceResult(True, 19)
-        with pytest.raises(InputError, match=r"search space 41\^5 exceeds the budget"):
+        # 41^5 = 115,856,201
+        with pytest.raises(InputError, match=r"^search space 115856201 exceeds the budget of 100000000$"):
             independence_check(five, 20)
 
     def test_bound_validation(self):

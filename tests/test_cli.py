@@ -465,6 +465,17 @@ class TestCliContracts:
         assert first["payload"] != second["payload"]
         assert first["inputs_digest"] != second["inputs_digest"]
 
+    @pytest.mark.parametrize("argv, typed, echoed", [
+        (("kernel", "--fourier", "1", "0.5"), ("--cutoff", "1e7", "--tol", "1e-6"),
+         {"cutoff": 1e7, "tol": 1e-6}),
+        (("bohr", "--freqs", "1.0,2.0", "--integral", "one"), ("--quad-points", "16"),
+         {"quad_points": 16}),
+    ], ids=["kernel-fourier", "bohr-integral"])
+    def test_a_declared_default_is_read_whether_typed_or_not(self, capsys, argv, typed, echoed):
+        bare, spelled = run_envelope(capsys, *argv), run_envelope(capsys, *argv, *typed)
+        assert echoed.items() <= bare["inputs"].items()
+        assert bare["inputs"] == spelled["inputs"] and bare["payload"] == spelled["payload"]
+
     def test_inputs_echo_reparses(self, capsys):
         env = run_envelope(
             capsys, "equivalence", "--cov-a", CONST1, "--cov-b", CONST2
@@ -567,6 +578,14 @@ UNREAD_OPTIONS = [
                   "--quad-points", "4"), "--quad-points", id="quad-points-on-bohr-mc"),
     pytest.param(("product", "--spec", UNIFORM, "--cylinder", '{"base":[]}', "--n-max", "5"),
                  "--n-max", id="n-max-on-product-cylinder"),
+    # typed at its default value, an option is still given
+    pytest.param(("kernel", "--spec", MASSIVE_FREE, "--at", "0", "--tol", "1e-6"), "--tol",
+                 id="default-tol-on-kernel-at"),
+    pytest.param(("kernel", "--spec", MASSIVE_FREE, "--regularity", "--cutoff", "1e7"),
+                 "--cutoff", id="default-cutoff-on-kernel-regularity"),
+    pytest.param(("bohr", "--freqs", "1.0,1.4142135623730951", "--check-independence", "3",
+                  "--quad-points", "16"), "--quad-points",
+                 id="default-quad-points-on-bohr-independence"),
 ]
 
 
@@ -871,17 +890,17 @@ class TestCliHardening:
             (("sample", "--cov", '{"power":{"c":1,"p":1}}', "--n", "100000000000",
               "--seed", "1"), "exceeds the budget of"),
             (("support", "--cov", CONST1, "--weights", '{"power":{"c":1,"p":1}}',
-              "--mc", "100000000", "100000", "--seed", "1"), "exceed the budget of"),
+              "--mc", "100000000", "100000", "--seed", "1"), "exceeds the budget of"),
             (("moment", "--cov", CONST1, "--vectors", "e1,e1", "--mc-samples",
-              "1000000000000", "--seed", "1"), "exceed the budget of"),
+              "1000000000000", "--seed", "1"), "exceeds the budget of"),
             (("moment", "--cov", CONST1, "--vectors", "e1,e1", "--mc-samples", "1",
               "--seed", "1"), "at least 2 samples"),
             (("moment", "--cov", CONST1, "--vectors", "e1,e1", "--mc-samples", "-5",
               "--seed", "1"), "at least 2 samples"),
             (("bohr", "--freqs", "1.0,1.4142135623730951", "--integral", "one",
-              "--mc", "1000000000000", "--seed", "1"), "exceed the budget of"),
+              "--mc", "1000000000000", "--seed", "1"), "exceeds the budget of"),
             (("bohr", "--freqs", "1.0,1.4142135623730951", "--integral", "one",
-              "--quad-points", "1000000000"), "exceed the budget of"),
+              "--quad-points", "1000000000"), "exceeds the budget of"),
         ],
         ids=["sample-n", "support-mc", "moment-mc-samples", "moment-one-sample",
              "moment-negative-samples", "bohr-mc", "bohr-quad-points"],
@@ -965,6 +984,7 @@ class TestCliHardening:
         assert abs(mc["estimate"] - 3 * 5.8e152**2) <= 4.0 * mc["standard_error"]
 
     TABLE = '{"tabulated":{"values":[1,0.5,0.25]}}'
+    NEGATIVE_TABLE = '{"tabulated":{"values":[1,-1]}}'
 
     @pytest.mark.parametrize(
         "argv",
@@ -976,9 +996,16 @@ class TestCliHardening:
              "--weights", '{"tabulated":{"values":[1e10,1e10]}}'),
             ("equivalence", "--cov-a", TABLE, "--cov-b", CONST1),
             ("equivalence", "--cov-a", CONST1, "--cov-b", TABLE),
+            # a table that is not positive either: each verdict reads the atoms first
+            ("hs-check", "--weights", NEGATIVE_TABLE),
+            ("shift-admissible", "--cov", NEGATIVE_TABLE,
+             "--shift", '{"power":{"c":1,"p":1}}'),
+            ("support", "--cov", NEGATIVE_TABLE, "--weights", CONST1),
+            ("equivalence", "--cov-a", NEGATIVE_TABLE, "--cov-b", CONST1),
         ],
         ids=["hs-check", "shift-admissible", "support", "support-overflowing-table",
-             "equivalence-a", "equivalence-b"],
+             "equivalence-a", "equivalence-b", "hs-check-non-positive",
+             "shift-admissible-non-positive", "support-non-positive", "equivalence-non-positive"],
     )
     def test_a_tabulated_series_is_refused(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -19,7 +19,8 @@ A third test writes each scalar option of such calls (``--n``, ``--seed``,
 ``--at``, ``--mc-samples``, ``--mc``, ``--quad-points``,
 ``--check-independence``, ``--fourier``, ``--cutoff``, ``--tol`` and
 ``--n-max``) as a text drawn from a fixed list of edge values, each either
-refused or cheap to run, and checks the same contract.
+refused or cheap to run, and checks the same contract.  An option written
+as a prefix of its name is refused, not read as that option.
 """
 
 import contextlib
@@ -27,6 +28,7 @@ import io
 import json
 
 import oracles
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cylmeasure import cli
@@ -174,14 +176,16 @@ def is_set(value):
 
 
 def expected_inputs(argv):
-    """The dests of the options set among those the call's mode reads by ``cli._MODES``."""
+    """The dests of the options set or declared with a default among those the
+    call's mode reads by ``cli._MODES``."""
     args = cli._build_parser().parse_args(argv)
     modes = cli._MODES[args.subcommand]
     mode = next(m for m in modes if m is None or is_set(getattr(args, dest(m))))
     named = {f for m, reads in modes.items() for f in (m, *reads.replace("!", "").split())}
     reads = {mode, *modes[mode].replace("!", "").split()}
-    return {dest(flag) for flag, *_ in cli.SUBCOMMANDS[args.subcommand][2]
-            if (flag in reads or flag not in named) and vars(args)[dest(flag)] is not None}
+    return {dest(flag) for flag, _, keywords in cli.SUBCOMMANDS[args.subcommand][2]
+            if (flag in reads or flag not in named)
+            and (vars(args)[dest(flag)] is not None or "default" in keywords)}
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -206,6 +210,24 @@ def test_cli_contract_holds_for_option_combinations(data):
     envelope = check_contract(argv)
     if envelope is not None:
         assert set(envelope["inputs"]) == expected_inputs(argv), argv
+
+
+# each would be read as the option its prefix names: --mc-samples, and --cov and --shift
+ABBREVIATED = [
+    (["moment", "--cov", '{"constant":{"rho":1}}', "--vectors", "e1,e1", "--mc", "1000",
+      "--seed", "1"], "error: unrecognized arguments: --mc 1000\n"),
+    (["shift-admissible", "--c", '{"constant":{"rho":1}}', "--s", '{"power":{"c":1,"p":1}}'],
+     "error: the following arguments are required: --cov, --shift\n"),
+]
+
+
+@pytest.mark.parametrize("argv, message", ABBREVIATED, ids=["moment-mc", "shift-admissible-c-s"])
+def test_abbreviated_options_are_refused(argv, message):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().endswith(message)
 
 
 # the text of every scalar option in the third test: separators, non-ASCII

@@ -1,13 +1,19 @@
 """One rule for every index and count: ``errors.require_count`` and
-``errors.require_indices``, and the public calls that route through them."""
+``errors.require_indices``; one for every size budget: ``errors.require_budget``;
+and the public calls that route through them."""
 
+import ast
+import importlib
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cylmeasure as cm
-from cylmeasure.errors import InputError, require_count, require_indices
+from cylmeasure import cli
+from cylmeasure.errors import InputError, require_budget, require_count, require_indices
 from cylmeasure.measure_core import Interval, normalize_box
 from cylmeasure.sequences import FiniteSequence
 
@@ -73,3 +79,108 @@ def test_public_indices_follow_one_rule(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
+
+
+class TestRequireBudget:
+    def test_accepts_a_cost_up_to_its_budget(self):
+        require_budget(0, 0, "n")
+        require_budget(20, 20, "factor count")
+
+    def test_refuses_a_cost_past_its_budget(self):
+        with pytest.raises(InputError, match=r"^factor count 21 exceeds the budget of 20$"):
+            require_budget(21, 20, "factor count")
+
+    def test_shows_a_cost_too_long_to_print_as_a_power_of_ten(self):
+        # str() refuses an int of more than 4,300 digits
+        require_budget(10**29, 10**29, "n")
+        with pytest.raises(InputError, match=r"^n 100000000000000000000000000001 exceeds "):
+            require_budget(10**29 + 1, 10**29, "n")
+        with pytest.raises(InputError, match=r"^n about 10\^6000 exceeds the budget of 8$"):
+            require_budget(10**6000, 8, "n")
+
+
+def _moment_envelope(n_samples):
+    argv = ["moment", "--cov", '{"constant":{"rho":1}}', "--vectors", "[]",
+            "--mc-samples", str(n_samples), "--seed", "1"]
+    return cli.build_envelope(cli._build_parser().parse_args(argv))
+
+
+_FIVE = cm.FrequencySet((1.0, 2.0**0.5, 3.0**0.5, 5.0**0.5, 7.0**0.5))
+
+
+# each size budget one past its limit: the next even label count, the next odd
+# search width, the next even count of quadrature nodes
+@pytest.mark.parametrize("call, message", [
+    (lambda: cm.sample(cm.Constant(1.0), 10**6 + 1, 1),
+     "truncation 1000001 exceeds the budget of 1000000"),
+    (lambda: cm.pairings(22), "label count 22 exceeds the budget of 20"),
+    (lambda: cm.wick_moment(cm.Constant(1.0), [FiniteSequence.basis(1)] * 21),
+     "factor count 21 exceeds the budget of 20"),
+    (lambda: cm.positive_type_gram(lambda xi: 1.0,
+                                   [FiniteSequence.basis(i) for i in range(1, 66)]),
+     "point count 65 exceeds the budget of 64"),
+    (lambda: cm.mc_tail_growth(cm.Constant(1.0), cm.Constant(1.0), 1001, 999001, 1),
+     "coordinates x samples 1000000001 exceeds the budget of 1000000000"),
+    (lambda: cm.independence_check(cm.FrequencySet((1.0,)), 5 * 10**7),
+     "search space 100000001 exceeds the budget of 100000000"),
+    (lambda: cm.haar_sample_batch(cm.FrequencySet((1.0,)), 10**7 + 1, 1),
+     "samples x phases 10000001 exceeds the budget of 10000000"),
+    (lambda: cm.QuadratureMethod(2).integrate(_FIVE, lambda th: np.ones(len(th))),
+     "quadrature axes 5 exceeds the budget of 4"),
+    (lambda: cm.QuadratureMethod(2**20 + 1).integrate(cm.FrequencySet((1.0,)),
+                                                      lambda th: np.ones(len(th))),
+     "quadrature nodes 2097154 exceeds the budget of 2097152"),
+    (lambda: _moment_envelope(10**7 + 1),
+     "samples x (coordinates + factors) 10000001 exceeds the budget of 10000000"),
+], ids=["sample", "pairings", "wick-moment", "gram-points", "tail-growth", "search-space",
+        "haar-samples", "quadrature-axes", "quadrature-nodes", "cli-moment-mc"])
+def test_each_budget_is_refused_one_past_its_limit_before_any_allocation(call, message):
+    with pytest.raises(InputError):  # loads the modules the call imports on first use
+        call()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as info:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 2**15  # what each refuses is 68 kB (the Gram matrix) or more
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_budgets():
+    """module.NAME -> (value, exit code) of each row of README's budget table."""
+    text = README.read_text(encoding="utf-8").split("## Known limits", 1)[1]
+    rows = re.findall(r"^\| `(\w+\.\w+)` \|.*\| (\d+)(?:\^(\d+))? \| (\d) \|$", text, re.M)
+    return {name: (int(base) ** int(power or 1), int(code)) for name, base, power, code in rows}
+
+
+def package_budgets():
+    """module.NAME -> exit code of every budget constant in the package: each one a
+    size check passes to ``require_budget`` exits 2, any other public constant
+    named MAX_*, *_BUDGET or *_CAP (``kernels.MAX_FOURIER_NODES``) exits 3."""
+    named, checked = set(), set()
+    for path in Path(cm.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        targets = [getattr(target, "id", "") for node in tree.body
+                   if isinstance(node, ast.Assign) for target in node.targets]
+        named |= {f"{path.stem}.{name}" for name in targets
+                  if re.fullmatch(r"MAX_\w+|[A-Z]\w*_(BUDGET|CAP)", name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require_budget":
+                budget = node.args[1]  # a module constant, or one read as _lib.module.NAME
+                checked.add(f"{path.stem}.{budget.id}" if isinstance(budget, ast.Name)
+                            else f"{budget.value.attr}.{budget.attr}")
+    return {name: 2 if name in checked else 3 for name in named | checked}
+
+
+def test_readme_budget_table_matches_the_package():
+    table = readme_budgets()
+    assert {name: code for name, (_, code) in table.items()} == package_budgets()
+    assert len(table) == 10
+    for name, (value, _) in table.items():
+        module, constant = name.split(".")
+        assert getattr(importlib.import_module(f"cylmeasure.{module}"), constant) == value, name
