@@ -23,7 +23,7 @@ from typing import Callable, Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_budget, require_count
+from .errors import InputError, NumericError, require_budget, require_count, require_real
 
 __all__ = [
     "FrequencySet",
@@ -50,11 +50,13 @@ class FrequencySet(Record):
     freqs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "freqs", tuple(float(v) for v in self.freqs))
         if len(self.freqs) < 1:
             raise InputError("frequency set needs at least one frequency")
-        if any(v == 0.0 or not math.isfinite(v) for v in self.freqs):
-            raise InputError("frequencies must be finite and nonzero")
+        for i, v in enumerate(self.freqs):
+            require_real(v, f"frequency {i}")
+        object.__setattr__(self, "freqs", tuple(float(v) for v in self.freqs))
+        if 0.0 in self.freqs:
+            raise InputError("frequencies must be nonzero")
         if len(set(self.freqs)) != len(self.freqs):
             raise InputError("frequencies must be distinct")
 
@@ -163,6 +165,7 @@ def independence_check(gamma: FrequencySet, bound: int) -> IndependenceResult:
 def haar_sample_batch(gamma: FrequencySet, n_samples: int, seed: int) -> np.ndarray:
     """(n_samples, n) matrix of independent Haar draws."""
     require_count(n_samples, "n_samples", 1)
+    require_count(seed, "seed")
     require_budget(n_samples * gamma.n, MAX_MC_DRAWS, "samples x phases")
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 2.0 * math.pi, (n_samples, gamma.n))
@@ -241,6 +244,7 @@ class MCMethod(Record):
 
     def __post_init__(self):
         require_count(self.n_samples, "n_samples", 2)
+        require_count(self.seed, "seed")
 
     def integrate(self, gamma: FrequencySet, f: Callable) -> HaarIntegralResult:
         points = haar_sample_batch(gamma, self.n_samples, self.seed)

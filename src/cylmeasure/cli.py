@@ -15,9 +15,9 @@ what each reads and which of those it cannot run without.
 before reading any input, refuses an option the mode would not read and
 a missing option the mode cannot run without (the ``--seed`` of a
 sampling mode, the ``--spec`` of a kernel mode other than ``--fourier``,
-the ``--integral`` of ``bohr --mc``).  Then it reads the mode's options
-in declared order and records each under its dest in ``inputs`` (a
-document as parsed).  A payload
+the ``--integral`` of ``bohr --mc``), and ``--out csv`` on a call without
+a table.  Then it reads the mode's options in declared order and records
+each under its dest in ``inputs`` (a document as parsed).  A payload
 builder gets only the mode and the decoded values, so ``inputs_digest``,
 the SHA-256 of the canonical ``inputs``, covers all a result depends on.
 
@@ -345,6 +345,8 @@ def _payload_consistency(mode, values) -> tuple[dict, list[str]]:
 
 def build_envelope(args) -> dict:
     mode, options = _check_mode(args)
+    if args.out == "csv" and mode != _TABLES.get(args.subcommand, ("no table",))[0]:
+        raise InputError(f"subcommand {args.subcommand!r} has no tabular trace for CSV output")
     start = time.perf_counter()
     values: dict[str, Any] = {}
     inputs: dict[str, Any] = {}
@@ -375,31 +377,21 @@ def _emit(envelope: dict, out_format: str) -> str:
             raise NumericError(
                 f"{envelope['subcommand']} result is not finite", payload=envelope["payload"]
             ) from None
-    payload = envelope["payload"]
-    rows = _tabulate(payload)
-    if rows is None:
-        raise InputError(
-            f"subcommand {envelope['subcommand']!r} has no tabular trace for CSV output"
-        )
+    _, header, rows = _TABLES[envelope["subcommand"]]
     import csv
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows(envelope["payload"])])
     return buf.getvalue().rstrip("\n")
 
 
-def _tabulate(payload: dict) -> list[list] | None:
-    if "values" in payload and isinstance(payload["values"], list):
-        return [["index", "value"]] + [
-            [i + 1, v] for i, v in enumerate(payload["values"])
-        ]
-    if "phases" in payload and isinstance(payload["phases"], list):
-        return [["axis", "phase"]] + [[i + 1, v] for i, v in enumerate(payload["phases"])]
-    mc = payload.get("mc")
-    if isinstance(mc, dict) and "checkpoints" in mc:
-        return [["n", "mean_partial_sum"]] + [list(row) for row in mc["checkpoints"]]
-    return None
+# subcommand -> (its one mode with a table for --out csv, the header, the rows
+# of a payload); build_envelope refuses --out csv on any other call
+_TABLES = {
+    "sample": (None, ("index", "value"), lambda p: enumerate(p["values"], 1)),
+    "support": ("--mc", ("n", "mean_partial_sum"), lambda p: p["mc"]["checkpoints"]),
+    "bohr": ("--sample", ("axis", "phase"), lambda p: enumerate(p["phases"], 1)),
+}
 
 
 def _int(text: str) -> int:

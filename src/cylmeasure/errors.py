@@ -5,6 +5,7 @@ exits with 2, ``NumericError`` with 3.
 """
 
 import math
+import sys
 
 
 class InputError(ValueError):
@@ -33,10 +34,25 @@ class NumericError(RuntimeError):
         self.context = context
 
 
-def require_tolerance(tol: float) -> None:
-    """Refuse a tolerance that is not positive and finite (nan included)."""
-    if not 0 < tol < math.inf:
-        raise InputError(f"tolerance must be positive and finite, got {tol}")
+_LARGEST = sys.float_info.max
+# each domain of ``require_real`` as the open interval whose floats and ints
+# are exactly its members: 5e-324 is the least positive float
+_DOMAINS = {"> 0": (0.0, math.inf), ">= 0": (-5e-324, math.inf), "(0, 1)": (0.0, 1.0),
+            "[0, 1]": (-5e-324, math.nextafter(1.0, 2.0))}
+
+
+def require_real(value, what: str, domain: str | None = None) -> None:
+    """Refuse a value that is not a finite ``int`` or ``float`` (nor a ``bool``)
+    or that lies outside ``domain``: "> 0", ">= 0", "(0, 1)" or "[0, 1]"."""
+    if (type(value) is not float
+            and (isinstance(value, bool) or not isinstance(value, (float, int)))
+            or not -_LARGEST <= value <= _LARGEST):
+        raise InputError(f"{what} must be a finite number, got {value!r}")
+    if domain is not None:
+        lo, hi = _DOMAINS[domain]
+        if not lo < value < hi:
+            rule = f"lie in {domain}" if domain[0] in "([" else f"be {domain}"
+            raise InputError(f"{what} must {rule}, got {value}")
 
 
 def require_count(value, what: str, least: int = 0) -> None:

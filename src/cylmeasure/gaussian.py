@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_budget, require_count
+from .errors import InputError, NumericError, require_budget, require_count, require_real
 from .sequences import DecaySeq, FiniteSequence, require_positive
 
 __all__ = [
@@ -98,13 +98,15 @@ def draw_coordinates(
     require_count(n_coords, "n_coords", 1)
     require_count(n_samples, "n_samples")
     sd = np.sqrt(require_positive(cov, "covariance").first(n_coords))
-    return rng.standard_normal((n_samples, n_coords)) * sd
+    draw = rng.standard_normal((n_samples, n_coords))
+    return np.multiply(draw, sd, out=draw)  # in place: no scaled copy beside the draw
 
 
 def sample(cov: CovarianceSeq, n_coords: int, seed: int) -> GaussianSample:
     """One truncated sample, reproducible from (seed, n_coords, cov)."""
     require_count(n_coords, "truncation", 1)
     require_budget(n_coords, MAX_SAMPLE_COORDS, "truncation")
+    require_count(seed, "seed")
     rng = np.random.default_rng(seed)
     values = draw_coordinates(cov, n_coords, 1, rng)[0]
     return GaussianSample(truncation=n_coords, values=values, seed=seed, cov=cov)
@@ -214,6 +216,7 @@ def mc_moment(
     One seeded draw of coordinates 1..max index; the product starts from
     ones, so no factors give the empty product 1, as in ``wick_moment``.
     """
+    require_count(seed, "seed")
     dim = max((x.max_index for x in xs), default=1)
     coords = draw_coordinates(cov, dim, n_samples, np.random.default_rng(seed))
     prods = np.ones(n_samples)
@@ -242,8 +245,7 @@ def positive_type_gram(
     indefiniteness at this size.  ``chi_fn`` may return complex values
     (Hermitian case); the centered Gaussian chi is real and symmetric.
     """
-    if tol < 0:
-        raise InputError(f"tolerance must be nonnegative, got {tol}")
+    require_real(tol, "tolerance", ">= 0")
     m = len(points)
     if m == 0:
         raise InputError("positive_type_gram needs at least one point")

@@ -165,8 +165,6 @@ def _identical(doc: Any) -> measure_core.ProductMeasureSpec:
 def _cell(boxes: tuple, p: float) -> tuple:
     from .measure_core import normalize_box
 
-    if not 0.0 <= p <= 1.0:
-        raise _Fault(f"probability must lie in [0,1], got {p}", ".p")
     return tuple(normalize_box(box) for box in boxes), p
 
 

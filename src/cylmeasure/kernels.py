@@ -32,7 +32,7 @@ from typing import Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_count, require_tolerance
+from .errors import InputError, NumericError, require_count, require_real
 
 __all__ = [
     "WhiteNoise",
@@ -71,8 +71,7 @@ class WhiteNoise(Record):
     at_method = "closed-form kernel evaluation"
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise InputError(f"white noise needs sigma > 0, got {self.sigma}")
+        require_real(self.sigma, "white noise sigma", "> 0")
 
     def at(self, x: float) -> float:
         """A delta has no point value: always an InputError."""
@@ -92,8 +91,7 @@ class MassiveFree1D(Record):
     at_method = "closed-form kernel evaluation"
 
     def __post_init__(self):
-        if not (self.m > 0 and math.isfinite(self.m)):
-            raise InputError(f"massive free kernel needs m > 0, got {self.m}")
+        require_real(self.m, "massive free kernel m", "> 0")
 
     def at(self, x: float) -> float:
         return math.exp(-self.m * abs(x)) / (2.0 * self.m)
@@ -114,10 +112,13 @@ class TabulatedKernel(Record):
     at_method = "linear interpolation of the table"
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(self.grid) != len(self.values) or len(self.grid) < 2:
             raise InputError("tabulated kernel needs matching grid/values of length >= 2")
+        for i, (x, v) in enumerate(zip(self.grid, self.values)):
+            require_real(x, f"tabulated kernel grid point {i}")
+            require_real(v, f"tabulated kernel value {i}")
+        object.__setattr__(self, "grid", tuple(float(v) for v in self.grid))
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not all(a < b for a, b in zip(self.grid, self.grid[1:])):
             raise InputError("tabulated kernel grid must be strictly increasing")
 
@@ -157,14 +158,16 @@ class GridFunction(Record):
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         require_count(self.count, "grid count", 2)
-        if not (self.dx > 0 and math.isfinite(self.dx)):
-            raise InputError(f"grid needs dx > 0, got {self.dx}")
+        require_real(self.x0, "grid x0")
+        require_real(self.dx, "grid dx", "> 0")
         if len(self.values) != self.count:
             raise InputError(
                 f"grid declares {self.count} points but carries {len(self.values)} values"
             )
+        for i, v in enumerate(self.values):
+            require_real(v, f"grid value {i}")
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
     @property
     def xs(self) -> np.ndarray:
@@ -247,11 +250,10 @@ def kernel_fourier_quadrature(
     below ``p_cutoff`` to where it is tol/2.  A bound that is not finite or
     exceeds ``tol``, or more than MAX_FOURIER_NODES nodes, is a NumericError.
     """
-    if not (m > 0 and math.isfinite(m) and math.isfinite(x)):
-        raise InputError(f"need m > 0 and a finite x, got m={m}, x={x}")
-    if not (p_cutoff > 0 and math.isfinite(p_cutoff)):
-        raise InputError(f"need a finite cutoff > 0, got {p_cutoff}")
-    require_tolerance(tol)
+    require_real(m, "m", "> 0")
+    require_real(x, "x")
+    require_real(p_cutoff, "cutoff", "> 0")
+    require_real(tol, "tolerance", "> 0")
     xi, scale = m * abs(x), 1.0 / (math.pi * m)
     t_max = min(p_cutoff / m, 2.0**500)  # keeps t^2 a float
     tail = math.atan2(1.0, t_max)

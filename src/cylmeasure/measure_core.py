@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_count, require_indices, require_tolerance
+from .errors import InputError, NumericError, require_count, require_indices, require_real
 
 __all__ = [
     "Interval",
@@ -143,8 +143,7 @@ class Gaussian1D(Record):
     rho: float
 
     def __post_init__(self):
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise InputError(f"gaussian component needs rho > 0, got {self.rho}")
+        require_real(self.rho, "gaussian component rho", "> 0")
 
     def interval_prob(self, iv: Interval) -> float:
         # complementary error function keeps tails accurate; erfc handles +-inf
@@ -162,7 +161,9 @@ class Uniform1D(Record):
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+        require_real(self.a, "uniform component a")
+        require_real(self.b, "uniform component b")
+        if not self.a < self.b:
             raise InputError(f"uniform component needs finite a < b, got [{self.a}, {self.b}]")
 
     def interval_prob(self, iv: Interval) -> float:
@@ -180,8 +181,7 @@ class PointMass1D(Record):
     c: float
 
     def __post_init__(self):
-        if not math.isfinite(self.c):
-            raise InputError("point mass component needs a finite location")
+        require_real(self.c, "point mass component c")
 
     def interval_prob(self, iv: Interval) -> float:
         return 1.0 if iv.lo <= self.c <= iv.hi else 0.0
@@ -272,8 +272,7 @@ class ConstantFactorTail(Record):
     f: float
 
     def __post_init__(self):
-        if not (0.0 <= self.f <= 1.0):
-            raise InputError(f"factor probability must lie in [0,1], got {self.f}")
+        require_real(self.f, "factor probability", "[0, 1]")
 
     def limit(self, partial: float, n_max: int | None, tol: float) -> ProductLimitReport:
         return ProductLimitReport(partial if self.f == 1.0 else 0.0, 0, True, "converged")
@@ -286,9 +285,9 @@ class OneMinusGeometricTail(Record):
     q: float
 
     def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
-            raise InputError(f"geometric tail needs 0 < q < 1, got q={self.q}")
-        if not (0.0 <= self.c and self.c * self.q <= 1.0):
+        require_real(self.q, "geometric tail q", "(0, 1)")
+        require_real(self.c, "geometric tail c", ">= 0")
+        if self.c * self.q > 1.0:
             raise InputError("geometric tail must keep factors inside [0,1]")
 
     def count(self, tol: float) -> int:
@@ -352,9 +351,9 @@ class TabulatedTail(Record):
     factors: tuple[float, ...]
 
     def __post_init__(self):
+        for k, v in enumerate(self.factors, 1):
+            require_real(v, f"tabulated factor {k}", "[0, 1]")
         object.__setattr__(self, "factors", tuple(float(v) for v in self.factors))
-        if not all(0.0 <= v <= 1.0 for v in self.factors):
-            raise InputError("tabulated factors must lie in [0,1]")
 
     def limit(self, partial: float, n_max: int | None, tol: float) -> ProductLimitReport:
         """Every listed factor enters the product; ``tol`` plays no part."""
@@ -432,7 +431,7 @@ def countable_product_measure(
     factors (default 10**6 geometric, 10**4 tabulated) stops there, as
     decreasing-unconverged.
     """
-    require_tolerance(tol)
+    require_real(tol, "tolerance", "> 0")
     if n_max is not None:
         require_count(n_max, "n_max")
     partial = cylinder_measure(spec, constraints.prefix)
@@ -492,11 +491,12 @@ class MarginalTable(Record):
             raise InputError("marginal table needs at least one index")
         require_indices(self.indices, "marginal table index")
         first: dict[tuple[Box, ...], int] = {}
-        for j, (boxes, _) in enumerate(self.cells):
+        for j, (boxes, p) in enumerate(self.cells):
             if len(boxes) != len(self.indices):
                 raise InputError(
                     f"cell arity {len(boxes)} does not match index set {self.indices}"
                 )
+            require_real(p, f"cell {j} probability", "[0, 1]")
             if first.setdefault(boxes, j) != j:
                 raise InputError(f"cell {j} repeats the boxes of cell {first[boxes]}")
 
@@ -523,7 +523,7 @@ def consistency_check(
     marginalized over its extra indices, must reproduce the smaller table
     within ``tol``; the first violation found is reported.
     """
-    require_tolerance(tol)
+    require_real(tol, "tolerance", "> 0")
     if not marginals:
         raise InputError("consistency_check needs at least one table")
     tables = sorted(marginals, key=lambda t: len(t.indices))
@@ -593,6 +593,7 @@ def pushforward_integral_mc(
     and ``f`` maps (M, K) to (M,).  Returns (estimate, standard error).
     """
     require_count(n_samples, "n_samples", 2)
+    require_count(seed, "seed")
     rng = np.random.default_rng(seed)
     x = sampler.draw(rng, n_samples)
     u = np.asarray(phi(x))

@@ -15,11 +15,13 @@ counts.
 from __future__ import annotations
 
 from . import _np as np
+from .errors import require_count
 
 __all__ = ["derive_seed"]
 
 
 def derive_seed(master: int, *key: int) -> int:
     """A 64-bit seed for the sub-stream identified by ``key``."""
-    seq = np.random.SeedSequence([int(master), *[int(k) for k in key]])
+    require_count(master, "seed")
+    seq = np.random.SeedSequence([master, *key])
     return int(seq.generate_state(1, np.uint64)[0])

@@ -385,7 +385,7 @@ def criterion_product_measures(seed: int, full: bool) -> CheckResult:
         corrupted = measure_core.MarginalTable(
             (1,),
             (
-                ((parts[1][0],), probs[1][0] + 0.1),
+                ((parts[1][0],), (probs[1][0] + 0.1) % 1.0),  # off by 0.1 or 0.9
                 ((parts[1][1],), probs[1][1]),
             ),
         )

@@ -43,12 +43,11 @@ it (the CLI exits 2).
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, UndecidableError, require_count, require_indices
+from .errors import InputError, UndecidableError, require_count, require_indices, require_real
 
 __all__ = [
     "FiniteSequence",
@@ -82,8 +81,7 @@ class FiniteSequence(Record):
     def __post_init__(self):
         require_indices([idx for idx, _ in self.entries], "sequence index")
         for idx, val in self.entries:
-            if not math.isfinite(val):
-                raise InputError(f"sequence value at index {idx} is not finite")
+            require_real(val, f"sequence value at index {idx}")
         canonical = tuple(sorted((i, float(v)) for i, v in self.entries if v != 0.0))
         object.__setattr__(self, "entries", canonical)
 
@@ -91,7 +89,8 @@ class FiniteSequence(Record):
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "FiniteSequence":
         acc: dict[int, float] = {}
         for idx, val in pairs:
-            acc[idx] = acc.get(idx, 0.0) + float(val)
+            require_real(val, f"sequence value at index {idx}")
+            acc[idx] = acc.get(idx, 0.0) + val
         return cls(tuple(acc.items()))
 
     @classmethod
@@ -185,8 +184,7 @@ class Constant(_Decay):
     value: float
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise InputError("constant class needs a finite value")
+        require_real(self.value, "constant class value")
 
     def _at(self, n: int) -> float:
         return self.value
@@ -205,10 +203,8 @@ class PowerDecay(_Decay):
     p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and math.isfinite(self.p)):
-            raise InputError("power class needs finite parameters")
-        if self.p <= 0:
-            raise InputError(f"power class needs p > 0, got p={self.p}")
+        require_real(self.c, "power class c")
+        require_real(self.p, "power class p", "> 0")
 
     def _at(self, n: int) -> float:
         return self.c * float(n) ** (-self.p)
@@ -227,10 +223,8 @@ class Geometric(_Decay):
     q: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and math.isfinite(self.q)):
-            raise InputError("geometric class needs finite parameters")
-        if not (0.0 < self.q < 1.0):
-            raise InputError(f"geometric class needs 0 < q < 1, got q={self.q}")
+        require_real(self.c, "geometric class c")
+        require_real(self.q, "geometric class q", "(0, 1)")
 
     def _at(self, n: int) -> float:
         return self.c * self.q**n
@@ -255,14 +249,13 @@ class ConstantPlusPower(_Decay):
     p: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.base, self.c, self.p)):
-            raise InputError("constant-plus-power class needs finite parameters")
+        require_real(self.base, "constant-plus-power class base")
+        require_real(self.c, "constant-plus-power class c")
+        require_real(self.p, "constant-plus-power class p", "> 0")
         if self.base == 0.0:
             raise InputError("constant-plus-power with base=0 is a plain power class")
         if self.c == 0.0:
             raise InputError("constant-plus-power with c=0 is a plain constant class")
-        if self.p <= 0:
-            raise InputError(f"constant-plus-power class needs p > 0, got p={self.p}")
 
     def _at(self, n: int) -> float:
         return self.base + self.c * float(n) ** (-self.p)
@@ -287,11 +280,11 @@ class Prefixed(_Decay):
     tail: "Union[Constant, PowerDecay, Geometric, ConstantPlusPower]"
 
     def __post_init__(self):
+        for n, v in enumerate(self.prefix, 1):
+            require_real(v, f"prefixed class value at index {n}")
         object.__setattr__(self, "prefix", tuple(float(v) for v in self.prefix))
         if not self.prefix:
             raise InputError("prefixed class needs a nonempty prefix")
-        if not all(math.isfinite(v) for v in self.prefix):
-            raise InputError("prefixed class needs finite prefix values")
         if isinstance(self.tail, (Prefixed, Tabulated)):
             raise InputError("prefixed tail must be a closed-form decay class")
 
@@ -323,11 +316,11 @@ class Tabulated(_Decay):
     values: tuple[float, ...]
 
     def __post_init__(self):
+        for n, v in enumerate(self.values, 1):
+            require_real(v, f"tabulated class value at index {n}")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise InputError("tabulated class needs at least one value")
-        if not all(math.isfinite(v) for v in self.values):
-            raise InputError("tabulated class needs finite values")
 
     def _at(self, n: int) -> float:
         if n > len(self.values):

@@ -140,6 +140,7 @@ def mc_tail_growth(
     """
     require_count(n_coords, "n_coords", 100)
     require_count(n_samples, "n_samples", 100)
+    require_count(seed, "seed")
     require_budget(n_coords * n_samples, MAX_MC_DRAWS, "coordinates x samples")
     require_positive(cov, "covariance")
     require_positive(a, "weight sequence")

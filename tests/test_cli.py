@@ -821,13 +821,24 @@ class TestCliHardening:
             (("bohr", "--freqs", "x", "--mc", "10", "--seed", "1"), "bohr --mc needs --integral"),
             (("kernel", "--bilinear", "@/nonexistent", "@/nonexistent"),
              "kernel --bilinear needs --spec"),
+            # --out csv on a call without a table: refused before the compute or a read
+            (("kernel", "--fourier", "1", "6e5", "--out", "csv"),
+             "subcommand 'kernel' has no tabular trace for CSV output"),
+            (("hs-check", "--weights", "@/nonexistent", "--out", "csv"),
+             "subcommand 'hs-check' has no tabular trace for CSV output"),
+            (("support", "--cov", "@/nonexistent", "--weights", CONST1, "--out", "csv"),
+             "subcommand 'support' has no tabular trace for CSV output"),
+            (("bohr", "--freqs", "x", "--integral", "one", "--out", "csv"),
+             "subcommand 'bohr' has no tabular trace for CSV output"),
         ],
         ids=["spec-with-unmet-fourier-tolerance", "spec-and-at-with-fourier-over-budget",
              "moment-mc-samples-without-seed", "support-mc-without-seed",
              "bohr-sample-without-seed", "bohr-mc-without-seed", "kernel-without-mode",
              "bohr-without-mode", "product-without-mode", "kernel-at-without-spec",
              "bohr-mc-without-integral", "bohr-mc-without-integral-before-freqs",
-             "kernel-bilinear-without-spec-before-documents"],
+             "kernel-bilinear-without-spec-before-documents",
+             "csv-before-an-over-budget-quadrature", "csv-before-documents",
+             "csv-on-support-without-mc", "csv-on-bohr-integral"],
     )
     def test_mode_check_comes_first_and_prints_one_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -866,7 +877,7 @@ class TestCliHardening:
         marginals = json.dumps([{"indices": [1], "cells": [cell]}] * 2)
         code, out, err = run_cli(capsys, "consistency", "--marginals", marginals)
         assert (code, out) == (2, "")
-        assert "marginals[0].cells[0].p: probability must lie in [0,1], got -0.5" in err
+        assert "marginals[0]: cell 0 probability must lie in [0, 1], got -0.5" in err
 
     @pytest.mark.parametrize(
         "argv, option",

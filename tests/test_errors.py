@@ -1,9 +1,11 @@
 """One rule for every index and count: ``errors.require_count`` and
 ``errors.require_indices``; one for every size budget: ``errors.require_budget``;
-and the public calls that route through them."""
+one for every real parameter: ``errors.require_real``; and the public calls that
+route through them."""
 
 import ast
 import importlib
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -13,7 +15,9 @@ import pytest
 
 import cylmeasure as cm
 from cylmeasure import cli
-from cylmeasure.errors import InputError, require_budget, require_count, require_indices
+from cylmeasure.errors import (
+    InputError, require_budget, require_count, require_indices, require_real,
+)
 from cylmeasure.measure_core import Interval, normalize_box
 from cylmeasure.sequences import FiniteSequence
 
@@ -184,3 +188,168 @@ def test_readme_budget_table_matches_the_package():
     for name, (value, _) in table.items():
         module, constant = name.split(".")
         assert getattr(importlib.import_module(f"cylmeasure.{module}"), constant) == value, name
+
+
+class TestRequireReal:
+    @pytest.mark.parametrize("value, domain", [
+        (-1e308, None), (0, None), (2.5, "> 0"), (np.float64(1.0), "> 0"), (0.0, ">= 0"),
+        (-0.0, ">= 0"), (5e-324, "(0, 1)"), (math.nextafter(1.0, 0.0), "(0, 1)"),
+        (0, "[0, 1]"), (1, "[0, 1]"), (10**300, "> 0"),
+    ])
+    def test_accepts_a_finite_int_or_float_inside_its_domain(self, value, domain):
+        require_real(value, "x", domain)
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, True, False, "1", None, 1j, np.int64(1), 10**400,
+    ])
+    def test_refuses_what_is_not_a_finite_number(self, value):
+        with pytest.raises(InputError) as info:
+            require_real(value, "x", "> 0")
+        assert str(info.value) == f"x must be a finite number, got {value!r}"
+
+    @pytest.mark.parametrize("value, domain, message", [
+        (0.0, "> 0", "x must be > 0, got 0.0"),
+        (-5e-324, ">= 0", "x must be >= 0, got -5e-324"),
+        (1.0, "(0, 1)", "x must lie in (0, 1), got 1.0"),
+        (0, "(0, 1)", "x must lie in (0, 1), got 0"),
+        (math.nextafter(1.0, 2.0), "[0, 1]", "x must lie in [0, 1], got 1.0000000000000002"),
+        (-1, "[0, 1]", "x must lie in [0, 1], got -1"),
+    ])
+    def test_refuses_a_value_outside_its_domain(self, value, domain, message):
+        with pytest.raises(InputError) as info:
+            require_real(value, "x", domain)
+        assert str(info.value) == message
+
+
+_E1 = FiniteSequence.basis(1)
+_TAIL = cm.TailConstraints()
+_SPEC = cm.ProductMeasureSpec.identical(cm.Uniform1D(0.0, 1.0))
+# name -> (a call of one real parameter, what its refusal names, its domain)
+_REALS = {
+    "finite-sequence": (lambda v: FiniteSequence(((1, v),)), "sequence value at index 1", None),
+    "from-pairs": (lambda v: FiniteSequence.from_pairs([(2, 1.0), (1, v)]),
+                   "sequence value at index 1", None),
+    "constant": (lambda v: cm.Constant(v), "constant class value", None),
+    "power-c": (lambda v: cm.PowerDecay(v, 1.0), "power class c", None),
+    "power-p": (lambda v: cm.PowerDecay(1.0, v), "power class p", "> 0"),
+    "geometric-c": (lambda v: cm.Geometric(v, 0.5), "geometric class c", None),
+    "geometric-q": (lambda v: cm.Geometric(1.0, v), "geometric class q", "(0, 1)"),
+    "cpp-base": (lambda v: cm.ConstantPlusPower(v, 1.0, 1.0),
+                 "constant-plus-power class base", None),
+    "cpp-c": (lambda v: cm.ConstantPlusPower(1.0, v, 1.0), "constant-plus-power class c", None),
+    "cpp-p": (lambda v: cm.ConstantPlusPower(1.0, 1.0, v), "constant-plus-power class p", "> 0"),
+    "prefixed": (lambda v: cm.Prefixed((1.0, v), cm.Constant(1.0)),
+                 "prefixed class value at index 2", None),
+    "tabulated": (lambda v: cm.Tabulated((1.0, v)), "tabulated class value at index 2", None),
+    "gaussian-1d": (lambda v: cm.Gaussian1D(v), "gaussian component rho", "> 0"),
+    "uniform-a": (lambda v: cm.Uniform1D(v, 1.0), "uniform component a", None),
+    "uniform-b": (lambda v: cm.Uniform1D(0.0, v), "uniform component b", None),
+    "point-mass": (lambda v: cm.PointMass1D(v), "point mass component c", None),
+    "constant-factor": (lambda v: cm.ConstantFactorTail(v), "factor probability", "[0, 1]"),
+    "geometric-tail-c": (lambda v: cm.OneMinusGeometricTail(v, 0.5), "geometric tail c", ">= 0"),
+    "geometric-tail-q": (lambda v: cm.OneMinusGeometricTail(0.5, v), "geometric tail q", "(0, 1)"),
+    "tabulated-tail": (lambda v: cm.TabulatedTail((0.5, v)), "tabulated factor 2", "[0, 1]"),
+    "marginal-cell": (lambda v: cm.MarginalTable((1,), (((_BOX,), v),)),
+                      "cell 0 probability", "[0, 1]"),
+    "product-tol": (lambda v: cm.countable_product_measure(_SPEC, _TAIL, tol=v),
+                    "tolerance", "> 0"),
+    "consistency-tol": (lambda v: cm.consistency_check([cm.MarginalTable((1,), ())], tol=v),
+                        "tolerance", "> 0"),
+    "white-noise": (lambda v: cm.WhiteNoise(v), "white noise sigma", "> 0"),
+    "massive-free": (lambda v: cm.MassiveFree1D(v), "massive free kernel m", "> 0"),
+    "kernel-grid": (lambda v: cm.TabulatedKernel((0.0, v), (1.0, 1.0)),
+                    "tabulated kernel grid point 1", None),
+    "kernel-value": (lambda v: cm.TabulatedKernel((0.0, 1.0), (1.0, v)),
+                     "tabulated kernel value 1", None),
+    "grid-x0": (lambda v: cm.GridFunction(v, 0.1, 2, (1.0, 1.0)), "grid x0", None),
+    "grid-dx": (lambda v: cm.GridFunction(0.0, v, 2, (1.0, 1.0)), "grid dx", "> 0"),
+    "grid-value": (lambda v: cm.GridFunction(0.0, 0.1, 2, (1.0, v)), "grid value 1", None),
+    "fourier-m": (lambda v: cm.kernel_fourier_quadrature(v, 0.5), "m", "> 0"),
+    "fourier-x": (lambda v: cm.kernel_fourier_quadrature(1.0, v), "x", None),
+    "fourier-cutoff": (lambda v: cm.kernel_fourier_quadrature(1.0, 0.5, p_cutoff=v),
+                       "cutoff", "> 0"),
+    "fourier-tol": (lambda v: cm.kernel_fourier_quadrature(1.0, 0.5, tol=v), "tolerance", "> 0"),
+    "frequency": (lambda v: cm.FrequencySet((1.0, v)), "frequency 1", None),
+    "gram-tol": (lambda v: cm.positive_type_gram(lambda xi: 1.0, [_E1], tol=v),
+                 "tolerance", ">= 0"),
+}
+# the float just outside each domain, and how a refusal words it
+_OUTSIDE = {"> 0": (0.0, "be > 0"), ">= 0": (-5e-324, "be >= 0"), "(0, 1)": (1.0, "lie in (0, 1)"),
+            "[0, 1]": (math.nextafter(1.0, 2.0), "lie in [0, 1]")}
+
+
+@pytest.mark.parametrize("name", sorted(_REALS))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, "1", None])
+def test_every_real_parameter_refuses_what_is_not_a_finite_number(name, value):
+    call, what, _ = _REALS[name]
+    with pytest.raises(InputError) as info:
+        call(value)
+    assert str(info.value) == f"{what} must be a finite number, got {value!r}"
+
+
+@pytest.mark.parametrize("name", sorted(k for k, (_, _, domain) in _REALS.items() if domain))
+def test_every_real_parameter_refuses_a_value_just_outside_its_domain(name):
+    call, what, domain = _REALS[name]
+    value, rule = _OUTSIDE[domain]
+    with pytest.raises(InputError) as info:
+        call(value)
+    assert str(info.value) == f"{what} must {rule}, got {value}"
+
+
+_LEFT = normalize_box((Interval(-math.inf, 0.0),))
+_RIGHT = normalize_box((Interval(0.0, math.inf),))
+
+
+# each ran, or failed outside InputError, before every real parameter went through one rule
+@pytest.mark.parametrize("call, message", [
+    # a NaN cell made every comparison false, so the check called the family consistent
+    (lambda: cm.consistency_check([
+        cm.MarginalTable((1,), (((_LEFT,), math.nan), ((_RIGHT,), 0.5))),
+        cm.MarginalTable((1, 2), tuple(((a, b), 0.25) for a in (_LEFT, _RIGHT)
+                                       for b in (_LEFT, _RIGHT)))]),
+     "cell 0 probability must be a finite number, got nan"),
+    # a NaN tolerance called every matrix not PSD, an infinite one every matrix PSD
+    (lambda: cm.positive_type_gram(lambda xi: 1.0, [_E1], tol=math.nan),
+     "tolerance must be a finite number, got nan"),
+    (lambda: cm.positive_type_gram(lambda xi: 1.0, [_E1], tol=math.inf),
+     "tolerance must be a finite number, got inf"),
+    (lambda: cm.TabulatedKernel((0.0, 1.0), (1.0, math.inf)),
+     "tabulated kernel value 1 must be a finite number, got inf"),
+    (lambda: cm.GridFunction(math.inf, 0.1, 2, (1.0, 1.0)),
+     "grid x0 must be a finite number, got inf"),
+    (lambda: cm.PowerDecay("1", 1.0), "power class c must be a finite number, got '1'"),
+    (lambda: cm.Gaussian1D("1"), "gaussian component rho must be a finite number, got '1'"),
+    (lambda: cm.Constant(True), "constant class value must be a finite number, got True"),
+    (lambda: cm.countable_product_measure(_SPEC, _TAIL, tol=True),
+     "tolerance must be a finite number, got True"),
+], ids=["marginal-nan-family", "gram-tol-nan", "gram-tol-inf", "kernel-value-inf",
+        "grid-x0-inf", "power-string", "gaussian-string", "constant-bool", "product-tol-bool"])
+def test_real_parameters_that_slipped_past_their_checks(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# every library function that draws takes its seed through require_count
+_SEEDED = {
+    "sample": lambda s: cm.sample(cm.Constant(1.0), 3, s),
+    "mc-moment": lambda s: cm.mc_moment(cm.Constant(1.0), [_E1], 10, s),
+    "tail-growth": lambda s: cm.mc_tail_growth(cm.Constant(1.0), cm.Constant(1.0), 100, 100, s),
+    "haar-batch": lambda s: cm.haar_sample_batch(cm.FrequencySet((1.0,)), 2, s),
+    "mc-method": lambda s: cm.MCMethod(10, s),
+    "pushforward": lambda s: cm.pushforward_integral_mc(
+        cm.ProductSampler(_SPEC, 1), lambda x: x, lambda u: u[:, 0], 10, s),
+    "derive-seed": lambda s: cm.derive_seed(s, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (2.5, "seed must be an integer, got 2.5"),
+    (True, "seed must be an integer, got True"),
+])
+def test_every_seed_follows_one_rule(name, seed, message):
+    with pytest.raises(InputError) as info:
+        _SEEDED[name](seed)
+    assert str(info.value) == message

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -302,6 +303,23 @@ class TestWickMoment:
         # the library estimator, which the CLI and the release gate call,
         # reproduces the estimator written out above bit for bit
         assert mc_moment(cov, vs, 10_000, 55) == inline_mc_moment(cov, vs, 10_000, 55)
+
+    def test_mc_moment_holds_no_more_values_than_its_budget_counts(self):
+        # gaussian.MAX_MC_VALUES counts samples x (coordinates + factors); the
+        # draw is scaled in place, so no scaled copy sits beside the raw draw
+        vs, n = [FiniteSequence.basis(5), E2], 10**5
+        mc_moment(Constant(1.0), vs, 10, 1)  # loads numpy.random before tracing
+        tracemalloc.start()
+        try:
+            mc_moment(Constant(2.0), vs, n, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * (5 + len(vs)) + 2**16
+        sd = np.sqrt(Constant(2.0).first(5))
+        reference = np.random.default_rng(3).standard_normal((n, 5)) * sd
+        assert np.array_equal(draw_coordinates(Constant(2.0), 5, n, np.random.default_rng(3)),
+                              reference)
 
     def test_mc_moment_of_no_factors_is_the_empty_product(self):
         assert mc_moment(Constant(1.0), [], 3, 0) == (1.0, 0.0)

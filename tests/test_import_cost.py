@@ -453,6 +453,28 @@ def test_numpy_is_imported_only_by_the_package_handle():
     assert {name for name, _ in imports} == {"__init__.py"}, imports
 
 
+def test_only_errors_refuses_a_non_finite_input():
+    # a real parameter goes through errors.require_real: no other module raises
+    # InputError under a condition that calls isfinite, so a hand-written
+    # finiteness check cannot grow back (NumericError on a computed result stays)
+    checks = []
+    for path in sorted((SRC / "cylmeasure").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.If, ast.While)):
+                continue
+            tests_finite = any(isinstance(call, ast.Call)
+                               and getattr(call.func, "attr", getattr(call.func, "id", None))
+                               == "isfinite" for call in ast.walk(node.test))
+            raises_input = any(isinstance(raised, ast.Raise) and raised.exc is not None
+                               and "InputError" in ast.unparse(raised.exc)
+                               for stmt in node.body for raised in ast.walk(stmt))
+            if tests_finite and raises_input:
+                checks.append((path.name, node.lineno))
+    assert checks == []
+
+
 def _import_time_nodes(node):
     """The nodes that run when the module is imported: all but function bodies."""
     for child in ast.iter_child_nodes(node):

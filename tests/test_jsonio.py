@@ -33,7 +33,7 @@ ERRORS = {
          "doc.constant.rho: expected a number, got string 'inf'"),
         ("null", {"constant": {"rho": None}}, "doc.constant.rho: expected a number, got NoneType"),
         ("build-error", {"geometric": {"c": 1.0, "q": 1.5}},
-         "doc.geometric: geometric class needs 0 < q < 1, got q=1.5"),
+         "doc.geometric: geometric class q must lie in (0, 1), got 1.5"),
         ("nested-tail-variant", {"prefixed": {"prefix": [1.0], "tail": {"nope": {}}}},
          f"doc.prefixed.tail.nope: unknown variant; expected one of {DECAY_TAGS}"),
         ("nested-tail-key", {"prefixed": {"prefix": [1.0], "tail": {"power": {"c": 1.0}}}},
@@ -177,7 +177,7 @@ ERRORS = {
         ("factors-item", {"tabulated": {"factors": [0.5, "half"]}},
          "doc.tabulated.factors[1]: expected a number, got string 'half'"),
         ("build-error", {"constant_factor": {"f": 1.5}},
-         "doc.constant_factor: factor probability must lie in [0,1], got 1.5"),
+         "doc.constant_factor: factor probability must lie in [0, 1], got 1.5"),
     ],
     "marginal_tables": [
         ("wrong-type", {"indices": [1]}, "doc: expected an array, got dict"),
@@ -197,9 +197,9 @@ ERRORS = {
         ("cell-non-finite", [{"indices": [1], "cells": [CELL, {**CELL, "p": INF}]}],
          "doc[0].cells[1].p: must be finite"),
         ("cell-negative-p", [{"indices": [1], "cells": [CELL, {**CELL, "p": -0.5}]}],
-         "doc[0].cells[1].p: probability must lie in [0,1], got -0.5"),
+         "doc[0]: cell 1 probability must lie in [0, 1], got -0.5"),
         ("cell-p-above-one", [{"indices": [1], "cells": [{**CELL, "p": 1.5}]}],
-         "doc[0].cells[0].p: probability must lie in [0,1], got 1.5"),
+         "doc[0]: cell 0 probability must lie in [0, 1], got 1.5"),
         ("cell-arity",
          [{"indices": [1], "cells": [CELL]},
           {"indices": [1, 2], "cells": [{"boxes": [[[0.0, 1.0]], [[0.0]]], "p": 1.0}]}],

@@ -353,17 +353,21 @@ class TestProductBlockScan:
 
     @pytest.mark.parametrize("factor", [1.5, -0.25, float("nan")])
     def test_tabulated_factor_outside_the_unit_interval_is_rejected(self, factor):
-        with pytest.raises(InputError, match=r"tabulated factors must lie in \[0,1\]"):
+        refusal = r"^tabulated factor 2 must (lie in \[0, 1\]|be a finite number), got "
+        with pytest.raises(InputError, match=refusal):
             TabulatedTail((0.5, factor, 0.5))
 
     @pytest.mark.parametrize(
         "c, q, message",
         [
             (4.0, 0.5, "must keep factors inside"),  # c*q = 2 > 1: the first factor is -1
-            (-0.5, 0.5, "must keep factors inside"),  # factors above 1
-            (1.0, 0.0, "needs 0 < q < 1"),
-            (1.0, 1.0, "needs 0 < q < 1"),
+            (-0.5, 0.5, "geometric tail c must be >= 0"),  # factors above 1
+            (1.0, 0.0, r"geometric tail q must lie in \(0, 1\)"),
+            (1.0, 1.0, r"geometric tail q must lie in \(0, 1\)"),
         ],
+        # each id names the rule its case breaks
+        ids=["4.0-0.5-must keep factors inside", "-0.5-0.5-must keep factors inside",
+             "1.0-0.0-needs 0 < q < 1", "1.0-1.0-needs 0 < q < 1"],
     )
     def test_geometric_tail_outside_the_unit_interval_is_rejected(self, c, q, message):
         with pytest.raises(InputError, match=message):
@@ -564,7 +568,7 @@ class TestConsistency:
         small = MarginalTable((1,), (((p1[0],), 0.9), ((p1[1],), 0.1)))
         large = MarginalTable((1, 2), tuple(((a, b), 0.25) for a in p1 for b in p2))
         assert not consistency_check([small, large]).consistent
-        with pytest.raises(InputError, match="positive and finite"):
+        with pytest.raises(InputError, match=r"^tolerance must be (a finite number|> 0), got "):
             consistency_check([small, large], tol=tol)
 
 
