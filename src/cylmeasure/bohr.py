@@ -23,7 +23,9 @@ from typing import Callable, Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_budget, require_count, require_real
+from .errors import (
+    InputError, NumericError, require_budget, require_count, require_real, require_seed,
+)
 
 __all__ = [
     "FrequencySet",
@@ -165,7 +167,7 @@ def independence_check(gamma: FrequencySet, bound: int) -> IndependenceResult:
 def haar_sample_batch(gamma: FrequencySet, n_samples: int, seed: int) -> np.ndarray:
     """(n_samples, n) matrix of independent Haar draws."""
     require_count(n_samples, "n_samples", 1)
-    require_count(seed, "seed")
+    require_seed(seed)
     require_budget(n_samples * gamma.n, MAX_MC_DRAWS, "samples x phases")
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 2.0 * math.pi, (n_samples, gamma.n))
@@ -244,7 +246,7 @@ class MCMethod(Record):
 
     def __post_init__(self):
         require_count(self.n_samples, "n_samples", 2)
-        require_count(self.seed, "seed")
+        require_seed(self.seed)
 
     def integrate(self, gamma: FrequencySet, f: Callable) -> HaarIntegralResult:
         points = haar_sample_batch(gamma, self.n_samples, self.seed)

@@ -2,9 +2,11 @@
 
 Inputs are strict RFC 8259 JSON documents, inline or ``@path``, whose
 objects name each key once; a number given as an argument is plain ASCII
-without ``_``, and an option is spelled in full (no prefix is read).  Every
-stochastic mode requires an explicit non-negative ``--seed`` and its
-result envelope carries (estimate, standard error, n_samples, seed).
+without ``_``, and an option is spelled in full (no prefix is read).  This
+module reads only text: the library call that reads a number decides,
+through ``errors``, whether its value is allowed.  Every stochastic mode
+requires an explicit ``--seed`` and its result envelope carries
+(estimate, standard error, n_samples, seed).
 Output is a strict JSON envelope; ``--out csv`` emits tabular traces for
 the few subcommands that produce them.
 
@@ -57,7 +59,6 @@ import functools
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -215,8 +216,6 @@ def _payload_moment(mode, values) -> tuple[dict, list[str]]:
         return payload, ["pairing-sum evaluation"]
     n_samples, seed = values["mc_samples"], values["seed"]
     dim = max((v.max_index for v in vectors), default=1)
-    if n_samples < 2:
-        raise InputError(f"--mc-samples needs at least 2 samples, got {n_samples}")
     require_budget(n_samples * (dim + len(vectors)), _lib.gaussian.MAX_MC_VALUES,
                    "samples x (coordinates + factors)")
     estimate, standard_error = _lib.mc_moment(cov, vectors, n_samples, seed)
@@ -401,34 +400,14 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _seed(text: str) -> int:
+def _float(text: str) -> float:
     try:
-        value = _number(text, int)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"expected a non-negative 64-bit integer, got {text!r}")
-    return value
+        return _number(text, float)
+    except ValueError:  # argparse's own wording for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
-def _finite(text: str) -> float:
-    try:
-        value = _number(text, float)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _positive(text: str) -> float:
-    value = _finite(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
-
-
-_SEED = {"type": _seed, "help": "non-negative 64-bit seed"}
+_SEED = {"type": _int, "help": "non-negative 64-bit seed"}
 
 # name -> (help, payload builder, options as (flag, kind, add_argument keywords)).
 # An option's kind is the SCHEMA kind of its JSON document, its own reader (a
@@ -476,12 +455,12 @@ SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, Any, dict], ...]]] = {
     )),
     "kernel": ("covariance kernel operations", _payload_kernel, (
         ("--spec", "kernel", {}),
-        ("--at", None, {"type": _finite}),
+        ("--at", None, {"type": _float}),
         ("--bilinear", "grid_function", {"nargs": 2, "metavar": ("F", "G")}),
         ("--regularity", None, {"action": "store_true"}),
-        ("--fourier", None, {"type": _finite, "nargs": 2, "metavar": ("M", "X")}),
-        ("--cutoff", None, {"type": _finite, "default": 1e7}),
-        ("--tol", None, {"type": _positive, "default": 1e-6, "help": "error budget of --fourier"}),
+        ("--fourier", None, {"type": _float, "nargs": 2, "metavar": ("M", "X")}),
+        ("--cutoff", None, {"type": _float, "default": 1e7}),
+        ("--tol", None, {"type": _float, "default": 1e-6, "help": "error budget of --fourier"}),
     )),
     "bohr": ("torus family: independence, sampling, integrals", _payload_bohr, (
         ("--freqs", _read_freqs, {"required": True, "help": "comma-separated frequencies"}),
@@ -501,7 +480,7 @@ SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, Any, dict], ...]]] = {
     )),
     "consistency": ("marginal self-consistency check", _payload_consistency, (
         ("--marginals", "marginal_tables", {"required": True}),
-        ("--tol", None, {"type": _positive, "default": 1e-12, "help": "agreement tolerance"}),
+        ("--tol", None, {"type": _float, "default": 1e-12, "help": "agreement tolerance"}),
     )),
     "selftest": ("run the release-gate criteria", None, (
         ("--level", None, {"choices": ("quick", "full"), "default": "quick"}),

@@ -23,7 +23,9 @@ from typing import Callable, Sequence
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_budget, require_count, require_real
+from .errors import (
+    InputError, NumericError, require_budget, require_count, require_real, require_seed,
+)
 from .sequences import DecaySeq, FiniteSequence, require_positive
 
 __all__ = [
@@ -106,7 +108,7 @@ def sample(cov: CovarianceSeq, n_coords: int, seed: int) -> GaussianSample:
     """One truncated sample, reproducible from (seed, n_coords, cov)."""
     require_count(n_coords, "truncation", 1)
     require_budget(n_coords, MAX_SAMPLE_COORDS, "truncation")
-    require_count(seed, "seed")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     values = draw_coordinates(cov, n_coords, 1, rng)[0]
     return GaussianSample(truncation=n_coords, values=values, seed=seed, cov=cov)
@@ -216,7 +218,8 @@ def mc_moment(
     One seeded draw of coordinates 1..max index; the product starts from
     ones, so no factors give the empty product 1, as in ``wick_moment``.
     """
-    require_count(seed, "seed")
+    require_count(n_samples, "n_samples", 2)
+    require_seed(seed)
     dim = max((x.max_index for x in xs), default=1)
     coords = draw_coordinates(cov, dim, n_samples, np.random.default_rng(seed))
     prods = np.ones(n_samples)

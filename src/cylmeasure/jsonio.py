@@ -40,7 +40,7 @@ import sys
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ._record import Record
-from .errors import InputError
+from .errors import InputError, require_count, require_real
 
 if TYPE_CHECKING:
     from . import measure_core, sequences, transform
@@ -94,35 +94,27 @@ def _pack(*values):
 
 
 # ---------------------------------------------------------------------------
-# leaf readers
+# leaf readers: each judges its value by the rule of ``errors`` here, where
+# a refusal still names its path
 
 
-def _number(value: Any, allow_inf: bool = False) -> float:
-    kind = type(value)
-    if kind is not float:
-        if kind is not int:  # bool is a subclass of int, not int itself
-            if isinstance(value, str):
-                if allow_inf and value in ("inf", "-inf"):
-                    return math.inf if value == "inf" else -math.inf
-                raise _Fault(f"expected a number, got string {value!r}")
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise _Fault(f"expected a number, got {type(value).__name__}")
-        try:
-            value = float(value)
-        except OverflowError:  # a JSON integer past the float range
-            raise _Fault("must be finite") from None
-    if not math.isfinite(value):
-        raise _Fault("must be finite")
-    return value
+def _number(value: Any) -> float:
+    try:
+        require_real(value, "value")
+    except InputError as exc:
+        raise _Fault(str(exc)) from None
+    return float(value)
 
 
 def _interval_end(value: Any) -> float:
-    return _number(value, allow_inf=True)
+    return float(value) if value in ("inf", "-inf") else _number(value)
 
 
 def _natural(value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise _Fault(f"expected a natural >= 1, got {value!r}")
+    try:
+        require_count(value, "value", 1)
+    except InputError as exc:
+        raise _Fault(str(exc)) from None
     return value
 
 
@@ -160,23 +152,6 @@ def _identical(doc: Any) -> measure_core.ProductMeasureSpec:
     from .measure_core import ProductMeasureSpec
 
     return ProductMeasureSpec.identical(_read("component", doc))
-
-
-def _cell(boxes: tuple, p: float) -> tuple:
-    from .measure_core import normalize_box
-
-    return tuple(normalize_box(box) for box in boxes), p
-
-
-def _marginal_table(indices: tuple[int, ...], cells: tuple) -> measure_core.MarginalTable:
-    from .measure_core import MarginalTable
-
-    if not indices:
-        raise _Fault("expected a nonempty array of naturals", ".indices")
-    for j, (boxes, _) in enumerate(cells):
-        if len(boxes) != len(indices):
-            raise _Fault(f"expected {len(indices)} boxes (one per index)", f".cells[{j}].boxes")
-    return MarginalTable(indices, cells)
 
 
 def _shift(doc: Any) -> transform.ShiftSpec:
@@ -224,9 +199,9 @@ SCHEMA: dict[str, Any] = {
     },
     "marginal_tables": _List(
         _object(
-            _marginal_table,
+            "MarginalTable",
             indices=_List(_natural),
-            cells=_List(_object(_cell, boxes=_List(_BOX), p=_number)),
+            cells=_List(_object(_pack, boxes=_List(_BOX), p=_number)),
         )
     ),
     "numbers": _NUMBERS,

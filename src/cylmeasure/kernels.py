@@ -94,6 +94,7 @@ class MassiveFree1D(Record):
         require_real(self.m, "massive free kernel m", "> 0")
 
     def at(self, x: float) -> float:
+        require_real(x, "x")
         return math.exp(-self.m * abs(x)) / (2.0 * self.m)
 
     def bilinear(self, f: GridFunction, g: GridFunction) -> float:
@@ -124,6 +125,7 @@ class TabulatedKernel(Record):
 
     def at(self, x: float) -> float:
         """Linear interpolation; a point outside the grid is an InputError."""
+        require_real(x, "x")
         if not (self.grid[0] <= x <= self.grid[-1]):
             raise InputError(
                 f"x={x} outside the tabulated range [{self.grid[0]}, {self.grid[-1]}]"

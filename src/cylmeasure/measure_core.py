@@ -21,7 +21,9 @@ from typing import Callable, Mapping, Sequence, Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_count, require_indices, require_real
+from .errors import (
+    InputError, NumericError, require_count, require_indices, require_real, require_seed,
+)
 
 __all__ = [
     "Interval",
@@ -64,10 +66,11 @@ class Interval(Record):
     hi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise InputError("interval ends must not be NaN")
+        for name in ("lo", "hi"):
+            end = getattr(self, name)
+            if end not in (math.inf, -math.inf):  # an end may be infinite
+                require_real(end, f"interval {name}")
+            object.__setattr__(self, name, float(end))
         if self.lo > self.hi:
             raise InputError(f"malformed box: lo={self.lo} > hi={self.hi}")
 
@@ -480,7 +483,8 @@ class MarginalTable(Record):
     """A finite-dimensional box-measure table over an index set.
 
     Each cell pairs one box per index (aligned with ``indices``) with its
-    probability; no two cells have the same boxes.
+    probability; no two cells have the same boxes.  Boxes are stored
+    normalized, as in ``CylinderSet``.
     """
 
     indices: tuple[int, ...]
@@ -491,14 +495,18 @@ class MarginalTable(Record):
             raise InputError("marginal table needs at least one index")
         require_indices(self.indices, "marginal table index")
         first: dict[tuple[Box, ...], int] = {}
+        cells = []
         for j, (boxes, p) in enumerate(self.cells):
             if len(boxes) != len(self.indices):
                 raise InputError(
-                    f"cell arity {len(boxes)} does not match index set {self.indices}"
+                    f"cell {j} arity {len(boxes)} does not match index set {self.indices}"
                 )
             require_real(p, f"cell {j} probability", "[0, 1]")
+            boxes = tuple(normalize_box(box) for box in boxes)
             if first.setdefault(boxes, j) != j:
                 raise InputError(f"cell {j} repeats the boxes of cell {first[boxes]}")
+            cells.append((boxes, p))
+        object.__setattr__(self, "cells", tuple(cells))
 
     def marginal_onto(self, indices: tuple[int, ...]) -> dict[tuple[Box, ...], float]:
         positions = [self.indices.index(i) for i in indices]
@@ -593,7 +601,7 @@ def pushforward_integral_mc(
     and ``f`` maps (M, K) to (M,).  Returns (estimate, standard error).
     """
     require_count(n_samples, "n_samples", 2)
-    require_count(seed, "seed")
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     x = sampler.draw(rng, n_samples)
     u = np.asarray(phi(x))

@@ -15,13 +15,13 @@ counts.
 from __future__ import annotations
 
 from . import _np as np
-from .errors import require_count
+from .errors import require_seed
 
 __all__ = ["derive_seed"]
 
 
 def derive_seed(master: int, *key: int) -> int:
     """A 64-bit seed for the sub-stream identified by ``key``."""
-    require_count(master, "seed")
+    require_seed(master)
     seq = np.random.SeedSequence([master, *key])
     return int(seq.generate_state(1, np.uint64)[0])

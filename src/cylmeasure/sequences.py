@@ -115,6 +115,7 @@ class FiniteSequence(Record):
         return not self.entries
 
     def scale(self, factor: float) -> "FiniteSequence":
+        require_real(factor, "scale factor")
         return FiniteSequence(tuple((i, factor * v) for i, v in self.entries))
 
     def __add__(self, other: "FiniteSequence") -> "FiniteSequence":

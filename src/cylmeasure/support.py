@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import _np as np
 from ._record import Record
-from .errors import NumericError, require_budget, require_count
+from .errors import NumericError, require_budget, require_count, require_seed
 from .sequences import DecaySeq, require_positive, summable
 
 if TYPE_CHECKING:
@@ -140,7 +140,7 @@ def mc_tail_growth(
     """
     require_count(n_coords, "n_coords", 100)
     require_count(n_samples, "n_samples", 100)
-    require_count(seed, "seed")
+    require_seed(seed)
     require_budget(n_coords * n_samples, MAX_MC_DRAWS, "coordinates x samples")
     require_positive(cov, "covariance")
     require_positive(a, "weight sequence")

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, require_real
 from .sequences import (
     DecaySeq,
     FiniteSequence,
@@ -74,7 +74,10 @@ def rn_density(
         point = not len(x) or not hasattr(x[0], "__len__")
     except TypeError:  # a scalar
         point = False
-    if not point:
+    if point:
+        for n, value in enumerate(x, 1):
+            require_real(value, f"x coordinate {n}")
+    else:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise InputError(f"x must be a vector or a batch of vectors, got ndim={x.ndim}")

@@ -131,7 +131,7 @@ SCHEMA_CASES = {
         json.loads(MARGINALS),
         (measure_core.MarginalTable((1,), ((((Interval(0.0, math.inf),),), 1.0),)),),
         [
-            ([{"indices": [1, 2], "cells": [{"boxes": [[]], "p": 1}]}], "doc[0].cells[0].boxes"),
+            ([{"indices": [1, 2], "cells": [{"boxes": [[]], "p": 1}]}], "doc[0]"),
             ([{"indices": [1], "cells": [{"boxes": [[]], "p": 1, "q": 0}]}], "doc[0].cells[0].q"),
             ([{"indices": [1]}], "doc[0].cells"),
         ],
@@ -191,7 +191,7 @@ class TestJsonDecoding:
         assert cyl.base[0][1][0] == Interval(-math.inf, 0.0)
 
     def test_bad_infinity_string_rejected(self):
-        with pytest.raises(InputError, match="expected a number"):
+        with pytest.raises(InputError, match="value must be a finite number, got 'infinity'"):
             jsonio.decode(
                 "cylinder", {"base": [{"index": 1, "boxes": [["infinity", 0.0]]}]}, "cylinder"
             )
@@ -699,14 +699,15 @@ class TestCliHardening:
             "--cylinder", '{"base":[{"index":1,"boxes":[[-1e400,0.5]]}]}',
         )
         assert code == 2
-        assert "cylinder.base[0].boxes[0][0]: must be finite" in err
+        assert "cylinder.base[0].boxes[0][0]: value must be a finite number, got -inf" in err
 
     def test_integer_past_the_float_range_exits_2(self, capsys):
         big = "1" + "0" * 400
         weights = f'{{"constant":{{"rho":{big}}}}}'
         code, out, err = run_cli(capsys, "hs-check", "--weights", weights)
         assert (code, out) == (2, "")
-        assert "input error: weights.constant.rho: must be finite" in err
+        assert ("input error: weights.constant.rho: value must be a finite number, "
+                "got about 10^400") in err
 
     @pytest.mark.parametrize(
         "cov",
@@ -731,18 +732,18 @@ class TestCliHardening:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            pytest.param(("sample", "--cov", CONST1, "--n", "4", "--seed", "-1"), "--seed",
-                         id="negative-seed"),
-            pytest.param(("sample", "--cov", CONST1, "--n", "4", "--seed", str(2**64)), "--seed",
-                         id="seed-above-64-bits"),
+            pytest.param(("sample", "--cov", CONST1, "--n", "4", "--seed", "-1"),
+                         "input error: seed must be >= 0, got -1", id="negative-seed"),
+            pytest.param(("sample", "--cov", CONST1, "--n", "4", "--seed", str(2**64)),
+                         f"input error: seed must be < 2^64, got {2**64}", id="seed-above-64-bits"),
             pytest.param(("shift-admissible", "--cov", CONST1, "--shift", CONST1, "--tol", "1e-3"),
                          "--tol", id="tol-on-shift-admissible"),
             pytest.param(("hs-check", "--weights", CONST1, "--seed", "1"), "--seed",
                          id="seed-on-hs-check"),
-            pytest.param(("consistency", "--marginals", MARGINALS, "--tol", "-1"), "--tol",
-                         id="negative-tol"),
-            pytest.param(("kernel", "--fourier", "1.0", "0.0", "--tol", "0"), "--tol",
-                         id="zero-tol"),
+            pytest.param(("consistency", "--marginals", MARGINALS, "--tol", "-1"),
+                         "input error: tolerance must be > 0, got -1.0", id="negative-tol"),
+            pytest.param(("kernel", "--fourier", "1.0", "0.0", "--tol", "0"),
+                         "input error: tolerance must be > 0, got 0.0", id="zero-tol"),
             pytest.param(("moment", "--cov", CONST1, "--vectors", "e1,e0"),
                          "input error: vectors[1]: sequence index must be a natural >= 1, got 0",
                          id="basis-token-e0"),
@@ -775,8 +776,11 @@ class TestCliHardening:
                          id="integral-mode-digit-separator"),
             pytest.param(("sample", "--cov", CONST1, "--n", "1_0", "--seed", "1"),
                          "argument --n: invalid int value: '1_0'", id="int-digit-separator"),
+            pytest.param(("kernel", "--fourier", "1", "0_5"),
+                         "argument --fourier: invalid float value: '0_5'",
+                         id="float-digit-separator"),
             pytest.param(("sample", "--cov", CONST1, "--n", "4", "--seed", "\u0663"),
-                         "argument --seed: expected a non-negative 64-bit integer, got '\u0663'",
+                         "argument --seed: invalid int value: '\u0663'",
                          id="seed-non-ascii-digit"),
             *UNREAD_OPTIONS,
         ],
@@ -880,20 +884,47 @@ class TestCliHardening:
         assert "marginals[0]: cell 0 probability must lie in [0, 1], got -0.5" in err
 
     @pytest.mark.parametrize(
-        "argv, option",
+        "argv, message",
         [
-            (("kernel", "--spec", '{"massive_free_1d":{"m":1}}', "--at", "nan"), "--at"),
-            (("kernel", "--fourier", "1", "inf"), "--fourier"),
-            (("kernel", "--fourier", "1", "0.5", "--cutoff", "inf"), "--cutoff"),
-            (("kernel", "--fourier", "1", "0.5", "--tol", "inf"), "--tol"),
+            (("kernel", "--spec", '{"massive_free_1d":{"m":1}}', "--at", "nan"),
+             "x must be a finite number, got nan"),
+            (("kernel", "--fourier", "1", "inf"), "x must be a finite number, got inf"),
+            (("kernel", "--fourier", "1", "0.5", "--cutoff", "inf"),
+             "cutoff must be a finite number, got inf"),
+            (("kernel", "--fourier", "1", "0.5", "--tol", "inf"),
+             "tolerance must be a finite number, got inf"),
         ],
         ids=["at", "fourier", "cutoff", "tol"],
     )
-    def test_non_finite_float_options_exit_2(self, capsys, argv, option):
+    def test_non_finite_float_options_exit_2(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert f"argument {option}: expected a finite number" in err
+        assert err == f"input error: {message}\n"
+
+    # the library call that reads a number judges it, so each refusal is one line
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("consistency", "--marginals", MARGINALS, "--tol", "nan"),
+             "tolerance must be a finite number, got nan"),
+            (("hs-check", "--weights", '{"power":{"c":1e999,"p":1}}'),
+             "weights.power.c: value must be a finite number, got inf"),
+            (("moment", "--cov", CONST1, "--vectors", "e1", "--mc-samples", "10",
+              "--seed", str(2**64)), f"seed must be < 2^64, got {2**64}"),
+            (("support", "--cov", CONST1, "--weights", CONST1, "--mc", "100", "100",
+              "--seed", "-1"), "seed must be >= 0, got -1"),
+            (("bohr", "--freqs", "1,2", "--sample", "--seed", str(2**64)),
+             f"seed must be < 2^64, got {2**64}"),
+            (("bohr", "--freqs", "1,2", "--integral", "one", "--mc", "10", "--seed", "-1"),
+             "seed must be >= 0, got -1"),
+            (("selftest", "--seed", str(2**64)), f"seed must be < 2^64, got {2**64}"),
+        ],
+        ids=["consistency-tol", "json-number", "moment-seed", "support-seed", "bohr-sample-seed",
+             "bohr-mc-seed", "selftest-seed"],
+    )
+    def test_a_number_the_library_refuses_prints_one_line(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"input error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -905,9 +936,9 @@ class TestCliHardening:
             (("moment", "--cov", CONST1, "--vectors", "e1,e1", "--mc-samples",
               "1000000000000", "--seed", "1"), "exceeds the budget of"),
             (("moment", "--cov", CONST1, "--vectors", "e1,e1", "--mc-samples", "1",
-              "--seed", "1"), "at least 2 samples"),
+              "--seed", "1"), "n_samples must be >= 2, got 1"),
             (("moment", "--cov", CONST1, "--vectors", "e1,e1", "--mc-samples", "-5",
-              "--seed", "1"), "at least 2 samples"),
+              "--seed", "1"), "n_samples must be >= 2, got -5"),
             (("bohr", "--freqs", "1.0,1.4142135623730951", "--integral", "one",
               "--mc", "1000000000000", "--seed", "1"), "exceeds the budget of"),
             (("bohr", "--freqs", "1.0,1.4142135623730951", "--integral", "one",
@@ -1173,7 +1204,7 @@ REFUSALS = readme_block("these exits `2`:", "```text").strip("\n").splitlines()
 
 class TestReadmeExamples:
     def test_every_block_is_found(self):
-        assert len(EXAMPLES) == 14 and len(REFUSALS) == 12
+        assert len(EXAMPLES) == 14 and len(REFUSALS) == 14
 
     @pytest.mark.parametrize("argv", EXAMPLES, ids=[f"{i}-{a[0]}" for i, a in enumerate(EXAMPLES)])
     def test_example_runs_and_replays(self, capsys, argv):

@@ -1,7 +1,7 @@
 """One rule for every index and count: ``errors.require_count`` and
 ``errors.require_indices``; one for every size budget: ``errors.require_budget``;
-one for every real parameter: ``errors.require_real``; and the public calls that
-route through them."""
+one for every real parameter: ``errors.require_real``; one for every seed:
+``errors.require_seed``; and the public calls that route through them."""
 
 import ast
 import importlib
@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import cylmeasure as cm
-from cylmeasure import cli
+from cylmeasure import cli, jsonio
 from cylmeasure.errors import (
-    InputError, require_budget, require_count, require_indices, require_real,
+    InputError, require_budget, require_count, require_indices, require_real, require_seed,
 )
 from cylmeasure.measure_core import Interval, normalize_box
 from cylmeasure.sequences import FiniteSequence
@@ -80,6 +80,33 @@ _BOX = normalize_box((Interval(0.0, 1.0),))
 ], ids=["finite-sequence-bool", "cylinder-bool", "override-bool", "marginal-zero",
         "marginal-negative", "marginal-numpy", "marginal-empty"])
 def test_public_indices_follow_one_rule(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# Python refuses to print an int of more than 4,300 digits: each rule shows one
+# of 31 digits or more as a power of ten, as require_budget always did, and
+# cuts any other value's text to 60 characters
+@pytest.mark.parametrize("call, message", [
+    (lambda: require_count(-10**5000, "n"), "n must be >= 0, got about -10^5000"),
+    (lambda: require_indices([2, -10**5000], "index"),
+     "index must be a natural >= 1, got about -10^5000"),
+    (lambda: require_real(10**5000, "x"), "x must be a finite number, got about 10^5000"),
+    (lambda: cm.Constant(10**5000),
+     "constant class value must be a finite number, got about 10^5000"),
+    (lambda: require_seed(10**5000), "seed must be < 2^64, got about 10^5000"),
+    (lambda: require_count(-10**30, "n"), "n must be >= 0, got about -10^30"),
+    (lambda: require_count(1 - 10**30, "n"),
+     "n must be >= 0, got -999999999999999999999999999999"),
+    # a JSON array where a number belongs printed its whole text
+    (lambda: jsonio.decode_decay({"constant": {"rho": list(range(10**4))}}),
+     "cov.constant.rho: value must be a finite number, got "
+     "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16..."),
+    (lambda: require_count("x" * 100, "n"), f"n must be an integer, got '{'x' * 56}..."),
+], ids=["count", "indices", "real", "constant", "seed", "count-31-digits", "count-30-digits",
+        "json-array", "long-string"])
+def test_a_value_too_long_to_print_is_shown_short(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
@@ -205,7 +232,8 @@ class TestRequireReal:
     def test_refuses_what_is_not_a_finite_number(self, value):
         with pytest.raises(InputError) as info:
             require_real(value, "x", "> 0")
-        assert str(info.value) == f"x must be a finite number, got {value!r}"
+        shown = "about 10^400" if value == 10**400 else repr(value)  # too long to show
+        assert str(info.value) == f"x must be a finite number, got {shown}"
 
     @pytest.mark.parametrize("value, domain, message", [
         (0.0, "> 0", "x must be > 0, got 0.0"),
@@ -322,15 +350,60 @@ _RIGHT = normalize_box((Interval(0.0, math.inf),))
     (lambda: cm.Constant(True), "constant class value must be a finite number, got True"),
     (lambda: cm.countable_product_measure(_SPEC, _TAIL, tol=True),
      "tolerance must be a finite number, got True"),
+    # scale(True) returned the sequence, scale("2") failed with a TypeError
+    (lambda: _E1.scale(True), "scale factor must be a finite number, got True"),
+    (lambda: _E1.scale("2"), "scale factor must be a finite number, got '2'"),
+    # at(nan) returned nan, at(True) answered for x = 1
+    (lambda: cm.MassiveFree1D(1.0).at(math.nan), "x must be a finite number, got nan"),
+    (lambda: cm.MassiveFree1D(1.0).at(True), "x must be a finite number, got True"),
+    (lambda: cm.TabulatedKernel((0.0, 2.0), (1.0, 0.5)).at(True),
+     "x must be a finite number, got True"),
+    (lambda: cm.TabulatedKernel((0.0, 2.0), (1.0, 0.5)).at(math.nan),
+     "x must be a finite number, got nan"),
+    # a NaN coordinate of one point gave a NaN density
+    (lambda: cm.rn_density([math.nan], _E1, cm.Constant(1.0)),
+     "x coordinate 1 must be a finite number, got nan"),
+    (lambda: cm.rn_density([0.5, "1"], _E1, cm.Constant(1.0)),
+     "x coordinate 2 must be a finite number, got '1'"),
+    # True was read as 1.0, "a" failed with a ValueError and None with a TypeError
+    (lambda: Interval(True, 2.0), "interval lo must be a finite number, got True"),
+    (lambda: Interval("a", 2.0), "interval lo must be a finite number, got 'a'"),
+    (lambda: Interval(0.0, None), "interval hi must be a finite number, got None"),
+    (lambda: Interval(math.nan, math.inf), "interval lo must be a finite number, got nan"),
 ], ids=["marginal-nan-family", "gram-tol-nan", "gram-tol-inf", "kernel-value-inf",
-        "grid-x0-inf", "power-string", "gaussian-string", "constant-bool", "product-tol-bool"])
+        "grid-x0-inf", "power-string", "gaussian-string", "constant-bool", "product-tol-bool",
+        "scale-bool", "scale-string", "massive-at-nan", "massive-at-bool", "tabulated-at-bool",
+        "tabulated-at-nan", "rn-density-nan", "rn-density-string", "interval-bool",
+        "interval-string", "interval-none", "interval-nan"])
 def test_real_parameters_that_slipped_past_their_checks(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
 
 
-# every library function that draws takes its seed through require_count
+class TestRequireSeed:
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_accepts_a_64_bit_seed(self, seed):
+        require_seed(seed)
+
+    @pytest.mark.parametrize("seed, message", [
+        (2**64, "seed must be < 2^64, got 18446744073709551616"),
+        (-1, "seed must be >= 0, got -1"),
+        (np.uint64(1), f"seed must be an integer, got {np.uint64(1)!r}"),
+        (1.0, "seed must be an integer, got 1.0"),
+    ])
+    def test_refuses_what_is_not_a_64_bit_seed(self, seed, message):
+        with pytest.raises(InputError) as info:
+            require_seed(seed)
+        assert str(info.value) == message
+
+
+def test_an_interval_end_may_be_infinite():
+    assert Interval(-math.inf, np.float64(math.inf)) == Interval(-math.inf, math.inf)
+    assert Interval(0, 1) == Interval(0.0, 1.0) and type(Interval(0, 1).lo) is float
+
+
+# every library function that draws takes its seed through require_seed
 _SEEDED = {
     "sample": lambda s: cm.sample(cm.Constant(1.0), 3, s),
     "mc-moment": lambda s: cm.mc_moment(cm.Constant(1.0), [_E1], 10, s),
@@ -348,6 +421,7 @@ _SEEDED = {
     (-1, "seed must be >= 0, got -1"),
     (2.5, "seed must be an integer, got 2.5"),
     (True, "seed must be an integer, got True"),
+    (2**64, "seed must be < 2^64, got 18446744073709551616"),
 ])
 def test_every_seed_follows_one_rule(name, seed, message):
     with pytest.raises(InputError) as info:

@@ -455,8 +455,10 @@ def test_numpy_is_imported_only_by_the_package_handle():
 
 def test_only_errors_refuses_a_non_finite_input():
     # a real parameter goes through errors.require_real: no other module raises
-    # InputError under a condition that calls isfinite, so a hand-written
-    # finiteness check cannot grow back (NumericError on a computed result stays)
+    # an input refusal (InputError, jsonio's _Fault or an argparse type error)
+    # under a condition that calls isfinite, so a hand-written finiteness check
+    # cannot grow back (NumericError on a computed result stays)
+    refusals = ("InputError", "_Fault", "ArgumentTypeError")
     checks = []
     for path in sorted((SRC / "cylmeasure").glob("*.py")):
         if path.name == "errors.py":
@@ -468,7 +470,7 @@ def test_only_errors_refuses_a_non_finite_input():
                                and getattr(call.func, "attr", getattr(call.func, "id", None))
                                == "isfinite" for call in ast.walk(node.test))
             raises_input = any(isinstance(raised, ast.Raise) and raised.exc is not None
-                               and "InputError" in ast.unparse(raised.exc)
+                               and any(name in ast.unparse(raised.exc) for name in refusals)
                                for stmt in node.body for raised in ast.walk(stmt))
             if tests_finite and raises_input:
                 checks.append((path.name, node.lineno))

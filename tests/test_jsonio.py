@@ -27,11 +27,14 @@ ERRORS = {
         ("missing-key", {"geometric": {"c": 1.0}}, "doc.geometric.q: missing required key"),
         ("unknown-variant", {"exponential": {"rate": 1.0}},
          f"doc.exponential: unknown variant; expected one of {DECAY_TAGS}"),
-        ("boolean", {"constant": {"rho": True}}, "doc.constant.rho: expected a number, got bool"),
-        ("non-finite", {"power": {"c": INF, "p": 2.0}}, "doc.power.c: must be finite"),
+        ("boolean", {"constant": {"rho": True}},
+         "doc.constant.rho: value must be a finite number, got True"),
+        ("non-finite", {"power": {"c": INF, "p": 2.0}},
+         "doc.power.c: value must be a finite number, got inf"),
         ("string-number", {"constant": {"rho": "inf"}},
-         "doc.constant.rho: expected a number, got string 'inf'"),
-        ("null", {"constant": {"rho": None}}, "doc.constant.rho: expected a number, got NoneType"),
+         "doc.constant.rho: value must be a finite number, got 'inf'"),
+        ("null", {"constant": {"rho": None}},
+         "doc.constant.rho: value must be a finite number, got None"),
         ("build-error", {"geometric": {"c": 1.0, "q": 1.5}},
          "doc.geometric: geometric class q must lie in (0, 1), got 1.5"),
         ("nested-tail-variant", {"prefixed": {"prefix": [1.0], "tail": {"nope": {}}}},
@@ -40,12 +43,12 @@ ERRORS = {
          "doc.prefixed.tail.power.p: missing required key"),
         ("nested-tail-number",
          {"prefixed": {"prefix": [1.0], "tail": {"power": {"c": 1.0, "p": False}}}},
-         "doc.prefixed.tail.power.p: expected a number, got bool"),
+         "doc.prefixed.tail.power.p: value must be a finite number, got False"),
         ("nested-tail-type", {"prefixed": {"prefix": [1.0], "tail": [1.0]}},
          "doc.prefixed.tail: expected an object, got list"),
         ("nested-prefix-item",
          {"prefixed": {"prefix": [1.0, "x"], "tail": {"constant": {"rho": 1.0}}}},
-         "doc.prefixed.prefix[1]: expected a number, got string 'x'"),
+         "doc.prefixed.prefix[1]: value must be a finite number, got 'x'"),
         ("nested-prefixed-tail",
          {"prefixed": {"prefix": [1.0],
                        "tail": {"prefixed": {"prefix": [1.0], "tail": {"constant": {"rho": 1}}}}}},
@@ -59,8 +62,10 @@ ERRORS = {
         ("missing-key", {"uniform": {"a": 0.0}}, "doc.uniform.b: missing required key"),
         ("unknown-variant", {"cauchy": {"gamma": 1.0}},
          "doc.cauchy: unknown variant; expected one of ['gaussian', 'uniform', 'point_mass']"),
-        ("boolean", {"point_mass": {"c": False}}, "doc.point_mass.c: expected a number, got bool"),
-        ("non-finite", {"gaussian": {"rho": -INF}}, "doc.gaussian.rho: must be finite"),
+        ("boolean", {"point_mass": {"c": False}},
+         "doc.point_mass.c: value must be a finite number, got False"),
+        ("non-finite", {"gaussian": {"rho": -INF}},
+         "doc.gaussian.rho: value must be a finite number, got -inf"),
         ("build-error", {"uniform": {"a": 1.0, "b": 0.0}},
          "doc.uniform: uniform component needs finite a < b, got [1.0, 0.0]"),
     ],
@@ -72,7 +77,7 @@ ERRORS = {
         ("unknown-variant", {"mixture": {}},
          "doc.mixture: unknown variant; expected one of ['identical', 'indexed']"),
         ("nested-component", {"identical": {"gaussian": {"rho": True}}},
-         "doc.identical.gaussian.rho: expected a number, got bool"),
+         "doc.identical.gaussian.rho: value must be a finite number, got True"),
         ("map-type", {"indexed": {"map": [], "default": ONE}},
          "doc.indexed.map: expected an object, got list"),
         ("map-key", {"indexed": {"map": {"x": ONE}, "default": ONE}},
@@ -86,11 +91,11 @@ ERRORS = {
         ("map-key-repeated-index", {"indexed": {"map": {"1": ONE, "01": ONE}, "default": ONE}},
          "doc.indexed.map.01: repeats index 1, already named by key '1'"),
         ("map-natural", {"indexed": {"map": {"0": ONE}, "default": ONE}},
-         "doc.indexed.map.0: expected a natural >= 1, got 0"),
+         "doc.indexed.map.0: value must be >= 1, got 0"),
         ("map-value", {"indexed": {"map": {"2": {"gaussian": {"sigma": 1.0}}}, "default": ONE}},
          "doc.indexed.map.2.gaussian.sigma: unknown key"),
         ("non-finite", {"identical": {"uniform": {"a": 0.0, "b": INF}}},
-         "doc.identical.uniform.b: must be finite"),
+         "doc.identical.uniform.b: value must be a finite number, got inf"),
     ],
     "cylinder": [
         ("wrong-type", [1, 2], "doc: expected an object, got list"),
@@ -102,17 +107,17 @@ ERRORS = {
         ("item-missing-key", {"base": [{"boxes": []}]},
          "doc.base[0].index: missing required key"),
         ("natural", {"base": [{"index": True, "boxes": []}]},
-         "doc.base[0].index: expected a natural >= 1, got True"),
+         "doc.base[0].index: value must be an integer, got True"),
         ("arity", {"base": [{"index": 1, "boxes": [[0.0]]}]},
          "doc.base[0].boxes[0]: expected an array of 2 items, got 1"),
         ("arity-3", {"base": [{"index": 1, "boxes": [[0.0, 1.0, 2.0]]}]},
          "doc.base[0].boxes[0]: expected an array of 2 items, got 3"),
         ("end-string", {"base": [{"index": 1, "boxes": [["-inf", "big"]]}]},
-         "doc.base[0].boxes[0][1]: expected a number, got string 'big'"),
+         "doc.base[0].boxes[0][1]: value must be a finite number, got 'big'"),
         ("end-boolean", {"base": [{"index": 1, "boxes": [[False, 1.0]]}]},
-         "doc.base[0].boxes[0][0]: expected a number, got bool"),
+         "doc.base[0].boxes[0][0]: value must be a finite number, got False"),
         ("end-non-finite", {"base": [{"index": 1, "boxes": [[0.0, INF]]}]},
-         "doc.base[0].boxes[0][1]: must be finite"),
+         "doc.base[0].boxes[0][1]: value must be a finite number, got inf"),
         ("box-type", {"base": [{"index": 1, "boxes": [{"a": 0}]}]},
          "doc.base[0].boxes[0]: expected an array, got dict"),
     ],
@@ -125,11 +130,13 @@ ERRORS = {
         ("arity-3", {"entries": [[1, 1.0, 2.0]]},
          "doc.entries[0]: expected an array of 2 items, got 3"),
         ("pair-type", {"entries": [{"1": 1.0}]}, "doc.entries[0]: expected an array, got dict"),
-        ("natural", {"entries": [[0, 1.0]]}, "doc.entries[0][0]: expected a natural >= 1, got 0"),
+        ("natural", {"entries": [[0, 1.0]]}, "doc.entries[0][0]: value must be >= 1, got 0"),
         ("natural-float", {"entries": [[1.0, 1.0]]},
-         "doc.entries[0][0]: expected a natural >= 1, got 1.0"),
-        ("boolean", {"entries": [[1, True]]}, "doc.entries[0][1]: expected a number, got bool"),
-        ("non-finite", {"entries": [[2, 1.0], [3, -INF]]}, "doc.entries[1][1]: must be finite"),
+         "doc.entries[0][0]: value must be an integer, got 1.0"),
+        ("boolean", {"entries": [[1, True]]},
+         "doc.entries[0][1]: value must be a finite number, got True"),
+        ("non-finite", {"entries": [[2, 1.0], [3, -INF]]},
+         "doc.entries[1][1]: value must be a finite number, got -inf"),
         ("build-error", {"entries": [[1, 1.0], [1, 2.0]]}, "doc: duplicate sequence index 1"),
     ],
     "kernel": [
@@ -141,10 +148,11 @@ ERRORS = {
          "doc.matern: unknown variant; expected one of "
          "['white_noise', 'massive_free_1d', 'tabulated']"),
         ("boolean", {"massive_free_1d": {"m": True}},
-         "doc.massive_free_1d.m: expected a number, got bool"),
-        ("non-finite", {"white_noise": {"sigma": INF}}, "doc.white_noise.sigma: must be finite"),
+         "doc.massive_free_1d.m: value must be a finite number, got True"),
+        ("non-finite", {"white_noise": {"sigma": INF}},
+         "doc.white_noise.sigma: value must be a finite number, got inf"),
         ("grid-item", {"tabulated": {"grid": [0.0, "x"], "values": [1.0, 1.0]}},
-         "doc.tabulated.grid[1]: expected a number, got string 'x'"),
+         "doc.tabulated.grid[1]: value must be a finite number, got 'x'"),
         ("values-type", {"tabulated": {"grid": [0.0, 1.0], "values": 1.0}},
          "doc.tabulated.values: expected an array, got float"),
     ],
@@ -155,13 +163,13 @@ ERRORS = {
         ("missing-key", {"x0": 0.0, "dx": 0.1, "values": [1.0, 2.0]},
          "doc.count: missing required key"),
         ("natural", {"x0": 0.0, "dx": 0.1, "count": 0, "values": []},
-         "doc.count: expected a natural >= 1, got 0"),
+         "doc.count: value must be >= 1, got 0"),
         ("boolean", {"x0": False, "dx": 0.1, "count": 1, "values": [1.0]},
-         "doc.x0: expected a number, got bool"),
+         "doc.x0: value must be a finite number, got False"),
         ("non-finite", {"x0": 0.0, "dx": INF, "count": 1, "values": [1.0]},
-         "doc.dx: must be finite"),
+         "doc.dx: value must be a finite number, got inf"),
         ("values-item", {"x0": 0.0, "dx": 0.1, "count": 2, "values": [1.0, None]},
-         "doc.values[1]: expected a number, got NoneType"),
+         "doc.values[1]: value must be a finite number, got None"),
     ],
     "tail_rule": [
         ("wrong-type", ["full"], "doc: expected an object, got list"),
@@ -172,10 +180,11 @@ ERRORS = {
          "doc.partial: unknown variant; expected one of "
          "['full', 'constant_factor', 'one_minus_geometric', 'tabulated']"),
         ("boolean", {"constant_factor": {"f": True}},
-         "doc.constant_factor.f: expected a number, got bool"),
-        ("non-finite", {"constant_factor": {"f": INF}}, "doc.constant_factor.f: must be finite"),
+         "doc.constant_factor.f: value must be a finite number, got True"),
+        ("non-finite", {"constant_factor": {"f": INF}},
+         "doc.constant_factor.f: value must be a finite number, got inf"),
         ("factors-item", {"tabulated": {"factors": [0.5, "half"]}},
-         "doc.tabulated.factors[1]: expected a number, got string 'half'"),
+         "doc.tabulated.factors[1]: value must be a finite number, got 'half'"),
         ("build-error", {"constant_factor": {"f": 1.5}},
          "doc.constant_factor: factor probability must lie in [0, 1], got 1.5"),
     ],
@@ -185,17 +194,17 @@ ERRORS = {
         ("unknown-key", [{"indices": [1], "cells": [], "total": 1}], "doc[0].total: unknown key"),
         ("missing-key", [{"indices": [1]}], "doc[0].cells: missing required key"),
         ("indices-natural", [{"indices": [1, -2], "cells": []}],
-         "doc[0].indices[1]: expected a natural >= 1, got -2"),
+         "doc[0].indices[1]: value must be >= 1, got -2"),
         ("empty-indices", [{"indices": [], "cells": []}],
-         "doc[0].indices: expected a nonempty array of naturals"),
+         "doc[0]: marginal table needs at least one index"),
         ("cell-unknown-key", [{"indices": [1], "cells": [{**CELL, "q": 0}]}],
          "doc[0].cells[0].q: unknown key"),
         ("cell-missing-key", [{"indices": [1], "cells": [{"boxes": [[[0.0, 1.0]]]}]}],
          "doc[0].cells[0].p: missing required key"),
         ("cell-boolean", [{"indices": [1], "cells": [{**CELL, "p": True}]}],
-         "doc[0].cells[0].p: expected a number, got bool"),
+         "doc[0].cells[0].p: value must be a finite number, got True"),
         ("cell-non-finite", [{"indices": [1], "cells": [CELL, {**CELL, "p": INF}]}],
-         "doc[0].cells[1].p: must be finite"),
+         "doc[0].cells[1].p: value must be a finite number, got inf"),
         ("cell-negative-p", [{"indices": [1], "cells": [CELL, {**CELL, "p": -0.5}]}],
          "doc[0]: cell 1 probability must lie in [0, 1], got -0.5"),
         ("cell-p-above-one", [{"indices": [1], "cells": [{**CELL, "p": 1.5}]}],
@@ -208,19 +217,19 @@ ERRORS = {
          [{"indices": [1, 2],
            "cells": [{"boxes": [[[0.0, 1.0]], [[0.0, 1.0]]], "p": 0.5},
                      {"boxes": [[[0.0, 1.0]]], "p": 0.5}]}],
-         "doc[0].cells[1].boxes: expected 2 boxes (one per index)"),
+         "doc[0]: cell 1 arity 1 does not match index set (1, 2)"),
         ("cell-end", [{"indices": [1], "cells": [{"boxes": [[[0.0, "x"]]], "p": 1.0}]}],
-         "doc[0].cells[0].boxes[0][0][1]: expected a number, got string 'x'"),
+         "doc[0].cells[0].boxes[0][0][1]: value must be a finite number, got 'x'"),
         ("cell-type", [{"indices": [1], "cells": [[0.5]]}],
          "doc[0].cells[0]: expected an object, got list"),
     ],
     "numbers": [
         ("wrong-type", {"x": 1.0}, "doc: expected an array, got dict"),
         ("wrong-type-string", "1.0", "doc: expected an array, got str"),
-        ("item-type", [1.0, [2.0]], "doc[1]: expected a number, got list"),
-        ("boolean", [1.0, 2.0, True], "doc[2]: expected a number, got bool"),
-        ("non-finite", [INF], "doc[0]: must be finite"),
-        ("string", ["inf"], "doc[0]: expected a number, got string 'inf'"),
+        ("item-type", [1.0, [2.0]], "doc[1]: value must be a finite number, got [2.0]"),
+        ("boolean", [1.0, 2.0, True], "doc[2]: value must be a finite number, got True"),
+        ("non-finite", [INF], "doc[0]: value must be a finite number, got inf"),
+        ("string", ["inf"], "doc[0]: value must be a finite number, got 'inf'"),
     ],
     # a finite_sequence when the object has "entries", a decay otherwise
     "shift": [
@@ -228,9 +237,11 @@ ERRORS = {
         ("entries-and-a-decay", {"entries": [], "constant": {"rho": 1.0}},
          "doc.constant: unknown key"),
         ("entries-index", {"entries": [[0, 1.0]]},
-         "doc.entries[0][0]: expected a natural >= 1, got 0"),
-        ("non-finite", {"entries": [[1, INF]]}, "doc.entries[0][1]: must be finite"),
-        ("decay-non-finite", {"power": {"c": INF, "p": 1.0}}, "doc.power.c: must be finite"),
+         "doc.entries[0][0]: value must be >= 1, got 0"),
+        ("non-finite", {"entries": [[1, INF]]},
+         "doc.entries[0][1]: value must be a finite number, got inf"),
+        ("decay-non-finite", {"power": {"c": INF, "p": 1.0}},
+         "doc.power.c: value must be a finite number, got inf"),
         ("unknown-variant", {"entry": []},
          f"doc.entry: unknown variant; expected one of {DECAY_TAGS}"),
     ],

@@ -560,6 +560,15 @@ class TestConsistency:
         assert res.violation.startswith("marginalized table (1, 2) carries extra mass 0.1 on cell")
         assert res.violation.endswith("absent from table (1,)")
 
+    def test_a_table_normalizes_its_boxes(self):
+        # as CylinderSet does: overlapping intervals merge, so two cells that
+        # name one set are the same cell
+        box = (Interval(0.5, 2.0), Interval(0.0, 1.0))
+        table = MarginalTable((1,), (((box,), 1.0),))
+        assert table.cells == (((interval_box(0, 2),), 1.0),)
+        with pytest.raises(InputError, match=r"^cell 1 repeats the boxes of cell 0$"):
+            MarginalTable((1,), (((box,), 0.5), ((interval_box(0, 2),), 0.5)))
+
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, tol):
         # a (1,)-table of 0.9/0.1 against a (1, 2)-table whose marginal is 0.5/0.5:
