@@ -5,9 +5,10 @@ sum m_i k_i = 0 freely generates a subgroup of the line; its character
 group is an n-torus, and the compatible family of these tori carries
 Haar measure as uniform independent phases.  Cylindrical integrals over
 the big space reduce to torus integrals of a function of an (M, n) array
-of phases, evaluated once by the ``integrate`` of the chosen method: on
-the periodic trapezoid grid of ``QuadratureMethod`` (spectrally accurate
-on trigonometric integrands) or on the seeded draws of ``MCMethod``.
+of phases, which the ``integrate`` of the chosen method calls on row
+blocks that tile its nodes: the periodic trapezoid grid of
+``QuadratureMethod`` (spectrally accurate on trigonometric integrands) or
+the seeded draws of ``MCMethod``.
 
 True rational independence is not decidable in floating point; the
 certificate is an exhaustive search up to a named coefficient bound.
@@ -175,12 +176,15 @@ def haar_sample_batch(gamma: FrequencySet, n_samples: int, seed: int) -> np.ndar
 
 QUADRATURE_MAX_AXES = 4
 
-# phases one Monte Carlo integral holds at once (samples x axes), where
-# support.MAX_MC_DRAWS bounds the time of a tail-growth run that draws in
-# chunks; and nodes of the finer quadrature grid, (2 * points_per_axis)^n,
-# where the default 16 points on 4 axes is 2^20 nodes
+# phases of one Monte Carlo integral (samples x axes), which
+# haar_sample_batch holds at once, where support.MAX_MC_DRAWS bounds the
+# time of a tail-growth run that draws in blocks; and nodes of the finer
+# quadrature grid, (2 * points_per_axis)^n, where the default 16 points on
+# 4 axes is 2^20 nodes
 MAX_MC_DRAWS = 10**7
 MAX_QUAD_NODES = 2**21
+# rows of phases one call of the integrand gets
+_BLOCK_ROWS = 2**13
 
 
 class HaarIntegralResult(Record):
@@ -201,21 +205,52 @@ def _evaluate(f: Callable, points: np.ndarray, where: str) -> np.ndarray:
     return vals
 
 
+def _evaluate_blocks(f: Callable, n_rows: int, blocks, where: str) -> np.ndarray:
+    """f on each phase matrix of ``blocks``, which tile n_rows rows in order:
+    n_rows finite values."""
+    vals = np.empty(n_rows, dtype=complex)
+    lo = 0
+    for points in blocks:
+        vals[lo : lo + len(points)] = _evaluate(f, points, where)
+        lo += len(points)
+    return vals
+
+
+def _grid_blocks(theta: np.ndarray, n_axes: int):
+    """The nodes of the grid theta^n_axes in row-major order, in blocks of at
+    most _BLOCK_ROWS rows: whole slices of the leading axis, or runs of one
+    slice where a slice holds more rows.
+
+    Each block is a fresh array built from the one grid of the other axes.
+    """
+    size = len(theta)
+    tail = np.empty((size,) * (n_axes - 1) + (n_axes,))
+    for axis in range(1, n_axes):
+        tail[..., axis] = theta.reshape((size,) + (1,) * (n_axes - 1 - axis))
+    tail = tail.reshape(-1, n_axes)
+    leads = max(1, _BLOCK_ROWS // len(tail))
+    step = min(len(tail), _BLOCK_ROWS)
+    for i in range(0, size, leads):
+        lead = theta[i : i + leads, None]
+        for j in range(0, len(tail), step):
+            block = np.empty((len(lead), min(step, len(tail) - j), n_axes))
+            block[...] = tail[j : j + step]
+            block[..., 0] = lead
+            yield block.reshape(-1, n_axes)
+
+
 def _grid_means(f: Callable, n_axes: int, points: int) -> tuple[complex, complex]:
     """Trapezoid means of f on the grids of 2*points and of points nodes per axis.
 
-    f is evaluated once, on the fine grid.  The coarse nodes 2*pi*j/points
-    are its even-index nodes 2*pi*(2j)/(2*points) exactly, since the two
-    expressions differ only by a power-of-two scale, so the coarse mean is
-    read from that subgrid (copied to keep the summation order of a grid
-    of its own).
+    f is evaluated on the fine grid only, called on row blocks that tile it
+    in row-major order.  The coarse nodes 2*pi*j/points are its even-index
+    nodes 2*pi*(2j)/(2*points) exactly, since the two expressions differ
+    only by a power-of-two scale, so the coarse mean is read from that
+    subgrid (copied to keep the summation order of a grid of its own).
     """
     size = 2 * points
     theta = 2.0 * math.pi * np.arange(size) / size
-    nodes = np.empty((size,) * n_axes + (n_axes,))
-    for axis in range(n_axes):
-        nodes[..., axis] = theta.reshape((size,) + (1,) * (n_axes - 1 - axis))
-    vals = _evaluate(f, nodes.reshape(-1, n_axes), "on the grid")
+    vals = _evaluate_blocks(f, size**n_axes, _grid_blocks(theta, n_axes), "on the grid")
     even = vals.reshape((size,) * n_axes)[(slice(None, None, 2),) * n_axes]
     return complex(vals.mean()), complex(np.ascontiguousarray(even).mean())
 
@@ -249,8 +284,14 @@ class MCMethod(Record):
         require_seed(self.seed)
 
     def integrate(self, gamma: FrequencySet, f: Callable) -> HaarIntegralResult:
-        points = haar_sample_batch(gamma, self.n_samples, self.seed)
-        vals = _evaluate(f, points, "on a sample")
+        require_budget(self.n_samples * gamma.n, MAX_MC_DRAWS, "samples x phases")
+        # the draws of haar_sample_batch, made block by block from one generator
+        rng = np.random.default_rng(self.seed)
+        blocks = (
+            rng.uniform(0.0, 2.0 * math.pi, (min(_BLOCK_ROWS, self.n_samples - lo), gamma.n))
+            for lo in range(0, self.n_samples, _BLOCK_ROWS)
+        )
+        vals = _evaluate_blocks(f, self.n_samples, blocks, "on a sample")
         est = complex(vals.mean())
         se = math.sqrt(
             (np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)) / self.n_samples
@@ -264,8 +305,9 @@ Method = Union[QuadratureMethod, MCMethod]
 def haar_cylinder_integral(gamma: FrequencySet, f: Callable, method: Method) -> HaarIntegralResult:
     """Normalized Haar integral of f over the torus of ``gamma`` by ``method``.
 
-    ``f`` is called once, on an (M, n) array of phases, and returns M
-    real or complex values; a callable of one phase vector raises its
-    own error on that array or returns another shape, an ``InputError``.
+    ``f`` is called on row blocks that tile the quadrature grid or the
+    draws, each an (M, n) array of phases with M at most 2^13, and returns
+    M real or complex values; a callable of one phase vector raises its
+    own error on such an array or returns another shape, an ``InputError``.
     """
     return method.integrate(gamma, f)

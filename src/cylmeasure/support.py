@@ -106,10 +106,12 @@ class TailGrowthReport(Record):
 _N_CHECKPOINTS = 16
 _GROWTH_RATIO = 1.5  # mean S_N / mean S_{N/2} above this counts as growing
 
-# coordinates x samples of one mc_tail_growth call; the chunking bounds its
-# memory, not its time (the full budget runs 23-25 s on a two-vCPU VM,
-# about 21 s of it drawing the normals)
+# coordinates x samples of one mc_tail_growth call; the row blocks bound
+# the draws it holds, not its time (the full budget runs 15-25 s on a
+# two-vCPU VM, most of it drawing the normals)
 MAX_MC_DRAWS = 10**9
+# values of one row block of draws
+_BLOCK_VALUES = 2**15
 
 
 def _checkpoint_marks(n_coords: int) -> list[int]:
@@ -119,6 +121,40 @@ def _checkpoint_marks(n_coords: int) -> list[int]:
     equal np.unique of the same products, which would import numpy.ma.
     """
     return [k * n_coords // _N_CHECKPOINTS for k in range(1, _N_CHECKPOINTS + 1)]
+
+
+def _row_spans(n_rows: int, rows: int) -> list[tuple[int, int]]:
+    """Consecutive row ranges of ``rows`` rows; a last range of one row joins
+    the one before.
+
+    ``rows`` is a multiple of 4: OpenBLAS's gemv takes a matrix's rows in
+    groups of four, so every row of a block is summed as in one gemv over
+    all rows, while numpy hands a one-row block to ``dot``, which sums in
+    another order.
+    """
+    stops = list(range(rows, n_rows, rows)) + [n_rows]
+    if len(stops) > 1 and n_rows - stops[-2] == 1:
+        del stops[-2]
+    return list(zip([0] + stops[:-1], stops))
+
+
+def _pairwise_column(rng, buf: np.ndarray, w: np.ndarray, running: np.ndarray,
+                     lo: int, n: int) -> float:
+    """Sum of the next n squared draws of a one-column chunk, added as numpy's
+    pairwise sum of the whole column adds them.
+
+    numpy splits n > 128 values at the multiple of 8 below n/2 and sums each
+    half alike; a half that fits in ``buf`` is drawn and summed by numpy.
+    """
+    if n > len(buf):
+        half = n // 2 - n // 2 % 8
+        left = _pairwise_column(rng, buf, w, running, lo, half)
+        return left + _pairwise_column(rng, buf, w, running, lo + half, n - half)
+    draws = buf[:n]
+    rng.standard_normal(out=draws)
+    np.square(draws, out=draws)
+    running[lo : lo + n] += draws * w
+    return draws.sum()
 
 
 def mc_tail_growth(
@@ -153,18 +189,33 @@ def mc_tail_growth(
         if not np.isfinite(weights).all():  # refused before anything is drawn
             raise NumericError("the weights a_n^2 rho_n overflow")
 
-        # one pass over the draws, chunk-by-chunk over coordinates to bound
-        # memory: the mean of S_m over samples is sum_{n<=m} w_n mean(x_n^2),
-        # so the checkpoints need only the column sums of the squared draws
+        # one pass over the draws, chunk-by-chunk over coordinates to fix the
+        # draw order: the mean of S_m over samples is sum_{n<=m} w_n mean(x_n^2),
+        # so the checkpoints need only the column sums of the squared draws.
+        # Each chunk is drawn in row blocks into one buffer, so the draws held
+        # at once no longer grow with n_samples.
         chunk = max(1, min(n_coords, 10_000_000 // n_samples))
+        rows = max(4, _BLOCK_VALUES // chunk // 4 * 4)
+        buf = np.empty((rows + 2) * chunk)  # a carry row, a block and a last row merged into it
         running = np.zeros(n_samples)
         col_sums = np.empty(n_coords)
         for start in range(0, n_coords, chunk):
             stop = min(start + chunk, n_coords)
-            block_sq = rng.standard_normal((n_samples, stop - start))
-            np.square(block_sq, out=block_sq)
-            block_sq.sum(axis=0, out=col_sums[start:stop])
-            running += block_sq @ weights[start:stop]
+            w = weights[start:stop]
+            if stop == start + 1:  # numpy sums one column pairwise, not row by row
+                col_sums[start] = _pairwise_column(rng, buf, w, running, 0, n_samples)
+                continue
+            block = buf[: (rows + 2) * len(w)].reshape(rows + 2, len(w))
+            block[0] = 0.0
+            for lo, hi in _row_spans(n_samples, rows):
+                draws = block[1 : 1 + hi - lo]
+                rng.standard_normal(out=draws)
+                np.square(draws, out=draws)
+                # numpy sums the rows of a chunk one after another; row 0
+                # carries the sum so far, so the rows are added in that order
+                block[: 1 + hi - lo].sum(axis=0, out=col_sums[start:stop])
+                block[0] = col_sums[start:stop]
+                running[lo:hi] += draws @ w
 
         means = np.cumsum(weights * col_sums) / n_samples
     try:

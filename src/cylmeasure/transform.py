@@ -75,6 +75,8 @@ def rn_density(
     except TypeError:  # a scalar
         point = False
     if point:
+        if hasattr(x, "tolist"):  # a vector's numpy scalars as ints and floats
+            x = x.tolist()
         for n, value in enumerate(x, 1):
             require_real(value, f"x coordinate {n}")
     else:

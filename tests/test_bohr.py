@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -238,17 +239,67 @@ class TestHaarIntegral:
         assert res.value == value
         assert abs(res.error_bound - bound) <= 1e-15
 
-    @pytest.mark.parametrize("n_axes, points", [(1, 3), (2, 8), (4, 10)])
-    def test_vectorized_integrand_is_evaluated_once_on_the_fine_grid(self, n_axes, points):
-        calls = []
+    @pytest.mark.parametrize(
+        "n_axes, points", [(1, 3), (2, 8), (4, 10), (4, 11), (3, 24), (1, 5000)]
+    )
+    def test_vectorized_integrand_is_called_on_blocks_that_tile_the_fine_grid(self, n_axes, points):
+        # (4, 10): 20 blocks of one leading slice (8,000 rows); (4, 11): slices of
+        # 10,648 rows, each split in two; (3, 24): three slices a block
+        blocks = []
 
         def f(th):
-            calls.append(th.shape)
+            blocks.append(th.copy())
             return np.cos(th).sum(axis=1)
 
         gamma = FrequencySet(tuple(math.sqrt(q) for q in (2.0, 3.0, 5.0, 7.0)[:n_axes]))
         haar_cylinder_integral(gamma, f, QuadratureMethod(points))
-        assert calls == [((2 * points) ** n_axes, n_axes)]
+        size = 2 * points
+        theta = 2.0 * math.pi * np.arange(size) / size
+        mesh = np.meshgrid(*([theta] * n_axes), indexing="ij")
+        nodes = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        # the fine grid's nodes are distinct, so an exact tiling evaluates each once
+        assert sum(len(b) for b in blocks) == size**n_axes
+        assert np.array_equal(np.concatenate(blocks), nodes)
+        assert max(len(b) for b in blocks) <= 2**13
+        if size**n_axes <= 2**13:
+            assert len(blocks) == 1
+
+    def test_mc_draws_in_blocks_the_phases_of_haar_sample_batch(self):
+        gamma = FrequencySet((1.0, SQRT2, math.pi))
+        blocks = []
+
+        def f(th):
+            blocks.append(th.copy())
+            return np.exp(1j * th[:, 0]) * np.cos(th[:, 1] - th[:, 2]) + 0.5
+
+        n, seed = 2 * 2**13 + 5, 21
+        res = haar_cylinder_integral(gamma, f, MCMethod(n, seed))
+        assert [len(b) for b in blocks] == [2**13, 2**13, 5]
+        points = haar_sample_batch(gamma, n, seed)
+        assert np.array_equal(np.concatenate(blocks), points)
+        # the unblocked estimator: f on every draw at once
+        vals = np.asarray(f(points), dtype=complex)
+        se = math.sqrt((np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)) / n)
+        assert res.value == complex(vals.mean()) and res.error_bound == se
+
+    def test_default_quadrature_on_four_axes_holds_few_nodes_at_once(self):
+        # 2^20 nodes: the complex value vector alone is 16 MB; the nodes and
+        # the integrand's temporaries are held a block at a time
+        gamma = FrequencySet(tuple(math.sqrt(q) for q in (2.0, 3.0, 5.0, 7.0)))
+        m = np.array([1.0, -2.0, 3.0, 0.0])
+
+        def f(th):
+            return np.exp(1j * (th @ m)) + 1.0
+
+        haar_cylinder_integral(gamma, f, QuadratureMethod(2))  # warm imports
+        tracemalloc.start()
+        try:
+            res = haar_cylinder_integral(gamma, f, QuadratureMethod())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+        assert abs(res.value - 1.0) < 1e-12
 
     def test_mc_route_agrees_with_quadrature(self):
         def f(th):

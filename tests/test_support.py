@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,21 @@ class TestWeightedSupport:
             weighted_support_check(cov, a)
 
 
+def _report(checkpoints, running, n_coords, n_samples, seed):
+    """The report of reference checkpoints and per-sample sums, classified as
+    mc_tail_growth documents."""
+    final_se = float(running.std(ddof=1) / math.sqrt(n_samples))
+    half = checkpoints[len(checkpoints) // 2 - 1][1]
+    final = checkpoints[-1][1]
+    if half > 0 and final / half >= 1.5:
+        xs = np.array([m for m, _ in checkpoints[len(checkpoints) // 2 :]], dtype=float)
+        ys = np.array([v for _, v in checkpoints[len(checkpoints) // 2 :]])
+        value, kind = float(np.polyfit(xs, ys, 1)[0]), "slope"
+    else:
+        value, kind = final, "plateau"
+    return TailGrowthReport(kind, value, final_se, checkpoints, n_coords, n_samples, seed)
+
+
 def _prefix_matvec_oracle(cov, a, n_coords, n_samples, seed):
     """Reference mc_tail_growth: the same seeded chunks, with each checkpoint
     mean taken over the samples of a prefix mat-vec up to that mark."""
@@ -137,16 +153,26 @@ def _prefix_matvec_oracle(cov, a, n_coords, n_samples, seed):
         running += block_sq @ weights[start:stop]
 
     checkpoints = tuple((int(m), mean_at_mark[int(m)]) for m in marks)
-    final_se = float(running.std(ddof=1) / math.sqrt(n_samples))
-    half = checkpoints[len(checkpoints) // 2 - 1][1]
-    final = checkpoints[-1][1]
-    if half > 0 and final / half >= 1.5:
-        xs = np.array([m for m, _ in checkpoints[len(checkpoints) // 2 :]], dtype=float)
-        ys = np.array([v for _, v in checkpoints[len(checkpoints) // 2 :]])
-        value, kind = float(np.polyfit(xs, ys, 1)[0]), "slope"
-    else:
-        value, kind = final, "plateau"
-    return TailGrowthReport(kind, value, final_se, checkpoints, n_coords, n_samples, seed)
+    return _report(checkpoints, running, n_coords, n_samples, seed)
+
+
+def _unblocked_oracle(cov, a, n_coords, n_samples, seed):
+    """Reference mc_tail_growth: every chunk drawn as one (n_samples, chunk)
+    array, whose column sums and per-sample mat-vec are taken at once."""
+    rng = np.random.default_rng(seed)
+    weights = a.first(n_coords) ** 2 * cov.first(n_coords)
+    chunk = max(1, min(n_coords, 10_000_000 // n_samples))
+    running = np.zeros(n_samples)
+    col_sums = np.empty(n_coords)
+    for start in range(0, n_coords, chunk):
+        stop = min(start + chunk, n_coords)
+        block_sq = rng.standard_normal((n_samples, stop - start))
+        np.square(block_sq, out=block_sq)
+        block_sq.sum(axis=0, out=col_sums[start:stop])
+        running += block_sq @ weights[start:stop]
+    means = np.cumsum(weights * col_sums) / n_samples
+    checkpoints = tuple((m, float(means[m - 1])) for m in support._checkpoint_marks(n_coords))
+    return _report(checkpoints, running, n_coords, n_samples, seed)
 
 
 class TestMcTailGrowth:
@@ -224,6 +250,61 @@ class TestMcTailGrowth:
         assert [m for m, _ in report.checkpoints] == [m for m, _ in expected.checkpoints]
         for (_, got), (_, want) in zip(report.checkpoints, expected.checkpoints):
             assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "cov, a, n_coords, n_samples, seed",
+        [
+            # n_samples = 1 (mod 4): a row block of one row would go to dot, not gemv
+            (Constant(1.0), PowerDecay(1.0, 1.0), 5000, 101, 51),
+            (Constant(2.0), Constant(1.0), 333, 517, 52),
+            (Constant(1.0), PowerDecay(1.0, 0.75), 1000, 800, 53),
+            (Constant(1.0), Constant(1.0), 100, 20_001, 54),
+            # a last chunk of one column, which numpy sums pairwise
+            (Constant(1.0), Constant(1.0), 2001, 5000, 55),
+            (Constant(1.0), PowerDecay(1.0, 1.5), 2000, 6000, 56),
+        ],
+        ids=["5000x101", "333x517", "1000x800", "100x20001", "one-column-chunk", "two-chunks"],
+    )
+    def test_row_blocks_reproduce_the_unblocked_arithmetic(self, cov, a, n_coords, n_samples, seed):
+        report = mc_tail_growth(cov, a, n_coords, n_samples, seed)
+        expected = _unblocked_oracle(cov, a, n_coords, n_samples, seed)
+        assert report.kind == expected.kind
+        assert report.checkpoints == expected.checkpoints
+        assert report.value == expected.value
+        # another CPU's BLAS kernel may group the mat-vec's rows otherwise
+        assert report.final_se == pytest.approx(expected.final_se, rel=1e-15, abs=0)
+
+    def test_row_spans_tile_in_fours_and_never_end_on_one_row(self):
+        for n_rows in range(100, 300):
+            spans = support._row_spans(n_rows, 16)
+            assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+            assert spans[0][0] == 0 and spans[-1][1] == n_rows
+            assert all(hi - lo == 16 for lo, hi in spans[:-1])
+            assert spans[-1][1] - spans[-1][0] > 1
+        assert support._row_spans(97, 16)[-1] == (80, 97)
+
+    def test_one_column_chunk_is_summed_as_numpy_sums_the_whole_column(self):
+        # above 5 x 10^6 samples every chunk is one column, and numpy sums a
+        # column pairwise; here a 300-value buffer stands in for the block size
+        n, w = 10_001, np.array([0.5])
+        running = np.zeros(n)
+        got = support._pairwise_column(np.random.default_rng(4), np.empty(300), w, running, 0, n)
+        column = np.random.default_rng(4).standard_normal(n) ** 2
+        assert got == column.sum()
+        assert np.cumsum(column)[-1] != column.sum()  # added in order, the sum differs
+        assert np.array_equal(running, column * w)
+
+    def test_draws_held_at_once_do_not_grow_with_the_sample_count(self):
+        # 10^7 draws in 5 chunks of 2,000 columns, each drawn 16 rows at a time;
+        # unblocked, one chunk alone was 80 MB
+        mc_tail_growth(Constant(1.0), Constant(1.0), 100, 100, seed=1)  # warm imports
+        tracemalloc.start()
+        try:
+            mc_tail_growth(Constant(1.0), PowerDecay(1.0, 1.0), 2000, 5000, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_checkpoint_marks_match_np_unique(self):
         # the marks are plain ints, without np.unique (which imports numpy.ma)

@@ -37,6 +37,17 @@ class TestRnDensity:
         assert value == pytest.approx(oracle, rel=1e-15)
         assert value == pytest.approx(math.exp(0.5), rel=1e-15)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32, np.float64])
+    def test_numpy_vector_point_is_read_as_its_numbers(self, dtype):
+        # a numpy scalar is not an int or a float, so the point is read as a list
+        expected = rn_density([1, 2], E1, Constant(1.0))
+        assert rn_density(np.array([1, 2], dtype=dtype), E1, Constant(1.0)) == expected
+        assert expected == math.exp(0.5)
+
+    def test_numpy_vector_point_still_refuses_nan(self):
+        with pytest.raises(InputError, match=r"^x coordinate 1 must be a finite number, got nan"):
+            rn_density(np.array([math.nan, 2.0]), E1, Constant(1.0))
+
     def test_general_covariance_at_a_point(self):
         cov = Prefixed((4.0,), Constant(1.0))
         y = FiniteSequence(((1, 2.0), (3, -1.0)))
