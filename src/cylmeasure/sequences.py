@@ -26,11 +26,12 @@ needs only leading atoms, the leading atom of one difference
     sum n^alpha q^n  converges  iff  q < 1, or q = 1 and alpha < -1.
 
 The boundary test is exact on the decimal each float prints as (its
-``repr``, which is what a JSON document spells): q is compared with 1 by
-cross-multiplying, alpha with -1 by adding, in decimal arithmetic that
-raises rather than rounds.  A float filter answers first, within a
-rigorous error bound, and leaves every result it cannot separate from
-the boundary to that test.  Coefficients enter only by their sign and by
+``repr``, which is what a JSON document spells), read as an integer m
+times 10**k: q is compared with 1 by cross-multiplying the integers with
+one power of ten, alpha with -1 by adding them on a common exponent.  A
+float filter answers first and decides only where the result clears a
+margin of 2**-40 of its scale, far beyond its rounding; every closer
+result goes to that test.  Coefficients enter only by their sign and by
 float equality, so no product of them can underflow to 0.
 
 ``Tabulated`` carries a finite table and no tail information; its
@@ -374,93 +375,75 @@ def leading_difference(b: DecaySeq, a: DecaySeq) -> Atom | None:
     return max(live) if live else None
 
 
-# The float filter in front of the exact test.  u = 2**-53 bounds both the
+# The float filter in front of the exact test.  u = 2**-53 bounds the
 # relative rounding of one float operation and the relative gap between a
-# float and the decimal its repr spells (half an ulp).  Inside
-# [2**-1000, 2**1000] every float is normal, so both bounds hold; a value
-# outside that range goes to the exact test.  A side of at most
-# _FILTER_FACTORS factors has under 1000 digits, so wherever the filter
-# decides, the exact test would have decided too, and the same way.
-_TINY, _HUGE = 2.0**-1000, 2.0**1000
-_INV_U = 2.0**53
-_SLACK = 1.0 + 2.0**-40  # covers the second-order terms and the bound's own rounding
+# float and the decimal its repr spells.  A call of at most _FILTER_FACTORS
+# factors, each q within [_TINY, _HUGE], keeps every partial product inside
+# [2**-992, 2**992], where floats are normal, so each q side lies within
+# 64 u < 2**-46 of its exact decimal product.  The alpha sum of at most 32
+# terms, each a repr gap and a product away from exact, lies within
+# 34 u < 2**-46 of its scale 1 + sum |e alpha| (a subnormal alpha is off
+# by under 2**-1074, nothing beside a scale of at least 1).  Floats decide
+# only where the result clears _MARGIN of its scale; every closer case,
+# ties included, goes to the exact test, and so does any inf or NaN.
+_MARGIN = 2.0**-40
 _FILTER_FACTORS = 32
+_TINY, _HUGE = 2.0**-31, 2.0**31
 
 
 def _float_summable(powers: tuple[tuple[Atom, int], ...]) -> bool | None:
-    """``summable`` decided in floats, or None where rounding could flip it.
-
-    A side that multiplies n floats has carried n repr gaps and n - 1
-    roundings (the first product 1.0 * q is exact), so it lies within
-    a relative gamma_(2n-1) of the exact product of the decimals; the
-    difference of two sides must clear the sum of the two.  The alpha
-    sum of m terms, each a repr gap and a product away from exact, is
-    off by at most gamma_(m+2) times the sum of magnitudes; one more u
-    of margin takes up the rest.
-    """
-    num = den = 1.0
-    n_num = n_den = 0
-    for (q, _, _), e in powers:
-        if q == 1.0:
-            continue
-        if e > 0:
-            n_num += e
-            if n_num > _FILTER_FACTORS:
+    """``summable`` decided in floats, or None where rounding could flip it."""
+    num = den = total = scale = 1.0
+    factors, on_q = 0, False
+    for (q, alpha, _), e in powers:
+        factors += abs(e)
+        if factors > _FILTER_FACTORS:
+            return None
+        if q != 1.0 and e:
+            if not _TINY <= q <= _HUGE:
                 return None
+            on_q = True
             for _ in range(e):
                 num *= q
-                if not _TINY <= num <= _HUGE:
-                    return None
-        elif e < 0:
-            n_den -= e
-            if n_den > _FILTER_FACTORS:
-                return None
             for _ in range(-e):
                 den *= q
-                if not _TINY <= den <= _HUGE:
-                    return None
-    if n_num or n_den:
-        k = 2 * (n_num + n_den) - (n_num > 0) - (n_den > 0)
-        if abs(den - num) * _INV_U <= k * _SLACK * max(num, den):
-            return None  # too close to call, or a tie: the exact test decides
-        return num < den
-    if len(powers) > _FILTER_FACTORS:
-        return None
-    total = magnitude = 1.0
-    for (_, alpha, _), e in powers:
-        if abs(e) > _FILTER_FACTORS or alpha != 0.0 and not _TINY <= abs(alpha) <= _HUGE:
-            return None
-        term = e * alpha
+        term = e * float(alpha)
         total += term
-        magnitude += abs(term)
-    if abs(total) * _INV_U <= (len(powers) + 3) * _SLACK * magnitude:
-        return None
-    return total < 0.0
+        scale += abs(term)
+    if on_q:
+        return num < den if abs(num - den) > _MARGIN * max(num, den) else None
+    return total < 0.0 if abs(total) > _MARGIN * scale else None
+
+
+def _printed(x: float) -> tuple[int, int]:
+    """(m, k) with m * 10**k the decimal that ``repr(x)`` spells."""
+    digits, _, exponent = repr(x).partition("e")
+    whole, _, fraction = digits.partition(".")
+    return int(whole + fraction), int(exponent or 0) - len(fraction)
 
 
 def _exact_summable(powers: tuple[tuple[Atom, int], ...]) -> bool:
-    # imported here: only a tie of the float filter comes this far
-    from decimal import Context, Decimal, Inexact, InvalidOperation
-
-    # Operands are float reprs: at most 17 significant digits, decimal
-    # exponents in [-324, 308].  A sum of a few of them (times small integers)
-    # spans under 700 digits and a product of a few squares under 1000, so
-    # every result is exact; one that is not raises Inexact, never rounds.
-    exact = Context(prec=1000, traps=[Inexact, InvalidOperation])
-    num = den = Decimal(1)
+    # integers only: num / den * 10**shift is the exact q of the product
+    num = den = 1
+    shift = 0
     for (q, _, _), e in powers:
         if q != 1.0:
-            q_e = exact.power(Decimal(repr(q)), abs(e))
+            m, k = _printed(q)
             if e > 0:
-                num = exact.multiply(num, q_e)
+                num *= m**e
             else:
-                den = exact.multiply(den, q_e)
+                den *= m**-e
+            shift += e * k
+    if shift > 0:
+        num *= 10**shift
+    else:
+        den *= 10**-shift
     if num != den:
         return num < den
-    alpha = Decimal(0)
-    for (_, a, _), e in powers:
-        alpha = exact.fma(e, Decimal(repr(a)), alpha)
-    return alpha < -1
+    # alpha < -1 on a common exponent k_min <= 0
+    alphas = [(e, *_printed(a)) for (_, a, _), e in powers]
+    k_min = min([0] + [k for _, _, k in alphas])
+    return sum(e * m * 10 ** (k - k_min) for e, m, k in alphas) < -(10**-k_min)
 
 
 def summable(*powers: tuple[Atom, int]) -> bool:
@@ -472,9 +455,9 @@ def summable(*powers: tuple[Atom, int]) -> bool:
     (prod q_i**e_i, sum e_i * alpha_i).  q is compared with 1 by
     cross-multiplying the q_i with e_i > 0 against those with e_i < 0
     (factors with q_i = 1 change neither side), then, on a tie, alpha
-    with -1; both exactly.  Floats decide first, within a rigorous error
-    bound; a result too close to call, and so every tie, goes to the
-    exact decimal test.
+    with -1; both exactly.  Floats decide first where the result clears
+    2**-40 of its scale; a closer result, and so every tie, goes to the
+    exact test in integers on the printed decimals.
     """
     verdict = _float_summable(powers)
     return _exact_summable(powers) if verdict is None else verdict

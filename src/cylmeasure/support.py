@@ -217,14 +217,17 @@ def mc_tail_growth(
                 block[0] = col_sums[start:stop]
                 running[lo:hi] += draws @ w
 
-        means = np.cumsum(weights * col_sums) / n_samples
+        # n_samples times the mean of S_m is the m-th prefix sum of
+        # w_n col_sums_n, formed in place; only the values read are divided
+        np.multiply(col_sums, weights, out=col_sums)
+        np.cumsum(col_sums, out=col_sums)
     try:
         final_se = mc_mean(running)[1]
     except NumericError:  # refused below, as an overflow of the partial sums
         final_se = math.inf
-    if not (np.isfinite(means[-1]) and math.isfinite(final_se)):
+    if not (np.isfinite(col_sums[-1]) and math.isfinite(final_se)):
         raise NumericError("the sampled partial sums of a_n^2 x_n^2 overflow")
-    checkpoints = tuple((m, float(means[m - 1])) for m in marks)
+    checkpoints = tuple((m, float(col_sums[m - 1] / n_samples)) for m in marks)
     half = checkpoints[len(checkpoints) // 2 - 1][1]
     final = checkpoints[-1][1]
     kind, value = "plateau", final

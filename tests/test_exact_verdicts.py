@@ -11,6 +11,7 @@ underflow to 0.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import oracles
@@ -145,7 +146,8 @@ EXPONENTS = st.sampled_from(["0", "-0.5", "-1", "-1.07", "-1.14", "-2.14", "0.1"
 FACTOR = st.tuples(
     st.one_of(DECIMALS, st.floats(1e-30, 1.0).map(repr)),
     st.one_of(EXPONENTS, st.floats(-4.0, 4.0).map(repr)),
-    st.sampled_from([-2, -1, 1, 2, 3]),
+    # past 32 factors in all only the exact test runs
+    st.sampled_from([-35, -2, -1, 1, 2, 3, 17, 40]),
 )
 
 
@@ -156,15 +158,81 @@ FACTOR = st.tuples(
 @example([("1", "-1.07", 2), ("1", "-1.14", -1)])
 @example([("0.999", "0", 2), ("0.998001", "0", -1)])
 @example([("1e-300", "0", 2), ("1e-300", "0", -2)])
+# 1,190 digits on the q side, all compared exactly
+@example([("0.30000000000000004", "0", 70), ("0.09000000000000001", "0", -35)])
 def test_summable_matches_a_fraction_oracle(factors):
     powers = tuple(((float(q), float(a), 1.0), e) for q, a, e in factors)
+    expected = _oracle(powers)
+    assert summable(*powers) is expected
+    assert sequences._exact_summable(powers) is expected
+
+
+def _oracle(powers):
     q, alpha = ONE, 0
     for (qf, af, _), e in powers:
         q *= Fraction(repr(qf)) ** e
         alpha += e * Fraction(repr(af))
-    expected = oracles.ratio_summable({(alpha, q): ONE}, {(0, ONE): ONE})
-    assert summable(*powers) is expected
-    assert sequences._exact_summable(powers) is expected
+    return oracles.ratio_summable({(alpha, q): ONE}, {(0, ONE): ONE})
+
+
+def _nudged(x, steps):
+    """``x`` moved ``steps`` floats up (or down, for steps < 0)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+STEPS = st.integers(-3, 3)
+# sum (q_y^2 / q_c)^(k n) with q_y^2 == q_c in decimals, q_c nudged
+Q_TIES = st.builds(
+    lambda pair, steps, k: (((pair[0], 0.0, 1.0), 2 * k),
+                            ((_nudged(pair[1], steps), 0.0, 1.0), -k)),
+    st.sampled_from([(0.7, 0.49), (0.3, 0.09), (0.9, 0.81), (0.95, 0.9025), (0.1, 0.01),
+                     (0.999, 0.998001)]),
+    STEPS,
+    st.integers(1, 11),
+)
+# sum n^(p_c - 2 p_y) with 2 p_y - p_c == 1 in decimals, p_c nudged
+ALPHA_TIES = st.builds(
+    lambda pair, steps: (((1.0, -pair[0], 1.0), 2), ((1.0, -_nudged(pair[1], steps), 1.0), -1)),
+    st.sampled_from([(1.07, 1.14), (1.1, 1.2), (1.37, 1.74), (0.75, 0.5), (2.5, 4.0)]),
+    STEPS,
+)
+# q^e against its neighbour: sides near 2^-1000 or 2^1000 after e factors
+EDGES = st.builds(
+    lambda e, up, steps: (((2.0 ** ((1000 if up else -1000) / e), 0.0, 1.0), e),
+                          ((_nudged(2.0 ** ((1000 if up else -1000) / e), steps), 0.0, 1.0), -e)),
+    st.integers(1, 16), st.booleans(), STEPS,
+)
+# 2 * (-0.5) + alpha against -1: alpha subnormal or near 2^-1000
+TINY_ALPHAS = st.builds(
+    lambda alpha: (((1.0, -0.5, 1.0), 2), ((1.0, alpha, 1.0), 1)),
+    st.one_of(st.floats(-(2.0**-1022), 2.0**-1022),
+              STEPS.map(lambda steps: _nudged(2.0**-1000, steps)),
+              STEPS.map(lambda steps: -_nudged(2.0**-1000, steps))),
+)
+NEAR_TIES = st.one_of(Q_TIES, ALPHA_TIES, EDGES, TINY_ALPHAS)
+# a partial product that goes subnormal, loses its 2^-20 bit and comes back
+# into range: the floats put num below den, the decimals above
+DETOUR = tuple(((q, 0.0, 1.0), e) for q, e in [
+    ((1.0 + 2.0**-20) * 2.0**-600, 1), (2.0**-470, 1), (2.0**920, 1),
+    ((1.0 + 2.0**-21) * 2.0**-150, -1),
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(NEAR_TIES, st.integers(-4, 4))
+@example(DETOUR, 0)
+def test_float_filter_never_contradicts_the_exact_test(powers, pad):
+    # padding with q = 1, alpha = 0 brings the factor count to 28-36, across
+    # the filter's cap of 32, without changing the series
+    count = sum(abs(e) for _, e in powers)
+    if 32 + pad > count:
+        powers += (((1.0, 0.0, 1.0), 32 + pad - count),)
+    verdict = sequences._float_summable(powers)
+    exact = sequences._exact_summable(powers)
+    assert verdict is None or verdict is exact
+    assert exact is _oracle(powers)
 
 
 @pytest.mark.parametrize(

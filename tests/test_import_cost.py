@@ -39,6 +39,12 @@ interpreter checks that ``import cylmeasure.cli`` and the symbolic
 subcommands leave both unloaded, and a static check finds no
 module-level ``import dataclasses`` in the package.
 
+A series verdict on its convergence boundary is decided in integers on
+the printed decimals, so no call loads ``decimal`` (about 2.5 ms with its C
+module): a static check finds no ``import decimal`` in the package, and a
+fresh interpreter runs one boundary call and checks that ``decimal`` stays
+unloaded.
+
 ``jsonio.SCHEMA`` names its constructors, and a kind's first read loads
 the module behind them: ``import cylmeasure.jsonio`` loads no model module
 and no numpy, every name resolves, and reading leaves ``SCHEMA`` unchanged.
@@ -436,9 +442,9 @@ def test_schema_is_fixed_and_names_resolve_on_first_read():
     assert report["compiled"]
 
 
-def test_numpy_is_imported_only_by_the_package_handle():
-    # every module reads numpy through `from . import _np as np`, so no
-    # function can load numpy on a path of its own
+def _imports_of(modules):
+    """(file, line) of each absolute import in the package, at any depth, of
+    one of ``modules`` or of a submodule of one."""
     imports = []
     for path in sorted((SRC / "cylmeasure").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -448,8 +454,15 @@ def test_numpy_is_imported_only_by_the_package_handle():
                 names = [node.module]
             else:
                 continue
-            if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            if any(name.split(".")[0] in modules for name in names):
                 imports.append((path.name, node.lineno))
+    return imports
+
+
+def test_numpy_is_imported_only_by_the_package_handle():
+    # every module reads numpy through `from . import _np as np`, so no
+    # function can load numpy on a path of its own
+    imports = _imports_of({"numpy"})
     assert {name for name, _ in imports} == {"__init__.py"}, imports
 
 
@@ -502,3 +515,28 @@ def test_no_module_imports_dataclasses_at_import_time():
             if "dataclasses" in names:
                 imports.append((path.name, node.lineno))
     assert imports == []
+
+
+def test_no_module_imports_decimal():
+    assert _imports_of({"decimal", "_decimal"}) == []
+
+
+DECIMAL_PROBE = """
+import contextlib, io, json, sys
+import cylmeasure.cli
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = cylmeasure.cli.main(sys.argv[1:])
+print(json.dumps([code, buf.getvalue(), sorted({"decimal", "_decimal"} & set(sys.modules))]))
+"""
+
+
+def test_boundary_verdict_leaves_decimal_unloaded():
+    # 2 * 1.07 - 1.14 is 1 in decimals: sum 1/n, decided by the exact test
+    proc = _run(DECIMAL_PROBE, "shift-admissible", "--cov", '{"power":{"c":1,"p":1.14}}',
+                "--shift", '{"power":{"c":1,"p":1.07}}')
+    assert proc.returncode == 0, proc.stderr
+    code, out, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert json.loads(out)["payload"] == {"admissible": False}
+    assert loaded == []

@@ -306,6 +306,21 @@ class TestMcTailGrowth:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    def test_vectors_held_at_once_stay_few_per_coordinate(self):
+        # the weights with the factors they are formed from, and the column
+        # sums, which become the prefix sums in place: about 40 bytes a
+        # coordinate, where a cumsum and its quotient as two more N-vectors
+        # took 56
+        n_coords = 200_000
+        mc_tail_growth(Constant(1.0), Constant(1.0), 100, 100, seed=1)  # warm imports
+        tracemalloc.start()
+        try:
+            mc_tail_growth(Constant(1.0), PowerDecay(1.0, 1.0), n_coords, 100, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * n_coords
+
     def test_checkpoint_marks_match_np_unique(self):
         # the marks are plain ints, without np.unique (which imports numpy.ma)
         for n_coords in range(100, 2001):
