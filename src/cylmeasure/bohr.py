@@ -8,7 +8,10 @@ the big space reduce to torus integrals of a function of an (M, n) array
 of phases, which the ``integrate`` of the chosen method calls on row
 blocks that tile its nodes: the periodic trapezoid grid of
 ``QuadratureMethod`` (spectrally accurate on trigonometric integrands) or
-the seeded draws of ``MCMethod``.
+the seeded draws of ``MCMethod``.  The quadrature holds no vector of grid
+values: it adds each block's values to a sum cut where numpy's pairwise
+sum cuts the whole vector (``_pairwise``), so its means are bit for bit
+numpy's means of the whole grid.
 
 True rational independence is not decidable in floating point; the
 certificate is an exhaustive search up to a named coefficient bound.
@@ -23,6 +26,7 @@ import math
 from typing import Callable, Union
 
 from . import _np as np
+from ._pairwise import StreamSum
 from ._record import Record
 from .errors import (
     InputError, NumericError, require_budget, require_count, require_real, require_seed,
@@ -216,27 +220,36 @@ def _evaluate_blocks(f: Callable, n_rows: int, blocks, where: str) -> np.ndarray
     return vals
 
 
-def _grid_blocks(theta: np.ndarray, n_axes: int):
-    """The nodes of the grid theta^n_axes in row-major order, in blocks of at
-    most _BLOCK_ROWS rows: whole slices of the leading axis, or runs of one
-    slice where a slice holds more rows.
+def _phases(lo: int, hi: int, size: int) -> np.ndarray:
+    """The phases 2*pi*k/size of the grid nodes k = lo..hi-1."""
+    return 2.0 * math.pi * np.arange(lo, hi) / size
 
-    Each block is a fresh array built from the one grid of the other axes.
+
+def _grid_blocks(size: int, n_axes: int):
+    """The nodes of the grid of ``size`` phases per axis in row-major order, in
+    blocks of at most _BLOCK_ROWS rows: whole slices of the leading axis, or
+    runs of one slice where a slice holds more rows.
+
+    Yields (i, j, block): ``block`` is a fresh (leads, rows, n_axes) array,
+    the rows j..j+rows-1 of the leading slices i..i+leads-1, built from the
+    one grid of the other axes and the leading phases of its own slices.
     """
-    size = len(theta)
     tail = np.empty((size,) * (n_axes - 1) + (n_axes,))
     for axis in range(1, n_axes):
-        tail[..., axis] = theta.reshape((size,) + (1,) * (n_axes - 1 - axis))
+        tail[..., axis] = _phases(0, size, size).reshape((size,) + (1,) * (n_axes - 1 - axis))
     tail = tail.reshape(-1, n_axes)
     leads = max(1, _BLOCK_ROWS // len(tail))
     step = min(len(tail), _BLOCK_ROWS)
-    for i in range(0, size, leads):
-        lead = theta[i : i + leads, None]
-        for j in range(0, len(tail), step):
-            block = np.empty((len(lead), min(step, len(tail) - j), n_axes))
-            block[...] = tail[j : j + step]
-            block[..., 0] = lead
-            yield block.reshape(-1, n_axes)
+    # the leading phases, _BLOCK_ROWS at a time: all of them unless one axis
+    for start in range(0, size, _BLOCK_ROWS):
+        phases = _phases(start, min(start + _BLOCK_ROWS, size), size)
+        for i in range(0, len(phases), leads):
+            lead = phases[i : i + leads, None]
+            for j in range(0, len(tail), step):
+                block = np.empty((len(lead), min(step, len(tail) - j), n_axes))
+                block[...] = tail[j : j + step]
+                block[..., 0] = lead
+                yield start + i, j, block
 
 
 def _grid_means(f: Callable, n_axes: int, points: int) -> tuple[complex, complex]:
@@ -245,14 +258,24 @@ def _grid_means(f: Callable, n_axes: int, points: int) -> tuple[complex, complex
     f is evaluated on the fine grid only, called on row blocks that tile it
     in row-major order.  The coarse nodes 2*pi*j/points are its even-index
     nodes 2*pi*(2j)/(2*points) exactly, since the two expressions differ
-    only by a power-of-two scale, so the coarse mean is read from that
-    subgrid (copied to keep the summation order of a grid of its own).
+    only by a power-of-two scale, and in row-major order they come in the
+    coarse grid's own order.  No grid-sized vector is held: each block's
+    values, and its even-index values, go into a ``StreamSum``, which adds
+    them as numpy's mean of the whole grid's vector would.
     """
     size = 2 * points
-    theta = 2.0 * math.pi * np.arange(size) / size
-    vals = _evaluate_blocks(f, size**n_axes, _grid_blocks(theta, n_axes), "on the grid")
-    even = vals.reshape((size,) * n_axes)[(slice(None, None, 2),) * n_axes]
-    return complex(vals.mean()), complex(np.ascontiguousarray(even).mean())
+    fine = StreamSum(size**n_axes, complex, _BLOCK_ROWS)
+    coarse = StreamSum(points**n_axes, complex, _BLOCK_ROWS)
+    even_tail = np.zeros((size,) * (n_axes - 1), dtype=bool)
+    even_tail[(slice(None, None, 2),) * (n_axes - 1)] = True
+    even_tail = even_tail.reshape(-1)
+    for i, j, block in _grid_blocks(size, n_axes):
+        leads, rows = block.shape[:2]
+        vals = _evaluate(f, block.reshape(-1, n_axes), "on the grid")
+        fine.add(vals)
+        if leads > 1 or i % 2 == 0:  # one odd leading slice holds no coarse node
+            coarse.add(vals.reshape(leads, rows)[i % 2 :: 2, even_tail[j : j + rows]].reshape(-1))
+    return fine.mean(), coarse.mean()
 
 
 class QuadratureMethod(Record):
@@ -309,5 +332,8 @@ def haar_cylinder_integral(gamma: FrequencySet, f: Callable, method: Method) -> 
     draws, each an (M, n) array of phases with M at most 2^13, and returns
     M real or complex values; a callable of one phase vector raises its
     own error on such an array or returns another shape, an ``InputError``.
+    The quadrature sums the values block by block, in numpy's pairwise
+    order, so what it holds is a block and not the grid, and its report is
+    the one that numpy's means of the whole grid's values would give.
     """
     return method.integrate(gamma, f)

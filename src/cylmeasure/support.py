@@ -141,20 +141,20 @@ def _row_spans(n_rows: int, rows: int) -> list[tuple[int, int]]:
 def _pairwise_column(rng, buf: np.ndarray, w: np.ndarray, running: np.ndarray,
                      lo: int, n: int) -> float:
     """Sum of the next n squared draws of a one-column chunk, added as numpy's
-    pairwise sum of the whole column adds them.
+    pairwise sum of the whole column adds them: the draws are made and
+    summed a run of the tree at a time, each run in ``buf``."""
+    from ._pairwise import tree_sum  # only a one-column chunk needs it
 
-    numpy splits n > 128 values at the multiple of 8 below n/2 and sums each
-    half alike; a half that fits in ``buf`` is drawn and summed by numpy.
-    """
-    if n > len(buf):
-        half = n // 2 - n // 2 % 8
-        left = _pairwise_column(rng, buf, w, running, lo, half)
-        return left + _pairwise_column(rng, buf, w, running, lo + half, n - half)
-    draws = buf[:n]
-    rng.standard_normal(out=draws)
-    np.square(draws, out=draws)
-    running[lo : lo + n] += draws * w
-    return draws.sum()
+    def run(m: int) -> float:
+        nonlocal lo
+        draws = buf[:m]
+        rng.standard_normal(out=draws)
+        np.square(draws, out=draws)
+        running[lo : lo + m] += draws * w
+        lo += m
+        return draws.sum()
+
+    return tree_sum(n, 1, len(buf), run)
 
 
 def mc_tail_growth(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cylmeasure import bohr
+from cylmeasure._pairwise import StreamSum
 from cylmeasure.bohr import (
     FrequencySet,
     IndependenceResult,
@@ -301,6 +302,43 @@ class TestHaarIntegral:
         assert peak < 24 * 2**20
         assert abs(res.value - 1.0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "n_axes, points", [(4, 16), (1, 2**20), (2, 724), (3, 13), (4, 11), (1, 4097)]
+    )
+    def test_streamed_means_equal_the_means_of_whole_grids(self, n_axes, points):
+        # fine grids cut into many runs ((1, 2^20): 256 of 8,192 values), runs
+        # of unequal length ((3, 13): 4,392 and 4,396 values), an odd coarse
+        # run ((4, 11): 7,321 values), blocks that end inside a run ((2, 724):
+        # 7,240 rows) and a fine grid just past one run ((1, 4097): 8,194)
+        gamma = FrequencySet(tuple(math.sqrt(q) for q in (2.0, 3.0, 5.0, 7.0)[:n_axes]))
+
+        def f(th):
+            return np.exp(1j * th[..., 0]) / np.prod(1.5 + np.cos(th + 0.3), axis=-1)
+
+        res = haar_cylinder_integral(gamma, f, QuadratureMethod(points))
+        assert (res.value, res.error_bound) == _two_grid_oracle(f, n_axes, points)
+
+    @pytest.mark.parametrize("n_axes, points", [(4, 16), (1, 2**20)])
+    def test_quadrature_holds_no_grid_sized_vector(self, n_axes, points):
+        # the grid's complex values alone are 16 MB at (4, 16) and 32 MB at
+        # (1, 2^20); what is held is a block, the grid of the other axes and
+        # one buffer per streamed mean
+        gamma = FrequencySet(tuple(math.sqrt(q) for q in (2.0, 3.0, 5.0, 7.0)[:n_axes]))
+        m = np.array([1.0, -2.0, 3.0, 1.0])[:n_axes]
+
+        def f(th):
+            return np.exp(1j * (th @ m)) + 1.0
+
+        haar_cylinder_integral(gamma, f, QuadratureMethod(2))  # warm imports
+        tracemalloc.start()
+        try:
+            res = haar_cylinder_integral(gamma, f, QuadratureMethod(points))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert abs(res.value - 1.0) < 1e-12
+
     def test_mc_route_agrees_with_quadrature(self):
         def f(th):
             return np.cos(th[..., 0]) ** 2 + 0.25 * np.cos(th[..., 1])
@@ -352,3 +390,42 @@ class TestHaarIntegral:
         width = bins[1] - bins[0]
         se = math.sqrt(2 * p * (1 - p) / 200_000) / width
         assert np.max(np.abs(h_marginal - h_direct)) < 5 * se
+
+
+def _spread(rng, n, dtype):
+    """n values whose magnitudes span 16 decades, so that sums in different
+    orders round differently."""
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    if dtype is np.complex128:
+        values = values + 1j * rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    return values
+
+
+class TestStreamSum:
+    # the split rule is numpy's: a node of more than 128 scalars is cut at half
+    # its scalar count rounded down to a multiple of 8, a complex value
+    # counting as two; a numpy release that cuts otherwise fails here
+    @pytest.mark.parametrize("dtype, piece", [(np.float64, 128), (np.complex128, 64)])
+    def test_equals_numpy_sum_at_every_length_to_2000(self, dtype, piece):
+        # runs of at most 128 scalars, so the tree is cut wherever numpy cuts it
+        rng = np.random.default_rng(12)
+        in_order_differs = 0
+        for n in range(1, 2001):
+            values = _spread(rng, n, dtype)
+            stream = StreamSum(n, dtype, piece)
+            for chunk in np.array_split(values, rng.integers(1, 9)):
+                stream.add(chunk)
+            assert stream.total() == values.sum(), n
+            assert stream.mean() == complex(values.mean()), n
+            in_order_differs += bool(np.cumsum(values)[-1] != values.sum())
+        assert in_order_differs > 1000  # the values tell summation orders apart
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_equals_numpy_sum_of_a_deep_tree(self, dtype):
+        n = 2**21 + 3
+        values = _spread(np.random.default_rng(13), n, dtype)
+        stream = StreamSum(n, dtype, 2**13)
+        for lo in range(0, n, 7240):
+            stream.add(values[lo : lo + 7240])
+        assert stream.total() == values.sum()
+        assert stream.mean() == complex(values.mean())

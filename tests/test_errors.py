@@ -19,7 +19,7 @@ from cylmeasure.errors import (
     InputError, require_budget, require_count, require_indices, require_real, require_seed,
 )
 from cylmeasure.measure_core import Interval, normalize_box
-from cylmeasure.sequences import FiniteSequence
+from cylmeasure.sequences import FiniteSequence, summable
 
 
 def re_repr(value):
@@ -163,8 +163,10 @@ _FIVE = cm.FrequencySet((1.0, 2.0**0.5, 3.0**0.5, 5.0**0.5, 7.0**0.5))
      "quadrature nodes 2097154 exceeds the budget of 2097152"),
     (lambda: _moment_envelope(10**7 + 1),
      "samples x (coordinates + factors) 10000001 exceeds the budget of 10000000"),
+    (lambda: summable(((0.30000000000000004, 0.0, 1.0), 667), ((0.09000000000000001, 0.0, 1.0), -334)),
+     "total power 1001 exceeds the budget of 1000"),
 ], ids=["sample", "pairings", "wick-moment", "gram-points", "tail-growth", "search-space",
-        "haar-samples", "quadrature-axes", "quadrature-nodes", "cli-moment-mc"])
+        "haar-samples", "quadrature-axes", "quadrature-nodes", "cli-moment-mc", "total-power"])
 def test_each_budget_is_refused_one_past_its_limit_before_any_allocation(call, message):
     with pytest.raises(InputError):  # loads the modules the call imports on first use
         call()
@@ -211,7 +213,7 @@ def package_budgets():
 def test_readme_budget_table_matches_the_package():
     table = readme_budgets()
     assert {name: code for name, (_, code) in table.items()} == package_budgets()
-    assert len(table) == 10
+    assert len(table) == 11
     for name, (value, _) in table.items():
         module, constant = name.split(".")
         assert getattr(importlib.import_module(f"cylmeasure.{module}"), constant) == value, name

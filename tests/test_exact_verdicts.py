@@ -160,6 +160,8 @@ FACTOR = st.tuples(
 @example([("1e-300", "0", 2), ("1e-300", "0", -2)])
 # 1,190 digits on the q side, all compared exactly
 @example([("0.30000000000000004", "0", 70), ("0.09000000000000001", "0", -35)])
+# a total power at sequences.MAX_TOTAL_POWER, still decided
+@example([("0.30000000000000004", "0", 666), ("0.09000000000000001", "0", -334)])
 def test_summable_matches_a_fraction_oracle(factors):
     powers = tuple(((float(q), float(a), 1.0), e) for q, a, e in factors)
     expected = _oracle(powers)

@@ -182,7 +182,9 @@ MODULE_SETS = [
     ("kernel-at", ("kernel", "--spec", MASSIVE, "--at", "0.5"), {"kernels"}),
     ("kernel-regularity", ("kernel", "--spec", MASSIVE, "--regularity"), {"kernels"}),
     ("kernel-fourier", ("kernel", "--fourier", "1", "0.5"), {"kernels"}),
-    ("bohr", ("bohr", "--freqs", "1,1.4142135623730951", "--integral", "cos:1,1"), {"bohr"}),
+    # the quadrature sums its grid in pieces, as numpy's pairwise sum of one vector
+    ("bohr", ("bohr", "--freqs", "1,1.4142135623730951", "--integral", "cos:1,1"),
+     {"bohr", "_pairwise"}),
     ("product", ("product", "--spec", UNIFORM, "--tail", '{"constant_factor":{"f":0.5}}'),
      {"measure_core"}),
     ("consistency", ("consistency", "--marginals", MARGINALS), {"measure_core"}),
