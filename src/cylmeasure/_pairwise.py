@@ -7,22 +7,16 @@ is cut at half its scalar count rounded down to a multiple of 8, and each
 half is summed alike.  The tree depends on the length alone, so the sum of
 a vector too large to hold is the same tree over runs that fit one buffer:
 numpy sums each run, and the run sums are added back up the tree, bit for
-bit the whole vector's sum.
+bit the whole vector's sum.  ``StreamSum`` is the one interface: it takes
+the values as they come, the quadrature grid of ``bohr`` block by block and
+a one-column chunk of ``support.mc_tail_growth`` row block by row block.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable
 
 from . import _np as np
-
-
-def split(n: int, width: int) -> int:
-    """The values of the first half where numpy's pairwise sum cuts n values
-    of ``width`` scalars each (1 for float64, 2 for complex128)."""
-    half = n * width // 2
-    return (half - half % 8) // width
 
 
 @functools.lru_cache(maxsize=64)
@@ -31,32 +25,14 @@ def _plan(n: int, width: int, piece: int) -> tuple[tuple[int, int], ...]:
     ``piece``: (values, merges) of each run in order, where merges counts
     the nodes that the run ends, each one addition once its sum is in.
 
-    ``piece * width`` must be at least 128, so that no run is cut where
-    numpy would not cut it.
+    ``piece * width`` is at least 128 (``StreamSum`` refuses less), so
+    that no run is cut where numpy would not cut it.
     """
     if n <= piece:
         return ((n, 0),)
-    half = split(n, width)
+    half = n * width // 2 // 8 * 8 // width  # the values before numpy's cut
     *right, (last, merges) = _plan(n - half, width, piece)
     return _plan(half, width, piece) + (*right, (last, merges + 1))
-
-
-def _push(stack: list, total, merges: int) -> None:
-    """Put a run's sum on the stack of open nodes and add up the nodes it ends."""
-    stack.append(total)
-    for _ in range(merges):
-        right = stack.pop()
-        stack[-1] = stack[-1] + right
-
-
-def tree_sum(n: int, width: int, piece: int, leaf: Callable):
-    """numpy's sum of n values of ``width`` scalars, where ``leaf(m)`` returns
-    numpy's sum of the next m values; it is called on the consecutive runs
-    of the tree, each of at most ``piece`` values, in order."""
-    stack: list = []
-    for run, merges in _plan(n, width, piece):
-        _push(stack, leaf(run), merges)
-    return stack[0]
 
 
 class StreamSum:
@@ -64,16 +40,21 @@ class StreamSum:
     contiguous arrays of any lengths.
 
     A run of the tree that lies whole in one array is summed where it lies;
-    the others are gathered in one buffer of at most ``piece`` values.
+    the others are gathered in one buffer of at most ``piece`` values.  A
+    piece below 128 scalars would cut runs where numpy does not, and is
+    refused.
     """
 
     def __init__(self, n: int, dtype, piece: int):
+        width = np.dtype(dtype).itemsize // 8
+        if piece * width < 128:
+            raise ValueError(f"a piece of {piece} values holds fewer than 128 scalars")
         self.n = n
-        self._plan = _plan(n, np.dtype(dtype).itemsize // 8, piece)
+        self._plan = _plan(n, width, piece)
         self._next = 0  # the run being filled
         self._buf = np.empty(max(run for run, _ in self._plan), dtype)
         self._held = 0  # values of that run already in the buffer
-        self._stack: list = []
+        self._stack: list = []  # the sums of the open nodes of the tree
 
     def add(self, values: np.ndarray) -> None:
         lo = 0
@@ -91,7 +72,10 @@ class StreamSum:
                     return
                 total = self._buf[:run].sum()
                 self._held = 0
-            _push(self._stack, total, merges)
+            self._stack.append(total)
+            for _ in range(merges):  # the nodes this run ends, each one addition
+                right = self._stack.pop()
+                self._stack[-1] = self._stack[-1] + right
             self._next += 1
 
     def total(self):

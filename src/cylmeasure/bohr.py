@@ -9,9 +9,9 @@ of phases, which the ``integrate`` of the chosen method calls on row
 blocks that tile its nodes: the periodic trapezoid grid of
 ``QuadratureMethod`` (spectrally accurate on trigonometric integrands) or
 the seeded draws of ``MCMethod``.  The quadrature holds no vector of grid
-values: it adds each block's values to a sum cut where numpy's pairwise
-sum cuts the whole vector (``_pairwise``), so its means are bit for bit
-numpy's means of the whole grid.
+values: it adds each block's values to ``_pairwise.StreamSum``, the
+package's one pairwise sum, cut where numpy's pairwise sum cuts the whole
+vector, so its means are bit for bit numpy's means of the whole grid.
 
 True rational independence is not decidable in floating point; the
 certificate is an exhaustive search up to a named coefficient bound.
@@ -209,17 +209,6 @@ def _evaluate(f: Callable, points: np.ndarray, where: str) -> np.ndarray:
     return vals
 
 
-def _evaluate_blocks(f: Callable, n_rows: int, blocks, where: str) -> np.ndarray:
-    """f on each phase matrix of ``blocks``, which tile n_rows rows in order:
-    n_rows finite values."""
-    vals = np.empty(n_rows, dtype=complex)
-    lo = 0
-    for points in blocks:
-        vals[lo : lo + len(points)] = _evaluate(f, points, where)
-        lo += len(points)
-    return vals
-
-
 def _phases(lo: int, hi: int, size: int) -> np.ndarray:
     """The phases 2*pi*k/size of the grid nodes k = lo..hi-1."""
     return 2.0 * math.pi * np.arange(lo, hi) / size
@@ -240,16 +229,13 @@ def _grid_blocks(size: int, n_axes: int):
     tail = tail.reshape(-1, n_axes)
     leads = max(1, _BLOCK_ROWS // len(tail))
     step = min(len(tail), _BLOCK_ROWS)
-    # the leading phases, _BLOCK_ROWS at a time: all of them unless one axis
-    for start in range(0, size, _BLOCK_ROWS):
-        phases = _phases(start, min(start + _BLOCK_ROWS, size), size)
-        for i in range(0, len(phases), leads):
-            lead = phases[i : i + leads, None]
-            for j in range(0, len(tail), step):
-                block = np.empty((len(lead), min(step, len(tail) - j), n_axes))
-                block[...] = tail[j : j + step]
-                block[..., 0] = lead
-                yield start + i, j, block
+    for i in range(0, size, leads):
+        lead = _phases(i, min(i + leads, size), size)[:, None]
+        for j in range(0, len(tail), step):
+            block = np.empty((len(lead), min(step, len(tail) - j), n_axes))
+            block[...] = tail[j : j + step]
+            block[..., 0] = lead
+            yield i, j, block
 
 
 def _grid_means(f: Callable, n_axes: int, points: int) -> tuple[complex, complex]:
@@ -310,11 +296,11 @@ class MCMethod(Record):
         require_budget(self.n_samples * gamma.n, MAX_MC_DRAWS, "samples x phases")
         # the draws of haar_sample_batch, made block by block from one generator
         rng = np.random.default_rng(self.seed)
-        blocks = (
-            rng.uniform(0.0, 2.0 * math.pi, (min(_BLOCK_ROWS, self.n_samples - lo), gamma.n))
-            for lo in range(0, self.n_samples, _BLOCK_ROWS)
-        )
-        vals = _evaluate_blocks(f, self.n_samples, blocks, "on a sample")
+        vals = np.empty(self.n_samples, dtype=complex)
+        for lo in range(0, self.n_samples, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, self.n_samples - lo)
+            points = rng.uniform(0.0, 2.0 * math.pi, (rows, gamma.n))
+            vals[lo : lo + rows] = _evaluate(f, points, "on a sample")
         est = complex(vals.mean())
         se = math.sqrt(
             (np.var(vals.real, ddof=1) + np.var(vals.imag, ddof=1)) / self.n_samples

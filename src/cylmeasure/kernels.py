@@ -32,7 +32,7 @@ from typing import Union
 
 from . import _np as np
 from ._record import Record
-from .errors import InputError, NumericError, require_count, require_real
+from .errors import InputError, NumericError, require_budget, require_count, require_real
 
 __all__ = [
     "WhiteNoise",
@@ -45,6 +45,7 @@ __all__ = [
     "kernel_fourier_quadrature",
     "gauss_legendre_panels",
     "MAX_FOURIER_NODES",
+    "MAX_TABULATED_ENTRIES",
     "covariance_bilinear",
 ]
 
@@ -104,6 +105,11 @@ class MassiveFree1D(Record):
         return _semiseparable_form(f.weighted(), g.weighted(), r) / (2.0 * self.m)
 
 
+# entries N^2 of the dense matrix a tabulated kernel builds over N grid points;
+# the bilinear form holds two arrays of that size at once (160 MB at the budget)
+MAX_TABULATED_ENTRIES = 10**7
+
+
 class TabulatedKernel(Record):
     """Kernel values on a strictly increasing grid, interpolated linearly."""
 
@@ -136,6 +142,7 @@ class TabulatedKernel(Record):
         """The dense N x N matrix K((i - j) dx), read from the 2N - 1 lags
         k dx, |k| < N, which must lie in the table."""
         n = f.count
+        require_budget(n * n, MAX_TABULATED_ENTRIES, "kernel matrix entries")
         lags = f.dx * np.arange(1 - n, n)
         lo, hi = self.grid[0], self.grid[-1]
         if lags[0] < lo or lags[-1] > hi:

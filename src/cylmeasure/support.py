@@ -138,25 +138,6 @@ def _row_spans(n_rows: int, rows: int) -> list[tuple[int, int]]:
     return list(zip([0] + stops[:-1], stops))
 
 
-def _pairwise_column(rng, buf: np.ndarray, w: np.ndarray, running: np.ndarray,
-                     lo: int, n: int) -> float:
-    """Sum of the next n squared draws of a one-column chunk, added as numpy's
-    pairwise sum of the whole column adds them: the draws are made and
-    summed a run of the tree at a time, each run in ``buf``."""
-    from ._pairwise import tree_sum  # only a one-column chunk needs it
-
-    def run(m: int) -> float:
-        nonlocal lo
-        draws = buf[:m]
-        rng.standard_normal(out=draws)
-        np.square(draws, out=draws)
-        running[lo : lo + m] += draws * w
-        lo += m
-        return draws.sum()
-
-    return tree_sum(n, 1, len(buf), run)
-
-
 def mc_tail_growth(
     cov: CovarianceSeq,
     a: DiagonalOperator,
@@ -173,6 +154,10 @@ def mc_tail_growth(
     curve has plateaued at the series value.  Sub-linear divergence (for
     instance logarithmic) will read as a plateau at these depths; the
     checkpoint trace is returned so callers can look for themselves.
+
+    The report is bit for bit that of each column chunk drawn whole: a
+    chunk's row blocks are added in row order, as numpy adds them, and those
+    of a one-column chunk, which numpy sums pairwise, go to a ``StreamSum``.
     """
     require_count(n_coords, "n_coords", 100)
     require_count(n_samples, "n_samples", 100)
@@ -202,20 +187,26 @@ def mc_tail_growth(
         for start in range(0, n_coords, chunk):
             stop = min(start + chunk, n_coords)
             w = weights[start:stop]
+            column = None
             if stop == start + 1:  # numpy sums one column pairwise, not row by row
-                col_sums[start] = _pairwise_column(rng, buf, w, running, 0, n_samples)
-                continue
+                from ._pairwise import StreamSum  # only a one-column chunk needs it
+                column = StreamSum(n_samples, float, len(buf))  # a block may be 4 rows
             block = buf[: (rows + 2) * len(w)].reshape(rows + 2, len(w))
             block[0] = 0.0
             for lo, hi in _row_spans(n_samples, rows):
                 draws = block[1 : 1 + hi - lo]
                 rng.standard_normal(out=draws)
                 np.square(draws, out=draws)
-                # numpy sums the rows of a chunk one after another; row 0
-                # carries the sum so far, so the rows are added in that order
-                block[: 1 + hi - lo].sum(axis=0, out=col_sums[start:stop])
-                block[0] = col_sums[start:stop]
+                if column is not None:
+                    column.add(draws.reshape(-1))
+                else:
+                    # numpy sums the rows of a chunk one after another; row 0
+                    # carries the sum so far, so the rows are added in that order
+                    block[: 1 + hi - lo].sum(axis=0, out=col_sums[start:stop])
+                    block[0] = col_sums[start:stop]
                 running[lo:hi] += draws @ w
+            if column is not None:
+                col_sums[start] = column.total()
 
         # n_samples times the mean of S_m is the m-th prefix sum of
         # w_n col_sums_n, formed in place; only the values read are divided

@@ -420,6 +420,14 @@ class TestStreamSum:
             in_order_differs += bool(np.cumsum(values)[-1] != values.sum())
         assert in_order_differs > 1000  # the values tell summation orders apart
 
+    @pytest.mark.parametrize("dtype, piece", [(np.float64, 127), (np.complex128, 63),
+                                              (np.float64, 4)])
+    def test_refuses_a_piece_below_128_scalars(self, dtype, piece):
+        # smaller runs are cut where numpy sums in one leaf, and a piece of 4
+        # would recurse without end
+        with pytest.raises(ValueError, match=f"^a piece of {piece} values holds fewer than 128"):
+            StreamSum(5000, dtype, piece)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_equals_numpy_sum_of_a_deep_tree(self, dtype):
         n = 2**21 + 3

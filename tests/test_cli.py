@@ -973,6 +973,15 @@ class TestCliHardening:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("numeric failure:")
 
+    def test_a_tabulated_kernel_matrix_past_its_budget_is_one_input_error(self, capsys):
+        # 3163^2 entries: refused before the N x N matrices, 185 MB at 3162 points
+        grid = json.dumps({"x0": 0, "dx": 1, "count": 3163, "values": [1.0] * 3163})
+        table = '{"tabulated":{"grid":[-4000,0,4000],"values":[0,1,0]}}'
+        code, out, err = run_cli(capsys, "kernel", "--spec", table, "--bilinear", grid, grid)
+        assert (code, out) == (2, "")
+        assert err == ("input error: kernel matrix entries 10004569 exceeds the budget of "
+                       "10000000\n")
+
     HUGE_GRID = '{"x0":0,"dx":1e300,"count":2,"values":[1e300,1e300]}'
 
     @pytest.mark.filterwarnings("error")

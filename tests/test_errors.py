@@ -137,6 +137,8 @@ def _moment_envelope(n_samples):
 
 
 _FIVE = cm.FrequencySet((1.0, 2.0**0.5, 3.0**0.5, 5.0**0.5, 7.0**0.5))
+# 3163^2 = 10,004,569 matrix entries, the least grid count past the budget
+_WIDE = cm.GridFunction(0.0, 1.0, 3163, (1.0,) * 3163)
 
 
 # each size budget one past its limit: the next even label count, the next odd
@@ -165,8 +167,11 @@ _FIVE = cm.FrequencySet((1.0, 2.0**0.5, 3.0**0.5, 5.0**0.5, 7.0**0.5))
      "samples x (coordinates + factors) 10000001 exceeds the budget of 10000000"),
     (lambda: summable(((0.30000000000000004, 0.0, 1.0), 667), ((0.09000000000000001, 0.0, 1.0), -334)),
      "total power 1001 exceeds the budget of 1000"),
+    (lambda: cm.covariance_bilinear(cm.TabulatedKernel((-4e3, 4e3), (1.0, 1.0)), _WIDE, _WIDE),
+     "kernel matrix entries 10004569 exceeds the budget of 10000000"),
 ], ids=["sample", "pairings", "wick-moment", "gram-points", "tail-growth", "search-space",
-        "haar-samples", "quadrature-axes", "quadrature-nodes", "cli-moment-mc", "total-power"])
+        "haar-samples", "quadrature-axes", "quadrature-nodes", "cli-moment-mc", "total-power",
+        "tabulated-kernel-matrix"])
 def test_each_budget_is_refused_one_past_its_limit_before_any_allocation(call, message):
     with pytest.raises(InputError):  # loads the modules the call imports on first use
         call()
@@ -213,7 +218,7 @@ def package_budgets():
 def test_readme_budget_table_matches_the_package():
     table = readme_budgets()
     assert {name: code for name, (_, code) in table.items()} == package_budgets()
-    assert len(table) == 11
+    assert len(table) == 12
     for name, (value, _) in table.items():
         module, constant = name.split(".")
         assert getattr(importlib.import_module(f"cylmeasure.{module}"), constant) == value, name

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cylmeasure.errors import InputError, UndecidableError
+from cylmeasure.gaussian import mc_mean
 from cylmeasure.sequences import (
     Constant,
     Geometric,
@@ -283,16 +284,36 @@ class TestMcTailGrowth:
             assert spans[-1][1] - spans[-1][0] > 1
         assert support._row_spans(97, 16)[-1] == (80, 97)
 
-    def test_one_column_chunk_is_summed_as_numpy_sums_the_whole_column(self):
-        # above 5 x 10^6 samples every chunk is one column, and numpy sums a
-        # column pairwise; here a 300-value buffer stands in for the block size
-        n, w = 10_001, np.array([0.5])
-        running = np.zeros(n)
-        got = support._pairwise_column(np.random.default_rng(4), np.empty(300), w, running, 0, n)
-        column = np.random.default_rng(4).standard_normal(n) ** 2
-        assert got == column.sum()
-        assert np.cumsum(column)[-1] != column.sum()  # added in order, the sum differs
-        assert np.array_equal(running, column * w)
+    @pytest.mark.parametrize(
+        "n_coords, n_samples",
+        # a chunk of 305 columns in 104-row blocks, then a column of 2^15
+        # draws, more than one block buffer holds: several runs of numpy's tree;
+        # a chunk of 9,765 columns in 4-row blocks, then a column of 1,024
+        [(306, 2**15), (9766, 2**10)],
+        ids=["tree-runs", "four-row-blocks"],
+    )
+    def test_one_column_chunk_is_summed_as_numpy_sums_the_whole_column(self, n_coords, n_samples):
+        # weights of 1e-30 before the last column vanish from its prefix sum, and
+        # a power-of-two sample count divides exactly: the last checkpoint times
+        # n_samples is the last column's sum, bit for bit
+        chunk = n_coords - 1
+        cov = Prefixed((1e-30,) * chunk, Constant(1.0))
+        tiny = cov.first(chunk)
+        in_order_differs = 0
+        # among these seeds, runs cut at 16 or 104 values change a column's sum
+        for seed in range(66, 74):
+            report = mc_tail_growth(cov, Constant(1.0), n_coords, n_samples, seed)
+            rng = np.random.default_rng(seed)
+            running = np.zeros(n_samples)
+            for lo in range(0, n_samples, 64):  # the chunk before, drawn in the same order
+                block = rng.standard_normal((min(64, n_samples - lo), chunk)) ** 2
+                running[lo : lo + len(block)] = block @ tiny
+            column = rng.standard_normal(n_samples) ** 2
+            running += column * 1.0
+            assert report.checkpoints[-1][1] * n_samples == column.sum(), seed
+            assert report.final_se == mc_mean(running)[1], seed
+            in_order_differs += bool(np.cumsum(column)[-1] != column.sum())
+        assert in_order_differs >= 4  # the columns tell summation orders apart
 
     def test_draws_held_at_once_do_not_grow_with_the_sample_count(self):
         # 10^7 draws in 5 chunks of 2,000 columns, each drawn 16 rows at a time;
