@@ -333,7 +333,7 @@ def _payload_product(mode, values) -> tuple[dict, list[str]]:
     constraints = _lib.TailConstraints(
         **{key: value for key, value in values.items() if key in ("prefix", "tail")}
     )
-    report = _lib.countable_product_measure(spec, constraints, n_max=values.get("n_max"))
+    report = _lib.countable_product_measure(spec, constraints)
     return jsonio.encode_value(report), ["monotone partial products"]
 
 
@@ -476,7 +476,6 @@ SUBCOMMANDS: dict[str, tuple[str, Any, tuple[tuple[str, Any, dict], ...]]] = {
         ("--cylinder", "cylinder", {}),
         ("--prefix", "cylinder", {}),
         ("--tail", "tail_rule", {}),
-        ("--n-max", None, {"type": _int}),
     )),
     "consistency": ("marginal self-consistency check", _payload_consistency, (
         ("--marginals", "marginal_tables", {"required": True}),
@@ -500,7 +499,7 @@ _MODES: dict[str, dict[str | None, str]] = {
                "--regularity": "--spec!"},
     "bohr": {"--check-independence": "", "--sample": "--seed!", "--mc": "--integral! --seed!",
              "--integral": "--quad-points"},
-    "product": {"--cylinder": "", "--prefix": "--tail --n-max", "--tail": "--prefix --n-max"},
+    "product": {"--cylinder": "", "--prefix": "--tail", "--tail": "--prefix"},
 }
 
 

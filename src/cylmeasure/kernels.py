@@ -106,7 +106,7 @@ class MassiveFree1D(Record):
 
 
 # entries N^2 of the dense matrix a tabulated kernel builds over N grid points;
-# the bilinear form holds two arrays of that size at once (160 MB at the budget)
+# the bilinear form holds one array of that size (80 MB at the budget)
 MAX_TABULATED_ENTRIES = 10**7
 
 
@@ -150,8 +150,8 @@ class TabulatedKernel(Record):
                 f"grid lags span [{lags[0]}, {lags[-1]}], outside the tabulated range [{lo}, {hi}]"
             )
         row = np.interp(lags, self.grid, self.values)
-        index = np.arange(n)
-        kmat = row[np.subtract.outer(index, index) + (n - 1)]
+        s = row.strides[0]  # kmat[i, j] = row[n - 1 + i - j], a strided view copied once
+        kmat = np.lib.stride_tricks.as_strided(row[n - 1 :], (n, n), (s, -s)).copy()
         return float(f.weighted() @ kmat @ g.weighted())
 
 

@@ -250,23 +250,22 @@ def cylinder_measure(spec: ProductMeasureSpec, cyl: CylinderSet) -> float:
 
 
 class ProductLimitReport(Record):
-    """Monotone-limit report for a countable product of factors <= 1."""
+    """Monotone-limit report for a countable product of factors <= 1.
+
+    Every limit is decided, so ``converged`` and ``verdict`` always hold
+    their defaults, kept so the payload keeps its keys."""
 
     value: float
     n_factors: int
-    converged: bool
-    verdict: str  # "converged" | "decreasing-unconverged"
-
-
-DEFAULT_N_MAX_CLOSED_FORM = 10**6
-DEFAULT_N_MAX_TABULATED = 10**4
+    converged: bool = True
+    verdict: str = "converged"
 
 
 class FullTail(Record):
     """All remaining factors are the whole line (probability 1)."""
 
-    def limit(self, partial: float, n_max: int | None, tol: float) -> ProductLimitReport:
-        return ProductLimitReport(partial, 0, True, "converged")
+    def limit(self, partial: float, tol: float) -> ProductLimitReport:
+        return ProductLimitReport(partial, 0)
 
 
 class ConstantFactorTail(Record):
@@ -277,8 +276,8 @@ class ConstantFactorTail(Record):
     def __post_init__(self):
         require_real(self.f, "factor probability", "[0, 1]")
 
-    def limit(self, partial: float, n_max: int | None, tol: float) -> ProductLimitReport:
-        return ProductLimitReport(partial if self.f == 1.0 else 0.0, 0, True, "converged")
+    def limit(self, partial: float, tol: float) -> ProductLimitReport:
+        return ProductLimitReport(partial if self.f == 1.0 else 0.0, 0)
 
 
 class OneMinusGeometricTail(Record):
@@ -304,8 +303,8 @@ class OneMinusGeometricTail(Record):
         a = math.fsum(logs) + 2.0**-48 * sum(map(abs, logs))
         return max(0, math.ceil(a / (-math.log(self.q) * (1.0 - 2.0**-48))) - 1)
 
-    def limit(self, partial: float, n_max: int | None, tol: float) -> ProductLimitReport:
-        """partial * prod_{k<=n} (1 - c q^k), n = min(count(tol), n_max).
+    def limit(self, partial: float, tol: float) -> ProductLimitReport:
+        """partial * prod_{k<=n} (1 - c q^k), n = count(tol).
 
         Factors with c q^k > 1/2, below 1/2 each and so about a thousand at
         most before underflow, are multiplied one by one, each rounded once
@@ -316,31 +315,29 @@ class OneMinusGeometricTail(Record):
         k 2^-256 < 2^-190.  An underflow stops at the least k, found by
         bisection on S.
         """
-        n_max = DEFAULT_N_MAX_CLOSED_FORM if n_max is None else n_max
         count = self.count(tol)
-        end = min(count, n_max)
         c_num, c_den = self.c.as_integer_ratio()
         q_num, q_den = self.q.as_integer_ratio()
         one, half, shift = 1 << 256, 1 << 255, q_den.bit_length() - 1
         x = min(one, (c_num * q_num << 256) // (c_den * q_den))  # c q^(k+1) * one
         k = 0
-        while k < end and x > half:
+        while k < count and x > half:
             k += 1
             partial *= float(one - x) * 2.0**-256
             if partial <= _UNDERFLOW:
                 return _underflow(partial, k, count)
             x = x * q_num >> shift
-        if k == end:
-            return _end(partial, k, count)
+        if k == count:
+            return ProductLimitReport(partial, k)
         # the rest is prod_{j<m} (1 - r q^j) with r = c q^(k+1) <= 1/2
-        r, m = x / one, end - k
+        r, m = x / one, count - k
 
         def product(j: int) -> float:
             return partial * math.exp(-_log_series(r, self.q, j))
 
         value = product(m)
         if value > _UNDERFLOW:
-            return _end(value, end, count)
+            return ProductLimitReport(value, count)
         lo, hi = 0, m  # product(hi) underflows; find the least such hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -358,18 +355,17 @@ class TabulatedTail(Record):
             require_real(v, f"tabulated factor {k}", "[0, 1]")
         object.__setattr__(self, "factors", tuple(float(v) for v in self.factors))
 
-    def limit(self, partial: float, n_max: int | None, tol: float) -> ProductLimitReport:
+    def limit(self, partial: float, tol: float) -> ProductLimitReport:
         """Every listed factor enters the product; ``tol`` plays no part."""
-        n_max = DEFAULT_N_MAX_TABULATED if n_max is None else n_max
         count = len(self.factors)
-        for k, f in enumerate(self.factors[:n_max], 1):
+        for k, f in enumerate(self.factors, 1):
             partial *= f
             if partial <= _UNDERFLOW:
                 return _underflow(partial, k, count)
-        return _end(partial, min(count, n_max), count)
+        return ProductLimitReport(partial, count)
 
 
-# each rule's limit(partial, n_max, tol) is the limit of partial * f_1 * f_2 ...
+# each rule's limit(partial, tol) is the limit of partial * f_1 * f_2 ...
 TailRule = Union[FullTail, ConstantFactorTail, OneMinusGeometricTail, TabulatedTail]
 
 
@@ -407,19 +403,12 @@ def _log_series(r: float, q: float, m: int) -> float:
 def _underflow(value: float, k: int, count: int) -> ProductLimitReport:
     """Stop at factor k once the partial product is <= 1e-300: 0, except at
     the rule's last factor."""
-    return ProductLimitReport(value if k == count else 0.0, k, True, "converged")
-
-
-def _end(value: float, k: int, count: int) -> ProductLimitReport:
-    """The partial product of k of the rule's ``count`` factors."""
-    done = k == count
-    return ProductLimitReport(value, k, done, "converged" if done else "decreasing-unconverged")
+    return ProductLimitReport(value if k == count else 0.0, k)
 
 
 def countable_product_measure(
     spec: ProductMeasureSpec,
     constraints: TailConstraints,
-    n_max: int | None = None,
     tol: float = 1e-12,
 ) -> ProductLimitReport:
     """Probability of a countable constraint family: lim_n prefix * f_1 * ... * f_n.
@@ -430,15 +419,13 @@ def countable_product_measure(
     factor; a geometric tail's partial product comes in closed form from
     its log series (``OneMinusGeometricTail.limit``), within 8 (1 + |log
     P|) 2^-53 of the exact partial product P of its floats.  An underflow
-    below 1e-300 stops early, as 0.  A rule needing more than ``n_max``
-    factors (default 10**6 geometric, 10**4 tabulated) stops there, as
-    decreasing-unconverged.
+    below 1e-300 stops early, as 0.  No factor budget caps the count: a
+    geometric tail costs the same at any count, and a table has already
+    been read in full.
     """
     require_real(tol, "tolerance", "> 0")
-    if n_max is not None:
-        require_count(n_max, "n_max")
     partial = cylinder_measure(spec, constraints.prefix)
-    return constraints.tail.limit(partial, n_max, tol)
+    return constraints.tail.limit(partial, tol)
 
 
 class IncreasingLimitReport(Record):

@@ -308,14 +308,25 @@ class TestCliSubcommands:
         assert abs(env["payload"]["value"] - 0.288788) < 1e-6
         assert env["payload"]["verdict"] == "converged"
 
-    def test_product_negative_n_max_exits_2(self, capsys):
+    def test_product_of_a_slow_tail_runs_to_its_own_count(self, capsys):
+        # 230,258,497 factors: the closed form costs the same at any count
+        c, q = "1e-9", "0.9999999"
+        env = run_envelope(
+            capsys, "product", "--spec", UNIFORM,
+            "--tail", f'{{"one_minus_geometric":{{"c":{c},"q":{q}}}}}',
+        )
+        truth = oracles.geometric_tail_product(c, q)
+        assert oracles.product_report_error(env["payload"], c, q, truth) is None
+        assert env["payload"]["n_factors"] > 10**8
+
+    def test_product_has_no_factor_budget_option(self, capsys):
         code, out, err = run_cli(
             capsys, "product", "--spec", UNIFORM,
-            "--tail", '{"constant_factor": {"f": 0.5}}', "--n-max", "-3",
+            "--tail", '{"constant_factor": {"f": 0.5}}', "--n-max", "5",
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("input error:") and "n_max must be >= 0, got -3" in err
+        assert "--n-max" in err
 
     def test_consistency_subcommand(self, capsys):
         doc = json.dumps(
@@ -451,12 +462,12 @@ class TestCliContracts:
                 {"indices": [1], "cells": [{"boxes": [[[0.0, "inf"]]], "p": 0.9999}]}])),
              "--tol", ("1e-12", "1e-3")),
             (("kernel", "--fourier", "1", "0.5"), "--tol", ("1e-6", "1e-3")),
-            (("product", "--spec", UNIFORM, "--tail", '{"one_minus_geometric":{"c":1,"q":0.5}}'),
-             "--n-max", ("10", "100")),
+            (("product", "--spec", UNIFORM), "--tail",
+             ('{"one_minus_geometric":{"c":1,"q":0.5}}', '{"one_minus_geometric":{"c":1,"q":0.25}}')),
             (("moment", "--cov", CONST1, "--vectors", "e1,e1", "--mc-samples", "100"),
              "--seed", ("3", "4")),
         ],
-        ids=["consistency-tol", "kernel-fourier-tol", "product-n-max", "moment-mc-seed"],
+        ids=["consistency-tol", "kernel-fourier-tol", "product-tail", "moment-mc-seed"],
     )
     def test_an_option_that_changes_the_payload_changes_the_digest(
         self, capsys, argv, option, values
@@ -576,8 +587,8 @@ UNREAD_OPTIONS = [
                  id="mc-on-bohr-sample"),
     pytest.param(("bohr", "--freqs", "1.0,2.0", "--integral", "one", "--mc", "100", "--seed", "1",
                   "--quad-points", "4"), "--quad-points", id="quad-points-on-bohr-mc"),
-    pytest.param(("product", "--spec", UNIFORM, "--cylinder", '{"base":[]}', "--n-max", "5"),
-                 "--n-max", id="n-max-on-product-cylinder"),
+    pytest.param(("product", "--spec", UNIFORM, "--cylinder", '{"base":[]}',
+                  "--tail", '{"full":{}}'), "--tail", id="tail-on-product-cylinder"),
     # typed at its default value, an option is still given
     pytest.param(("kernel", "--spec", MASSIVE_FREE, "--at", "0", "--tol", "1e-6"), "--tol",
                  id="default-tol-on-kernel-at"),
@@ -619,7 +630,7 @@ REPLAYED = {
     "bohr-integral": ("bohr", "--freqs", "1.0,2.0", "--integral", "cos:1,1", "--quad-points", "4"),
     "product-cylinder": ("product", "--spec", UNIFORM,
                          "--cylinder", '{"base":[{"index":1,"boxes":[[0.0,0.5]]}]}'),
-    "product-prefix": ("product", "--spec", UNIFORM, "--prefix", '{"base":[]}', "--n-max", "5"),
+    "product-prefix": ("product", "--spec", UNIFORM, "--prefix", '{"base":[]}'),
     "product-tail": ("product", "--spec", UNIFORM,
                      "--tail", '{"one_minus_geometric":{"c":1,"q":0.5}}'),
     "consistency": ("consistency", "--marginals", MARGINALS, "--tol", "1e-9"),

@@ -17,9 +17,9 @@ reads by ``cli._MODES``: its flag, its reads and every option no mode
 names.
 A third test writes each scalar option of such calls (``--n``, ``--seed``,
 ``--at``, ``--mc-samples``, ``--mc``, ``--quad-points``,
-``--check-independence``, ``--fourier``, ``--cutoff``, ``--tol`` and
-``--n-max``) as a text drawn from a fixed list of edge values, each either
-refused or cheap to run, and checks the same contract.  An option written
+``--check-independence``, ``--fourier``, ``--cutoff`` and ``--tol``) as
+a text drawn from a fixed list of edge values, each either refused or
+cheap to run, and checks the same contract.  An option written
 as a prefix of its name is refused, not read as that option.
 """
 
@@ -153,7 +153,6 @@ OPTION_VALUES = {
         "--cylinder": [['{"base":[{"index":1,"boxes":[[0.0,0.5]]}]}'], ['{"base":[]}']],
         "--prefix": [['{"base":[]}']],
         "--tail": [[GEOMETRIC_TAIL], ['{"full":{}}']],
-        "--n-max": [["5"], ["1000"]],
     },
     "moment": {
         "--cov": [[json.dumps(DECAYS[0])], [json.dumps(DECAYS[2])]],
@@ -245,7 +244,6 @@ SCALAR_CALLS = [
     (["bohr", "--freqs", "1.0,1.4142135623730951"], {"--check-independence": 1}),
     (["bohr", "--freqs", "1.0,2.0", "--integral", "cos:1,1"], {"--quad-points": 1}),
     (["bohr", "--freqs", "1.0,2.0", "--integral", "char:1,-1"], {"--mc": 1, "--seed": 1}),
-    (["product", "--spec", UNIFORM, "--tail", GEOMETRIC_TAIL], {"--n-max": 1}),
     (["consistency", "--marginals", json.dumps(MARGINALS[1])], {"--tol": 1}),
 ]
 

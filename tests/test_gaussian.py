@@ -429,7 +429,6 @@ class TestPositiveTypeGram:
 
 
 _COV = Constant(1.0)
-_TABLE_TAIL = cm.TailConstraints(tail=cm.TabulatedTail((0.5, 0.5)))
 
 
 @pytest.mark.parametrize("call", [
@@ -438,8 +437,6 @@ _TABLE_TAIL = cm.TailConstraints(tail=cm.TabulatedTail((0.5, 0.5)))
     lambda: sample(_COV, True, 1),
     lambda: draw_coordinates(_COV, 2, 10.5, np.random.default_rng(1)),
     lambda: mc_moment(_COV, [E1, E1], 10.5, 1),
-    lambda: cm.countable_product_measure(
-        cm.ProductMeasureSpec(cm.Uniform1D(0.0, 1.0)), _TABLE_TAIL, n_max=1.5),
     lambda: cm.mc_tail_growth(_COV, PowerDecay(1.0, 1.0), 100.5, 100, 1),
     lambda: cm.mc_tail_growth(_COV, PowerDecay(1.0, 1.0), 100, 100.5, 1),
     lambda: pairings(4.0),
@@ -451,8 +448,8 @@ _TABLE_TAIL = cm.TailConstraints(tail=cm.TabulatedTail((0.5, 0.5)))
         lambda x: x, lambda u: u[:, 0], 10.5, 1),
     lambda: cm.GridFunction(0.0, 0.1, 2.0, (1.0, 2.0)),
 ], ids=["haar-sample-batch", "sample", "sample-bool", "draw-coordinates", "mc-moment",
-        "countable-product-tabulated", "mc-tail-growth-coords", "mc-tail-growth-samples",
-        "pairings", "first", "first-numpy", "product-sampler", "pushforward", "grid-count"])
+        "mc-tail-growth-coords", "mc-tail-growth-samples", "pairings", "first", "first-numpy",
+        "product-sampler", "pushforward", "grid-count"])
 def test_public_counts_refuse_a_non_integer(call):
     # a float once failed with a bare TypeError from numpy or a slice, and
     # a bool was read as 1

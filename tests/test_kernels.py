@@ -254,6 +254,28 @@ class TestCovarianceBilinear:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_tabulated_form_holds_one_kernel_matrix(self):
+        # the N x N matrix is one copy of a strided view of the 2N - 1 lag
+        # values: the peak holds that one matrix and no N x N index array
+        n = 2000
+        grid = np.linspace(-5.0, 5.0, 4001)
+        tab = TabulatedKernel(tuple(grid.tolist()), tuple((np.exp(-np.abs(grid)) + grid).tolist()))
+        rng = np.random.default_rng(3)
+        f, g = (GridFunction(-1.0, 2.0 / (n - 1), n, tuple(rng.normal(size=n).tolist()))
+                for _ in range(2))
+        covariance_bilinear(tab, f, g)  # numpy's first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            value = covariance_bilinear(tab, f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8
+        row = np.interp(f.dx * np.arange(1 - n, n), grid, tab.values)
+        index = np.arange(n)
+        kmat = row[np.subtract.outer(index, index) + (n - 1)]
+        assert value == float(f.weighted() @ kmat @ g.weighted())
+
     def test_tabulated_kernel_matches_its_closed_form(self):
         grid = np.linspace(-15.0, 15.0, 3001)
         tab = TabulatedKernel(

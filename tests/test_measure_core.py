@@ -11,8 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cylmeasure.errors import InputError, NumericError
 from cylmeasure.measure_core import (
-    DEFAULT_N_MAX_CLOSED_FORM,
-    DEFAULT_N_MAX_TABULATED,
     ConstantFactorTail,
     CylinderSet,
     FullTail,
@@ -148,24 +146,15 @@ class TestCountableProduct:
     def test_constant_factor_below_one_is_decided_zero(self, f):
         # f**n -> 0 for every f < 1, however close to 1
         report = countable_product_measure(
-            UNIFORM, TailConstraints(prefix=HALF_BOX, tail=ConstantFactorTail(f)), n_max=10
+            UNIFORM, TailConstraints(prefix=HALF_BOX, tail=ConstantFactorTail(f))
         )
         assert report == ProductLimitReport(0.0, 0, True, "converged")
 
     def test_constant_factor_one_keeps_the_prefix(self):
         report = countable_product_measure(
-            UNIFORM, TailConstraints(prefix=HALF_BOX, tail=ConstantFactorTail(1.0)), n_max=0
+            UNIFORM, TailConstraints(prefix=HALF_BOX, tail=ConstantFactorTail(1.0))
         )
         assert report == ProductLimitReport(0.5, 0, True, "converged")
-
-    def test_slow_factors_report_unconverged(self):
-        spec = ProductMeasureSpec.identical(Uniform1D(0.0, 1.0))
-        report = countable_product_measure(
-            spec, TailConstraints(tail=OneMinusGeometricTail(1e-3, 0.999)), n_max=1000
-        )
-        assert not report.converged
-        assert report.verdict == "decreasing-unconverged"
-        assert 0.0 < report.value < 1.0
 
     def test_partial_products_nonincreasing(self):
         rng = np.random.default_rng(7)
@@ -180,7 +169,7 @@ class TestCountableProduct:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def product_by_loop(spec, constraints, n_max, tol=1e-12):
+def product_by_loop(spec, constraints, tol=1e-12):
     """Reference, one factor at a time.  A table runs to its end; a
     geometric tail stops once its remainder bound c*q**(k+1)/(1-q) after
     k factors is at most tol.  A partial product at or below 1e-300 stops
@@ -199,13 +188,11 @@ def product_by_loop(spec, constraints, n_max, tol=1e-12):
     partial = cylinder_measure(spec, constraints.prefix)
     k = 0
     while not done(k):
-        if k == n_max:
-            return ProductLimitReport(partial, k, False, "decreasing-unconverged")
         k += 1
         partial *= factor(k)
         if partial <= 1e-300:
-            return ProductLimitReport(partial if done(k) else 0.0, k, True, "converged")
-    return ProductLimitReport(partial, k, True, "converged")
+            return ProductLimitReport(partial if done(k) else 0.0, k)
+    return ProductLimitReport(partial, k)
 
 
 def exact_partial_products(partial, c, q, n):
@@ -222,6 +209,12 @@ def exact_partial_products(partial, c, q, n):
         return out
 
 
+def cut_at(c, q, n):
+    """A tol whose factor count is n: the remainder bound after n + 1/2
+    factors, half a factor of q away from the bounds of n and n + 1."""
+    return c * q ** (n + 0.5) / (1 - q)
+
+
 HALF_BOX = CylinderSet.from_boxes({1: [(0.0, 0.5)]})
 UNIFORM = ProductMeasureSpec.identical(Uniform1D(0.0, 1.0))
 
@@ -230,17 +223,12 @@ class TestProductBlockScan:
     """The product stops exactly where a factor-by-factor loop stops."""
 
     @staticmethod
-    def check(tail, n_max=None):
+    def check(tail, tol=1e-12):
         """The report, checked against the factor-by-factor loop: a table's
         exactly, a geometric tail's value against the exact partial product."""
         constraints = TailConstraints(prefix=HALF_BOX, tail=tail)
-        if n_max is None:
-            tabulated = isinstance(tail, TabulatedTail)
-            loop_n_max = DEFAULT_N_MAX_TABULATED if tabulated else DEFAULT_N_MAX_CLOSED_FORM
-        else:
-            loop_n_max = n_max
-        expected = product_by_loop(UNIFORM, constraints, loop_n_max)
-        report = countable_product_measure(UNIFORM, constraints, n_max)
+        expected = product_by_loop(UNIFORM, constraints, tol)
+        report = countable_product_measure(UNIFORM, constraints, tol)
         if isinstance(tail, OneMinusGeometricTail) and expected.value:
             # the loop itself is off by up to 7e-14 on (0.01, 0.9997)
             exact = exact_partial_products(0.5, tail.c, tail.q, expected.n_factors)[-1]
@@ -255,19 +243,17 @@ class TestProductBlockScan:
         report = self.check(TabulatedTail(tuple(factors.tolist())))
         assert report.n_factors == length and report.converged
 
-    @pytest.mark.parametrize("n_max", [0, 1, 1000, 4096, 4097])
-    def test_n_max_cuts_the_scan(self, n_max):
-        report = self.check(OneMinusGeometricTail(0.01, 0.9997), n_max=n_max)
-        assert report.n_factors == n_max and not report.converged
+    @pytest.mark.parametrize("n", [0, 1, 1000, 4096, 4097])
+    def test_tol_fixes_where_the_scan_stops(self, n):
+        tol = cut_at(0.01, 0.9997, n)
+        report = self.check(OneMinusGeometricTail(0.01, 0.9997), tol)
+        assert report.n_factors == n and report.converged
 
-    def test_negative_n_max_is_rejected(self):
-        constraints = TailConstraints(prefix=HALF_BOX, tail=ConstantFactorTail(0.5))
-        with pytest.raises(InputError, match="n_max must be >= 0, got -3"):
-            countable_product_measure(UNIFORM, constraints, n_max=-3)
-
-    def test_table_longer_than_n_max(self):
-        report = self.check(TabulatedTail((0.99,) * 5000), n_max=4500)
-        assert report.n_factors == 4500 and not report.converged
+    def test_a_long_table_is_multiplied_to_its_end(self):
+        # every listed factor enters, however many: no factor budget cuts a table
+        factors = np.random.default_rng(20_000).uniform(0.9999, 0.99999, 20_000)
+        report = self.check(TabulatedTail(tuple(factors.tolist())))
+        assert report.n_factors == 20_000 and report.converged and report.value > 0.0
 
     @pytest.mark.parametrize(
         "tail, n_factors",
@@ -374,20 +360,19 @@ class TestProductBlockScan:
             OneMinusGeometricTail(c, q)
 
 
-def check_closed_form(c, q, n_max):
+def check_closed_form(c, q, tol):
     """The geometric tail's report against the exact partial products of the
-    same floats: within 8 (1 + |log P|) 2^-53 of P, and on underflow at the
-    least k whose exact partial product is <= 1e-300."""
+    same floats up to ``count(tol)``: within 8 (1 + |log P|) 2^-53 of P, and
+    on underflow at the least k whose exact partial product is <= 1e-300."""
     tail = OneMinusGeometricTail(c, q)
-    count = tail.count(1e-12)
-    end = count if n_max is None else min(count, n_max)
-    report = countable_product_measure(UNIFORM, TailConstraints(prefix=HALF_BOX, tail=tail), n_max)
-    exact = exact_partial_products(0.5, c, q, end)
-    under = next((k for k in range(1, end + 1) if exact[k] <= Decimal(1e-300)), None)
-    k = end if under is None else under
+    count = tail.count(tol)
+    constraints = TailConstraints(prefix=HALF_BOX, tail=tail)
+    report = countable_product_measure(UNIFORM, constraints, tol=tol)
+    exact = exact_partial_products(0.5, c, q, count)
+    under = next((k for k in range(1, count + 1) if exact[k] <= Decimal(1e-300)), None)
+    k = count if under is None else under
     assert report.n_factors == k
-    assert report.converged == (under is not None or end == count)
-    assert report.verdict == ("converged" if report.converged else "decreasing-unconverged")
+    assert (report.converged, report.verdict) == (True, "converged")
     if under is not None and under != count:
         assert report.value == 0.0
         return report
@@ -402,34 +387,37 @@ class TestClosedFormProduct:
     exact product of the same floats."""
 
     @pytest.mark.parametrize(
-        "c, q, n_max, n_factors",
+        "c, q, tol, n_factors",
         [
-            (1.0, 0.5, None, 40),  # c q = 1/2: the log series from the first factor
-            (0.01, 0.9997, None, 103_776),  # the benchmark's tail
-            (0.01, 0.9997, 1000, 1000),
-            (0.75, 0.9, None, 281),  # c q > 1/2: 3 factors multiplied directly
-            (1.9, 0.5, None, 41),
-            (1.9, 0.5, 3, 3),  # a cut inside the direct factors
-            (1.0 - 1e-12, 1.0 - 1e-9, 1, 1),  # a first factor of 1e-9, to every digit
-            (2.0, 0.5, None, 1),  # c q = 1: the first factor is 0
-            (4.0, 0.25, 5, 1),
-            (1e300, 1e-300, None, 1),  # c*q rounds to 1; the exact c q is above 1
-            (1.0, 0.999, None, 308),  # underflow among the direct factors
-            (0.5, 0.9995, None, 1_614),  # underflow inside the log series, by bisection
-            (0.5, 0.9995, 1_000, 1_000),
-            (0.4, 0.999999, 10, 10),  # 1 - q^(i m) near 1e-5: expm1 keeps its digits
-            (0.0, 0.5, None, 0),
+            (1.0, 0.5, 1e-12, 40),  # c q = 1/2: the log series from the first factor
+            (0.01, 0.9997, 1e-12, 103_776),  # the benchmark's tail
+            (0.01, 0.9997, cut_at(0.01, 0.9997, 1000), 1000),
+            (0.75, 0.9, 1e-12, 281),  # c q > 1/2: 3 factors multiplied directly
+            (1.9, 0.5, 1e-12, 41),
+            (1.9, 0.5, cut_at(1.9, 0.5, 3), 3),  # a cut inside the direct factors
+            # a first factor of 1e-9, to every digit
+            (1.0 - 1e-12, 1.0 - 1e-9, cut_at(1.0 - 1e-12, 1.0 - 1e-9, 1), 1),
+            (2.0, 0.5, 1e-12, 1),  # c q = 1: the first factor is 0
+            (4.0, 0.25, cut_at(4.0, 0.25, 5), 1),
+            (1e300, 1e-300, 1e-12, 1),  # c*q rounds to 1; the exact c q is above 1
+            (1.0, 0.999, 1e-12, 308),  # underflow among the direct factors
+            (0.5, 0.9995, 1e-12, 1_614),  # underflow inside the log series, by bisection
+            (0.5, 0.9995, cut_at(0.5, 0.9995, 1_000), 1_000),  # a cut inside the log series
+            # 1 - q^(i m) near 1e-5: expm1 keeps its digits
+            (0.4, 0.999999, cut_at(0.4, 0.999999, 10), 10),
+            (0.0, 0.5, 1e-12, 0),
         ],
     )
-    def test_value_is_the_exact_partial_product(self, c, q, n_max, n_factors):
-        assert check_closed_form(c, q, n_max).n_factors == n_factors
+    def test_value_is_the_exact_partial_product(self, c, q, tol, n_factors):
+        assert check_closed_form(c, q, tol).n_factors == n_factors
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.5, 1.0, exclude_max=True), st.floats(0.0, 1.0), st.integers(0, 2_000))
-    def test_any_tail_is_the_exact_partial_product(self, q, cq, n_max):
+    def test_any_tail_is_the_exact_partial_product(self, q, cq, n):
+        # the remainder bound after n factors as tol keeps the count near n
         c = cq / q
         assume(c * q <= 1.0)
-        check_closed_form(c, q, n_max)
+        check_closed_form(c, q, max(c * q ** (n + 1) / (1 - q), 5e-324))
 
 
 class TestIncreasingLimit:
