@@ -392,6 +392,7 @@ class TestClosedFormProduct:
             (1.0, 0.5, 1e-12, 40),  # c q = 1/2: the log series from the first factor
             (0.01, 0.9997, 1e-12, 103_776),  # the benchmark's tail
             (0.01, 0.9997, cut_at(0.01, 0.9997, 1000), 1000),
+            (1e-3, 0.999, 1e-12, 27_617),  # slow factors run to their own count
             (0.75, 0.9, 1e-12, 281),  # c q > 1/2: 3 factors multiplied directly
             (1.9, 0.5, 1e-12, 41),
             (1.9, 0.5, cut_at(1.9, 0.5, 3), 3),  # a cut inside the direct factors
