@@ -22,6 +22,9 @@ a table.  Then it reads the mode's options in declared order and records
 each under its dest in ``inputs`` (a document as parsed).  A payload
 builder gets only the mode and the decoded values, so ``inputs_digest``,
 the SHA-256 of the canonical ``inputs``, covers all a result depends on.
+The digest comes from CPython's built-in ``_sha2`` (``_sha256`` before
+3.12), as ``random`` takes its SHA-512: ``hashlib`` loads OpenSSL at
+import, and is the fallback only where neither module exists.
 
 Only ``errors`` and ``jsonio`` load with this module.  A payload builder
 reaches the library through the package's lazy exports, so each model
@@ -56,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import io
 import json
 import os
@@ -71,6 +73,16 @@ from .errors import InputError, NumericError, require_budget
 if TYPE_CHECKING:
     from . import bohr
     from .sequences import FiniteSequence
+
+# the digest's SHA-256 (see the module docstring): OpenSSL would add about
+# 3.5 MB to hash some 70 bytes an envelope
+try:
+    from _sha2 import sha256 as _sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = ["main", "build_envelope", "SUBCOMMANDS"]
 
@@ -119,18 +131,20 @@ def _load_json_arg(raw: str, what: str) -> Any:
         try:
             with open(raw[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"{what}: cannot read {raw[1:]}: {exc}") from None
-    try:  # one scanner call when the document fills the text; decode() words the rest
-        value, end = _STRICT_JSON.raw_decode(text)
-        if end == len(text):
-            return value
-    except ValueError:
-        pass
     try:
+        try:  # one scanner call when the document fills the text; decode() words the rest
+            value, end = _STRICT_JSON.raw_decode(text)
+            if end == len(text):
+                return value
+        except ValueError:
+            pass
         return _STRICT_JSON.decode(text)
     except ValueError as exc:
         raise InputError(f"{what}: invalid JSON ({exc})") from None
+    except RecursionError:  # the C scanner's depth limit
+        raise InputError(f"{what}: invalid JSON (nested too deeply)") from None
 
 
 def _number(text: str, parse: Any) -> Any:
@@ -356,7 +370,7 @@ def build_envelope(args) -> dict:
         if raw is not None:
             values[dest], inputs[dest] = read(raw)
     payload, provenance = SUBCOMMANDS[args.subcommand][1](mode, values)
-    digest = hashlib.sha256("".join(_canonical_chunks(inputs, 0)).encode()).hexdigest()
+    digest = _sha256("".join(_canonical_chunks(inputs, 0)).encode()).hexdigest()
     return {
         "subcommand": args.subcommand,
         "inputs": inputs,

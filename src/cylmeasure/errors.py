@@ -42,10 +42,14 @@ _LONG = 10**30  # an int this long or longer is shown as a power of ten
 def _shown(value) -> str:
     """``repr(value)`` cut to 60 characters, so a refused JSON array prints one
     short line, and an int of 31 digits or more as "about 10^k": Python
-    refuses to print an int of more than 4,300 digits."""
+    refuses to print an int of more than 4,300 digits, and an array nested
+    near the recursion limit, which the JSON scanner still reads."""
     if type(value) is int and not -_LONG < value < _LONG:
         return f"about {'-' * (value < 0)}10^{math.log10(abs(value)):.0f}"
-    text = repr(value)
+    try:
+        text = repr(value)
+    except RecursionError:  # an array nested near the recursion limit
+        return f"a {type(value).__name__} nested too deeply to print"
     return text if len(text) <= 60 else f"{text[:57]}..."
 
 

@@ -704,6 +704,29 @@ class TestCliHardening:
         assert (code, out) == (2, "")
         assert f"input error: {option}: invalid JSON" in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (("hs-check", "--weights"), "--weights"),
+        (("kernel", "--spec", MASSIVE_FREE, "--bilinear", GRID), "--bilinear[1]"),
+    ], ids=["single", "second-of-two"])
+    def test_undecodable_file_exits_2(self, capsys, tmp_path, argv, option):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"constant":{"rho":1}}\xff')
+        assert run_cli(capsys, *argv, f"@{path}") == (
+            2, "", f"input error: {option}: cannot read {path}: 'utf-8' codec can't decode "
+                   "byte 0xff in position 22: invalid start byte\n")
+
+    @pytest.mark.parametrize("argv, option", [
+        (("hs-check", "--weights"), "--weights"),
+        (("kernel", "--spec", MASSIVE_FREE, "--bilinear", GRID), "--bilinear[1]"),
+    ], ids=["single", "second-of-two"])
+    @pytest.mark.parametrize("doc", ["[" * 100_000, "[" * 100_000 + "]" * 100_000],
+                             ids=["unclosed", "balanced"])
+    def test_document_nested_past_the_recursion_limit_exits_2(self, capsys, argv, option, doc):
+        # the C scanner raises RecursionError, not a ValueError; 5,000 levels
+        # raise it on 3.10-3.12, but 3.13 reads them
+        assert run_cli(capsys, *argv, doc) == (
+            2, "", f"input error: {option}: invalid JSON (nested too deeply)\n")
+
     def test_overflowing_interval_end_names_its_path(self, capsys):
         code, _, err = run_cli(
             capsys, "product", "--spec", UNIFORM,
@@ -1147,6 +1170,29 @@ def json_texts(draw):
     return draw(space) + text + draw(space)
 
 
+# the envelopes of the calls in argv[1], then of hs-check echoing each document in
+# argv[2] (as the echo_weights fixture does), with both built-in SHA-256 modules blocked
+FALLBACK = """
+import contextlib, io, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from cylmeasure import cli, jsonio
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    return json.loads(buf.getvalue())
+
+envelopes = [run(argv) for argv in json.loads(sys.argv[1])]
+help_text, _, options = cli.SUBCOMMANDS["hs-check"]
+cli.SUBCOMMANDS["hs-check"] = (help_text, lambda mode, values: ({}, []), options)
+jsonio.decode = lambda kind, doc, name: doc
+envelopes += [run(["hs-check", "--weights", doc]) for doc in json.loads(sys.argv[2])]
+print(json.dumps([cli._sha256 is hashlib.sha256, envelopes]))
+"""
+
+
 class TestEnvelopeJsonPath:
     @pytest.mark.parametrize("argv", REPLAYED.values(), ids=REPLAYED.keys())
     def test_digest_is_the_documented_formula(self, capsys, argv):
@@ -1190,6 +1236,25 @@ class TestEnvelopeJsonPath:
             cli._canonical_chunks(doc, 0)
         doc["a"] = [1]  # the same dict again: a kept markers entry would call it circular
         assert "".join(cli._canonical_chunks(doc, 0)) == '{"a":[1]}'
+
+    def test_digest_without_a_built_in_sha256_module(self):
+        # neither _sha2 (3.12+) nor _sha256 (3.10, 3.11): cli hashes with hashlib's sha256
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        calls = [REPLAYED[name] for name in ("shift-admissible", "equivalence", "product-tail")]
+        proc = subprocess.run(
+            [sys.executable, "-c", FALLBACK, json.dumps(calls),
+             json.dumps(list(DIGEST_DOCUMENTS.values()))],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        from_hashlib, envelopes = json.loads(proc.stdout)
+        assert from_hashlib
+        assert [env["subcommand"] for env in envelopes] == (
+            [argv[0] for argv in calls] + ["hs-check"] * len(DIGEST_DOCUMENTS))
+        for env in envelopes:
+            assert env["inputs_digest"] == canonical_digest(env["inputs"])
+        for env, doc in zip(envelopes[len(calls):], DIGEST_DOCUMENTS.values()):
+            assert env["inputs_digest"] == canonical_digest({"weights": json.loads(doc)})
 
     @settings(max_examples=300, deadline=None)
     @given(json_texts())

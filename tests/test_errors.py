@@ -4,6 +4,7 @@ one for every real parameter: ``errors.require_real``; one for every seed:
 ``errors.require_seed``; and the public calls that route through them."""
 
 import ast
+import functools
 import importlib
 import math
 import re
@@ -104,8 +105,11 @@ def test_public_indices_follow_one_rule(call, message):
      "cov.constant.rho: value must be a finite number, got "
      "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16..."),
     (lambda: require_count("x" * 100, "n"), f"n must be an integer, got '{'x' * 56}..."),
+    # repr() of an array this deep raises RecursionError
+    (lambda: require_real(functools.reduce(lambda inner, _: [inner], range(10**5), []), "x"),
+     "x must be a finite number, got a list nested too deeply to print"),
 ], ids=["count", "indices", "real", "constant", "seed", "count-31-digits", "count-30-digits",
-        "json-array", "long-string"])
+        "json-array", "long-string", "deep-array"])
 def test_a_value_too_long_to_print_is_shown_short(call, message):
     with pytest.raises(InputError) as info:
         call()

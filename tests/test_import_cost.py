@@ -39,6 +39,13 @@ interpreter checks that ``import cylmeasure.cli`` and the symbolic
 subcommands leave both unloaded, and a static check finds no
 module-level ``import dataclasses`` in the package.
 
+``hashlib`` loads OpenSSL (``_hashlib``, about 3.5 MB and 4 ms) at import,
+and ``cli`` hashes ``inputs_digest`` with CPython's built-in SHA-256
+module instead.  The same interpreter checks that ``import cylmeasure.cli``,
+the symbolic subcommands and their refusals leave ``hashlib`` and
+``_hashlib`` unloaded.  A mode that draws still loads OpenSSL through
+``numpy.random``, and that is not asserted either way.
+
 A series verdict on its convergence boundary is decided in integers on
 the printed decimals, so no call loads ``decimal`` (about 2.5 ms with its C
 module): a static check finds no ``import decimal`` in the package, and a
@@ -360,7 +367,7 @@ import contextlib, io, json, sys
 import cylmeasure.cli
 
 def loaded():
-    return sorted({"dataclasses", "inspect"} & set(sys.modules))
+    return sorted({"dataclasses", "inspect", "hashlib", "_hashlib"} & set(sys.modules))
 
 report = [[None, loaded()]]
 for argv in json.loads(sys.argv[1]):
