@@ -49,11 +49,10 @@ _EXPORTS = {
                 "MassiveFree1D", "TabulatedKernel", "WhiteNoise", "covariance_bilinear",
                 "kernel_fourier_quadrature"),
     "measure_core": ("ConstantFactorTail", "ConsistencyResult", "CylinderSet", "FullTail",
-                     "Gaussian1D", "IncreasingLimitReport", "Interval", "MarginalTable",
-                     "OneMinusGeometricTail", "PointMass1D", "ProductLimitReport",
-                     "ProductMeasureSpec", "ProductSampler", "TabulatedTail",
-                     "TailConstraints", "Uniform1D", "consistency_check",
-                     "countable_product_measure", "cylinder_measure", "increasing_limit",
+                     "Gaussian1D", "Interval", "MarginalTable", "OneMinusGeometricTail",
+                     "PointMass1D", "ProductLimitReport", "ProductMeasureSpec",
+                     "ProductSampler", "TabulatedTail", "TailConstraints", "Uniform1D",
+                     "consistency_check", "countable_product_measure", "cylinder_measure",
                      "pushforward_integral_mc"),
     "seeding": ("derive_seed",),
     "selftest": ("run_selftest",),

@@ -8,10 +8,13 @@ the big space reduce to torus integrals of a function of an (M, n) array
 of phases, which the ``integrate`` of the chosen method calls on row
 blocks that tile its nodes: the periodic trapezoid grid of
 ``QuadratureMethod`` (spectrally accurate on trigonometric integrands) or
-the seeded draws of ``MCMethod``.  The quadrature holds no vector of grid
-values: it adds each block's values to ``_pairwise.StreamSum``, the
-package's one pairwise sum, cut where numpy's pairwise sum cuts the whole
-vector, so its means are bit for bit numpy's means of the whole grid.
+the seeded draws of ``MCMethod``.  The integrand gets each block
+read-only.  The quadrature builds its grid once per call: its blocks are
+views of one buffer whose leading-phase column alone is rewritten from
+block to block.  It holds no vector of grid values: it adds each block's
+values to ``_pairwise.StreamSum``, the package's one pairwise sum, cut
+where numpy's pairwise sum cuts the whole vector, so its means are bit
+for bit numpy's means of the whole grid.
 
 True rational independence is not decidable in floating point; the
 certificate is an exhaustive search up to a named coefficient bound.
@@ -198,7 +201,10 @@ class HaarIntegralResult(Record):
 
 
 def _evaluate(f: Callable, points: np.ndarray, where: str) -> np.ndarray:
-    """f on the rows of the (M, n) phase matrix: M finite values."""
+    """f on a read-only view of the rows of the (M, n) phase matrix: M finite
+    values."""
+    points = points.view()
+    points.flags.writeable = False
     vals = np.asarray(f(points), dtype=complex)
     if vals.shape != (len(points),):
         raise InputError(
@@ -219,23 +225,25 @@ def _grid_blocks(size: int, n_axes: int):
     blocks of at most _BLOCK_ROWS rows: whole slices of the leading axis, or
     runs of one slice where a slice holds more rows.
 
-    Yields (i, j, block): ``block`` is a fresh (leads, rows, n_axes) array,
-    the rows j..j+rows-1 of the leading slices i..i+leads-1, built from the
-    one grid of the other axes and the leading phases of its own slices.
+    Yields (i, j, block): ``block`` is a (leads, rows, n_axes) view, the rows
+    j..j+rows-1 of the leading slices i..i+leads-1, of one buffer built once
+    per call: the grid of the other axes, ``leads`` times over.  Each new run
+    of leading slices rewrites only the leading-phase column, so a block
+    holds its nodes until the next one is drawn; ``_evaluate`` hands it to
+    the integrand read-only.
     """
-    tail = np.empty((size,) * (n_axes - 1) + (n_axes,))
+    rows = size ** (n_axes - 1)  # the nodes of one leading slice
+    leads = max(1, _BLOCK_ROWS // rows)
+    step = min(rows, _BLOCK_ROWS)
+    grid = np.empty((leads,) + (size,) * (n_axes - 1) + (n_axes,))
     for axis in range(1, n_axes):
-        tail[..., axis] = _phases(0, size, size).reshape((size,) + (1,) * (n_axes - 1 - axis))
-    tail = tail.reshape(-1, n_axes)
-    leads = max(1, _BLOCK_ROWS // len(tail))
-    step = min(len(tail), _BLOCK_ROWS)
+        grid[..., axis] = _phases(0, size, size).reshape((size,) + (1,) * (n_axes - 1 - axis))
+    grid = grid.reshape(leads, rows, n_axes)
     for i in range(0, size, leads):
-        lead = _phases(i, min(i + leads, size), size)[:, None]
-        for j in range(0, len(tail), step):
-            block = np.empty((len(lead), min(step, len(tail) - j), n_axes))
-            block[...] = tail[j : j + step]
-            block[..., 0] = lead
-            yield i, j, block
+        lead = _phases(i, min(i + leads, size), size)
+        grid[: len(lead), :, 0] = lead[:, None]
+        for j in range(0, rows, step):
+            yield i, j, grid[: len(lead), j : j + step]
 
 
 def _grid_means(f: Callable, n_axes: int, points: int) -> tuple[complex, complex]:
@@ -318,6 +326,9 @@ def haar_cylinder_integral(gamma: FrequencySet, f: Callable, method: Method) -> 
     draws, each an (M, n) array of phases with M at most 2^13, and returns
     M real or complex values; a callable of one phase vector raises its
     own error on such an array or returns another shape, an ``InputError``.
+    ``f`` must not write to its phases: a block is read-only, and writing
+    to it raises numpy's ``ValueError``.  The quadrature rewrites one buffer
+    from block to block, so ``f`` must copy a block it keeps.
     The quadrature sums the values block by block, in numpy's pairwise
     order, so what it holds is a block and not the grid, and its report is
     the one that numpy's means of the whole grid's values would give.

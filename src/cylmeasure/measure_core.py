@@ -41,13 +41,11 @@ __all__ = [
     "TailRule",
     "TailConstraints",
     "ProductLimitReport",
-    "IncreasingLimitReport",
     "MarginalTable",
     "ConsistencyResult",
     "ProductSampler",
     "cylinder_measure",
     "countable_product_measure",
-    "increasing_limit",
     "consistency_check",
     "pushforward_integral_mc",
 ]
@@ -96,11 +94,6 @@ def normalize_box(intervals: Sequence[Interval]) -> Box:
     return tuple(merged)
 
 
-def box_contains(inner: Box, outer: Box) -> bool:
-    """Set containment for normalized boxes (closed-interval semantics)."""
-    return all(any(o.lo <= iv.lo and iv.hi <= o.hi for o in outer) for iv in inner)
-
-
 _FULL_BOX: Box = (Interval(-math.inf, math.inf),)
 
 
@@ -130,10 +123,6 @@ class CylinderSet(Record):
             if idx == index:
                 return box
         return _FULL_BOX
-
-    def refined_to(self, indices: Sequence[int]) -> tuple[Box, ...]:
-        """Boxes over a common index set; missing coordinates are free."""
-        return tuple(self.box_at(i) for i in indices)
 
 
 # ---------------------------------------------------------------------------
@@ -426,40 +415,6 @@ def countable_product_measure(
     require_real(tol, "tolerance", "> 0")
     partial = cylinder_measure(spec, constraints.prefix)
     return constraints.tail.limit(partial, tol)
-
-
-class IncreasingLimitReport(Record):
-    """sup over an increasing chain: the last element's measure."""
-
-    value: float
-    at_position: int  # 1-based position in the chain realizing the sup
-
-
-def increasing_limit(
-    spec: ProductMeasureSpec, chain: Sequence[CylinderSet]
-) -> IncreasingLimitReport:
-    """Measure limit along an increasing chain of cylinder sets.
-
-    Nesting is a precondition: each set must contain the previous one.
-    It is checked concretely by refining both sets to the union of their
-    bases (a free coordinate is the full line) and testing per-coordinate
-    box containment.  For a finite chain the limit is the measure of the
-    last set, which equals the supremum by monotonicity.
-    """
-    if not chain:
-        raise InputError("increasing_limit needs a nonempty chain")
-    for pos in range(len(chain) - 1):
-        smaller, larger = chain[pos], chain[pos + 1]
-        indices = sorted(set(smaller.indices) | set(larger.indices))
-        for idx, inner, outer in zip(
-            indices, smaller.refined_to(indices), larger.refined_to(indices)
-        ):
-            if not box_contains(inner, outer):
-                raise InputError(
-                    f"chain is not increasing: element {pos + 1} is not contained "
-                    f"in element {pos + 2} (coordinate {idx})"
-                )
-    return IncreasingLimitReport(cylinder_measure(spec, chain[-1]), len(chain))
 
 
 # ---------------------------------------------------------------------------

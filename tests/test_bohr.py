@@ -265,6 +265,35 @@ class TestHaarIntegral:
         if size**n_axes <= 2**13:
             assert len(blocks) == 1
 
+    @pytest.mark.parametrize(
+        "n_axes, method",
+        [(4, QuadratureMethod(11)), (3, QuadratureMethod(24)), (3, MCMethod(2 * 2**13 + 5, 4))],
+        ids=["quadrature-split-slices", "quadrature-three-slices", "mc"],
+    )
+    def test_integrand_that_writes_to_its_phases_raises(self, n_axes, method):
+        # the quadrature rewrites one buffer from block to block: a write
+        # that landed would move the nodes of every later block
+        gamma = FrequencySet(tuple(math.sqrt(q) for q in (2.0, 3.0, 5.0, 7.0)[:n_axes]))
+
+        def f(th):
+            return np.exp(1j * th[:, 0]) * np.cos(th[:, -1]) + 1.0
+
+        def writes(th):
+            th[:, 0] = 0.0
+            return f(th)
+
+        with pytest.raises(ValueError, match="read-only"):
+            haar_cylinder_integral(gamma, writes, method)
+
+        def tries_to_write(th):
+            with pytest.raises(ValueError, match="read-only"):
+                th += 1.0
+            return f(th)
+
+        assert repr(haar_cylinder_integral(gamma, tries_to_write, method)) == repr(
+            haar_cylinder_integral(gamma, f, method)
+        )
+
     def test_mc_draws_in_blocks_the_phases_of_haar_sample_batch(self):
         gamma = FrequencySet((1.0, SQRT2, math.pi))
         blocks = []

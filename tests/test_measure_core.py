@@ -29,7 +29,6 @@ from cylmeasure.measure_core import (
     consistency_check,
     countable_product_measure,
     cylinder_measure,
-    increasing_limit,
     normalize_box,
     pushforward_integral_mc,
 )
@@ -419,47 +418,6 @@ class TestClosedFormProduct:
         c = cq / q
         assume(c * q <= 1.0)
         check_closed_form(c, q, max(c * q ** (n + 1) / (1 - q), 5e-324))
-
-
-class TestIncreasingLimit:
-    def test_gaussian_exhaustion_of_the_line(self):
-        spec = ProductMeasureSpec.identical(Gaussian1D(1.0))
-        chain = [CylinderSet.from_boxes({1: [(-n, n)]}) for n in range(1, 7)]
-        report = increasing_limit(spec, chain)
-        assert report.at_position == 6
-        assert report.value == pytest.approx(math.erf(6.0 / math.sqrt(2.0)), abs=1e-15)
-
-    def test_constant_chain(self):
-        spec = ProductMeasureSpec.identical(Uniform1D(0.0, 1.0))
-        cyl = CylinderSet.from_boxes({1: [(0.0, 0.5)]})
-        report = increasing_limit(spec, [cyl, cyl, cyl])
-        assert report.value == 0.5
-
-    def test_uniform_sup_is_last_element(self):
-        spec = ProductMeasureSpec.identical(Uniform1D(0.0, 1.0))
-        chain = [
-            CylinderSet.from_boxes({1: [(0.0, 1.0 - 1.0 / n)]}) for n in range(2, 12)
-        ]
-        report = increasing_limit(spec, chain)
-        assert report.value == pytest.approx(1.0 - 1.0 / 11.0)
-        assert report.at_position == 10
-
-    def test_nesting_violation_names_the_pair(self):
-        spec = ProductMeasureSpec.identical(Uniform1D(0.0, 1.0))
-        good = CylinderSet.from_boxes({1: [(0.0, 0.8)]})
-        bad = CylinderSet.from_boxes({1: [(0.0, 0.5)]})
-        with pytest.raises(InputError, match="element 1 is not contained in element 2"):
-            increasing_limit(spec, [good, bad])
-
-    def test_refinement_over_different_bases(self):
-        spec = ProductMeasureSpec.identical(Uniform1D(0.0, 1.0))
-        # constraining a new coordinate shrinks the set: order matters
-        smaller = CylinderSet.from_boxes({1: [(0.0, 0.5)], 2: [(0.0, 0.5)]})
-        larger = CylinderSet.from_boxes({1: [(0.0, 0.5)]})
-        report = increasing_limit(spec, [smaller, larger])
-        assert report.value == 0.5
-        with pytest.raises(InputError):
-            increasing_limit(spec, [larger, smaller])
 
 
 def product_tables(spec, partitions):

@@ -38,7 +38,6 @@ from cylmeasure.measure_core import (
     CylinderSet,
     FullTail,
     Gaussian1D,
-    IncreasingLimitReport,
     Interval,
     MarginalTable,
     OneMinusGeometricTail,
@@ -82,7 +81,6 @@ INSTANCES = [
     TabulatedTail((0.5, 1, 0.25)),
     TailConstraints(),
     TailConstraints(CYLINDER, OneMinusGeometricTail(0.5, 0.25)),
-    IncreasingLimitReport(0.5, 2),
     MARGINAL,
     ConsistencyResult(True),
     ConsistencyResult(False, "cell 1"),
@@ -151,7 +149,7 @@ def _field_view(fields):
 
 def test_every_record_class_has_an_instance():
     assert _record_classes() == {type(record) for record in INSTANCES}
-    assert len(_record_classes()) == 38
+    assert len(_record_classes()) == 37
 
 
 @pytest.mark.parametrize("record", INSTANCES, ids=lambda r: type(r).__name__)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cylmeasure.errors import InputError, NumericError, UndecidableError
 from cylmeasure.gaussian import draw_coordinates
@@ -251,21 +251,42 @@ RATES = st.one_of(
     st.floats(0.01, 0.999),
     st.floats(1e-12, 1e-6).map(lambda d: 1.0 - d),  # within 1e-6 of 1
 )
+# negative c down to -0.999 base; a base * frac that underflows to c = 0 is no such class
+CONSTANT_PLUS_POWERS = (
+    st.tuples(AMPLITUDES, st.floats(-0.999, 3.0), POWERS)
+    .filter(lambda t: t[0] * t[1] != 0.0)
+    .map(lambda t: ConstantPlusPower(t[0], t[0] * t[1], t[2]))
+)
 CLOSED_FORMS = st.one_of(
     st.builds(Constant, AMPLITUDES),
     st.builds(PowerDecay, AMPLITUDES, POWERS),
     st.builds(Geometric, AMPLITUDES, RATES),
     # entries that go subnormal inside the scan: the fallback scan
     st.builds(Geometric, st.floats(1e-301, 1e-299), st.floats(0.01, 0.9)),
-    # negative c down to -0.999 base; a base * frac that underflows to c = 0 is no such class
-    st.tuples(AMPLITUDES, st.floats(-0.999, 3.0), POWERS)
-    .filter(lambda t: t[0] * t[1] != 0.0)
-    .map(lambda t: ConstantPlusPower(t[0], t[0] * t[1], t[2])),
+    CONSTANT_PLUS_POWERS,
 )
 COVARIANCES = st.one_of(
     CLOSED_FORMS,
     st.builds(Prefixed, st.lists(AMPLITUDES, min_size=1, max_size=40).map(tuple), CLOSED_FORMS),
 )
+# constant_plus_power pairs have a three-term critical equation, solved by _sign_change
+RATIO_PAIRS = st.one_of(
+    st.tuples(COVARIANCES, COVARIANCES),
+    st.tuples(CONSTANT_PLUS_POWERS, CONSTANT_PLUS_POWERS),
+    st.tuples(
+        st.builds(Prefixed, st.lists(AMPLITUDES, min_size=1, max_size=40).map(tuple),
+                  CONSTANT_PLUS_POWERS),
+        CONSTANT_PLUS_POWERS,
+    ),
+)
+
+
+def condition(seq, n):
+    """The sum of the magnitudes of the terms of entry n over the magnitude of their sum."""
+    if n <= len(getattr(seq, "prefix", ())):
+        return 1.0
+    terms = [k * n**alpha * q**n for q, alpha, k in seq.atoms()]
+    return sum(map(abs, terms)) / abs(sum(terms))
 
 
 def bisection_sign_change(g, m0, m1):
@@ -368,6 +389,22 @@ class TestRatioBounds:
         want_lo, want_hi = scanned_ratio_bounds(a, b)
         assert lo == pytest.approx(want_lo, rel=1e-13)
         assert hi == pytest.approx(want_hi, rel=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATIO_PAIRS)
+    @example((ConstantPlusPower(1.0, 2.0, 0.04), ConstantPlusPower(1.0, 2.0, 2.58)))
+    # entries that cancel to 1/50 of their terms: the float ratios are not monotone
+    @example((ConstantPlusPower(218.37910359475026, -214.0681912634467, 0.01),
+              ConstantPlusPower(0.001, -0.0009802595016632021, 0.01)))
+    def test_candidate_bounds_are_the_extremes_of_every_ratio(self, pair):
+        a, b = pair
+        bounds = transform._candidate_bounds(a, b)
+        assume(bounds is not None)
+        ratios = [b.at(n) / a.at(n) for n in range(1, 1001)]
+        # an entry whose terms cancel is rounded kappa times as coarsely
+        kappa = max(max(condition(a, n), condition(b, n)) for n in range(1, 1001))
+        assert bounds[0] == pytest.approx(min(ratios), rel=1e-15 * kappa)
+        assert bounds[1] == pytest.approx(max(ratios), rel=1e-15 * kappa)
 
     def test_interior_critical_points_are_found(self):
         # r_n = n^2 0.9^n peaks at n = -2 / log 0.9 = 18.98, far from both ends
