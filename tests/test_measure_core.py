@@ -112,8 +112,60 @@ class TestCylinderMeasure:
         large = CylinderSet.from_boxes({1: [(-0.5, 2.0)]})
         assert cylinder_measure(spec, small) <= cylinder_measure(spec, large)
 
+    def test_gaussian_exhaustion_of_the_line_increases_to_erf(self):
+        spec = ProductMeasureSpec.identical(Gaussian1D(1.0))
+        values = [
+            cylinder_measure(spec, CylinderSet.from_boxes({1: [(-n, n)]})) for n in range(1, 7)
+        ]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        assert values[-1] == pytest.approx(math.erf(6.0 / math.sqrt(2.0)), abs=1e-15)
+
+    def test_uniform_chain_takes_each_length(self):
+        spec = ProductMeasureSpec.identical(Uniform1D(0.0, 1.0))
+        values = [
+            cylinder_measure(spec, CylinderSet.from_boxes({1: [(0.0, 1.0 - 1.0 / n)]}))
+            for n in range(2, 12)
+        ]
+        assert values == [pytest.approx(1.0 - 1.0 / n, abs=1e-16) for n in range(2, 12)]
+        assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_constraining_a_new_coordinate_shrinks_the_set(self):
+        spec = ProductMeasureSpec.identical(Uniform1D(0.0, 1.0))
+        larger = CylinderSet.from_boxes({1: [(0.0, 0.5)]})
+        smaller = CylinderSet.from_boxes({1: [(0.0, 0.5)], 2: [(0.0, 0.5)]})
+        assert cylinder_measure(spec, smaller) == 0.25
+        assert cylinder_measure(spec, larger) == 0.5
+
+    def test_box_at_an_unconstrained_index_is_the_whole_line(self):
+        cyl = CylinderSet.from_boxes({2: [(1.0, 2.0), (0.0, 1.0)]})
+        assert cyl.box_at(2) == (Interval(0.0, 2.0),)
+        assert cyl.box_at(1) == (Interval(-math.inf, math.inf),)
+        assert cylinder_measure(
+            ProductMeasureSpec.identical(Gaussian1D(1.0)),
+            CylinderSet(((1, cyl.box_at(1)),)),
+        ) == 1.0
+
 
 class TestCountableProduct:
+    def test_geometric_tail_is_the_limit_of_its_finite_cylinders(self):
+        # coordinate k constrained to [0, 1 - 2^-k]: the cylinders over the
+        # first m coordinates decrease, and their measures to the product
+        spec = ProductMeasureSpec.identical(Uniform1D(0.0, 1.0))
+        report = countable_product_measure(
+            spec, TailConstraints(tail=OneMinusGeometricTail(1.0, 0.5))
+        )
+        values = [
+            cylinder_measure(
+                spec, CylinderSet.from_boxes({k: [(0.0, 1.0 - 2.0**-k)] for k in range(1, m + 1)})
+            )
+            for m in range(1, report.n_factors + 1)
+        ]
+        assert all(a > b for a, b in zip(values, values[1:]))
+        assert all(v > report.value for v in values[:-1])
+        assert values[-1] == pytest.approx(report.value, rel=1e-14)
+        assert report.value - 1e-12 <= EULER_HALF <= report.value
+
+
     def test_finite_prefix_with_trivial_tail(self):
         spec = ProductMeasureSpec.identical(Uniform1D(0.0, 1.0))
         constraints = TailConstraints(
